@@ -117,19 +117,6 @@ def _parse_range(text: str, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _check_example_range(example: int, rhos: np.ndarray) -> None:
-    if example == 1:
-        for r in (rhos[0], rhos[-1]):
-            if 1.0 - r * r - r**4 <= 0.0:
-                raise ValueError(
-                    f"rho={r:g} violates the validity bound 1 - rho^2 - rho^4 > 0"
-                )
-    else:
-        for r in (rhos[0], rhos[-1]):
-            if not 0.0 < r < 0.5:
-                raise ValueError(f"rho outside (0, 0.5): rho={r:g}")
-
-
 def _cmd_scan(args, config: dict) -> int:
     example = int(_resolve(args, config, "example", required=True))
     if example not in (1, 2):
@@ -141,7 +128,6 @@ def _cmd_scan(args, config: dict) -> int:
     for m in modes:
         if m not in ALL_MODES:
             raise ValueError(f"unknown mode {m!r}; choose from {ALL_MODES}")
-    _check_example_range(example, rhos)
 
     make = (
         cf.PairConditional.from_example1 if example == 1 else cf.PairConditional.from_example2
@@ -303,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config")
 
     moment = sub.add_parser("moment", help="evaluate a (shifted) Gaussian product moment")
-    moment.add_argument("--cov", help="JSON file with a 'cov' matrix (and optional 'mean')")
+    moment.add_argument("--cov", help="JSON file with a 'cov' matrix")
     moment.add_argument("--r", help="comma list of exponents")
     moment.add_argument("--shift", help="comma list of per-coordinate shifts")
     moment.add_argument("--config")

@@ -23,10 +23,10 @@ from .gaussian import (
     ConditionSpec,
     Gaussian,
     check_entropy_mode,
+    check_example2_rho,
     condition,
     example1_cov,
     example2_cov,
-    validate,
 )
 from .moments import central_moment, shifted_moment
 
@@ -58,7 +58,6 @@ class PairConditional:
     def __post_init__(self):
         if self.base.dim != 3:
             raise ValueError(f"base must be trivariate, got dimension {self.base.dim}")
-        validate(self.base)
         x3 = float(self.x3)
         pair = self.base.marginal([0, 1])
         cond = condition(self.base, ConditionSpec((0, 1), (2,), np.array([x3])))
@@ -129,10 +128,8 @@ def wde_trivariate(dist: Gaussian, mode: str = "wick") -> float:
     check_formula_mode(mode)
     if dist.dim != 3:
         raise ValueError(f"need a trivariate distribution, got dimension {dist.dim}")
-    validate(dist)
     cov = dist.cov
-    _, log_det = np.linalg.slogdet(cov)
-    inv = np.linalg.inv(cov)
+    inv = dist.precision
     if mode == "paper":
         bulk = xi(cov)
         lam = lambda_paper
@@ -142,7 +139,7 @@ def wde_trivariate(dist: Gaussian, mode: str = "wick") -> float:
     quad_term = sum(
         inv[i, j] * lam(cov, i, j) for i in range(3) for j in range(3)
     )
-    return 0.5 * (3.0 * math.log(2.0 * math.pi) + log_det) * bulk + 0.5 * quad_term
+    return 0.5 * (3.0 * math.log(2.0 * math.pi) + dist.log_det) * bulk + 0.5 * quad_term
 
 
 def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
@@ -153,9 +150,6 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
     subtracts it and matches :func:`wentropy.gaussian.gaussian_kl` exactly.
     """
     check_entropy_mode(mode)
-    inv1 = np.linalg.inv(pc.pair.cov)
-    _, log_det1 = np.linalg.slogdet(pc.pair.cov)
-    _, log_det_bar = np.linalg.slogdet(pc.cond.cov)
     mu = pc.pair.mean
     mu_bar = pc.cond.mean
     brace = (
@@ -165,7 +159,8 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
         - np.outer(mu, mu_bar)
         + np.outer(mu, mu)
     )
-    value = 0.5 * (log_det1 - log_det_bar) + 0.5 * float(np.sum(inv1 * brace))
+    trace = float(np.sum(pc.pair.precision * brace))
+    value = 0.5 * (pc.pair.log_det - pc.cond.log_det) + 0.5 * trace
     if mode == "corrected":
         value -= 1.0
     return value
@@ -264,43 +259,35 @@ def upsilon(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float:
     )
 
 
-def _pair_inverses(pc: PairConditional):
-    inv1 = np.linalg.inv(pc.pair.cov)
-    inv_bar = np.linalg.inv(pc.cond.cov)
-    _, log_det1 = np.linalg.slogdet(pc.pair.cov)
-    _, log_det_bar = np.linalg.slogdet(pc.cond.cov)
-    return inv1, inv_bar, log_det1, log_det_bar
-
-
 def cond_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Weighted entropy of the conditional pair:
     0.5 log((2 pi)^2 |cond cov|) * Theta + 0.5 sum_ij inv(cond cov)_ij LambdaBar_ij."""
     check_formula_mode(mode)
-    _, inv_bar, _, log_det_bar = _pair_inverses(pc)
+    inv_bar = pc.cond.precision
     th = theta(pc)
     quad = sum(
         inv_bar[i, j] * lambda_bar(pc, i, j, mode) for i in range(2) for j in range(2)
     )
-    return 0.5 * (2.0 * math.log(2.0 * math.pi) + log_det_bar) * th + 0.5 * quad
+    return 0.5 * (2.0 * math.log(2.0 * math.pi) + pc.cond.log_det) * th + 0.5 * quad
 
 
 def cross_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Cross weighted entropy -int phi f(.|x3) log f of the pair:
     0.5 log((2 pi)^2 |pair cov|) * Theta + 0.5 sum_ij inv(pair cov)_ij Upsilon_ij."""
     check_formula_mode(mode)
-    inv1, _, log_det1, _ = _pair_inverses(pc)
+    inv1 = pc.pair.precision
     th = theta(pc)
     quad = sum(
         inv1[i, j] * upsilon(pc, i, j, mode) for i in range(2) for j in range(2)
     )
-    return 0.5 * (2.0 * math.log(2.0 * math.pi) + log_det1) * th + 0.5 * quad
+    return 0.5 * (2.0 * math.log(2.0 * math.pi) + pc.pair.log_det) * th + 0.5 * quad
 
 
 def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Weighted divergence of the conditional pair from the marginal pair:
     0.5 log(|pair cov| / |cond cov|) * Theta + the Upsilon and LambdaBar sums."""
     check_formula_mode(mode)
-    inv1, inv_bar, log_det1, log_det_bar = _pair_inverses(pc)
+    inv1, inv_bar = pc.pair.precision, pc.cond.precision
     th = theta(pc)
     ups = sum(
         inv1[i, j] * upsilon(pc, i, j, mode) for i in range(2) for j in range(2)
@@ -308,7 +295,7 @@ def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     lam = sum(
         inv_bar[i, j] * lambda_bar(pc, i, j, mode) for i in range(2) for j in range(2)
     )
-    return 0.5 * (log_det1 - log_det_bar) * th + 0.5 * ups - 0.5 * lam
+    return 0.5 * (pc.pair.log_det - pc.cond.log_det) * th + 0.5 * ups - 0.5 * lam
 
 
 def gibbs_gap(pc: PairConditional, centers=None) -> float:
@@ -332,13 +319,6 @@ def _check_example1_rho(rho: float) -> float:
     return r
 
 
-def _check_example2_rho(rho: float) -> float:
-    r = float(rho)
-    if not 0.0 < r < 0.5:
-        raise DomainError(f"rho outside (0, 0.5): {r!r}")
-    return r
-
-
 def example1_relative_de_paper(rho: float, x3: float) -> float:
     """Printed closed form of the pair divergence for the first family
     (carries the transcribed +1 constant)."""
@@ -354,7 +334,7 @@ def example1_relative_de_paper(rho: float, x3: float) -> float:
 def example2_relative_de_paper(rho: float, x3: float) -> float:
     """Printed closed form of the pair divergence for the second family
     (its final printed line subtracts 1, i.e. it equals the corrected value)."""
-    r = _check_example2_rho(rho)
+    r = check_example2_rho(rho)
     return 0.5 * (1.0 + r + (1.0 - r) * x3 * x3 - math.log(r)) - 1.0
 
 
@@ -370,7 +350,7 @@ def example2_theta_paper(rho: float, x3: float) -> float:
     The constant term carries 4 rho^4 where the exact moment has 2 rho^4; the
     verify report flags the difference.
     """
-    r = _check_example2_rho(rho)
+    r = check_example2_rho(rho)
     x2 = x3 * x3
     return (
         r * r * (2.0 - r) ** 2
@@ -454,7 +434,7 @@ def example1_relative_we_paper(rho: float, x3: float) -> float:
 
 def example2_lambda_bar_paper(rho: float, x3: float, i: int, j: int) -> float:
     """Printed appendix polynomials for the second family's conditional moments."""
-    r = _check_example2_rho(rho)
+    r = check_example2_rho(rho)
     x2 = x3 * x3
     x4 = x2 * x2
     if i == j == 0:
@@ -487,7 +467,7 @@ def example2_lambda_bar_paper(rho: float, x3: float, i: int, j: int) -> float:
 
 def example2_upsilon_paper(rho: float, x3: float, i: int, j: int) -> float:
     """Printed appendix polynomials for the second family's shifted moments."""
-    r = _check_example2_rho(rho)
+    r = check_example2_rho(rho)
     x2 = x3 * x3
     x4 = x2 * x2
     x6 = x2 * x4
@@ -532,7 +512,7 @@ def example2_relative_we_paper(rho: float, x3: float) -> float:
     Evaluated verbatim with its printed coefficients (including the extra
     (2 pi)^2 inside the log and a single off-diagonal shifted-moment term).
     """
-    r = _check_example2_rho(rho)
+    r = check_example2_rho(rho)
     theta_val = example2_theta_paper(r, x3)
     det_bar = r * r * (2.0 - r) ** 2 - r**4
     log_term = 0.5 * math.log(

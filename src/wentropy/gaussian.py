@@ -7,7 +7,8 @@ verbatim, ``"corrected"`` the analytically exact one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,13 +48,17 @@ def _float_array(x, name: str, ndim: int) -> np.ndarray:
 class Gaussian:
     """Mean vector and covariance matrix of a multivariate normal.
 
-    Construction checks shapes and finiteness only; symmetry and positive
-    definiteness are the job of :func:`validate`, which every downstream
-    operation calls.
+    Construction is the only validation: it checks shapes and finiteness,
+    then runs :func:`validate` (symmetry and positive definiteness), so every
+    ``Gaussian`` that exists is a valid one.  It also caches the lower
+    Cholesky factor (:meth:`chol`) and the log-determinant ``log_det`` of the
+    covariance; ``precision`` is computed on first use and cached.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
+    log_det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = _float_array(self.mean, "mean", ndim=1)
@@ -66,15 +71,26 @@ class Gaussian:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {mean.size}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        validate(self)
+        lower = np.linalg.cholesky(cov)
+        lower.setflags(write=False)
+        object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(lower)))))
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """Inverse of the covariance."""
+        inv = np.linalg.inv(self.cov)
+        inv.setflags(write=False)
+        return inv
+
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the covariance."""
-        validate(self)
-        return np.linalg.cholesky(self.cov)
+        return self._lower
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
         """Log density at ``points`` of shape (m, dim)."""
@@ -83,13 +99,11 @@ class Gaussian:
             raise DimensionMismatchError(
                 f"points have dimension {pts.shape[1]}, distribution has {self.dim}"
             )
-        lower = self.chol()
         centered = pts - self.mean
         # solve L z = (x - mu)^T, quadratic form = |z|^2
-        z = np.linalg.solve(lower, centered.T)
+        z = np.linalg.solve(self._lower, centered.T)
         quad = np.sum(z * z, axis=0)
-        log_det = 2.0 * np.sum(np.log(np.diag(lower)))
-        return -0.5 * (self.dim * np.log(2.0 * np.pi) + log_det + quad)
+        return -0.5 * (self.dim * np.log(2.0 * np.pi) + self.log_det + quad)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         return np.exp(self.log_pdf(points))
@@ -100,7 +114,7 @@ class Gaussian:
 
     def sampler(self):
         """Return ``draw(rng, n) -> (n, dim)`` sampling from this distribution."""
-        lower = self.chol()
+        lower = self._lower
 
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
             z = rng.standard_normal((n, self.dim))
@@ -135,7 +149,10 @@ class ConditionSpec:
 
 
 def validate(dist: Gaussian) -> None:
-    """Check symmetry and positive definiteness, raising a named error otherwise."""
+    """Check symmetry and positive definiteness, raising a named error otherwise.
+
+    The check :class:`Gaussian` runs on construction.
+    """
     cov = dist.cov
     asym = np.abs(cov - cov.T)
     if asym.max() > SYMMETRY_ATOL:
@@ -163,7 +180,6 @@ def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
     An empty given-set returns the marginal on the kept coordinates exactly
     (pure slicing, no arithmetic).
     """
-    validate(dist)
     n = dist.dim
     for i in spec.kept + spec.given:
         if not 0 <= i < n:
@@ -186,9 +202,7 @@ def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
     mean = dist.mean[a] + gain @ (spec.value - dist.mean[b])
     cov = cov_aa - gain @ cov_ab.T
     cov = 0.5 * (cov + cov.T)
-    out = Gaussian(mean, cov)
-    validate(out)
-    return out
+    return Gaussian(mean, cov)
 
 
 def example1_cov(rho: float) -> Gaussian:
@@ -197,10 +211,19 @@ def example1_cov(rho: float) -> Gaussian:
     Positive definite iff 1 - rho^2 - rho^4 > 0.
     """
     r = float(rho)
+    if 1.0 - r * r - r**4 <= 0.0:
+        raise NotPositiveDefiniteError(f"rho={r!r} violates 1 - rho^2 - rho^4 > 0")
     cov = np.array([[1.0, r, r * r], [r, 1.0, 0.0], [r * r, 0.0, 1.0]])
-    dist = Gaussian(np.zeros(3), cov)
-    validate(dist)
-    return dist
+    return Gaussian(np.zeros(3), cov)
+
+
+def check_example2_rho(rho: float) -> float:
+    """``rho`` as a float, or :class:`DomainError` outside the second family's
+    domain 0 < rho < 1/2."""
+    r = float(rho)
+    if not 0.0 < r < 0.5:
+        raise DomainError(f"rho outside (0, 0.5): {r!r}")
+    return r
 
 
 def example2_cov(rho: float) -> Gaussian:
@@ -209,9 +232,7 @@ def example2_cov(rho: float) -> Gaussian:
     Requires 0 < rho < 1/2.  The quadratic form decomposes as
     (1-rho)(c1+c2+c3)^2 + rho(c1-c2)^2 + rho c3^2, hence positive definite.
     """
-    r = float(rho)
-    if not 0.0 < r < 0.5:
-        raise DomainError(f"rho outside (0, 0.5): {r!r}")
+    r = check_example2_rho(rho)
     cov = np.array(
         [
             [1.0, 1.0 - 2.0 * r, 1.0 - r],
@@ -219,9 +240,7 @@ def example2_cov(rho: float) -> Gaussian:
             [1.0 - r, 1.0 - r, 1.0],
         ]
     )
-    dist = Gaussian(np.zeros(3), cov)
-    validate(dist)
-    return dist
+    return Gaussian(np.zeros(3), cov)
 
 
 def gaussian_de(dist: Gaussian, mode: str = "corrected") -> float:
@@ -231,9 +250,7 @@ def gaussian_de(dist: Gaussian, mode: str = "corrected") -> float:
     term, i.e. uses (2 pi e)^n, which is what quadrature of -f log f gives.
     """
     check_entropy_mode(mode)
-    validate(dist)
-    _, log_det = np.linalg.slogdet(dist.cov)
-    value = 0.5 * (dist.dim * np.log(2.0 * np.pi) + log_det)
+    value = 0.5 * (dist.dim * np.log(2.0 * np.pi) + dist.log_det)
     if mode == "corrected":
         value += 0.5 * dist.dim
     return float(value)
@@ -243,13 +260,9 @@ def gaussian_kl(f: Gaussian, g: Gaussian) -> float:
     """Kullback-Leibler divergence KL(f || g) between Gaussians, in nats."""
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimensions differ: {f.dim} vs {g.dim}")
-    validate(f)
-    validate(g)
-    lower = np.linalg.cholesky(g.cov)
+    lower = g.chol()
     solve = lambda rhs: np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     trace = float(np.trace(solve(f.cov)))
     diff = g.mean - f.mean
     quad = float(diff @ solve(diff))
-    _, log_det_f = np.linalg.slogdet(f.cov)
-    _, log_det_g = np.linalg.slogdet(g.cov)
-    return 0.5 * (trace + quad - f.dim + (log_det_g - log_det_f))
+    return 0.5 * (trace + quad - f.dim + (g.log_det - f.log_det))

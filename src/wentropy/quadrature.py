@@ -26,6 +26,8 @@ TINY = 1e-300
 MAX_CELLS = 10**8
 MIN_POINTS = 16
 REFINE_TOL = 1e-4
+# points evaluated at once; bounds the memory of one block of the integrand
+BLOCK_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -118,23 +120,19 @@ class GridSpec:
 
 
 def _chunks(grid: GridSpec):
-    """Yield cell-center coordinates in slabs along the first axis, (m, dim) each."""
+    """Yield cell-center coordinates, (m, dim) each, in blocks of whole
+    first-axis slabs holding at most ``BLOCK_POINTS`` points (or one slab,
+    if a slab alone is larger)."""
     axes = [grid.axis_centers(k) for k in range(grid.dim)]
-    if grid.dim == 1:
-        yield axes[0][:, None]
-        return
-    trailing = np.stack(
-        [g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")], axis=-1
-    )
-    block = np.empty((trailing.shape[0], grid.dim))
-    block[:, 1:] = trailing
-    for x0 in axes[0]:
-        block[:, 0] = x0
-        yield block
+    slab_points = math.prod(axis.size for axis in axes[1:])
+    step = max(1, BLOCK_POINTS // slab_points)
+    for start in range(0, axes[0].size, step):
+        mesh = np.meshgrid(axes[0][start : start + step], *axes[1:], indexing="ij")
+        yield np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _integrate(grid: GridSpec, term: Callable[[np.ndarray], np.ndarray]) -> float:
-    # fsum across slabs keeps the accumulation order-independent of slab count
+    # fsum rounds the total of the block sums once, whatever the block count
     total = math.fsum(float(np.sum(term(pts))) for pts in _chunks(grid))
     return total * grid.cell_volume
 
@@ -148,9 +146,48 @@ def weighted_mass(pdf, weight, grid: GridSpec) -> float:
     return _integrate(grid, term)
 
 
-def _self_check(value: float, recompute, check_refinement: bool) -> float:
+def _log_ratio_integral(
+    f_pdf,
+    refs,
+    weight,
+    grid: GridSpec,
+    check_refinement: bool,
+    require_support: bool = False,
+) -> float:
+    """int phi f (log f - log ref) by midpoint quadrature.
+
+    The reference density is the product of ``pdf(x[cols])`` over the
+    ``(pdf, cols)`` pairs in ``refs`` (no pairs: ref = 1).  Every density is
+    evaluated once per block.  A cell where f or a reference factor is at most
+    ``TINY`` contributes 0, unless ``require_support`` is set and phi f
+    exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.  With
+    ``check_refinement`` the integral is recomputed on the doubled grid and
+    :class:`GridTooCoarseError` raised if that moves it by more than
+    ``REFINE_TOL``.
+    """
+
+    def term(pts):
+        f = f_pdf(pts)
+        ref_values = [pdf(pts[:, cols]) for pdf, cols in refs]
+        phi = _weight_values(weight, pts)
+        mask = f > TINY
+        for r in ref_values:
+            covered = r > TINY
+            if require_support:
+                bad = (phi * f > TINY) & ~covered
+                if np.any(bad):
+                    where = pts[int(np.argmax(bad))]
+                    raise SupportMismatchError(
+                        f"reference density vanishes at {where} where phi*f > 0"
+                    )
+            mask &= covered
+        f = f[mask]
+        log_ref = sum(np.log(r[mask]) for r in ref_values)
+        return phi[mask] * f * (np.log(f) - log_ref)
+
+    value = _integrate(grid, term)
     if check_refinement:
-        refined = recompute()
+        refined = _integrate(grid.refined(), term)
         if abs(refined - value) > REFINE_TOL:
             raise GridTooCoarseError(
                 f"doubling the grid moved the result by {abs(refined - value):.3e} "
@@ -161,20 +198,7 @@ def _self_check(value: float, recompute, check_refinement: bool) -> float:
 
 def wde_quadrature(pdf, weight, grid: GridSpec, check_refinement: bool = False) -> float:
     """Weighted differential entropy -int phi f log f by midpoint quadrature."""
-
-    def run(g: GridSpec) -> float:
-        def term(pts):
-            f = pdf(pts)
-            phi = _weight_values(weight, pts)
-            mask = f > TINY
-            out = np.zeros_like(f)
-            out[mask] = phi[mask] * f[mask] * np.log(f[mask])
-            return out
-
-        return -_integrate(g, term)
-
-    value = run(grid)
-    return _self_check(value, lambda: run(grid.refined()), check_refinement)
+    return -_log_ratio_integral(pdf, (), weight, grid, check_refinement)
 
 
 def de_quadrature(pdf, grid: GridSpec, check_refinement: bool = False) -> float:
@@ -191,21 +215,8 @@ def conditional_wde_quadrature(
     check_refinement: bool = False,
 ) -> float:
     """-int phi f(x, y) log[f(x, y) / f2(y)] with y the trailing ``given_dims`` coordinates."""
-
-    def run(g: GridSpec) -> float:
-        def term(pts):
-            f = joint_pdf(pts)
-            f2 = given_pdf(pts[:, -given_dims:])
-            phi = _weight_values(weight, pts)
-            mask = (f > TINY) & (f2 > TINY)
-            out = np.zeros_like(f)
-            out[mask] = phi[mask] * f[mask] * (np.log(f[mask]) - np.log(f2[mask]))
-            return out
-
-        return -_integrate(g, term)
-
-    value = run(grid)
-    return _self_check(value, lambda: run(grid.refined()), check_refinement)
+    refs = [(given_pdf, slice(-given_dims, None))]
+    return -_log_ratio_integral(joint_pdf, refs, weight, grid, check_refinement)
 
 
 def mutual_wde_quadrature(
@@ -216,26 +227,8 @@ def mutual_wde_quadrature(
     check_refinement: bool = False,
 ) -> float:
     """int phi f log[f / prod_i f_i], with the 0 log(0/0) = 0 convention."""
-
-    def run(g: GridSpec) -> float:
-        def term(pts):
-            f = joint_pdf(pts)
-            log_prod = np.zeros(pts.shape[0])
-            mask = f > TINY
-            for k, marg in enumerate(marginal_pdfs):
-                fk = marg(pts[:, k : k + 1])
-                mask &= fk > TINY
-                with np.errstate(divide="ignore"):
-                    log_prod += np.where(fk > TINY, np.log(np.maximum(fk, TINY)), 0.0)
-            phi = _weight_values(weight, pts)
-            out = np.zeros_like(f)
-            out[mask] = phi[mask] * f[mask] * (np.log(f[mask]) - log_prod[mask])
-            return out
-
-        return _integrate(g, term)
-
-    value = run(grid)
-    return _self_check(value, lambda: run(grid.refined()), check_refinement)
+    refs = [(marg, slice(k, k + 1)) for k, marg in enumerate(marginal_pdfs)]
+    return _log_ratio_integral(joint_pdf, refs, weight, grid, check_refinement)
 
 
 def relative_wde_quadrature(
@@ -250,27 +243,10 @@ def relative_wde_quadrature(
     Raises :class:`SupportMismatchError` if g vanishes on a cell where the
     weighted integrand does not.
     """
-
-    def run(g: GridSpec) -> float:
-        def term(pts):
-            f = f_pdf(pts)
-            gg = g_pdf(pts)
-            phi = _weight_values(weight, pts)
-            bad = (phi * f > TINY) & (gg <= TINY)
-            if np.any(bad):
-                where = pts[int(np.argmax(bad))]
-                raise SupportMismatchError(
-                    f"reference density vanishes at {where} where phi*f > 0"
-                )
-            mask = f > TINY
-            out = np.zeros_like(f)
-            out[mask] = phi[mask] * f[mask] * (np.log(f[mask]) - np.log(gg[mask]))
-            return out
-
-        return _integrate(g, term)
-
-    value = run(grid)
-    return _self_check(value, lambda: run(grid.refined()), check_refinement)
+    refs = [(g_pdf, slice(None))]
+    return _log_ratio_integral(
+        f_pdf, refs, weight, grid, check_refinement, require_support=True
+    )
 
 
 def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:

@@ -133,6 +133,15 @@ def test_moment_shifted_conditional_value(capsys, tmp_path):
     assert lines[1] == "matchings: 3"
 
 
+def test_moment_negative_shift_attached_with_equals(capsys, tmp_path):
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"cov": np.eye(2).tolist()}))
+    code, out, _ = run(capsys, ["moment", "--cov", str(cov), "--shift=-1,2", "--r", "2,2"])
+    assert code == 0
+    # E[(Y1 - 1)^2] E[(Y2 + 2)^2] = 2 * 5
+    assert out.splitlines()[0] == "value: 10"
+
+
 def test_moment_odd_order(capsys, tmp_path):
     cov = tmp_path / "cov.json"
     cov.write_text(json.dumps({"cov": np.eye(3).tolist()}))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rand_spd
+from helpers import gaussian_logpdf, rand_spd
 from wentropy.errors import (
     DimensionMismatchError,
     DomainError,
@@ -11,6 +11,7 @@ from wentropy.errors import (
     NotSymmetricError,
 )
 from wentropy.gaussian import (
+    MAX_DIM,
     ConditionSpec,
     Gaussian,
     condition,
@@ -20,7 +21,12 @@ from wentropy.gaussian import (
     gaussian_kl,
     validate,
 )
-from wentropy.quadrature import GridSpec, de_quadrature, relative_wde_quadrature
+from wentropy.quadrature import (
+    BLOCK_POINTS,
+    GridSpec,
+    de_quadrature,
+    relative_wde_quadrature,
+)
 
 
 def test_validate_identity_ok():
@@ -44,6 +50,29 @@ def test_validate_not_symmetric_names_entry():
     with pytest.raises(NotSymmetricError) as err:
         validate(Gaussian(np.zeros(3), cov))
     assert "0" in str(err.value) and "2" in str(err.value)
+
+
+def test_construction_validates():
+    asym = np.eye(3)
+    asym[0, 2] = 0.5
+    with pytest.raises(NotSymmetricError):
+        Gaussian(np.zeros(3), asym)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        Gaussian(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])
+    assert "minor of order 2" in str(err.value)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        Gaussian(np.zeros(2), np.diag([1.0, 1e-12]))
+    assert "smallest eigenvalue" in str(err.value)
+
+
+def test_log_pdf_matches_dense_reference():
+    rng = np.random.default_rng(29)
+    for n in range(1, MAX_DIM + 1):
+        mean = rng.normal(size=n)
+        cov = rand_spd(rng, n)
+        pts = mean + 2.0 * rng.normal(size=(64, n))
+        got = Gaussian(mean, cov).log_pdf(pts)
+        assert np.max(np.abs(got - gaussian_logpdf(pts, mean, cov))) <= 1e-12
 
 
 def test_condition_example1_matches_printed_form():
@@ -164,6 +193,17 @@ def test_gaussian_de_matches_quadrature_50_seeds():
         assert gaussian_de(dist, "corrected") == pytest.approx(
             de_quadrature(dist.pdf, grid), abs=1e-5
         )
+    # a first axis that splits into several blocks of whole slabs plus a
+    # shorter remainder block
+    dist = Gaussian(rng.normal(size=3), rand_spd(rng, 3))
+    box = GridSpec.for_gaussian(dist, 64)
+    lo, hi, _ = box.axes[0]
+    grid = GridSpec(((lo, hi, 72),) + box.axes[1:])
+    per_block = BLOCK_POINTS // 64**2
+    assert 1 < per_block < 72 and 72 % per_block != 0
+    assert gaussian_de(dist, "corrected") == pytest.approx(
+        de_quadrature(dist.pdf, grid), abs=1e-5
+    )
 
 
 def test_gaussian_kl_zero_iff_equal_and_nonnegative():
