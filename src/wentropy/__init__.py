@@ -1,6 +1,6 @@
 """Weighted differential entropies with central-moment weight functions.
 
-Gaussian closed forms in paper/wick modes, exact pair-partition moment
+Gaussian closed forms in paper/wick modes, exact Wick-recursion moment
 oracles, tensor-quadrature and Monte Carlo cross-checks, discrete identity
 checkers, and a weighted deviance information criterion.
 """

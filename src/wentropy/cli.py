@@ -17,6 +17,7 @@ import numpy as np
 
 from . import closedform as cf
 from .errors import WentropyError
+from .gaussian import example1_cov, example2_cov
 from .moments import central_moment, count_matchings, shifted_moment
 from .verify import VerifyConfig, run_verify
 from .wdic import (
@@ -129,9 +130,7 @@ def _cmd_scan(args, config: dict) -> int:
         if m not in ALL_MODES:
             raise ValueError(f"unknown mode {m!r}; choose from {ALL_MODES}")
 
-    make = (
-        cf.PairConditional.from_example1 if example == 1 else cf.PairConditional.from_example2
-    )
+    make_base = example1_cov if example == 1 else example2_cov
     printed_de = (
         cf.example1_relative_de_paper if example == 1 else cf.example2_relative_de_paper
     )
@@ -157,8 +156,9 @@ def _cmd_scan(args, config: dict) -> int:
         ",".join(columns),
     ]
     for rho in rhos:
+        base = make_base(float(rho))
         for x3 in x3s:
-            pc = make(float(rho), float(x3))
+            pc = cf.PairConditional(base, float(x3))
             row = [_fmt(rho), _fmt(x3)]
             if "paper" in modes:
                 row.append(_fmt(printed_de(float(rho), float(x3))))

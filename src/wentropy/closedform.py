@@ -1,11 +1,11 @@
 """Closed-form weighted-entropy expressions for trivariate Gaussians.
 
 Everything here exists in two modes.  ``"wick"`` assembles the expression from
-exact pair-partition moments and is authoritative: it must agree with the
-quadrature oracles.  ``"paper"`` evaluates the transcribed factored formulas
-verbatim, including their known defects; the verify command measures each one
-against wick mode and reports a CONFIRMED/DISCREPANT verdict instead of
-trusting it.
+exact Gaussian moments (the Wick recursion of :mod:`wentropy.moments`) and is
+authoritative: it must agree with the quadrature oracles.  ``"paper"``
+evaluates the transcribed factored formulas verbatim, including their known
+defects; the verify command measures each one against wick mode and reports a
+CONFIRMED/DISCREPANT verdict instead of trusting it.
 
 The product weight is always centered at the marginal means.  Coordinate
 indices are 0-based.
@@ -39,7 +39,7 @@ def check_formula_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairConditional:
     """A trivariate Gaussian together with its leading pair, conditioned on the
     third coordinate.
@@ -115,7 +115,7 @@ def lambda_paper(cov, i: int, j: int) -> float:
 
 
 def lambda_wick(cov, i: int, j: int) -> float:
-    """Exact E[Y_1^2 Y_2^2 Y_3^2 Y_i Y_j] by pair-partition enumeration."""
+    """Exact E[Y_1^2 Y_2^2 Y_3^2 Y_i Y_j] by the Wick recursion."""
     r = [2, 2, 2]
     r[i] += 1
     r[j] += 1

@@ -24,7 +24,7 @@ from .quadrature import CentralWeight
 PROB_SUM_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Dense joint pmf over labelled finite supports, one axis per coordinate."""
 

@@ -44,7 +44,7 @@ def _float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gaussian:
     """Mean vector and covariance matrix of a multivariate normal.
 
@@ -52,13 +52,16 @@ class Gaussian:
     then runs :func:`validate` (symmetry and positive definiteness), so every
     ``Gaussian`` that exists is a valid one.  It also caches the lower
     Cholesky factor (:meth:`chol`) and the log-determinant ``log_det`` of the
-    covariance; ``precision`` is computed on first use and cached.
+    covariance; ``precision`` and the inverse Cholesky factor are computed on
+    first use and cached.  ``==`` is identity, as it is for the other
+    array-holding containers: comparing arrays elementwise has no single truth
+    value.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    _lower: np.ndarray = field(init=False, repr=False, compare=False)
-    log_det: float = field(init=False, repr=False, compare=False)
+    _lower: np.ndarray = field(init=False, repr=False)
+    log_det: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = _float_array(self.mean, "mean", ndim=1)
@@ -88,6 +91,12 @@ class Gaussian:
         inv.setflags(write=False)
         return inv
 
+    @cached_property
+    def _inv_lower(self) -> np.ndarray:
+        inv = np.linalg.inv(self._lower)
+        inv.setflags(write=False)
+        return inv
+
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the covariance."""
         return self._lower
@@ -100,9 +109,9 @@ class Gaussian:
                 f"points have dimension {pts.shape[1]}, distribution has {self.dim}"
             )
         centered = pts - self.mean
-        # solve L z = (x - mu)^T, quadratic form = |z|^2
-        z = np.linalg.solve(self._lower, centered.T)
-        quad = np.sum(z * z, axis=0)
+        # z = L^{-1} (x - mu) row by row, quadratic form = |z|^2
+        z = centered @ self._inv_lower.T
+        quad = np.sum(z * z, axis=1)
         return -0.5 * (self.dim * np.log(2.0 * np.pi) + self.log_det + quad)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
@@ -123,7 +132,7 @@ class Gaussian:
         return draw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionSpec:
     """Keep coordinates ``kept``, fix coordinates ``given`` to ``value`` (0-based)."""
 

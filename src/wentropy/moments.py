@@ -1,15 +1,19 @@
-"""Exact moments of jointly Gaussian vectors by pair-partition (Isserlis) summation.
+"""Exact moments of jointly Gaussian vectors by the Wick (Isserlis) recursion.
 
 These are the ground-truth values every transcribed closed form is measured
-against.  Evaluation is purely algebraic in the covariance entries: the matrix
-is never factorized, so positive definiteness is not required (degenerate
-covariances, e.g. duplicated coordinates, are fine).
+against.  One recursion gives the raw moment of X ~ N(m, S): with k the first
+coordinate of nonzero exponent,
+
+    E[X^r] = m_k E[X^(r-e_k)] + sum_j S_kj (r-e_k)_j E[X^(r-e_k-e_j)],
+
+memoized per call over the exponent multi-index.  A central moment is the case
+m = 0, a shifted moment the case m = deltas.  Evaluation is purely algebraic in
+the covariance entries: the matrix is never factorized, so positive
+definiteness is not required (degenerate covariances, e.g. duplicated
+coordinates, are fine).
 """
 
 from __future__ import annotations
-
-import math
-from itertools import product
 
 import numpy as np
 
@@ -47,36 +51,44 @@ def _check_spec(cov: np.ndarray, exponents) -> tuple[np.ndarray, list[int]]:
     return cov, r
 
 
-def _pairing_sum(cov: np.ndarray, symbols: list[int]) -> float:
-    # pair the first symbol with each later one, recurse on the rest
-    if not symbols:
+def _wick_moment(s: list, m: list, e: tuple, memo: dict) -> float:
+    """E[X^e] for X ~ N(m, s), with ``memo`` mapping exponent tuples to values.
+
+    A zero mean term is skipped, so with m = 0 only even orders are visited.
+    """
+    value = memo.get(e)
+    if value is not None:
+        return value
+    k = next((i for i, n in enumerate(e) if n), None)
+    if k is None:
         return 1.0
-    first = symbols[0]
-    rest = symbols[1:]
-    total = 0.0
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        total += cov[first, partner] * _pairing_sum(cov, remaining)
-    return total
+    rest = list(e)
+    rest[k] -= 1
+    value = m[k] * _wick_moment(s, m, tuple(rest), memo) if m[k] != 0.0 else 0.0
+    row = s[k]
+    for j, n in enumerate(rest):
+        if n:
+            rest[j] -= 1
+            value += row[j] * n * _wick_moment(s, m, tuple(rest), memo)
+            rest[j] += 1
+    memo[e] = value
+    return value
 
 
 def central_moment(cov, exponents) -> float:
     """E[prod_i Y_i^{r_i}] for centered jointly Gaussian Y with covariance ``cov``.
 
-    Odd total order returns exactly 0 without enumeration; even order sums the
-    product of paired covariances over all perfect matchings of the flattened
-    symbol list.
+    Odd total order returns exactly 0 without evaluation; even order runs the
+    Wick recursion with zero mean.
     """
     cov, r = _check_spec(cov, exponents)
-    order = sum(r)
-    if order % 2 != 0:
+    if sum(r) % 2 != 0:
         return 0.0
-    symbols = [i for i, e in enumerate(r) for _ in range(e)]
-    return _pairing_sum(cov, symbols)
+    return _wick_moment(cov.tolist(), [0.0] * len(r), tuple(r), {})
 
 
 def shifted_moment(cov, deltas, exponents) -> float:
-    """E[prod_i (Y_i + delta_i)^{r_i}] by binomial expansion into central moments."""
+    """E[prod_i (Y_i + delta_i)^{r_i}]: the Wick recursion with mean ``deltas``."""
     cov, r = _check_spec(cov, exponents)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (cov.shape[0],):
@@ -85,14 +97,4 @@ def shifted_moment(cov, deltas, exponents) -> float:
         )
     if not np.all(np.isfinite(deltas)):
         raise ValueError("deltas must be finite")
-    total = 0.0
-    for k in product(*(range(e + 1) for e in r)):
-        if sum(k) % 2 != 0:
-            continue
-        coeff = 1.0
-        for ri, ki, di in zip(r, k, deltas):
-            coeff *= math.comb(ri, ki) * di ** (ri - ki)
-        if coeff == 0.0:
-            continue
-        total += coeff * central_moment(cov, k)
-    return total
+    return _wick_moment(cov.tolist(), deltas.tolist(), tuple(r), {})

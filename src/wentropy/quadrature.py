@@ -30,7 +30,7 @@ REFINE_TOL = 1e-4
 BLOCK_POINTS = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralWeight:
     """Product weight phi(x) = prod_i (x_i - a_i)^2 around the centers a."""
 
@@ -294,7 +294,7 @@ def relative_wde_monte_carlo(sampler, f_pdf, g_pdf, weight, cfg: McConfig) -> Mc
 
 
 def moment_quadrature(dist: Gaussian, exponents, points: int = 64) -> float:
-    """E[prod (X_i - mu_i)^{r_i}] by tensor quadrature; oracle for the pairing sums."""
+    """E[prod (X_i - mu_i)^{r_i}] by tensor quadrature; oracle for the Wick moments."""
     grid = GridSpec.for_gaussian(dist, points)
     r = [int(e) for e in exponents]
 

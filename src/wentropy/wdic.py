@@ -29,7 +29,7 @@ MIN_DRAWS = 100
 LOG_TINY = -745.0  # log of the smallest positive double; anything below is "zero density"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDataset:
     """Observations (n, d) with one nonnegative finite weight per row."""
 
@@ -118,7 +118,7 @@ class ModelSpec:
         return theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorDraws:
     """Ordered posterior parameter draws plus where they came from."""
 

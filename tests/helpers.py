@@ -1,6 +1,9 @@
 """Shared helpers for the test suite: seeded SPD matrices and small oracles
 implemented independently of the package code paths they check."""
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -46,3 +49,41 @@ def grid_moment(mean, cov, exponents, points=96, half_width=8.0, centers=None):
     pdf = np.exp(gaussian_logpdf(pts, mean, cov))
     mono = np.prod((pts - centers) ** np.asarray(exponents), axis=1)
     return float(np.sum(mono * pdf) * step)
+
+
+def pairing_moment(cov, exponents) -> float:
+    """Reference E[prod Y_i^{r_i}] for centered Gaussian Y: the sum, over all
+    (order-1)!! perfect matchings of the flattened symbol list, of the product
+    of paired covariances (Isserlis).  Slow, but independent of the package's
+    recursion."""
+    cov = np.asarray(cov, dtype=float)
+    symbols = [i for i, e in enumerate(exponents) for _ in range(int(e))]
+    if len(symbols) % 2:
+        return 0.0
+
+    def pairing_sum(symbols):
+        # pair the first symbol with each later one, recurse on the rest
+        if not symbols:
+            return 1.0
+        first, rest = symbols[0], symbols[1:]
+        total = 0.0
+        for k, partner in enumerate(rest):
+            total += cov[first, partner] * pairing_sum(rest[:k] + rest[k + 1 :])
+        return total
+
+    return pairing_sum(symbols)
+
+
+def binomial_shifted_moment(cov, deltas, exponents) -> float:
+    """Reference E[prod (Y_i + delta_i)^{r_i}] by binomial expansion into
+    :func:`pairing_moment` central moments."""
+    total = 0.0
+    for k in itertools.product(*(range(int(e) + 1) for e in exponents)):
+        if sum(k) % 2:
+            continue
+        coeff = 1.0
+        for ri, ki, di in zip(exponents, k, deltas):
+            coeff *= math.comb(int(ri), ki) * float(di) ** (int(ri) - ki)
+        if coeff:
+            total += coeff * pairing_moment(cov, k)
+    return total

@@ -75,6 +75,31 @@ def test_log_pdf_matches_dense_reference():
         assert np.max(np.abs(got - gaussian_logpdf(pts, mean, cov))) <= 1e-12
 
 
+def test_array_containers_compare_by_identity():
+    # generated == would compare array fields elementwise and raise
+    from wentropy.closedform import PairConditional
+    from wentropy.discrete import DiscreteJoint
+    from wentropy.quadrature import CentralWeight
+    from wentropy.wdic import PosteriorDraws, WeightedDataset
+
+    def build():
+        return [
+            Gaussian([0.0, 0.0], np.eye(2)),
+            ConditionSpec((0, 1), (2,), [0.5]),
+            PairConditional(example1_cov(0.5), 1.0),
+            DiscreteJoint(np.full((2, 2), 0.25), ([0.0, 1.0], [0.0, 1.0])),
+            CentralWeight([0.0, 0.0]),
+            WeightedDataset(np.zeros((3, 2)), np.ones(3)),
+            PosteriorDraws(np.zeros((100, 2)), "test"),
+        ]
+
+    for a, b in zip(build(), build()):
+        assert a == a
+        assert (a == b) is False
+        assert a != b
+        assert len({a, a, b}) == 2
+
+
 def test_condition_example1_matches_printed_form():
     rho, x3 = 0.5, 2.0
     out = condition(example1_cov(rho), ConditionSpec((0, 1), (2,), [x3]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_moment, rand_spd
+from helpers import binomial_shifted_moment, grid_moment, pairing_moment, rand_spd
 from wentropy.errors import DimensionMismatchError, OddOrderError, OrderCapError
 from wentropy.moments import central_moment, count_matchings, shifted_moment
 
@@ -66,6 +66,46 @@ def test_order_cap_and_dimension_checks():
         central_moment(cov, (2, 2, 2))
     with pytest.raises(DimensionMismatchError):
         shifted_moment(cov, [0.0], (2, 2))
+
+
+def test_matches_pair_partition_reference_200_specs():
+    # the recursion against the enumeration it replaced: d <= 4, order <= 12,
+    # every odd-numbered spec shifted
+    rng = np.random.default_rng(20)
+    for n in range(200):
+        d = int(rng.integers(1, 5))
+        order = int(rng.integers(0, 13))
+        spec = tuple(int(e) for e in rng.multinomial(order, np.full(d, 1.0 / d)))
+        cov = rand_spd(rng, d)
+        if n % 2:
+            deltas = rng.normal(scale=1.5, size=d)
+            got = shifted_moment(cov, deltas, spec)
+            ref = binomial_shifted_moment(cov, deltas, spec)
+        else:
+            got = central_moment(cov, spec)
+            ref = pairing_moment(cov, spec)
+        assert got == pytest.approx(ref, rel=1e-12), (n, spec)
+
+
+def test_singular_duplicated_coordinates_match_reference():
+    # lambda_bar's covariance repeats coordinates, so it is singular
+    rng = np.random.default_rng(21)
+    s = rand_spd(rng, 2)
+    dup = [0, 1, 1, 0]
+    cov4 = s[np.ix_(dup, dup)]
+    assert abs(np.linalg.det(cov4)) < 1e-12
+    deltas = np.array([0.7, -1.3, 0.0, 0.0])
+    spec = (2, 2, 1, 1)
+    assert central_moment(cov4, spec) == pytest.approx(
+        pairing_moment(cov4, spec), rel=1e-12
+    )
+    assert shifted_moment(cov4, deltas, spec) == pytest.approx(
+        binomial_shifted_moment(cov4, deltas, spec), rel=1e-12
+    )
+    # duplicated coordinates are the same variable: E[Y_0^3 Y_1^3]
+    assert central_moment(cov4, spec) == pytest.approx(
+        central_moment(s, (3, 3)), rel=1e-12
+    )
 
 
 def test_shifted_zero_delta_equals_central():
