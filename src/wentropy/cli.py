@@ -259,6 +259,8 @@ def _cmd_wdic(args, config: dict) -> int:
     }
     if acceptance is not None:
         payload["acceptance_rate"] = acceptance
+    payload["pwd_mcse"] = result.pwd_mcse
+    payload["ess"] = result.ess
     _write_output(_dump_json(payload) + "\n", _resolve(args, config, "out"))
     return 0
 

@@ -5,8 +5,17 @@ nonnegative utility weight.  Posterior draws come from a file or from the
 bundled random-walk sampler; the posterior itself is the ordinary (unweighted)
 one, weights enter only the deviance scoring.
 
-Reductions over draws happen in sorted order, so results are exactly invariant
-under reordering of the draw collection.
+Every log-likelihood sum of the scoring, weighted or not, goes through one
+evaluator that scores a block of draws per ``log_density`` call: each parameter
+is passed as a ``(k, 1)`` column and the result must broadcast to
+``(k, n_obs)``.  A model's ``log_density`` must also accept a single ``(p,)``
+theta, whose parameters are scalars, because the sampler scores one proposal
+at a time with its own sum, in which zero density just means rejection.
+
+Reductions over draws happen in sorted order, so ``wdic`` and ``pwd`` are
+exactly invariant under reordering of the draw collection.  The Monte Carlo
+error of the penalty (``pwd_mcse``, ``ess``) is a batch-means estimate over
+the draws in their given order, so it does depend on that order.
 """
 
 from __future__ import annotations
@@ -27,6 +36,9 @@ from .errors import (
 
 MIN_DRAWS = 100
 LOG_TINY = -745.0  # log of the smallest positive double; anything below is "zero density"
+# draws x observations per log_density call: large enough to amortize the
+# per-call overhead, small enough to leave peak memory where it was
+_BLOCK_POINTS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,30 +211,81 @@ def _validate_draws_for(model: ModelSpec, draws: PosteriorDraws) -> np.ndarray:
     return arr
 
 
+def _weighted_logliks(
+    model: ModelSpec, thetas: np.ndarray, data: WeightedDataset
+) -> np.ndarray:
+    """Sum of weight_i * log g(y_i | theta) for every row of ``thetas`` (k, p),
+    evaluated in blocks of at most ``_BLOCK_POINTS`` draw-observation pairs.
+
+    An observation whose log density is at most ``LOG_TINY`` contributes 0 when
+    its weight is 0 and raises ``OutOfSupportError`` otherwise; a NaN or +inf
+    log density under a positive weight raises ``ValueError``.
+    """
+    n = data.n
+    weights = data.weights
+    positive = weights > 0
+    rows = max(1, _BLOCK_POINTS // n)
+    out = np.empty(thetas.shape[0])
+    for start in range(0, thetas.shape[0], rows):
+        block = thetas[start : start + rows]
+        k = block.shape[0]
+        logs = np.asarray(model.log_density(data.y, block.T[:, :, None]), dtype=float)
+        try:
+            logs = np.broadcast_to(logs, (k, n))
+        except ValueError:
+            raise DimensionMismatchError(
+                f"log_density returned shape {logs.shape} for {k} draws and "
+                f"{n} observations"
+            ) from None
+        live = (logs > LOG_TINY) & (logs < np.inf)
+        bad = ~live & positive
+        if np.any(bad):
+            draw, idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            if logs[draw, idx] <= LOG_TINY:
+                raise OutOfSupportError(
+                    f"observation {idx} has zero density under {model.name} but "
+                    f"weight {weights[idx]!r}"
+                )
+            raise ValueError(
+                f"draw {start + draw}: log density {float(logs[draw, idx])!r} at "
+                f"observation {idx} under {model.name}"
+            )
+        with np.errstate(invalid="ignore"):  # 0 * -inf on weight-0 rows
+            terms = np.where(live, weights * logs, 0.0)
+        out[start : start + k] = np.sum(terms, axis=1)
+    return out
+
+
 def weighted_loglik(model: ModelSpec, theta, data: WeightedDataset) -> float:
     """Sum of weight_i * log g(y_i | theta); the unweighted log-likelihood when
     every weight is 1, and linear in the weight vector."""
     theta = model.check_theta(theta)
-    logs = np.asarray(model.log_density(data.y, theta), dtype=float)
-    if logs.shape != (data.n,):
-        raise DimensionMismatchError(
-            f"log_density returned shape {logs.shape} for {data.n} observations"
-        )
-    dead = logs <= LOG_TINY
-    if np.any(dead & (data.weights > 0)):
-        idx = int(np.argmax(dead & (data.weights > 0)))
-        raise OutOfSupportError(
-            f"observation {idx} has zero density under {model.name} but weight "
-            f"{data.weights[idx]!r}"
-        )
-    with np.errstate(invalid="ignore"):
-        terms = np.where(dead, 0.0, data.weights * logs)
-    return float(np.sum(terms))
+    return float(_weighted_logliks(model, theta[None, :], data)[0])
 
 
 def weighted_deviance(model: ModelSpec, theta, data: WeightedDataset) -> float:
     """-2 times the weighted log-likelihood."""
     return -2.0 * weighted_loglik(model, theta, data)
+
+
+def _penalty(
+    model: ModelSpec, draws: PosteriorDraws, dev_at_hat: float, data: WeightedDataset
+) -> tuple[float, float, float]:
+    """``(pwd, pwd_mcse, ess)`` from one blocked deviance pass: the effective
+    number of parameters, the batch-means Monte Carlo standard error of that
+    mean, and the effective sample size of the deviance-difference series."""
+    arr = _validate_draws_for(model, draws)
+    diffs = -2.0 * _weighted_logliks(model, arr, data) - dev_at_hat
+    pwd = float(np.mean(np.sort(diffs)))
+    # batch means in draw order: b = floor(sqrt(n)) batches of m = n // b draws
+    n = diffs.size
+    batches = math.isqrt(n)
+    size = n // batches
+    means = np.mean(diffs[: batches * size].reshape(batches, size), axis=1)
+    sigma2 = size * float(np.var(means, ddof=1))
+    if sigma2 == 0.0:
+        return pwd, 0.0, float(n)
+    return pwd, math.sqrt(sigma2 / n), n * float(np.var(diffs, ddof=1)) / sigma2
 
 
 def penalty_pwd(
@@ -235,12 +298,8 @@ def penalty_pwd(
     draw-order invariance), which avoids cancellation between large deviances
     and makes the all-draws-identical case exactly zero.
     """
-    arr = _validate_draws_for(model, draws)
-    dev_hat = weighted_deviance(model, theta_hat, data)
-    diffs = np.sort(
-        np.array([weighted_deviance(model, th, data) - dev_hat for th in arr])
-    )
-    return float(np.mean(diffs))
+    pwd, _, _ = _penalty(model, draws, weighted_deviance(model, theta_hat, data), data)
+    return pwd
 
 
 class WdicResult(NamedTuple):
@@ -248,6 +307,8 @@ class WdicResult(NamedTuple):
     pwd: float
     dev_at_hat: float
     theta_hat: np.ndarray
+    pwd_mcse: float
+    ess: float
 
 
 def posterior_point_estimate(
@@ -266,12 +327,8 @@ def posterior_point_estimate(
         if draws.log_posts is not None:
             scores = draws.log_posts
         else:
-            scores = np.array(
-                [
-                    float(np.sum(np.asarray(model.log_density(data.y, th), dtype=float)))
-                    for th in arr
-                ]
-            )
+            unit = WeightedDataset(data.y, np.ones(data.n))
+            scores = _weighted_logliks(model, arr, unit)
         # deterministic under reordering: break score ties on the parameter values
         best = max(range(arr.shape[0]), key=lambda s: (scores[s], tuple(arr[s])))
         return arr[best].copy()
@@ -286,11 +343,12 @@ def wdic(
 ) -> WdicResult:
     """Weighted deviance information criterion: deviance at the point estimate
     plus twice the effective-parameter penalty.  Reduces to the classical DIC
-    when every weight is 1."""
+    when every weight is 1.  Also reports the penalty's batch-means Monte Carlo
+    standard error and the effective sample size of the draws."""
     theta_hat = posterior_point_estimate(model, draws, data, theta_hat_rule)
     dev_at_hat = weighted_deviance(model, theta_hat, data)
-    pwd = penalty_pwd(model, draws, theta_hat, data)
-    return WdicResult(dev_at_hat + 2.0 * pwd, pwd, dev_at_hat, theta_hat)
+    pwd, pwd_mcse, ess = _penalty(model, draws, dev_at_hat, data)
+    return WdicResult(dev_at_hat + 2.0 * pwd, pwd, dev_at_hat, theta_hat, pwd_mcse, ess)
 
 
 @dataclass(frozen=True)
@@ -387,10 +445,22 @@ def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
 def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
     """Normal with unknown mean and unknown log standard deviation."""
 
+    def scale(log_sd: float) -> tuple[float, float]:
+        # math, not numpy, for both shapes of theta: np.exp differs from
+        # math.exp in the last bit on some arguments, and a draw must score
+        # the same alone (as the sampler scores it) and inside a block
+        var = math.exp(2.0 * log_sd)
+        return var, -0.5 * math.log(2.0 * math.pi * var)
+
     def log_density(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
         mu, log_sd = theta
-        var = math.exp(2.0 * log_sd)
-        return -0.5 * math.log(2.0 * math.pi * var) - (y[:, 0] - mu) ** 2 / (2.0 * var)
+        if np.ndim(log_sd) == 0:  # the sampler's per-proposal call stays scalar
+            var, norm = scale(log_sd)
+        else:
+            var, norm = np.array([scale(s) for s in log_sd.ravel()]).T.reshape(
+                (2,) + log_sd.shape
+            )
+        return norm - (y[:, 0] - mu) ** 2 / (2.0 * var)
 
     return ModelSpec(
         "normal", 2, log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound))

@@ -87,3 +87,18 @@ def binomial_shifted_moment(cov, deltas, exponents) -> float:
         if coeff:
             total += coeff * pairing_moment(cov, k)
     return total
+
+
+def per_draw_logliks(model, thetas, data) -> np.ndarray:
+    """Reference weighted log-likelihood of each draw, one ``log_density`` call
+    per draw with a ``(p,)`` theta: the loop the blocked evaluator replaced,
+    with the same dead-density rule (a log density at most -745 counts as zero
+    density; such rows must have weight 0 and then contribute 0)."""
+    out = []
+    for theta in np.asarray(thetas, dtype=float):
+        logs = np.asarray(model.log_density(data.y, theta), dtype=float)
+        dead = logs <= -745.0
+        assert not np.any(dead & (data.weights > 0))
+        with np.errstate(invalid="ignore"):
+            out.append(float(np.sum(np.where(dead, 0.0, data.weights * logs))))
+    return np.array(out)

@@ -185,6 +185,20 @@ def test_wdic_sampler_deterministic(capsys, tmp_path):
     assert 0.0 < payload["acceptance_rate"] < 1.0
 
 
+def test_wdic_sampler_golden(capsys):
+    # pins the sampler's random stream, not only its run-to-run determinism
+    code, out, _ = run(
+        capsys,
+        ["wdic", "--data", str(DATA_DIR / "toy_data.csv"), "--sample", "1500,300,0.4,42"],
+    )
+    assert code == 0
+    got = json.loads(out)
+    golden = json.loads((DATA_DIR / "toy_sample_golden.json").read_text())
+    for key in ("wdic", "pwd", "dev_at_hat", "theta_hat", "acceptance_rate"):
+        assert got[key] == golden[key], key
+    assert list(got) == list(golden) + ["pwd_mcse", "ess"]
+
+
 def test_wdic_zero_weights(capsys, tmp_path):
     data = tmp_path / "zero.csv"
     rows = "\n".join(f"{v},0" for v in (0.1, -0.4, 1.2, 0.8))

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import per_draw_logliks
 from wentropy.errors import (
     EmptyDrawsError,
     OutOfSupportError,
     ZeroAcceptanceError,
 )
 from wentropy.wdic import (
+    _BLOCK_POINTS,
     ModelSpec,
     PosteriorDraws,
     SamplerConfig,
@@ -17,11 +19,13 @@ from wentropy.wdic import (
     default_log_prior,
     metropolis_sample,
     normal_mean_model,
+    normal_model,
     penalty_pwd,
     posterior_point_estimate,
     wdic,
     weighted_deviance,
     weighted_loglik,
+    _weighted_logliks,
 )
 
 MODEL = normal_mean_model(1.0)
@@ -175,6 +179,75 @@ def test_wdic_degenerate_posterior():
     result = wdic(MODEL, draws, data)
     assert result.pwd == 0.0
     assert result.wdic == result.dev_at_hat
+    assert result.pwd_mcse == 0.0
+    assert result.ess == 120
+
+
+def test_wdic_penalty_mcse_and_ess():
+    rng = np.random.default_rng(13)
+    data = make_data(rng, n=50)
+    draws, _, _ = conjugate_draws(rng, data, size=4000)
+    iid = wdic(MODEL, draws, data)
+    assert 0.5 * draws.size <= iid.ess <= 1.5 * draws.size
+    diffs = per_draw_logliks(MODEL, draws.draws, data) * -2.0 - iid.dev_at_hat
+    naive_se = float(np.std(diffs, ddof=1)) / math.sqrt(draws.size)
+    assert iid.pwd_mcse == pytest.approx(naive_se * math.sqrt(draws.size / iid.ess))
+    # a random walk with tiny steps: neighbouring draws are nearly identical
+    cfg = SamplerConfig(steps=600, burn_in=100, step_size=1e-6, seed=5)
+    walk = metropolis_sample(MODEL, default_log_prior(MODEL), data, cfg)
+    assert wdic(MODEL, walk, data).ess < walk.size / 10
+
+
+@pytest.mark.parametrize("n_obs", [1, 7, 129, 200, 1000])
+@pytest.mark.parametrize("model", [MODEL, normal_model()], ids=["normal-mean", "normal"])
+def test_blocked_logliks_match_per_draw_loop(model, n_obs):
+    rng = np.random.default_rng(n_obs)
+    y = rng.normal(0.4, 1.3, size=(n_obs, 1))
+    weights = np.where(rng.random(n_obs) < 0.2, 0.0, rng.exponential(size=n_obs))
+    data = WeightedDataset(y, weights)
+    # several full blocks plus a remainder, where n_obs leaves room for them
+    size = min(2 * max(1, _BLOCK_POINTS // n_obs) + 3, 3000)
+    thetas = np.column_stack(
+        [rng.normal(0.4, 0.5, size), rng.uniform(-1.0, 1.0, size)]
+    )[:, : model.n_params]
+    blocked = _weighted_logliks(model, thetas, data)
+    assert np.array_equal(blocked, per_draw_logliks(model, thetas, data))
+    assert np.array_equal(
+        -2.0 * blocked, [weighted_deviance(model, th, data) for th in thetas]
+    )
+
+
+def test_penalty_out_of_support_in_later_block():
+    def logd(y, theta):
+        return np.where(np.abs(y[:, 0] - theta[0]) <= 1.0, 0.0, -np.inf)
+
+    window = ModelSpec("window", 1, logd, ((-2.0, 2.0),))
+    data = WeightedDataset(np.linspace(-0.5, 0.5, 200)[:, None], np.ones(200))
+    arr = np.zeros((300, 1))
+    arr[250, 0] = 0.9  # observations below -0.1 fall outside; 4th block of 81 draws
+    with pytest.raises(OutOfSupportError) as single:
+        weighted_loglik(window, arr[250], data)
+    with pytest.raises(OutOfSupportError) as blocked:
+        penalty_pwd(window, PosteriorDraws(arr, provenance="x"), [0.0], data)
+    assert str(blocked.value) == str(single.value)
+    assert "observation 0 " in str(single.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_log_density_is_an_input_error(value):
+    def logd(y, theta):
+        return np.where(y[:, 0] > theta[0] + 1.5, value, -0.5 * (y[:, 0] - theta[0]) ** 2)
+
+    model = ModelSpec("bad-tail", 1, logd, ((-2.0, 2.0),))
+    y = np.linspace(-1.0, 1.0, 200)[:, None]
+    arr = np.zeros((150, 1))
+    arr[140, 0] = -0.7  # in the second block; observations 180.. lie in the bad tail
+    draws = PosteriorDraws(arr, provenance="x")
+    with pytest.raises(ValueError, match=rf"^draw 140: log density {value!r} at observation 180 "):
+        wdic(model, draws, WeightedDataset(y, np.ones(200)))
+    # a weight-0 observation contributes 0 whatever its log density
+    ignored = WeightedDataset(y, np.where(y[:, 0] > 0.8, 0.0, 1.0))
+    assert math.isfinite(wdic(model, draws, ignored).wdic)
 
 
 def test_wdic_invariant_under_draw_reordering():
@@ -196,6 +269,13 @@ def test_wdic_mode_rule_picks_highest_scoring_draw():
     theta_mode = posterior_point_estimate(MODEL, draws, data, "mode")
     scores = [float(np.sum(normal_logpdf(data.y[:, 0], th[0]))) for th in draws.draws]
     assert float(theta_mode[0]) == draws.draws[int(np.argmax(scores)), 0]
+    # the normal model over many blocks: same draw as per-draw scoring
+    model = normal_model()
+    wide = make_data(rng, n=1000, mean=1.0)
+    arr = np.column_stack([rng.normal(1.0, 0.05, 300), rng.normal(0.0, 0.05, 300)])
+    scores = per_draw_logliks(model, arr, WeightedDataset(wide.y, np.ones(wide.n)))
+    picked = posterior_point_estimate(model, PosteriorDraws(arr, provenance="x"), wide, "mode")
+    assert np.array_equal(picked, arr[int(np.argmax(scores))])
 
 
 def test_metropolis_recovers_conjugate_posterior():
