@@ -39,7 +39,7 @@ from .gaussian import (
     gaussian_kl,
     validate,
 )
-from .moments import central_moment, count_matchings, shifted_moment
+from .moments import central_moment, count_matchings, shifted_moment, shifted_moments
 from .quadrature import (
     CentralWeight,
     GridSpec,

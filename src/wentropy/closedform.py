@@ -1,10 +1,11 @@
 """Closed-form weighted-entropy expressions for trivariate Gaussians.
 
-Everything here exists in two modes.  ``"wick"`` assembles the expression from
-exact Gaussian moments (the Wick recursion of :mod:`wentropy.moments`) and is
-authoritative: it must agree with the quadrature oracles.  ``"paper"``
-evaluates the transcribed factored formulas verbatim, including their known
-defects; the verify command measures each one against wick mode and reports a
+Everything here exists in two modes.  ``"wick"`` is authoritative: it must
+agree with the quadrature oracles, and every wick-mode entropy is an instance
+of one kernel, :func:`_weighted_cross_entropy`, whose moments all come from one
+Wick recursion.  ``"paper"`` evaluates the transcribed factored formulas
+verbatim, including their known defects, through the kernel's assembly step;
+the verify command measures each one against wick mode and reports a
 CONFIRMED/DISCREPANT verdict instead of trusting it.
 
 The product weight is always centered at the marginal means.  Coordinate
@@ -28,7 +29,7 @@ from .gaussian import (
     example1_cov,
     example2_cov,
 )
-from .moments import central_moment, shifted_moment
+from .moments import central_moment, shifted_moment, shifted_moments
 
 FORMULA_MODES = ("paper", "wick")
 
@@ -87,6 +88,43 @@ def _centers(pc: PairConditional, centers) -> np.ndarray:
     return arr
 
 
+def _cross_entropy(g: Gaussian, bulk: float, inner) -> float:
+    """0.5 (d log 2 pi + log|S_g|) bulk + 0.5 sum_ij inv(S_g)_ij inner(i, j)."""
+    d = g.dim
+    inv = g.precision
+    quad = sum(inv[i, j] * inner(i, j) for i in range(d) for j in range(d))
+    return 0.5 * (d * math.log(2.0 * math.pi) + g.log_det) * bulk + 0.5 * quad
+
+
+def _phi_moments(f: Gaussian, centers: np.ndarray) -> dict:
+    """E[Z^(2*1 + sum_{k in key} e_k)] for Z = X - centers, X ~ f, keyed by the
+    index tuples (), (i,) and (i, j) with i <= j: one recursion fills them all."""
+    d = f.dim
+    keys = [()] + [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i, d)]
+    rows = [[2 + key.count(k) for k in range(d)] for key in keys]
+    return dict(zip(keys, shifted_moments(f.cov, f.mean - centers, rows)))
+
+
+def _phi_inner(table: dict, c: np.ndarray, i: int, j: int) -> float:
+    """E[phi (Z + c)_i (Z + c)_j] from a :func:`_phi_moments` table."""
+    pair = table[(min(i, j), max(i, j))]
+    return pair + c[i] * table[(j,)] + c[j] * table[(i,)] + c[i] * c[j] * table[()]
+
+
+def _weighted_cross_entropy(f: Gaussian, g: Gaussian, centers: np.ndarray) -> float:
+    """H_phi(f, g) = -int phi f log g for phi = prod_k (x_k - a_k)^2, exactly:
+
+        0.5 (d log 2 pi + log|S_g|) E_f[phi]
+        + 0.5 sum_ij inv(S_g)_ij E_f[phi (X - m_g)_i (X - m_g)_j].
+
+    With Z = X - a and c = a - m_g, X - m_g = Z + c, so every expectation is
+    one of the 1 + d + d(d+1)/2 raw moments of Z ~ N(m_f - a, S_f) in the
+    :func:`_phi_moments` table."""
+    table = _phi_moments(f, centers)
+    c = centers - g.mean
+    return _cross_entropy(g, table[()], lambda i, j: _phi_inner(table, c, i, j))
+
+
 def xi(cov) -> float:
     """Transcribed factored form of the sixth-order product moment E[prod Y_k^2].
 
@@ -128,18 +166,10 @@ def wde_trivariate(dist: Gaussian, mode: str = "wick") -> float:
     check_formula_mode(mode)
     if dist.dim != 3:
         raise ValueError(f"need a trivariate distribution, got dimension {dist.dim}")
+    if mode == "wick":
+        return _weighted_cross_entropy(dist, dist, dist.mean)
     cov = dist.cov
-    inv = dist.precision
-    if mode == "paper":
-        bulk = xi(cov)
-        lam = lambda_paper
-    else:
-        bulk = central_moment(cov, (2, 2, 2))
-        lam = lambda_wick
-    quad_term = sum(
-        inv[i, j] * lam(cov, i, j) for i in range(3) for j in range(3)
-    )
-    return 0.5 * (3.0 * math.log(2.0 * math.pi) + dist.log_det) * bulk + 0.5 * quad_term
+    return _cross_entropy(dist, xi(cov), lambda i, j: lambda_paper(cov, i, j))
 
 
 def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
@@ -199,20 +229,18 @@ def _e_quad(s: np.ndarray, i: int, j: int) -> float:
 def lambda_bar(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float:
     """Conditional moment E[prod_k (X_k - mu_k)^2 (X_i - mubar_i)(X_j - mubar_j) | X_3].
 
-    Wick mode evaluates it mechanically as a shifted moment over duplicated
-    coordinates (the singled-out factors are unshifted copies).  Paper mode
-    follows the transcribed four-term expansion, whose middle sum pairs each
-    squared shift with the same coordinate's moment rather than the
+    Wick mode writes X - mubar = (X - mu) - delta and expands, so it is
+    E[(i, j)] - delta_i E[(j)] - delta_j E[(i)] + delta_i delta_j E[()] over the
+    raw moments of X - mu that the weighted cross-entropy kernel uses.  Paper
+    mode follows the transcribed four-term expansion, whose middle sum pairs
+    each squared shift with the same coordinate's moment rather than the
     complementary one, so the two modes disagree when the shifts differ.
     """
     check_formula_mode(mode)
+    if mode == "wick":
+        return _phi_inner(_phi_moments(pc.cond, pc.pair.mean), -pc.delta, i, j)
     s = pc.cond.cov
     d = pc.delta
-    if mode == "wick":
-        dup = [0, 1, i, j]
-        cov4 = s[np.ix_(dup, dup)]
-        deltas = np.array([d[0], d[1], 0.0, 0.0])
-        return shifted_moment(cov4, deltas, (2, 2, 1, 1))
     return (
         _e_sq_sq_pair(s, i, j)
         + d[0] ** 2 * _e_sq_pair(s, 0, i, j)
@@ -263,30 +291,29 @@ def cond_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Weighted entropy of the conditional pair:
     0.5 log((2 pi)^2 |cond cov|) * Theta + 0.5 sum_ij inv(cond cov)_ij LambdaBar_ij."""
     check_formula_mode(mode)
-    inv_bar = pc.cond.precision
-    th = theta(pc)
-    quad = sum(
-        inv_bar[i, j] * lambda_bar(pc, i, j, mode) for i in range(2) for j in range(2)
-    )
-    return 0.5 * (2.0 * math.log(2.0 * math.pi) + pc.cond.log_det) * th + 0.5 * quad
+    if mode == "wick":
+        return _weighted_cross_entropy(pc.cond, pc.cond, pc.pair.mean)
+    return _cross_entropy(pc.cond, theta(pc), lambda i, j: lambda_bar(pc, i, j, mode))
 
 
 def cross_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Cross weighted entropy -int phi f(.|x3) log f of the pair:
     0.5 log((2 pi)^2 |pair cov|) * Theta + 0.5 sum_ij inv(pair cov)_ij Upsilon_ij."""
     check_formula_mode(mode)
-    inv1 = pc.pair.precision
-    th = theta(pc)
-    quad = sum(
-        inv1[i, j] * upsilon(pc, i, j, mode) for i in range(2) for j in range(2)
-    )
-    return 0.5 * (2.0 * math.log(2.0 * math.pi) + pc.pair.log_det) * th + 0.5 * quad
+    if mode == "wick":
+        return _weighted_cross_entropy(pc.cond, pc.pair, pc.pair.mean)
+    return _cross_entropy(pc.pair, theta(pc), lambda i, j: upsilon(pc, i, j, mode))
 
 
 def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
-    """Weighted divergence of the conditional pair from the marginal pair:
+    """Weighted divergence of the conditional pair from the marginal pair.
+
+    Wick mode is the cross weighted entropy minus the conditional one.  Paper
+    mode evaluates the printed log-ratio form,
     0.5 log(|pair cov| / |cond cov|) * Theta + the Upsilon and LambdaBar sums."""
     check_formula_mode(mode)
+    if mode == "wick":
+        return cross_wde_pair(pc, mode) - cond_wde_pair(pc, mode)
     inv1, inv_bar = pc.pair.precision, pc.cond.precision
     th = theta(pc)
     ups = sum(

@@ -100,14 +100,20 @@ def _outer(vectors) -> np.ndarray:
     return reduce(np.multiply.outer, vectors)
 
 
-def _squared_devs(joint: DiscreteJoint, weight: CentralWeight) -> list[np.ndarray]:
-    if weight.dim != joint.ndim:
+def _squared_devs(
+    joint: DiscreteJoint, weight: CentralWeight | None, axes=None
+) -> list[np.ndarray]:
+    """(x_k - a_k)^2 over the labels of each of ``axes`` (all by default);
+    ``weight=None`` is the unit weight, so every weighted checker reduces to
+    its unweighted identity."""
+    axes = tuple(range(joint.ndim)) if axes is None else tuple(axes)
+    if weight is None:
+        return [np.ones(joint.probs.shape[k]) for k in axes]
+    if weight.dim != len(axes):
         raise ValueError(
-            f"weight has {weight.dim} centers for a {joint.ndim}-coordinate pmf"
+            f"weight has {weight.dim} centers for a {len(axes)}-coordinate pmf"
         )
-    return [
-        (joint.support[k] - weight.centers[k]) ** 2 for k in range(joint.ndim)
-    ]
+    return [(joint.support[k] - weight.centers[i]) ** 2 for i, k in enumerate(axes)]
 
 
 class CheckPair(NamedTuple):
@@ -135,21 +141,12 @@ class RelativeIdentityResult(NamedTuple):
 
 
 def chain_rule_de_check(joint: DiscreteJoint) -> CheckPair:
-    """Joint entropy vs the sum of successive conditional entropies."""
-    p = joint.probs
-    n = p.ndim
-    lhs = -float(_xlogy(p, p).sum())
-    rhs = 0.0
-    for i in range(n):
-        front = p.sum(axis=tuple(range(i + 1, n))) if i + 1 < n else p
-        prev = front.sum(axis=i)
-        denom = np.where(prev > 0, prev, 1.0)
-        cond = front / np.expand_dims(denom, axis=i)
-        rhs -= float(_xlogy(front, cond).sum())
-    return CheckPair(lhs, rhs)
+    """Joint entropy vs the sum of successive conditional entropies: the
+    unit-weight case of :func:`chain_rule_wde_check`."""
+    return CheckPair(*chain_rule_wde_check(joint, None)[:2])
 
 
-def chain_rule_wde_check(joint: DiscreteJoint, weight: CentralWeight) -> ChainWdeResult:
+def chain_rule_wde_check(joint: DiscreteJoint, weight: CentralWeight | None) -> ChainWdeResult:
     """Weighted chain rule with the induced per-stage weights.
 
     The i-th stage weight multiplies the leading squared deviations by the
@@ -266,49 +263,20 @@ def relative_de_identity_check(joint: DiscreteJoint, split: int | None = None) -
     trailing block.  For every trailing value y the divergence
     D(f(.|y) || f1) must equal the likelihood-ratio-weighted entropy of the
     marginal minus the conditional entropy at y; averaging over y recovers the
-    mutual information between the blocks.
+    mutual information between the blocks.  This is the unit-weight case of
+    :func:`relative_we_identity_check`.
     """
-    p = joint.probs
-    n = p.ndim
-    if split is None:
-        split = n - 1
-    if not 0 < split < n:
-        raise ValueError(f"split must be in 1..{n - 1}, got {split}")
-    x_axes = tuple(range(split))
-    y_axes = tuple(range(split, n))
-    f1 = p.sum(axis=y_axes)
-    p2 = p.sum(axis=x_axes)
-
-    y_shape = tuple(p.shape[k] for k in y_axes)
-    lhs = np.zeros(y_shape)
-    rhs = np.zeros(y_shape)
-    for y_idx in np.ndindex(*y_shape):
-        py = p2[y_idx]
-        if py <= 0:
-            continue
-        block = p[(slice(None),) * split + y_idx] / py
-        mask = block > 0
-        div = float(
-            (_xlogy(block, block)[mask] - _xlogy(block, f1)[mask]).sum()
-        )
-        weighted_entropy = -float(_xlogy(block, f1)[mask].sum())
-        cond_entropy = -float(_xlogy(block, block).sum())
-        lhs[y_idx] = div
-        rhs[y_idx] = weighted_entropy - cond_entropy
-    product = np.multiply.outer(f1, p2)
-    mask = p > 0
-    mutual = float((_xlogy(p, p)[mask] - _xlogy(p, product)[mask]).sum())
-    expected = float((p2 * lhs).sum())
-    return RelativeIdentityResult(lhs, rhs, mutual, expected)
+    return relative_we_identity_check(joint, None, None, split)
 
 
 def relative_we_identity_check(
     joint: DiscreteJoint,
-    weight_x: CentralWeight,
-    weight_y: CentralWeight,
+    weight_x: CentralWeight | None,
+    weight_y: CentralWeight | None,
     split: int | None = None,
 ) -> RelativeIdentityResult:
-    """Weighted analogue of :func:`relative_de_identity_check`.
+    """Weighted analogue of :func:`relative_de_identity_check` (a weight of
+    ``None`` is the unit weight on its block).
 
     Per trailing value y, the weighted divergence of the conditional from the
     marginal equals the cross-weighted entropy minus the weighted conditional
@@ -321,18 +289,15 @@ def relative_we_identity_check(
         split = n - 1
     if not 0 < split < n:
         raise ValueError(f"split must be in 1..{n - 1}, got {split}")
-    if weight_x.dim != split or weight_y.dim != n - split:
-        raise ValueError("weight dimensions must match the block sizes")
     x_axes = tuple(range(split))
     y_axes = tuple(range(split, n))
+    for weight, axes in ((weight_x, x_axes), (weight_y, y_axes)):
+        if weight is not None and weight.dim != len(axes):
+            raise ValueError("weight dimensions must match the block sizes")
     f1 = p.sum(axis=y_axes)
     p2 = p.sum(axis=x_axes)
-    sq_x = _outer(
-        [(joint.support[k] - weight_x.centers[i]) ** 2 for i, k in enumerate(x_axes)]
-    )
-    sq_y = _outer(
-        [(joint.support[k] - weight_y.centers[i]) ** 2 for i, k in enumerate(y_axes)]
-    )
+    sq_x = _outer(_squared_devs(joint, weight_x, x_axes))
+    sq_y = _outer(_squared_devs(joint, weight_y, y_axes))
 
     y_shape = tuple(p.shape[k] for k in y_axes)
     lhs = np.zeros(y_shape)

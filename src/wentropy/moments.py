@@ -7,10 +7,11 @@ coordinate of nonzero exponent,
     E[X^r] = m_k E[X^(r-e_k)] + sum_j S_kj (r-e_k)_j E[X^(r-e_k-e_j)],
 
 memoized per call over the exponent multi-index.  A central moment is the case
-m = 0, a shifted moment the case m = deltas.  Evaluation is purely algebraic in
-the covariance entries: the matrix is never factorized, so positive
-definiteness is not required (degenerate covariances, e.g. duplicated
-coordinates, are fine).
+m = 0, a shifted moment the case m = deltas, and :func:`shifted_moments` fills
+a list of exponent rows for one (S, m) from one memo.  Evaluation is purely
+algebraic in the covariance entries: the matrix is never factorized, so
+positive definiteness is not required (degenerate covariances, e.g.
+duplicated coordinates, are fine).
 """
 
 from __future__ import annotations
@@ -87,9 +88,13 @@ def central_moment(cov, exponents) -> float:
     return _wick_moment(cov.tolist(), [0.0] * len(r), tuple(r), {})
 
 
-def shifted_moment(cov, deltas, exponents) -> float:
-    """E[prod_i (Y_i + delta_i)^{r_i}]: the Wick recursion with mean ``deltas``."""
-    cov, r = _check_spec(cov, exponents)
+def shifted_moments(cov, deltas, exponent_rows) -> list:
+    """[E[prod_i (Y_i + delta_i)^{r_i}] for r in ``exponent_rows``]: the Wick
+    recursion with mean ``deltas``, one memo shared by every row."""
+    checked = [_check_spec(cov, r) for r in exponent_rows]
+    if not checked:
+        return []
+    cov = checked[0][0]
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (cov.shape[0],):
         raise DimensionMismatchError(
@@ -97,4 +102,10 @@ def shifted_moment(cov, deltas, exponents) -> float:
         )
     if not np.all(np.isfinite(deltas)):
         raise ValueError("deltas must be finite")
-    return _wick_moment(cov.tolist(), deltas.tolist(), tuple(r), {})
+    s, m, memo = cov.tolist(), deltas.tolist(), {}
+    return [_wick_moment(s, m, tuple(r), memo) for _, r in checked]
+
+
+def shifted_moment(cov, deltas, exponents) -> float:
+    """E[prod_i (Y_i + delta_i)^{r_i}]: the one-row case of :func:`shifted_moments`."""
+    return shifted_moments(cov, deltas, [exponents])[0]

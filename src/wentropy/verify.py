@@ -41,6 +41,12 @@ FORMULA_RTOL = 1e-10  # transcription agreement threshold (relative, floored)
 IDENTITY_TOL = 1e-10
 KL_TOL = 1e-10
 GIBBS_FLOOR = -1e-8
+# A check that scans several points reports the first one whose deviation is
+# within rounding of the largest, not the first strict maximum: many
+# deviations are the same at every point up to the last bits (a constant
+# printed defect), and a last-bit change in a moment must not move the point.
+WORST_RTOL = 1e-9
+WORST_FLOOR = 1e-12
 
 EXAMPLE1_RHOS = (0.0, 0.3, 0.5)
 EXAMPLE2_RHOS = (0.1, 0.25, 0.4)
@@ -93,6 +99,14 @@ def _oracle(formula, mode, point, wick, quad, tol):
     )
 
 
+def _worst(candidates):
+    """The first ``(dev, ...)`` candidate whose dev is within rounding of the
+    largest: dev >= max - max(WORST_RTOL * max, WORST_FLOOR)."""
+    top = max(c[0] for c in candidates)
+    cut = top - max(WORST_RTOL * top, WORST_FLOOR)
+    return next(c for c in candidates if c[0] >= cut)
+
+
 def _random_spd(rng: np.random.Generator, n: int = 3) -> np.ndarray:
     a = rng.normal(size=(n, n))
     q, _ = np.linalg.qr(a)
@@ -112,15 +126,13 @@ def _pair_cases(example: int):
 
 def _check_xi(checks, cfg):
     rng = np.random.default_rng(cfg.seed)
-    worst = None
+    candidates = []
     for _ in range(100):
         cov = _random_spd(rng)
         paper = cf.xi(cov)
         wick = central_moment(cov, (2, 2, 2))
-        rel = abs(paper - wick) / abs(wick)
-        if worst is None or rel > worst[0]:
-            worst = (rel, paper, wick)
-    rel, paper, wick = worst
+        candidates.append((abs(paper - wick) / abs(wick), paper, wick))
+    rel, paper, wick = _worst(candidates)
     checks.append(
         _record(
             "Xi-identity", "paper-vs-wick", {"matrices": 100, "worst_rel_dev": rel},
@@ -164,55 +176,42 @@ def _check_weightednormal(checks, cfg):
 def _check_theta(checks, cfg):
     for example in (1, 2):
         printed = cf.example1_theta_paper if example == 1 else cf.example2_theta_paper
-        worst = None
+        candidates = []
         for rho, x3, pc in _pair_cases(example):
             paper = printed(rho, x3)
             wick = cf.theta(pc)
-            dev = abs(paper - wick)
-            if worst is None or dev > worst[0]:
-                worst = (dev, paper, wick, {"example": example, "rho": rho, "x3": x3})
-        _, paper, wick, point = worst
+            candidates.append(
+                (abs(paper - wick), paper, wick, {"example": example, "rho": rho, "x3": x3})
+            )
+        _, paper, wick, point = _worst(candidates)
         checks.append(_transcription(f"Theta-example{example}", point, paper, wick))
 
 
 def _check_conditional_moments(checks, cfg):
-    for example in (1, 2):
-        for (i, j) in ((0, 0), (0, 1), (1, 1)):
-            worst_lam = worst_ups = None
-            for rho, x3, pc in _pair_cases(example):
-                point = {"example": example, "rho": rho, "x3": x3}
-                lam_p = cf.lambda_bar(pc, i, j, "paper")
-                lam_w = cf.lambda_bar(pc, i, j, "wick")
-                ups_p = cf.upsilon(pc, i, j, "paper")
-                ups_w = cf.upsilon(pc, i, j, "wick")
-                if worst_lam is None or abs(lam_p - lam_w) > worst_lam[0]:
-                    worst_lam = (abs(lam_p - lam_w), lam_p, lam_w, point)
-                if worst_ups is None or abs(ups_p - ups_w) > worst_ups[0]:
-                    worst_ups = (abs(ups_p - ups_w), ups_p, ups_w, point)
-            name = f"{i + 1}{j + 1}-example{example}"
-            checks.append(_transcription(f"LambdaBar_{name}", worst_lam[3], worst_lam[1], worst_lam[2]))
-            checks.append(_transcription(f"Upsilon_{name}", worst_ups[3], worst_ups[1], worst_ups[2]))
-    # printed per-example polynomials
     printed = {
         1: (cf.example1_lambda_bar_paper, cf.example1_upsilon_paper),
         2: (cf.example2_lambda_bar_paper, cf.example2_upsilon_paper),
     }
-    for example, (lam_fn, ups_fn) in printed.items():
-        for (i, j) in ((0, 0), (0, 1), (1, 1)):
-            worst_lam = worst_ups = None
-            for rho, x3, pc in _pair_cases(example):
-                point = {"example": example, "rho": rho, "x3": x3}
-                lam = (abs(lam_fn(rho, x3, i, j) - cf.lambda_bar(pc, i, j, "wick")),
-                       lam_fn(rho, x3, i, j), cf.lambda_bar(pc, i, j, "wick"), point)
-                ups = (abs(ups_fn(rho, x3, i, j) - cf.upsilon(pc, i, j, "wick")),
-                       ups_fn(rho, x3, i, j), cf.upsilon(pc, i, j, "wick"), point)
-                if worst_lam is None or lam[0] > worst_lam[0]:
-                    worst_lam = lam
-                if worst_ups is None or ups[0] > worst_ups[0]:
-                    worst_ups = ups
-            name = f"{i + 1}{j + 1}-example{example}-printed"
-            checks.append(_transcription(f"LambdaBar_{name}", worst_lam[3], worst_lam[1], worst_lam[2]))
-            checks.append(_transcription(f"Upsilon_{name}", worst_ups[3], worst_ups[1], worst_ups[2]))
+    # generic paper mode first, then the printed per-example polynomials
+    for suffix in ("", "-printed"):
+        for example, (lam_printed, ups_printed) in printed.items():
+            for (i, j) in ((0, 0), (0, 1), (1, 1)):
+                lams, upss = [], []
+                for rho, x3, pc in _pair_cases(example):
+                    point = {"example": example, "rho": rho, "x3": x3}
+                    if suffix:
+                        lam_p, ups_p = lam_printed(rho, x3, i, j), ups_printed(rho, x3, i, j)
+                    else:
+                        lam_p = cf.lambda_bar(pc, i, j, "paper")
+                        ups_p = cf.upsilon(pc, i, j, "paper")
+                    lam_w, ups_w = cf.lambda_bar(pc, i, j, "wick"), cf.upsilon(pc, i, j, "wick")
+                    lams.append((abs(lam_p - lam_w), lam_p, lam_w, point))
+                    upss.append((abs(ups_p - ups_w), ups_p, ups_w, point))
+                name = f"{i + 1}{j + 1}-example{example}{suffix}"
+                _, lam_p, lam_w, point = _worst(lams)
+                checks.append(_transcription(f"LambdaBar_{name}", point, lam_p, lam_w))
+                _, ups_p, ups_w, point = _worst(upss)
+                checks.append(_transcription(f"Upsilon_{name}", point, ups_p, ups_w))
 
 
 def _pair_quadratures(pc: cf.PairConditional, points: int):
@@ -278,8 +277,7 @@ def _check_pair_formulas(checks, cfg):
 
 def _check_relative_de(checks, cfg):
     # first family: transcribed form against the generic paper-mode formula
-    worst_printed = None
-    worst_kl = None
+    printed_devs, kl_devs = [], []
     for rho in np.linspace(-0.7, 0.7, 29):
         for x3 in np.linspace(-3.0, 3.0, 31):
             pc = cf.PairConditional.from_example1(rho, x3)
@@ -288,13 +286,9 @@ def _check_relative_de(checks, cfg):
             generic = cf.relative_de_pair(pc, "paper")
             corrected = cf.relative_de_pair(pc, "corrected")
             kl = gaussian_kl(pc.cond, pc.pair)
-            dev_p = abs(printed - generic)
-            dev_k = abs(corrected - kl)
-            if worst_printed is None or dev_p > worst_printed[0]:
-                worst_printed = (dev_p, printed, generic, point)
-            if worst_kl is None or dev_k > worst_kl[0]:
-                worst_kl = (dev_k, corrected, kl, point)
-    dev_p, printed, generic, point = worst_printed
+            printed_devs.append((abs(printed - generic), printed, generic, point))
+            kl_devs.append((abs(corrected - kl), corrected, kl, point))
+    dev_p, printed, generic, point = _worst(printed_devs)
     checks.append(
         _record(
             "relative-de-example1-printed", "paper-vs-paper-mode", point,
@@ -302,7 +296,7 @@ def _check_relative_de(checks, cfg):
             verdict="CONFIRMED" if dev_p <= 1e-12 else "DISCREPANT",
         )
     )
-    dev_k, corrected, kl, point = worst_kl
+    dev_k, corrected, kl, point = _worst(kl_devs)
     checks.append(
         _record(
             "relative-de-corrected-vs-kl", "oracle", point,

@@ -51,6 +51,23 @@ def grid_moment(mean, cov, exponents, points=96, half_width=8.0, centers=None):
     return float(np.sum(mono * pdf) * step)
 
 
+def gauss_hermite_expectation(mean, cov, fn, nodes: int) -> float:
+    """E[fn(X)] for X ~ N(mean, cov) by a tensor Gauss-Hermite rule with
+    ``nodes`` points per axis: x = mean + L z with L the Cholesky factor of
+    ``cov`` and z on the probabilists' Hermite nodes, whose weights sum to
+    sqrt(2 pi).  Exact, up to rounding, when fn is a polynomial of degree at
+    most 2 * nodes - 1 in each coordinate of z.  Independent of the package."""
+    mean = np.asarray(mean, dtype=float)
+    lower = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    z1, w1 = np.polynomial.hermite_e.hermegauss(nodes)
+    w1 = w1 / math.sqrt(2.0 * math.pi)
+    d = mean.size
+    z = np.stack([m.ravel() for m in np.meshgrid(*([z1] * d), indexing="ij")], axis=-1)
+    w = np.prod(np.stack([m.ravel() for m in np.meshgrid(*([w1] * d), indexing="ij")]), axis=0)
+    x = mean + z @ lower.T
+    return float(np.sum(w * fn(x)))
+
+
 def pairing_moment(cov, exponents) -> float:
     """Reference E[prod Y_i^{r_i}] for centered Gaussian Y: the sum, over all
     (order-1)!! perfect matchings of the flattened symbol list, of the product

@@ -81,7 +81,7 @@ def test_c02_wick_oracle_soundness():
         powers = [
             np.stack([ax**r for r in range(7)], axis=0) for ax in axes
         ]
-        table = np.einsum("ai,bj,ck,ijk->abc", *powers, pdf) * step
+        table = np.einsum("ai,bj,ck,ijk->abc", *powers, pdf, optimize=True) * step
         for spec in specs:
             quad = float(table[spec])
             exact = central_moment(cov, spec)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wentropy.cli import main
+from wentropy.verify import _worst
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -263,6 +264,21 @@ def test_verify_default_passes_and_reports_lambda(capsys, tmp_path):
     assert lam33["verdict"] == "CONFIRMED"
     xi_rec = next(c for c in report["checks"] if c["formula"] == "Xi-identity")
     assert xi_rec["verdict"] == "CONFIRMED"
+
+
+def test_verify_worst_point_ignores_rounding_level_perturbations():
+    # a deviation that is the same at every point up to the last bits (like a
+    # constant printed defect) must report the same point however the last
+    # bits fall; a real maximum is still found
+    rng = np.random.default_rng(5)
+    for dev in (0.4718592, 3.0e-15, 0.0):
+        for _ in range(20):
+            noise = rng.uniform(-4e-16, 4e-16, size=8)
+            candidates = [(dev * (1 + e) + abs(e), k) for k, e in enumerate(noise)]
+            assert _worst(candidates) == candidates[0]
+    candidates = [(1.0, 0), (1.0 + 2e-9, 1), (1.0 + 2e-9 * (1 + 1e-15), 2)]
+    assert _worst(candidates) == candidates[1]
+    assert _worst([(1e-13, "a"), (2e-12, "b")]) == (2e-12, "b")
 
 
 def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_moment, rand_spd
+from helpers import gauss_hermite_expectation, gaussian_logpdf, grid_moment, rand_spd
 from wentropy import closedform as cf
 from wentropy.errors import DomainError
 from wentropy.gaussian import Gaussian, gaussian_kl
@@ -328,3 +328,41 @@ def test_example2_paper_divergence_decreases_in_rho():
     for x3 in (0.0, 1.0, 2.5):
         values = [cf.example2_relative_de_paper(r, x3) for r in np.linspace(0.05, 0.45, 17)]
         assert all(b - a < 0 for a, b in zip(values, values[1:]))
+
+
+def _gauss_hermite_cross_entropy(f, g, centers, nodes):
+    # -E_f[prod_k (X_k - a_k)^2 log g(X)]
+    def integrand(x):
+        return -np.prod((x - centers) ** 2, axis=1) * gaussian_logpdf(x, g.mean, g.cov)
+
+    return gauss_hermite_expectation(f.mean, f.cov, integrand, nodes)
+
+
+def test_weighted_cross_entropy_matches_gauss_hermite():
+    # the integrand has degree 2d + 2 in each coordinate of z, so d + 2 nodes
+    # per axis are exact and d + 1 are not
+    rng = np.random.default_rng(60)
+    worst_short = {}
+    for d in range(1, 6):
+        for _ in range(10):
+            f = Gaussian(rng.normal(size=d), rand_spd(rng, d))
+            g = Gaussian(rng.normal(size=d), rand_spd(rng, d))
+            centers = rng.normal(size=d)
+            got = cf._weighted_cross_entropy(f, g, centers)
+            exact = _gauss_hermite_cross_entropy(f, g, centers, d + 2)
+            short = _gauss_hermite_cross_entropy(f, g, centers, d + 1)
+            assert got == pytest.approx(exact, rel=1e-12), d
+            worst_short[d] = max(worst_short.get(d, 0.0), abs(got - short) / abs(exact))
+    assert min(worst_short.values()) > 1e-12
+
+
+def test_wick_modes_are_kernel_instances():
+    for pc in pair_cases():
+        a = pc.pair.mean
+        cond = cf._weighted_cross_entropy(pc.cond, pc.cond, a)
+        cross = cf._weighted_cross_entropy(pc.cond, pc.pair, a)
+        assert cf.cond_wde_pair(pc, "wick") == cond
+        assert cf.cross_wde_pair(pc, "wick") == cross
+        assert cf.relative_we_pair(pc, "wick") == cross - cond
+    dist = cf.example2_cov(0.25)
+    assert cf.wde_trivariate(dist, "wick") == cf._weighted_cross_entropy(dist, dist, dist.mean)

@@ -218,3 +218,14 @@ def test_identity_checks_tolerate_zero_slices():
     assert lhs == pytest.approx(rhs, abs=TOL)
     res = relative_de_identity_check(joint, 1)
     assert np.max(np.abs(res.lhs - res.rhs)) < TOL
+    # weight=None is the unit weight: the weighted checkers reduce exactly to
+    # the unweighted ones
+    lhs, rhs, _ = chain_rule_wde_check(joint, None)
+    assert (lhs, rhs) == tuple(chain_rule_de_check(joint))
+    unit = relative_we_identity_check(joint, None, None, 1)
+    assert np.array_equal(unit.lhs, res.lhs) and np.array_equal(unit.rhs, res.rhs)
+    assert (unit.mutual, unit.expected) == (res.mutual, res.expected)
+    with pytest.raises(ValueError):
+        chain_rule_wde_check(joint, CentralWeight([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        relative_we_identity_check(joint, None, CentralWeight([0.5]), 1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import binomial_shifted_moment, grid_moment, pairing_moment, rand_spd
 from wentropy.errors import DimensionMismatchError, OddOrderError, OrderCapError
-from wentropy.moments import central_moment, count_matchings, shifted_moment
+from wentropy.moments import central_moment, count_matchings, shifted_moment, shifted_moments
 
 
 def test_pair_squares_formula():
@@ -68,6 +68,28 @@ def test_order_cap_and_dimension_checks():
         shifted_moment(cov, [0.0], (2, 2))
 
 
+def test_shifted_moments_rows_equal_single_calls():
+    rng = np.random.default_rng(22)
+    cov = rand_spd(rng, 3)
+    deltas = rng.normal(size=3)
+    rows = [(2, 2, 2), (3, 2, 2), (2, 3, 3), (0, 0, 0), (4, 0, 1), (2, 2, 2)]
+    assert shifted_moments(cov, deltas, rows) == [
+        shifted_moment(cov, deltas, r) for r in rows
+    ]
+    assert shifted_moments(cov, deltas, []) == []
+    for bad, error in (((7, 6, 0), OrderCapError), ((2, 2), DimensionMismatchError),
+                       ((2, -1, 0), ValueError)):
+        with pytest.raises(error) as single:
+            shifted_moment(cov, deltas, bad)
+        with pytest.raises(error) as batch:
+            shifted_moments(cov, deltas, [(2, 2, 2), bad])
+        assert str(batch.value) == str(single.value)
+    with pytest.raises(DimensionMismatchError):
+        shifted_moments(cov, deltas[:2], rows)
+    with pytest.raises(ValueError):
+        shifted_moments(cov, [0.0, np.nan, 0.0], rows)
+
+
 def test_matches_pair_partition_reference_200_specs():
     # the recursion against the enumeration it replaced: d <= 4, order <= 12,
     # every odd-numbered spec shifted
@@ -88,7 +110,7 @@ def test_matches_pair_partition_reference_200_specs():
 
 
 def test_singular_duplicated_coordinates_match_reference():
-    # lambda_bar's covariance repeats coordinates, so it is singular
+    # a covariance that repeats coordinates is singular
     rng = np.random.default_rng(21)
     s = rand_spd(rng, 2)
     dup = [0, 1, 1, 0]
