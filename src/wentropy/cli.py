@@ -9,6 +9,7 @@ significant digits, and nothing depends on wall clock or locale.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -137,56 +138,39 @@ def _cmd_scan(args, config: dict) -> int:
     printed_we = (
         cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
     )
-
-    columns = ["rho", "x3"]
-    if "paper" in modes:
-        columns.append("D_paper")
-    if "corrected" in modes:
-        columns.append("D_corrected")
-    if "wick" in modes:
-        columns.append("Dw_wick")
-    if "paper" in modes:
-        columns.append("Dw_printed")
-    columns.append("gibbs_gap")
+    # (mode, column, value of (rho, x3, pc)); a column without a mode is always written
+    table = [
+        ("paper", "D_paper", lambda rho, x3, pc: printed_de(rho, x3)),
+        ("corrected", "D_corrected", lambda rho, x3, pc: cf.relative_de_pair(pc, "corrected")),
+        ("wick", "Dw_wick", lambda rho, x3, pc: cf.relative_we_pair(pc, "wick")),
+        ("paper", "Dw_printed", lambda rho, x3, pc: printed_we(rho, x3)),
+        (None, "gibbs_gap", lambda rho, x3, pc: cf.gibbs_gap(pc)),
+    ]
+    table = [(column, value) for mode, column, value in table if mode is None or mode in modes]
 
     lines = [
         f"# {SCAN_SCHEMA}",
         f"# example={example} rho={rhos[0]:g}:{rhos[-1]:g}:{rhos.size} "
         f"x3={x3s[0]:g}:{x3s[-1]:g}:{x3s.size} modes={','.join(modes)}",
-        ",".join(columns),
+        ",".join(["rho", "x3"] + [column for column, _ in table]),
     ]
     for rho in rhos:
         base = make_base(float(rho))
         for x3 in x3s:
             pc = cf.PairConditional(base, float(x3))
             row = [_fmt(rho), _fmt(x3)]
-            if "paper" in modes:
-                row.append(_fmt(printed_de(float(rho), float(x3))))
-            if "corrected" in modes:
-                row.append(_fmt(cf.relative_de_pair(pc, "corrected")))
-            if "wick" in modes:
-                row.append(_fmt(cf.relative_we_pair(pc, "wick")))
-            if "paper" in modes:
-                row.append(_fmt(printed_we(float(rho), float(x3))))
-            row.append(_fmt(cf.gibbs_gap(pc)))
+            row += [_fmt(value(float(rho), float(x3), pc)) for _, value in table]
             lines.append(",".join(row))
     _write_output("\n".join(lines) + "\n", _resolve(args, config, "out"))
     return 0
 
 
 def _cmd_verify(args, config: dict) -> int:
-    cfg = VerifyConfig(
-        seed=int(_resolve(args, config, "seed", default=VerifyConfig.seed)),
-        tol_quad=float(_resolve(args, config, "tol-quad", default=VerifyConfig.tol_quad)),
-        tri_points=int(_resolve(args, config, "tri-points", default=VerifyConfig.tri_points)),
-        pair_points=int(
-            _resolve(args, config, "pair-points", default=VerifyConfig.pair_points)
-        ),
-        mc_samples=int(_resolve(args, config, "mc-samples", default=VerifyConfig.mc_samples)),
-        discrete_cases=int(
-            _resolve(args, config, "discrete-cases", default=VerifyConfig.discrete_cases)
-        ),
-    )
+    # each field is the flag of the same name, cast by the type of its default
+    cfg = VerifyConfig(**{
+        f.name: type(f.default)(_resolve(args, config, f.name.replace("_", "-"), f.default))
+        for f in dataclasses.fields(VerifyConfig)
+    })
     report = run_verify(cfg)
     _write_output(_dump_json(report) + "\n", _resolve(args, config, "out"))
     if not report["ok"]:
@@ -323,6 +307,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _read_config(getattr(args, "config", None))
+        known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
+        unknown = [key for key in config if key not in known]
+        if unknown:
+            raise ValueError(
+                f"unknown config key {unknown[0]!r}; {args.command} takes {sorted(known)}"
+            )
         return _COMMANDS[args.command](args, config)
     except (WentropyError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

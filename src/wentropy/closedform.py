@@ -3,10 +3,13 @@
 Everything here exists in two modes.  ``"wick"`` is authoritative: it must
 agree with the quadrature oracles, and every wick-mode entropy is an instance
 of one kernel, :func:`_weighted_cross_entropy`, whose moments all come from one
-Wick recursion.  ``"paper"`` evaluates the transcribed factored formulas
-verbatim, including their known defects, through the kernel's assembly step;
-the verify command measures each one against wick mode and reports a
-CONFIRMED/DISCREPANT verdict instead of trusting it.
+Wick recursion.  A :class:`PairConditional` fills that moment table once and
+every pair quantity reads it; the pair entropies have one assembly each, and
+the mode switch happens only in LambdaBar and Upsilon.  ``"paper"`` evaluates
+the transcribed factored formulas verbatim, including their known defects,
+through the kernel's assembly step; the verify command measures each one
+against wick mode and reports a CONFIRMED/DISCREPANT verdict instead of
+trusting it.
 
 The product weight is always centered at the marginal means.  Coordinate
 indices are 0-based.
@@ -15,7 +18,8 @@ indices are 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,14 +51,15 @@ class PairConditional:
 
     Derived fields: ``pair`` is the marginal of coordinates (0, 1), ``cond``
     the conditional of (0, 1) given coordinate 2 equal to ``x3``, and ``delta``
-    the shift between conditional and marginal means.
+    the shift between conditional and marginal means.  The wick moment table
+    of the conditional pair about the marginal means is filled on first use.
     """
 
     base: Gaussian
     x3: float
-    pair: Gaussian = None
-    cond: Gaussian = None
-    delta: np.ndarray = None
+    pair: Gaussian = field(init=False)
+    cond: Gaussian = field(init=False)
+    delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.base.dim != 3:
@@ -68,6 +73,10 @@ class PairConditional:
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "cond", cond)
         object.__setattr__(self, "delta", delta)
+
+    @cached_property
+    def _moments(self) -> dict:
+        return _phi_moments(self.cond, self.pair.mean)
 
     @classmethod
     def from_example1(cls, rho: float, x3: float) -> "PairConditional":
@@ -238,7 +247,7 @@ def lambda_bar(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float
     """
     check_formula_mode(mode)
     if mode == "wick":
-        return _phi_inner(_phi_moments(pc.cond, pc.pair.mean), -pc.delta, i, j)
+        return _phi_inner(pc._moments, -pc.delta, i, j)
     s = pc.cond.cov
     d = pc.delta
     return (
@@ -253,18 +262,15 @@ def lambda_bar(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float
 def upsilon(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float:
     """Conditional moment E[prod_k (X_k - mu_k)^2 (X_i - mu_i)(X_j - mu_j) | X_3].
 
-    All factors share the mean-shift, so wick mode is a single shifted moment.
-    Paper mode follows the transcribed eighteen-term expansion, which is a
-    complete binomial expansion and agrees with wick mode to rounding error.
+    All factors share the mean-shift, so wick mode is an entry of the pair's
+    moment table.  Paper mode follows the transcribed eighteen-term expansion,
+    a complete binomial expansion that agrees with wick mode to rounding error.
     """
     check_formula_mode(mode)
+    if mode == "wick":
+        return pc._moments[(min(i, j), max(i, j))]
     s = pc.cond.cov
     d = pc.delta
-    if mode == "wick":
-        r = [2, 2]
-        r[i] += 1
-        r[j] += 1
-        return shifted_moment(s, d, r)
     return (
         _e_sq_sq_pair(s, i, j)
         + (s[0, 0] * s[1, 1] + 2.0 * s[0, 1] ** 2) * d[i] * d[j]
@@ -289,28 +295,32 @@ def upsilon(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float:
 
 def cond_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Weighted entropy of the conditional pair:
-    0.5 log((2 pi)^2 |cond cov|) * Theta + 0.5 sum_ij inv(cond cov)_ij LambdaBar_ij."""
+    0.5 log((2 pi)^2 |cond cov|) * Theta + 0.5 sum_ij inv(cond cov)_ij LambdaBar_ij.
+
+    One assembly for both modes: Theta is the pair's moment table entry and
+    only :func:`lambda_bar` depends on ``mode``; in wick mode this is the
+    kernel's H(cond, cond) about the marginal means."""
     check_formula_mode(mode)
-    if mode == "wick":
-        return _weighted_cross_entropy(pc.cond, pc.cond, pc.pair.mean)
-    return _cross_entropy(pc.cond, theta(pc), lambda i, j: lambda_bar(pc, i, j, mode))
+    return _cross_entropy(pc.cond, pc._moments[()], lambda i, j: lambda_bar(pc, i, j, mode))
 
 
 def cross_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Cross weighted entropy -int phi f(.|x3) log f of the pair:
-    0.5 log((2 pi)^2 |pair cov|) * Theta + 0.5 sum_ij inv(pair cov)_ij Upsilon_ij."""
+    0.5 log((2 pi)^2 |pair cov|) * Theta + 0.5 sum_ij inv(pair cov)_ij Upsilon_ij.
+
+    One assembly for both modes: only :func:`upsilon` depends on ``mode``; in
+    wick mode this is the kernel's H(cond, pair) about the marginal means."""
     check_formula_mode(mode)
-    if mode == "wick":
-        return _weighted_cross_entropy(pc.cond, pc.pair, pc.pair.mean)
-    return _cross_entropy(pc.pair, theta(pc), lambda i, j: upsilon(pc, i, j, mode))
+    return _cross_entropy(pc.pair, pc._moments[()], lambda i, j: upsilon(pc, i, j, mode))
 
 
 def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     """Weighted divergence of the conditional pair from the marginal pair.
 
-    Wick mode is the cross weighted entropy minus the conditional one.  Paper
-    mode evaluates the printed log-ratio form,
-    0.5 log(|pair cov| / |cond cov|) * Theta + the Upsilon and LambdaBar sums."""
+    Wick mode is the cross weighted entropy minus the conditional one, both
+    from the pair's one moment table.  Paper mode evaluates the printed
+    log-ratio form, 0.5 log(|pair cov| / |cond cov|) * Theta + the Upsilon and
+    LambdaBar sums."""
     check_formula_mode(mode)
     if mode == "wick":
         return cross_wde_pair(pc, mode) - cond_wde_pair(pc, mode)

@@ -12,7 +12,7 @@ quadrature_value, abs_dev, verdict}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.tol_quad <= 0:
             raise ValueError("tol_quad must be positive")
+        if self.discrete_cases < 1:
+            raise ValueError(f"discrete_cases must be at least 1, got {self.discrete_cases}")
 
 
 def _verdict_transcription(paper: float, wick: float) -> tuple[float, str]:
@@ -308,15 +310,14 @@ def _check_relative_de(checks, cfg):
     # sits exactly 1 below the generic paper-mode representation
     pc = cf.PairConditional.from_example2(0.25, 1.0)
     printed = cf.example2_relative_de_paper(0.25, 1.0)
+    corrected = cf.relative_de_pair(pc, "corrected")
     point = {"example": 2, "rho": 0.25, "x3": 1.0}
+    dev = abs(printed - corrected)
     checks.append(
         _record(
             "relative-de-example2-printed-vs-corrected", "transcription", point,
-            paper=printed, wick=cf.relative_de_pair(pc, "corrected"),
-            dev=abs(printed - cf.relative_de_pair(pc, "corrected")),
-            verdict="CONFIRMED"
-            if abs(printed - cf.relative_de_pair(pc, "corrected")) <= 1e-12
-            else "DISCREPANT",
+            paper=printed, wick=corrected, dev=dev,
+            verdict="CONFIRMED" if dev <= 1e-12 else "DISCREPANT",
         )
     )
     checks.append(
@@ -415,14 +416,7 @@ def run_verify(cfg: VerifyConfig | None = None) -> dict:
     failures = sum(1 for c in checks if c["verdict"] == "FAIL")
     discrepant = sum(1 for c in checks if c["verdict"] == "DISCREPANT")
     return {
-        "config": {
-            "seed": cfg.seed,
-            "tol_quad": cfg.tol_quad,
-            "tri_points": cfg.tri_points,
-            "pair_points": cfg.pair_points,
-            "mc_samples": cfg.mc_samples,
-            "discrete_cases": cfg.discrete_cases,
-        },
+        "config": asdict(cfg),
         "checks": checks,
         "n_checks": len(checks),
         "n_failed": failures,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wentropy.cli import main
-from wentropy.verify import _worst
+from wentropy.verify import VerifyConfig, _worst
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -108,6 +108,26 @@ def test_scan_config_file_flags_win(capsys, tmp_path):
     assert code == 0
     _, _, rows = parse_csv(out)
     assert len(rows) == 9
+
+
+def test_config_rejects_keys_that_are_not_flags_of_the_command(capsys, tmp_path):
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"cov": np.eye(2).tolist()}))
+    cfg = tmp_path / "moment.cfg"
+    cfg.write_text("cov = cov.json\nr = 2,2\nshfit = 1,2\n")
+    code, out, err = run(capsys, ["moment", "--cov", str(cov), "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "'shfit'" in err
+    # a real flag of another command is no key for this one
+    cfg.write_text("example = 1\nrho = 0:0.2:3\nx3 = 0:1:2\nseed = 3\n")
+    code, _, err = run(capsys, ["scan", "--config", str(cfg)])
+    assert code == 2
+    assert "'seed'" in err
+    cfg.write_text("r = 2,2\nshift = 1,2\n")
+    code, out, _ = run(capsys, ["moment", "--cov", str(cov), "--config", str(cfg)])
+    assert code == 0
+    assert out.splitlines()[0] == "value: 10"
 
 
 def test_moment_identity_covariance(capsys, tmp_path):
@@ -292,3 +312,18 @@ def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
     assert "GridTooCoarse" in err
     report = json.loads(out.read_text())  # report written despite the failure
     assert report["n_failed"] > 0
+
+
+def test_verify_rejects_fewer_than_one_discrete_case(capsys, tmp_path):
+    for value in ("-3", "0"):
+        code, out, err = run(capsys, ["verify", f"--discrete-cases={value}"])
+        assert code == 2
+        assert out == ""
+        assert "discrete_cases" in err
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("discrete-cases = 0\n")
+    code, _, err = run(capsys, ["verify", "--config", str(cfg)])
+    assert code == 2
+    assert "discrete_cases" in err
+    with pytest.raises(ValueError):
+        VerifyConfig(discrete_cases=0)

@@ -7,7 +7,7 @@ from helpers import gauss_hermite_expectation, gaussian_logpdf, grid_moment, ran
 from wentropy import closedform as cf
 from wentropy.errors import DomainError
 from wentropy.gaussian import Gaussian, gaussian_kl
-from wentropy.moments import central_moment
+from wentropy.moments import central_moment, shifted_moment
 from wentropy.quadrature import (
     CentralWeight,
     GridSpec,
@@ -32,6 +32,46 @@ def test_pair_conditional_derived_fields():
     assert pc.delta == pytest.approx([0.5, 0.0], abs=1e-14)
     with pytest.raises(ValueError):
         cf.PairConditional(Gaussian([0.0, 0.0], np.eye(2)), 0.0)
+
+
+def test_pair_conditional_derived_fields_are_not_arguments():
+    base = cf.example1_cov(0.5)
+    other = Gaussian([0.0, 0.0], np.eye(2))
+    for name, value in (("pair", other), ("cond", other), ("delta", np.zeros(2))):
+        with pytest.raises(TypeError):
+            cf.PairConditional(base, 1.0, **{name: value})
+
+
+def test_pair_conditional_fills_one_moment_table(monkeypatch):
+    calls = []
+    fill = cf.shifted_moments
+
+    def counted(*args):
+        calls.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(cf, "shifted_moments", counted)
+    for pc in pair_cases():
+        calls.clear()
+        cf.relative_we_pair(pc, "wick")
+        for mode in cf.FORMULA_MODES:
+            cf.cond_wde_pair(pc, mode)
+            cf.cross_wde_pair(pc, mode)
+        for i in range(2):
+            for j in range(2):
+                cf.lambda_bar(pc, i, j, "wick")
+                cf.upsilon(pc, i, j, "wick")
+        assert len(calls) == 1
+
+
+def test_wick_upsilon_is_the_shifted_moment():
+    for pc in pair_cases():
+        for i in range(2):
+            for j in range(2):
+                r = [2, 2]
+                r[i] += 1
+                r[j] += 1
+                assert cf.upsilon(pc, i, j, "wick") == shifted_moment(pc.cond.cov, pc.delta, r)
 
 
 def test_xi_examples_and_identity():
