@@ -207,9 +207,11 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
 
 def theta(pc: PairConditional, centers=None) -> float:
     """Conditional expectation of the squared-deviation product,
-    E[(X_1 - a_1)^2 (X_2 - a_2)^2 | X_3 = x3], exactly via shifted moments."""
-    a = _centers(pc, centers)
-    return shifted_moment(pc.cond.cov, pc.cond.mean - a, (2, 2))
+    E[(X_1 - a_1)^2 (X_2 - a_2)^2 | X_3 = x3], exactly via shifted moments; at
+    the default centers, the marginal means, the pair's moment table entry."""
+    if centers is None:
+        return pc._moments[()]
+    return shifted_moment(pc.cond.cov, pc.cond.mean - _centers(pc, centers), (2, 2))
 
 
 # fourth- and sixth-order helpers used by the transcribed conditional formulas
@@ -340,7 +342,7 @@ def gibbs_gap(pc: PairConditional, centers=None) -> float:
     whether the weighted Gibbs condition holds at this x3."""
     a = _centers(pc, centers)
     unconditional = shifted_moment(pc.pair.cov, pc.pair.mean - a, (2, 2))
-    return theta(pc, a) - unconditional
+    return theta(pc, centers) - unconditional
 
 
 # ---------------------------------------------------------------------------

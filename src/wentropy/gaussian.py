@@ -53,15 +53,17 @@ class Gaussian:
     ``Gaussian`` that exists is a valid one.  It also caches the lower
     Cholesky factor (:meth:`chol`) and the log-determinant ``log_det`` of the
     covariance; ``precision`` and the inverse Cholesky factor are computed on
-    first use and cached.  ``==`` is identity, as it is for the other
-    array-holding containers: comparing arrays elementwise has no single truth
-    value.
+    first use and cached.  It remembers the Gaussians it derives
+    (:meth:`marginal`, :func:`condition`), so each derived covariance is
+    validated and factored once.  ``==`` is identity, as for the other
+    array-holding containers: arrays compared elementwise have no truth value.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     _lower: np.ndarray = field(init=False, repr=False)
     log_det: float = field(init=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         mean = _float_array(self.mean, "mean", ndim=1)
@@ -79,6 +81,15 @@ class Gaussian:
         lower.setflags(write=False)
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(lower)))))
+
+    def _with_mean(self, mean) -> "Gaussian":
+        """Same covariance and caches, new checked ``mean``: the one path that skips validate."""
+        mean = _float_array(mean, "mean", ndim=1)
+        if mean.shape != self.mean.shape:
+            raise DimensionMismatchError(f"mean shape {mean.shape} is not {self.mean.shape}")
+        new = object.__new__(Gaussian)
+        new.__dict__.update(self.__dict__, mean=mean, _derived={})
+        return new
 
     @property
     def dim(self) -> int:
@@ -118,8 +129,12 @@ class Gaussian:
         return np.exp(self.log_pdf(points))
 
     def marginal(self, indices) -> "Gaussian":
+        """Marginal on ``indices``; the same object for the same indices."""
         idx = list(indices)
-        return Gaussian(self.mean[idx], self.cov[np.ix_(idx, idx)])
+        key = ("marginal", tuple(idx))
+        if key not in self._derived:
+            self._derived[key] = Gaussian(self.mean[idx], self.cov[np.ix_(idx, idx)])
+        return self._derived[key]
 
     def sampler(self):
         """Return ``draw(rng, n) -> (n, dim)`` sampling from this distribution."""
@@ -187,7 +202,8 @@ def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
     """Conditional distribution of the kept coordinates given the fixed ones.
 
     An empty given-set returns the marginal on the kept coordinates exactly
-    (pure slicing, no arithmetic).
+    (pure slicing, no arithmetic).  Per (kept, given), ``dist`` keeps the first
+    result and its gain; later values compute only the mean.  A failure keeps nothing.
     """
     n = dist.dim
     for i in spec.kept + spec.given:
@@ -197,6 +213,10 @@ def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
         return dist.marginal(spec.kept)
     a = list(spec.kept)
     b = list(spec.given)
+    key = ("condition", spec.kept, spec.given)
+    if key in dist._derived:
+        gain, first = dist._derived[key]
+        return first._with_mean(dist.mean[a] + gain @ (spec.value - dist.mean[b]))
     cov_aa = dist.cov[np.ix_(a, a)]
     cov_ab = dist.cov[np.ix_(a, b)]
     cov_bb = dist.cov[np.ix_(b, b)]
@@ -211,7 +231,8 @@ def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
     mean = dist.mean[a] + gain @ (spec.value - dist.mean[b])
     cov = cov_aa - gain @ cov_ab.T
     cov = 0.5 * (cov + cov.T)
-    return Gaussian(mean, cov)
+    dist._derived[key] = (gain, Gaussian(mean, cov))
+    return dist._derived[key][1]
 
 
 def example1_cov(rho: float) -> Gaussian:

@@ -29,6 +29,7 @@ from .discrete import (
 from .gaussian import gaussian_kl
 from .moments import central_moment
 from .quadrature import (
+    MIN_POINTS,
     CentralWeight,
     GridSpec,
     McConfig,
@@ -67,6 +68,10 @@ class VerifyConfig:
             raise ValueError("tol_quad must be positive")
         if self.discrete_cases < 1:
             raise ValueError(f"discrete_cases must be at least 1, got {self.discrete_cases}")
+        McConfig(self.mc_samples, self.seed)  # its minimum and message, before any check runs
+        for n in (self.tri_points, self.pair_points):
+            if n < MIN_POINTS:  # GridSpec's minimum and message
+                raise ValueError(f"need at least {MIN_POINTS} points per axis, got {n}")
 
 
 def _verdict_transcription(paper: float, wick: float) -> tuple[float, str]:
@@ -118,12 +123,13 @@ def _random_spd(rng: np.random.Generator, n: int = 3) -> np.ndarray:
 
 def _pair_cases(example: int):
     rhos = EXAMPLE1_RHOS if example == 1 else EXAMPLE2_RHOS
-    make = cf.PairConditional.from_example1 if example == 1 else cf.PairConditional.from_example2
+    make_base = cf.example1_cov if example == 1 else cf.example2_cov
     for rho in rhos:
         if example == 1 and rho == 0.0:
             continue  # conditional equals marginal; covered by the trivial tests
+        base = make_base(rho)
         for x3 in PAIR_X3S:
-            yield rho, x3, make(rho, x3)
+            yield rho, x3, cf.PairConditional(base, x3)
 
 
 def _check_xi(checks, cfg):
@@ -281,8 +287,9 @@ def _check_relative_de(checks, cfg):
     # first family: transcribed form against the generic paper-mode formula
     printed_devs, kl_devs = [], []
     for rho in np.linspace(-0.7, 0.7, 29):
+        base = cf.example1_cov(rho)
         for x3 in np.linspace(-3.0, 3.0, 31):
-            pc = cf.PairConditional.from_example1(rho, x3)
+            pc = cf.PairConditional(base, x3)
             point = {"example": 1, "rho": float(rho), "x3": float(x3)}
             printed = cf.example1_relative_de_paper(rho, x3)
             generic = cf.relative_de_pair(pc, "paper")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wentropy import verify
 from wentropy.cli import main
 from wentropy.verify import VerifyConfig, _worst
 
@@ -314,16 +315,45 @@ def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
     assert report["n_failed"] > 0
 
 
-def test_verify_rejects_fewer_than_one_discrete_case(capsys, tmp_path):
-    for value in ("-3", "0"):
-        code, out, err = run(capsys, ["verify", f"--discrete-cases={value}"])
-        assert code == 2
-        assert out == ""
-        assert "discrete_cases" in err
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("discrete-cases", "0", "discrete_cases must be at least 1, got 0"),
+        ("discrete-cases", "-3", "discrete_cases must be at least 1, got -3"),
+        ("mc-samples", "999", "need at least 1000 samples, got 999"),
+        ("tri-points", "15", "need at least 16 points per axis, got 15"),
+        ("pair-points", "0", "need at least 16 points per axis, got 0"),
+    ],
+    ids=["discrete-cases-0", "discrete-cases--3", "mc-samples-999", "tri-points-15", "pair-points-0"],
+)
+def test_verify_rejects_fewer_than_one_discrete_case(
+    capsys, tmp_path, monkeypatch, key, value, message
+):
+    # the configuration is refused before any check of the basket runs
+    entered = []
+    for name in [n for n in vars(verify) if n.startswith("_check_")]:
+        monkeypatch.setattr(verify, name, lambda checks, cfg, name=name: entered.append(name))
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, ["verify", f"--{key}={value}", "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert message in err
     cfg = tmp_path / "verify.cfg"
-    cfg.write_text("discrete-cases = 0\n")
-    code, _, err = run(capsys, ["verify", "--config", str(cfg)])
+    cfg.write_text(f"{key} = {value}\n")
+    code, _, err = run(capsys, ["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-    assert "discrete_cases" in err
-    with pytest.raises(ValueError):
-        VerifyConfig(discrete_cases=0)
+    assert message in err
+    assert not out.exists()
+    assert entered == []
+    with pytest.raises(ValueError, match=message):
+        VerifyConfig(**{key.replace("-", "_"): int(value)})
+
+
+def test_scan_matches_golden_bytes(capsys, tmp_path):
+    # all-mode scans of both families, recorded once: scan output must not move by a byte
+    grids = {1: "--rho=-0.7:0.7:8", 2: "--rho=0.01:0.49:8"}
+    for example, rho in grids.items():
+        out = tmp_path / f"scan_{example}.csv"
+        argv = ["scan", "--example", str(example), rho, "--x3=-3:3:7", "--out", str(out)]
+        assert main(argv) == 0
+        golden = DATA_DIR / f"scan_golden_{example}.csv"
+        assert out.read_bytes() == golden.read_bytes()

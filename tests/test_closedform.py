@@ -406,3 +406,26 @@ def test_wick_modes_are_kernel_instances():
         assert cf.relative_we_pair(pc, "wick") == cross - cond
     dist = cf.example2_cov(0.25)
     assert cf.wde_trivariate(dist, "wick") == cf._weighted_cross_entropy(dist, dist, dist.mean)
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_shared_row_base_is_bit_identical_to_a_fresh_base_per_point(example):
+    # PairConditional.from_example* builds a new base, so nothing is shared
+    fresh = cf.PairConditional.from_example1 if example == 1 else cf.PairConditional.from_example2
+    make_base = cf.example1_cov if example == 1 else cf.example2_cov
+    rhos = np.linspace(-0.7, 0.7, 29) if example == 1 else np.linspace(0.01, 0.49, 29)
+
+    def fields(pc):
+        out = [pc.delta]
+        for g in (pc.pair, pc.cond):
+            out += [g.mean, g.cov, g.chol(), g.log_det, g.precision]
+        out += [cf.relative_we_pair(pc, mode) for mode in cf.FORMULA_MODES]
+        out += [cf.relative_de_pair(pc, mode) for mode in ("paper", "corrected")]
+        return out + [cf.theta(pc), cf.gibbs_gap(pc)]
+
+    for rho in rhos:
+        base = make_base(rho)
+        for x3 in np.linspace(-3.0, 3.0, 31):
+            shared, alone = fields(cf.PairConditional(base, x3)), fields(fresh(rho, x3))
+            for a, b in zip(shared, alone):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (rho, x3)

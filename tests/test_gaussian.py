@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import gaussian_logpdf, rand_spd
+from wentropy import gaussian
+from wentropy.closedform import PairConditional
 from wentropy.errors import (
     DimensionMismatchError,
     DomainError,
@@ -142,6 +144,45 @@ def test_condition_schur_determinant_identity():
         lhs = np.linalg.det(dist.cov)
         rhs = dist.cov[2, 2] * np.linalg.det(out.cov)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_one_rho_row_validates_each_derived_covariance_once(monkeypatch):
+    base = example2_cov(0.3)
+    calls = []
+    check = gaussian.validate
+
+    def counted(dist):
+        calls.append(dist)
+        check(dist)
+
+    monkeypatch.setattr(gaussian, "validate", counted)
+    rows = [PairConditional(base, x3) for x3 in np.linspace(-3.0, 3.0, 31)]
+    assert len(calls) == 2  # the pair marginal and the conditional covariance
+    assert all(pc.pair is rows[0].pair and pc.cond.cov is rows[0].cond.cov for pc in rows)
+    assert base.marginal([0, 1]) is base.marginal([0, 1])
+
+
+def test_failed_condition_keeps_nothing(monkeypatch):
+    base = example1_cov(0.5)
+    spec = ConditionSpec((0, 1), (2,), [1.0])
+
+    def refuse(dist):
+        raise NotPositiveDefiniteError("refused")
+
+    monkeypatch.setattr(gaussian, "validate", refuse)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefiniteError):
+            condition(base, spec)
+    monkeypatch.undo()
+    assert condition(base, spec).mean == pytest.approx([0.25, 0.0], abs=1e-15)
+
+
+def test_cached_conditional_still_checks_its_mean():
+    # gain 9.9: a finite value can push the conditional mean past the float range
+    dist = Gaussian(np.zeros(2), [[100.0, 9.9], [9.9, 1.0]])
+    condition(dist, ConditionSpec((0,), (1,), [1.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        condition(dist, ConditionSpec((0,), (1,), [1e308]))
 
 
 def test_condition_spec_validation():
