@@ -11,8 +11,8 @@ through the kernel's assembly step; the verify command measures each one
 against wick mode and reports a CONFIRMED/DISCREPANT verdict instead of
 trusting it.
 
-The product weight is always centered at the marginal means.  Coordinate
-indices are 0-based.
+The product weight is centered at the marginal means; only :func:`theta`
+also takes explicit centers.  Coordinate indices are 0-based.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ class PairConditional:
 def _centers(pc: PairConditional, centers) -> np.ndarray:
     if centers is None:
         return pc.pair.mean
-    arr = getattr(centers, "centers", centers)
-    arr = np.atleast_1d(np.asarray(arr, dtype=float))
+    arr = np.atleast_1d(np.asarray(centers, dtype=float))
     if arr.shape != (2,):
         raise ValueError(f"need 2 centers, got shape {arr.shape}")
     return arr
@@ -337,12 +336,11 @@ def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     return 0.5 * (pc.pair.log_det - pc.cond.log_det) * th + 0.5 * ups - 0.5 * lam
 
 
-def gibbs_gap(pc: PairConditional, centers=None) -> float:
-    """Theta(x3) minus the unconditional product moment: the sign that decides
-    whether the weighted Gibbs condition holds at this x3."""
-    a = _centers(pc, centers)
-    unconditional = shifted_moment(pc.pair.cov, pc.pair.mean - a, (2, 2))
-    return theta(pc, centers) - unconditional
+def gibbs_gap(pc: PairConditional) -> float:
+    """Theta(x3) minus the unconditional product moment about the marginal
+    means: the sign that decides whether the weighted Gibbs condition holds at
+    this x3."""
+    return theta(pc) - central_moment(pc.pair.cov, (2, 2))
 
 
 # ---------------------------------------------------------------------------

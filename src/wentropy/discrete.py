@@ -79,13 +79,11 @@ class DiscreteJoint:
         return cls(probs, tuple(np.asarray(s, dtype=float) for s in data["support"]))
 
 
-def random_joint(rng: np.random.Generator, dims, labels=None) -> DiscreteJoint:
-    """Seeded random pmf; default labels are 0..k-1 per axis."""
+def random_joint(rng: np.random.Generator, dims) -> DiscreteJoint:
+    """Seeded random pmf with labels 0..k-1 per axis."""
     raw = rng.random(tuple(dims)) ** 2
     probs = raw / raw.sum()
-    if labels is None:
-        labels = tuple(np.arange(k, dtype=float) for k in dims)
-    return DiscreteJoint(probs, tuple(labels))
+    return DiscreteJoint(probs, tuple(np.arange(k, dtype=float) for k in dims))
 
 
 def _xlogy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -291,9 +289,6 @@ def relative_we_identity_check(
         raise ValueError(f"split must be in 1..{n - 1}, got {split}")
     x_axes = tuple(range(split))
     y_axes = tuple(range(split, n))
-    for weight, axes in ((weight_x, x_axes), (weight_y, y_axes)):
-        if weight is not None and weight.dim != len(axes):
-            raise ValueError("weight dimensions must match the block sizes")
     f1 = p.sum(axis=y_axes)
     p2 = p.sum(axis=x_axes)
     sq_x = _outer(_squared_devs(joint, weight_x, x_axes))

@@ -25,6 +25,7 @@ TINY = 1e-300
 
 MAX_CELLS = 10**8
 MIN_POINTS = 16
+HALF_WIDTH = 8.0  # grid half-width in marginal standard deviations
 REFINE_TOL = 1e-4
 # points evaluated at once; bounds the memory of one block of the integrand
 BLOCK_POINTS = 2**16
@@ -99,24 +100,19 @@ class GridSpec:
         return GridSpec(tuple((lo, hi, n * factor) for lo, hi, n in self.axes))
 
     @classmethod
-    def for_gaussians(
-        cls,
-        dists: Sequence[Gaussian],
-        points: int,
-        half_width: float = 8.0,
-    ) -> "GridSpec":
-        """Axis box covering ``half_width`` marginal deviations of every distribution."""
+    def for_gaussians(cls, dists: Sequence[Gaussian], points: int) -> "GridSpec":
+        """Axis box covering ``HALF_WIDTH`` marginal deviations of every distribution."""
         dim = dists[0].dim
         axes = []
         for k in range(dim):
-            lo = min(d.mean[k] - half_width * math.sqrt(d.cov[k, k]) for d in dists)
-            hi = max(d.mean[k] + half_width * math.sqrt(d.cov[k, k]) for d in dists)
+            lo = min(d.mean[k] - HALF_WIDTH * math.sqrt(d.cov[k, k]) for d in dists)
+            hi = max(d.mean[k] + HALF_WIDTH * math.sqrt(d.cov[k, k]) for d in dists)
             axes.append((lo, hi, points))
         return cls(tuple(axes))
 
     @classmethod
-    def for_gaussian(cls, dist: Gaussian, points: int, half_width: float = 8.0) -> "GridSpec":
-        return cls.for_gaussians([dist], points, half_width)
+    def for_gaussian(cls, dist: Gaussian, points: int) -> "GridSpec":
+        return cls.for_gaussians([dist], points)
 
 
 def _chunks(grid: GridSpec):

@@ -74,12 +74,6 @@ class VerifyConfig:
                 raise ValueError(f"need at least {MIN_POINTS} points per axis, got {n}")
 
 
-def _verdict_transcription(paper: float, wick: float) -> tuple[float, str]:
-    dev = abs(paper - wick)
-    tol = max(FORMULA_RTOL, FORMULA_RTOL * abs(wick))
-    return dev, ("CONFIRMED" if dev <= tol else "DISCREPANT")
-
-
 def _record(formula, mode, point, paper=None, wick=None, quad=None, dev=None, verdict=None):
     return {
         "formula": formula,
@@ -94,7 +88,8 @@ def _record(formula, mode, point, paper=None, wick=None, quad=None, dev=None, ve
 
 
 def _transcription(formula, point, paper, wick):
-    dev, verdict = _verdict_transcription(paper, wick)
+    dev = abs(paper - wick)
+    verdict = "CONFIRMED" if dev <= max(FORMULA_RTOL, FORMULA_RTOL * abs(wick)) else "DISCREPANT"
     return _record(formula, "paper-vs-wick", point, paper=paper, wick=wick, dev=dev, verdict=verdict)
 
 
@@ -114,6 +109,12 @@ def _worst(candidates):
     return next(c for c in candidates if c[0] >= cut)
 
 
+def _worst_transcription(formula, rows):
+    """The transcription record of the worst ``(paper, wick, point)`` row."""
+    _, paper, wick, point = _worst([(abs(p - w), p, w, pt) for p, w, pt in rows])
+    return _transcription(formula, point, paper, wick)
+
+
 def _random_spd(rng: np.random.Generator, n: int = 3) -> np.ndarray:
     a = rng.normal(size=(n, n))
     q, _ = np.linalg.qr(a)
@@ -121,15 +122,23 @@ def _random_spd(rng: np.random.Generator, n: int = 3) -> np.ndarray:
     return (q * eigs) @ q.T
 
 
-def _pair_cases(example: int):
-    rhos = EXAMPLE1_RHOS if example == 1 else EXAMPLE2_RHOS
-    make_base = cf.example1_cov if example == 1 else cf.example2_cov
-    for rho in rhos:
+def _family_bases() -> dict:
+    """One base Gaussian per verified (example, rho)."""
+    bases = {(1, rho): cf.example1_cov(rho) for rho in EXAMPLE1_RHOS}
+    bases.update({(2, rho): cf.example2_cov(rho) for rho in EXAMPLE2_RHOS})
+    return bases
+
+
+def _pair_cases(bases: dict) -> dict:
+    """Per example, the ``(point, PairConditional)`` cases over ``PAIR_X3S``."""
+    cases = {1: [], 2: []}
+    for (example, rho), base in bases.items():
         if example == 1 and rho == 0.0:
             continue  # conditional equals marginal; covered by the trivial tests
-        base = make_base(rho)
         for x3 in PAIR_X3S:
-            yield rho, x3, cf.PairConditional(base, x3)
+            point = {"example": example, "rho": rho, "x3": x3}
+            cases[example].append((point, cf.PairConditional(base, x3)))
+    return cases
 
 
 def _check_xi(checks, cfg):
@@ -163,63 +172,52 @@ def _check_lambda_table(checks, cfg):
                 )
 
 
-def _check_weightednormal(checks, cfg):
-    for example, rhos in ((1, EXAMPLE1_RHOS), (2, EXAMPLE2_RHOS)):
-        for rho in rhos:
-            dist = cf.example1_cov(rho) if example == 1 else cf.example2_cov(rho)
-            point = {"example": example, "rho": rho}
-            wick = cf.wde_trivariate(dist, "wick")
-            paper = cf.wde_trivariate(dist, "paper")
-            grid = GridSpec.for_gaussian(dist, cfg.tri_points)
-            quad = wde_quadrature(dist.pdf, CentralWeight(dist.mean), grid)
-            checks.append(_transcription("weighted-entropy-trivariate", point, paper, wick))
-            checks.append(
-                _oracle(
-                    "weighted-entropy-trivariate", "wick-vs-quadrature", point,
-                    wick, quad, cfg.tol_quad,
-                )
+def _check_weightednormal(checks, cfg, bases):
+    for (example, rho), dist in bases.items():
+        point = {"example": example, "rho": rho}
+        wick = cf.wde_trivariate(dist, "wick")
+        paper = cf.wde_trivariate(dist, "paper")
+        grid = GridSpec.for_gaussian(dist, cfg.tri_points)
+        quad = wde_quadrature(dist.pdf, CentralWeight(dist.mean), grid)
+        checks.append(_transcription("weighted-entropy-trivariate", point, paper, wick))
+        checks.append(
+            _oracle(
+                "weighted-entropy-trivariate", "wick-vs-quadrature", point,
+                wick, quad, cfg.tol_quad,
             )
+        )
 
 
-def _check_theta(checks, cfg):
-    for example in (1, 2):
+def _check_theta(checks, pairs):
+    for example, cases in pairs.items():
         printed = cf.example1_theta_paper if example == 1 else cf.example2_theta_paper
-        candidates = []
-        for rho, x3, pc in _pair_cases(example):
-            paper = printed(rho, x3)
-            wick = cf.theta(pc)
-            candidates.append(
-                (abs(paper - wick), paper, wick, {"example": example, "rho": rho, "x3": x3})
-            )
-        _, paper, wick, point = _worst(candidates)
-        checks.append(_transcription(f"Theta-example{example}", point, paper, wick))
+        rows = [(printed(p["rho"], p["x3"]), cf.theta(pc), p) for p, pc in cases]
+        checks.append(_worst_transcription(f"Theta-example{example}", rows))
 
 
-def _check_conditional_moments(checks, cfg):
+def _check_conditional_moments(checks, pairs):
     printed = {
         1: (cf.example1_lambda_bar_paper, cf.example1_upsilon_paper),
         2: (cf.example2_lambda_bar_paper, cf.example2_upsilon_paper),
     }
     # generic paper mode first, then the printed per-example polynomials
     for suffix in ("", "-printed"):
-        for example, (lam_printed, ups_printed) in printed.items():
+        for example, cases in pairs.items():
+            lam_printed, ups_printed = printed[example]
             for (i, j) in ((0, 0), (0, 1), (1, 1)):
                 lams, upss = [], []
-                for rho, x3, pc in _pair_cases(example):
-                    point = {"example": example, "rho": rho, "x3": x3}
+                for p, pc in cases:
                     if suffix:
-                        lam_p, ups_p = lam_printed(rho, x3, i, j), ups_printed(rho, x3, i, j)
+                        lam_p = lam_printed(p["rho"], p["x3"], i, j)
+                        ups_p = ups_printed(p["rho"], p["x3"], i, j)
                     else:
                         lam_p = cf.lambda_bar(pc, i, j, "paper")
                         ups_p = cf.upsilon(pc, i, j, "paper")
-                    lam_w, ups_w = cf.lambda_bar(pc, i, j, "wick"), cf.upsilon(pc, i, j, "wick")
-                    lams.append((abs(lam_p - lam_w), lam_p, lam_w, point))
-                    upss.append((abs(ups_p - ups_w), ups_p, ups_w, point))
+                    lams.append((lam_p, cf.lambda_bar(pc, i, j, "wick"), p))
+                    upss.append((ups_p, cf.upsilon(pc, i, j, "wick"), p))
                 name = f"{i + 1}{j + 1}-example{example}{suffix}"
-                _, lam_p, lam_w, point = _worst(lams)
-                checks.append(_transcription(f"LambdaBar_{name}", point, lam_p, lam_w))
-                _, ups_p, ups_w, point = _worst(upss)
-                checks.append(_transcription(f"Upsilon_{name}", point, ups_p, ups_w))
+                checks.append(_worst_transcription(f"LambdaBar_{name}", lams))
+                checks.append(_worst_transcription(f"Upsilon_{name}", upss))
 
 
 def _pair_quadratures(pc: cf.PairConditional, points: int):
@@ -233,13 +231,12 @@ def _pair_quadratures(pc: cf.PairConditional, points: int):
     return cond_q, cross_q, rel_q
 
 
-def _check_pair_formulas(checks, cfg):
-    for example in (1, 2):
+def _check_pair_formulas(checks, cfg, pairs):
+    for example, cases in pairs.items():
         printed_dw = (
             cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
         )
-        for rho, x3, pc in _pair_cases(example):
-            point = {"example": example, "rho": rho, "x3": x3}
+        for point, pc in cases:
             cond_q, cross_q, rel_q = _pair_quadratures(pc, cfg.pair_points)
             cond_w = cf.cond_wde_pair(pc, "wick")
             cross_w = cf.cross_wde_pair(pc, "wick")
@@ -253,8 +250,8 @@ def _check_pair_formulas(checks, cfg):
             checks.append(
                 _oracle("relative-we-pair", "wick-vs-quadrature", point, rel_w, rel_q, cfg.tol_quad)
             )
-            for mode in ("paper", "wick"):
-                lhs = cf.relative_we_pair(pc, mode)
+            rel_p = cf.relative_we_pair(pc, "paper")
+            for mode, lhs in (("paper", rel_p), ("wick", rel_w)):
                 rhs = cf.cross_wde_pair(pc, mode) - cf.cond_wde_pair(pc, mode)
                 checks.append(
                     _record(
@@ -263,11 +260,12 @@ def _check_pair_formulas(checks, cfg):
                         verdict="OK" if abs(lhs - rhs) <= 1e-12 else "FAIL",
                     )
                 )
+            checks.append(_transcription("relative-we-pair", point, rel_p, rel_w))
             checks.append(
-                _transcription("relative-we-pair", point, cf.relative_we_pair(pc, "paper"), rel_w)
-            )
-            checks.append(
-                _transcription(f"relative-we-example{example}-printed", point, printed_dw(rho, x3), rel_w)
+                _transcription(
+                    f"relative-we-example{example}-printed", point,
+                    printed_dw(point["rho"], point["x3"]), rel_w,
+                )
             )
             # weighted Gibbs: a nonnegative condition gap must force a
             # nonnegative divergence; a negative gap forces nothing (the
@@ -335,50 +333,42 @@ def _check_relative_de(checks, cfg):
     )
 
 
+def _discrete_deviations(joint, centers, split) -> tuple:
+    """The six identity deviations of one pmf, in :func:`_check_discrete`'s order."""
+    weight = CentralWeight(centers)
+    chain = chain_rule_de_check(joint)
+    chain_w = chain_rule_wde_check(joint, weight)
+    mutual = mutual_de_decomposition_check(joint)
+    mutual_w = mutual_wde_decomposition_check(joint, weight)
+    rel = relative_de_identity_check(joint, split)
+    rel_w = relative_we_identity_check(
+        joint, CentralWeight(centers[:split]), CentralWeight(centers[split:]), split
+    )
+    return (
+        abs(chain.lhs - chain.rhs),
+        abs(chain_w.lhs - chain_w.rhs),
+        max(abs(mutual.lhs - mutual.rhs), abs(mutual.lhs - mutual.rhs_expectation)),
+        abs(mutual_w.lhs - mutual_w.rhs),
+        max(float(np.max(np.abs(rel.lhs - rel.rhs))), abs(rel.mutual - rel.expected)),
+        max(float(np.max(np.abs(rel_w.lhs - rel_w.rhs))), abs(rel_w.mutual - rel_w.expected)),
+    )
+
+
 def _check_discrete(checks, cfg):
     rng = np.random.default_rng(cfg.seed + 2)
-    worst = {name: 0.0 for name in (
+    names = (
         "chain-rule-de", "chain-rule-wde", "mutual-de-decomposition",
         "mutual-wde-decomposition", "relative-de-identity", "relative-we-identity",
-    )}
+    )
+    worst = [0.0] * len(names)
     for _ in range(cfg.discrete_cases):
         n = int(rng.integers(2, 5))
         dims = tuple(int(rng.integers(2, 5)) for _ in range(n))
         joint = random_joint(rng, dims)
         centers = rng.uniform(-1.0, 1.0, size=n)
-        weight = CentralWeight(centers)
-        lhs, rhs = chain_rule_de_check(joint)
-        worst["chain-rule-de"] = max(worst["chain-rule-de"], abs(lhs - rhs))
-        lhs, rhs, _ = chain_rule_wde_check(joint, weight)
-        worst["chain-rule-wde"] = max(worst["chain-rule-wde"], abs(lhs - rhs))
-        res = mutual_de_decomposition_check(joint)
-        worst["mutual-de-decomposition"] = max(
-            worst["mutual-de-decomposition"],
-            abs(res.lhs - res.rhs), abs(res.lhs - res.rhs_expectation),
-        )
-        lhs, rhs = mutual_wde_decomposition_check(joint, weight)
-        worst["mutual-wde-decomposition"] = max(
-            worst["mutual-wde-decomposition"], abs(lhs - rhs)
-        )
         split = int(rng.integers(1, n))
-        res = relative_de_identity_check(joint, split)
-        worst["relative-de-identity"] = max(
-            worst["relative-de-identity"],
-            float(np.max(np.abs(res.lhs - res.rhs))),
-            abs(res.mutual - res.expected),
-        )
-        wres = relative_we_identity_check(
-            joint,
-            CentralWeight(centers[:split]),
-            CentralWeight(centers[split:]),
-            split,
-        )
-        worst["relative-we-identity"] = max(
-            worst["relative-we-identity"],
-            float(np.max(np.abs(wres.lhs - wres.rhs))),
-            abs(wres.mutual - wres.expected),
-        )
-    for name, dev in worst.items():
+        worst = list(map(max, worst, _discrete_deviations(joint, centers, split)))
+    for name, dev in zip(names, worst):
         checks.append(
             _record(
                 name, "discrete-identity", {"cases": cfg.discrete_cases},
@@ -413,10 +403,12 @@ def run_verify(cfg: VerifyConfig | None = None) -> dict:
     checks: list[dict] = []
     _check_xi(checks, cfg)
     _check_lambda_table(checks, cfg)
-    _check_weightednormal(checks, cfg)
-    _check_theta(checks, cfg)
-    _check_conditional_moments(checks, cfg)
-    _check_pair_formulas(checks, cfg)
+    bases = _family_bases()
+    pairs = _pair_cases(bases)
+    _check_weightednormal(checks, cfg, bases)
+    _check_theta(checks, pairs)
+    _check_conditional_moments(checks, pairs)
+    _check_pair_formulas(checks, cfg, pairs)
     _check_relative_de(checks, cfg)
     _check_discrete(checks, cfg)
     _check_monte_carlo(checks, cfg)

@@ -378,19 +378,16 @@ def metropolis_sample(
     log_prior: Callable,
     data: WeightedDataset,
     cfg: SamplerConfig,
-    init=None,
 ) -> PosteriorDraws:
     """Random-walk Metropolis draws from the (unweighted) posterior.
 
-    Deterministic for a fixed seed.  Proposals outside the model bounds are
+    Deterministic for a fixed seed; the chain starts at the midpoint of the
+    model bounds.  Proposals outside the model bounds are
     rejected; the post-burn-in acceptance rate is reported on the result and
     must exceed 0.1%.
     """
     rng = np.random.default_rng(cfg.seed)
-    if init is None:
-        theta = np.array([0.5 * (lo + hi) for lo, hi in model.bounds])
-    else:
-        theta = model.check_theta(init)
+    theta = np.array([0.5 * (lo + hi) for lo, hi in model.bounds])
 
     def log_post(th: np.ndarray) -> float:
         return float(

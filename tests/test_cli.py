@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wentropy import verify
+from wentropy import closedform as cf
+from wentropy import gaussian, verify
 from wentropy.cli import main
 from wentropy.verify import VerifyConfig, _worst
 
@@ -300,6 +301,28 @@ def test_verify_worst_point_ignores_rounding_level_perturbations():
     candidates = [(1.0, 0), (1.0 + 2e-9, 1), (1.0 + 2e-9 * (1 + 1e-15), 2)]
     assert _worst(candidates) == candidates[1]
     assert _worst([(1e-13, "a"), (2e-12, "b")]) == (2e-12, "b")
+
+
+def test_verify_builds_each_case_once(monkeypatch):
+    # one base per (example, rho) and one PairConditional per pair case feed
+    # every check; the counts do not depend on the grid sizes
+    counts = {"validate": 0, "pair": 0}
+    validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
+
+    def counting_validate(dist):
+        counts["validate"] += 1
+        validate(dist)
+
+    def counting_post_init(pc):
+        counts["pair"] += 1
+        post_init(pc)
+
+    monkeypatch.setattr(gaussian, "validate", counting_validate)
+    monkeypatch.setattr(cf.PairConditional, "__post_init__", counting_post_init)
+    verify.run_verify(
+        VerifyConfig(tri_points=16, pair_points=16, mc_samples=1000, discrete_cases=1)
+    )
+    assert counts == {"validate": 109, "pair": 921}
 
 
 def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
