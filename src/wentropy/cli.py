@@ -116,6 +116,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise ValueError(f"--{name} needs steps >= 2, got {steps}")
     if not lo < hi:
         raise ValueError(f"--{name} needs lo < hi, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--{name} needs finite lo, hi and hi - lo, got {text!r}")
     return np.linspace(lo, hi, steps)
 
 
@@ -138,13 +140,15 @@ def _cmd_scan(args, config: dict) -> int:
     printed_we = (
         cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
     )
-    # (mode, column, value of (rho, x3, pc)); a column without a mode is always written
+    # (mode, column, values of (rho, row) at every x3); a column without a mode
+    # is always written.  The printed formulas are evaluated point by point.
+    x3_list = x3s.tolist()
     table = [
-        ("paper", "D_paper", lambda rho, x3, pc: printed_de(rho, x3)),
-        ("corrected", "D_corrected", lambda rho, x3, pc: cf.relative_de_pair(pc, "corrected")),
-        ("wick", "Dw_wick", lambda rho, x3, pc: cf.relative_we_pair(pc, "wick")),
-        ("paper", "Dw_printed", lambda rho, x3, pc: printed_we(rho, x3)),
-        (None, "gibbs_gap", lambda rho, x3, pc: cf.gibbs_gap(pc)),
+        ("paper", "D_paper", lambda rho, row: [printed_de(rho, x3) for x3 in x3_list]),
+        ("corrected", "D_corrected", lambda rho, row: cf.relative_de_pair(row, "corrected")),
+        ("wick", "Dw_wick", lambda rho, row: cf.relative_we_pair(row, "wick")),
+        ("paper", "Dw_printed", lambda rho, row: [printed_we(rho, x3) for x3 in x3_list]),
+        (None, "gibbs_gap", lambda rho, row: cf.gibbs_gap(row)),
     ]
     table = [(column, value) for mode, column, value in table if mode is None or mode in modes]
 
@@ -154,13 +158,15 @@ def _cmd_scan(args, config: dict) -> int:
         f"x3={x3s[0]:g}:{x3s[-1]:g}:{x3s.size} modes={','.join(modes)}",
         ",".join(["rho", "x3"] + [column for column, _ in table]),
     ]
-    for rho in rhos:
-        base = make_base(float(rho))
-        for x3 in x3s:
-            pc = cf.PairConditional(base, float(x3))
-            row = [_fmt(rho), _fmt(x3)]
-            row += [_fmt(value(float(rho), float(x3), pc)) for _, value in table]
-            lines.append(",".join(row))
+    for rho in rhos.tolist():
+        row = cf._PairRow(make_base(rho), x3s)
+        with np.errstate(all="ignore"):  # overflow is reported below, by point
+            columns = [values(rho, row) for _, values in table]
+        for k, x3 in enumerate(x3_list):
+            for (column, _), values in zip(table, columns):
+                if not math.isfinite(values[k]):
+                    raise ValueError(f"{column} is {values[k]} at rho={rho!r}, x3={x3!r}")
+            lines.append(",".join([_fmt(rho), _fmt(x3)] + [_fmt(v[k]) for v in columns]))
     _write_output("\n".join(lines) + "\n", _resolve(args, config, "out"))
     return 0
 

@@ -5,11 +5,12 @@ agree with the quadrature oracles, and every wick-mode entropy is an instance
 of one kernel, :func:`_weighted_cross_entropy`, whose moments all come from one
 Wick recursion.  A :class:`PairConditional` fills that moment table once and
 every pair quantity reads it; the pair entropies have one assembly each, and
-the mode switch happens only in LambdaBar and Upsilon.  ``"paper"`` evaluates
-the transcribed factored formulas verbatim, including their known defects,
-through the kernel's assembly step; the verify command measures each one
-against wick mode and reports a CONFIRMED/DISCREPANT verdict instead of
-trusting it.
+the mode switch happens only in LambdaBar and Upsilon; on a :class:`_PairRow`,
+a row of x3 values with one batched table, they return (n,) arrays.
+``"paper"`` evaluates the transcribed factored formulas verbatim, including
+their known defects, through the kernel's assembly step; the verify command
+measures each one against wick mode and reports a CONFIRMED/DISCREPANT verdict
+instead of trusting it.
 
 The product weight is centered at the marginal means; only :func:`theta`
 also takes explicit centers.  Coordinate indices are 0-based.
@@ -50,15 +51,17 @@ class PairConditional:
     third coordinate.
 
     Derived fields: ``pair`` is the marginal of coordinates (0, 1), ``cond``
-    the conditional of (0, 1) given coordinate 2 equal to ``x3``, and ``delta``
-    the shift between conditional and marginal means.  The wick moment table
-    of the conditional pair about the marginal means is filled on first use.
+    the conditional of (0, 1) given coordinate 2 equal to ``x3``, ``mu_bar``
+    its mean, and ``delta`` the shift between conditional and marginal means.
+    The wick moment table of the conditional pair about the marginal means is
+    filled on first use.
     """
 
     base: Gaussian
     x3: float
     pair: Gaussian = field(init=False)
     cond: Gaussian = field(init=False)
+    mu_bar: np.ndarray = field(init=False)
     delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -72,11 +75,12 @@ class PairConditional:
         object.__setattr__(self, "x3", x3)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "mu_bar", cond.mean)
         object.__setattr__(self, "delta", delta)
 
     @cached_property
     def _moments(self) -> dict:
-        return _phi_moments(self.cond, self.pair.mean)
+        return _phi_moments(self.cond.cov, self.delta)
 
     @classmethod
     def from_example1(cls, rho: float, x3: float) -> "PairConditional":
@@ -85,6 +89,26 @@ class PairConditional:
     @classmethod
     def from_example2(cls, rho: float, x3: float) -> "PairConditional":
         return cls(example2_cov(rho), x3)
+
+
+class _PairRow:
+    """:class:`PairConditional` at an (n,) array of x3 values: ``mu_bar`` and
+    ``delta`` are (2, n) and ``_moments`` is one batched table, so the wick
+    pair quantities, :func:`relative_de_pair` and :func:`gibbs_gap` return (n,)
+    arrays equal to the per-point values bit for bit.  The conditional
+    covariance does not depend on x3; ``cond`` is the one validated at the
+    first x3, for its covariance, precision and log-det, not its mean."""
+
+    def __init__(self, base: Gaussian, x3):
+        x3 = np.asarray(x3, dtype=float)
+        if not np.all(np.isfinite(x3)):
+            raise ValueError("value contains non-finite entries")
+        self.pair = base.marginal([0, 1])
+        self.cond = condition(base, ConditionSpec((0, 1), (2,), x3[:1]))
+        gain, _ = base._derived[("condition", (0, 1), (2,))]
+        self.mu_bar = base.mean[[0, 1], None] + gain @ (x3[None, :] - base.mean[[2], None])
+        self.delta = self.mu_bar - self.pair.mean[:, None]
+        self._moments = _phi_moments(self.cond.cov, self.delta)
 
 
 def _centers(pc: PairConditional, centers) -> np.ndarray:
@@ -104,13 +128,14 @@ def _cross_entropy(g: Gaussian, bulk: float, inner) -> float:
     return 0.5 * (d * math.log(2.0 * math.pi) + g.log_det) * bulk + 0.5 * quad
 
 
-def _phi_moments(f: Gaussian, centers: np.ndarray) -> dict:
-    """E[Z^(2*1 + sum_{k in key} e_k)] for Z = X - centers, X ~ f, keyed by the
-    index tuples (), (i,) and (i, j) with i <= j: one recursion fills them all."""
-    d = f.dim
+def _phi_moments(cov: np.ndarray, shift: np.ndarray) -> dict:
+    """E[Z^(2*1 + sum_{k in key} e_k)] for Z ~ N(shift, cov), keyed by the index
+    tuples (), (i,) and (i, j) with i <= j: one recursion fills them all.  A
+    (d, n) ``shift`` fills (n,) arrays."""
+    d = cov.shape[0]
     keys = [()] + [(i,) for i in range(d)] + [(i, j) for i in range(d) for j in range(i, d)]
     rows = [[2 + key.count(k) for k in range(d)] for key in keys]
-    return dict(zip(keys, shifted_moments(f.cov, f.mean - centers, rows)))
+    return dict(zip(keys, shifted_moments(cov, shift, rows)))
 
 
 def _phi_inner(table: dict, c: np.ndarray, i: int, j: int) -> float:
@@ -128,7 +153,7 @@ def _weighted_cross_entropy(f: Gaussian, g: Gaussian, centers: np.ndarray) -> fl
     With Z = X - a and c = a - m_g, X - m_g = Z + c, so every expectation is
     one of the 1 + d + d(d+1)/2 raw moments of Z ~ N(m_f - a, S_f) in the
     :func:`_phi_moments` table."""
-    table = _phi_moments(f, centers)
+    table = _phi_moments(f.cov, f.mean - centers)
     c = centers - g.mean
     return _cross_entropy(g, table[()], lambda i, j: _phi_inner(table, c, i, j))
 
@@ -188,16 +213,11 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
     subtracts it and matches :func:`wentropy.gaussian.gaussian_kl` exactly.
     """
     check_entropy_mode(mode)
-    mu = pc.pair.mean
-    mu_bar = pc.cond.mean
-    brace = (
-        pc.cond.cov
-        + np.outer(mu_bar, mu_bar)
-        - np.outer(mu_bar, mu)
-        - np.outer(mu, mu_bar)
-        + np.outer(mu, mu)
+    mu, mu_bar, s, inv = pc.pair.mean, pc.mu_bar, pc.cond.cov, pc.pair.precision
+    brace = lambda i, j: (
+        s[i, j] + mu_bar[i] * mu_bar[j] - mu_bar[i] * mu[j] - mu[i] * mu_bar[j] + mu[i] * mu[j]
     )
-    trace = float(np.sum(pc.pair.precision * brace))
+    trace = sum(inv[i, j] * brace(i, j) for i in range(2) for j in range(2))
     value = 0.5 * (pc.pair.log_det - pc.cond.log_det) + 0.5 * trace
     if mode == "corrected":
         value -= 1.0

@@ -8,10 +8,10 @@ coordinate of nonzero exponent,
 
 memoized per call over the exponent multi-index.  A central moment is the case
 m = 0, a shifted moment the case m = deltas, and :func:`shifted_moments` fills
-a list of exponent rows for one (S, m) from one memo.  Evaluation is purely
-algebraic in the covariance entries: the matrix is never factorized, so
-positive definiteness is not required (degenerate covariances, e.g.
-duplicated coordinates, are fine).
+a list of exponent rows for one (S, m), or for a batch of means, from one
+memo.  Evaluation is purely algebraic in the covariance entries: the matrix is
+never factorized, so positive definiteness is not required (degenerate
+covariances, e.g. duplicated coordinates, are fine).
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def _check_spec(cov: np.ndarray, exponents) -> tuple[np.ndarray, list[int]]:
 def _wick_moment(s: list, m: list, e: tuple, memo: dict) -> float:
     """E[X^e] for X ~ N(m, s), with ``memo`` mapping exponent tuples to values.
 
-    A zero mean term is skipped, so with m = 0 only even orders are visited.
+    A zero mean term is skipped, so with m = 0 only even orders are visited.  A
+    mean entry may be an (n,) array of a batch's means; it skips per element.
     """
     value = memo.get(e)
     if value is not None:
@@ -65,7 +66,11 @@ def _wick_moment(s: list, m: list, e: tuple, memo: dict) -> float:
         return 1.0
     rest = list(e)
     rest[k] -= 1
-    value = m[k] * _wick_moment(s, m, tuple(rest), memo) if m[k] != 0.0 else 0.0
+    mk = m[k]
+    if isinstance(mk, np.ndarray):
+        value = np.where(mk != 0.0, mk * _wick_moment(s, m, tuple(rest), memo), 0.0)
+    else:
+        value = mk * _wick_moment(s, m, tuple(rest), memo) if mk != 0.0 else 0.0
     row = s[k]
     for j, n in enumerate(rest):
         if n:
@@ -90,20 +95,27 @@ def central_moment(cov, exponents) -> float:
 
 def shifted_moments(cov, deltas, exponent_rows) -> list:
     """[E[prod_i (Y_i + delta_i)^{r_i}] for r in ``exponent_rows``]: the Wick
-    recursion with mean ``deltas``, one memo shared by every row."""
+    recursion with mean ``deltas``, one memo shared by every row.
+
+    ``deltas`` of shape (d, n) is a batch of n shifts: each row's value is then
+    an (n,) array whose column k equals the call with ``deltas[:, k]``, bit for
+    bit.  As for floats, overflow gives inf or nan without a warning."""
     checked = [_check_spec(cov, r) for r in exponent_rows]
     if not checked:
         return []
     cov = checked[0][0]
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (cov.shape[0],):
+    if deltas.shape[:1] != cov.shape[:1] or deltas.ndim > 2:
         raise DimensionMismatchError(
             f"deltas shape {deltas.shape} does not match dimension {cov.shape[0]}"
         )
     if not np.all(np.isfinite(deltas)):
         raise ValueError("deltas must be finite")
-    s, m, memo = cov.tolist(), deltas.tolist(), {}
-    return [_wick_moment(s, m, tuple(r), memo) for _, r in checked]
+    batch = deltas.shape[1:]
+    s, m, memo = cov.tolist(), list(deltas) if batch else deltas.tolist(), {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [_wick_moment(s, m, tuple(r), memo) for _, r in checked]
+    return [np.broadcast_to(v, batch) for v in values] if batch else values
 
 
 def shifted_moment(cov, deltas, exponents) -> float:

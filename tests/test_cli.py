@@ -76,6 +76,44 @@ def test_scan_rejects_single_step_range(capsys):
     assert "steps >= 2" in err
 
 
+@pytest.mark.parametrize("x3", ["-inf:3:4", "0:inf:4", "-1e308:1e308:3"])
+def test_scan_rejects_non_finite_range_naming_the_flag(capsys, x3):
+    code, out, err = run(capsys, ["scan", "--example", "1", "--rho=0.1:0.2:2", f"--x3={x3}"])
+    assert code == 2 and out == ""
+    assert err == f"error: --x3 needs finite lo, hi and hi - lo, got {x3!r}\n"
+
+
+@pytest.mark.parametrize("modes, message", [
+    ("paper,corrected,wick", "D_paper is inf at rho=0.1, x3=5e+199"),
+    ("corrected,wick", "D_corrected is inf at rho=0.1, x3=5e+199"),
+    ("wick", "Dw_wick is nan at rho=0.1, x3=5e+199"),
+])
+def test_scan_rejects_non_finite_values_and_writes_nothing(capsys, tmp_path, modes, message):
+    # a RuntimeWarning from numpy would fail this test (pytest turns it into an error)
+    out = tmp_path / "scan.csv"
+    code, stdout, err = run(
+        capsys,
+        ["scan", "--example", "1", "--rho=0.1:0.2:2", "--x3=0:1e200:3",
+         "--modes", modes, "--out", str(out)],
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
+
+
+def test_scan_fills_one_moment_table_per_rho_row(capsys, monkeypatch):
+    calls = {"shifted_moments": 0, "central_moment": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fill=getattr(cf, name)):
+            calls[_name] += 1
+            return _fill(*args)
+
+        monkeypatch.setattr(cf, name, counted)
+    code, out, _ = run(capsys, ["scan", "--example", "2", "--rho=0.1:0.4:4", "--x3=-2:2:9"])
+    assert code == 0 and len(parse_csv(out)[2]) == 4 * 9
+    assert calls == {"shifted_moments": 4, "central_moment": 4}
+
+
 def test_scan_modes_subset(capsys):
     code, out, _ = run(
         capsys,

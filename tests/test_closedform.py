@@ -37,7 +37,8 @@ def test_pair_conditional_derived_fields():
 def test_pair_conditional_derived_fields_are_not_arguments():
     base = cf.example1_cov(0.5)
     other = Gaussian([0.0, 0.0], np.eye(2))
-    for name, value in (("pair", other), ("cond", other), ("delta", np.zeros(2))):
+    for name, value in (("pair", other), ("cond", other), ("mu_bar", np.zeros(2)),
+                        ("delta", np.zeros(2))):
         with pytest.raises(TypeError):
             cf.PairConditional(base, 1.0, **{name: value})
 
@@ -429,3 +430,43 @@ def test_shared_row_base_is_bit_identical_to_a_fresh_base_per_point(example):
             shared, alone = fields(cf.PairConditional(base, x3)), fields(fresh(rho, x3))
             for a, b in zip(shared, alone):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (rho, x3)
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_pair_row_is_bit_identical_to_per_point_values(example):
+    fresh = cf.PairConditional.from_example1 if example == 1 else cf.PairConditional.from_example2
+    make_base = cf.example1_cov if example == 1 else cf.example2_cov
+    rhos = (-0.7, -0.25, 0.0, 0.4, 0.78) if example == 1 else (0.01, 0.2, 0.3333, 0.49)
+    x3s = np.array([-3.0, -1.7, -0.2, -0.0, 0.0, 0.3, 1.1, 2.9])
+    for rho in rhos:
+        row = cf._PairRow(make_base(rho), x3s)
+        rows = {
+            "Dw_wick": cf.relative_we_pair(row, "wick"),
+            "D_corrected": cf.relative_de_pair(row, "corrected"),
+            "D_paper": cf.relative_de_pair(row, "paper"),
+            "gibbs_gap": cf.gibbs_gap(row),
+            "mu_bar": row.mu_bar.T,
+            "delta": row.delta.T,
+        }
+        for k, x3 in enumerate(x3s):
+            pc = fresh(rho, x3)
+            points = {
+                "Dw_wick": cf.relative_we_pair(pc, "wick"),
+                "D_corrected": cf.relative_de_pair(pc, "corrected"),
+                "D_paper": cf.relative_de_pair(pc, "paper"),
+                "gibbs_gap": cf.gibbs_gap(pc),
+                "mu_bar": pc.mu_bar,
+                "delta": pc.delta,
+            }
+            for name, value in points.items():
+                got = np.asarray(rows[name][k]).tobytes()
+                assert got == np.asarray(value, dtype=float).tobytes(), (name, rho, x3)
+
+
+def test_pair_row_rejects_non_finite_x3_like_a_point():
+    base = cf.example2_cov(0.25)
+    with pytest.raises(ValueError) as point:
+        cf.PairConditional(base, np.inf)
+    with pytest.raises(ValueError) as row:
+        cf._PairRow(base, np.array([0.0, 1.0, np.nan]))
+    assert str(row.value) == str(point.value)

@@ -90,6 +90,46 @@ def test_shifted_moments_rows_equal_single_calls():
         shifted_moments(cov, [0.0, np.nan, 0.0], rows)
 
 
+def test_shifted_moments_batch_equals_per_column_calls_bit_for_bit():
+    rng = np.random.default_rng(23)
+    cov = rand_spd(rng, 3)
+    deltas = rng.normal(size=(3, 7))
+    deltas[:, 0] = 0.0
+    deltas[:, 1] = -0.0
+    deltas[0, 2], deltas[1, 3], deltas[2, 4] = 0.0, -0.0, 0.0
+    deltas[1, 5:] = [-0.0, 0.0]
+    # odd and low orders too: E[Y_k + delta_k] is where a zero shift's sign shows
+    rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 2),
+            (3, 2, 2), (2, 3, 3), (4, 0, 1), (0, 5, 0), (2, 2, 2)]
+    batch = shifted_moments(cov, deltas, rows)
+    for r, values in zip(rows, batch):
+        single = [shifted_moment(cov, deltas[:, k], r) for k in range(deltas.shape[1])]
+        assert values.shape == (deltas.shape[1],)
+        assert values.tobytes() == np.array(single).tobytes(), r
+    # a mean row that is zero in every column, as the first family's second coordinate
+    deltas[1] = 0.0
+    for r, values in zip(rows, shifted_moments(cov, deltas, rows)):
+        single = [shifted_moment(cov, deltas[:, k], r) for k in range(deltas.shape[1])]
+        assert values.tobytes() == np.array(single).tobytes(), r
+
+
+def test_shifted_moments_batch_errors_match_single_calls():
+    cov = np.eye(3)
+    rows = [(2, 2, 2)]
+    with pytest.raises(DimensionMismatchError, match="does not match dimension 3"):
+        shifted_moments(cov, np.zeros(4), rows)
+    for shape in ((4, 5), (3, 5, 1)):
+        with pytest.raises(DimensionMismatchError, match="does not match dimension 3"):
+            shifted_moments(cov, np.zeros(shape), rows)
+    batch = np.zeros((3, 5))
+    batch[2, 3] = np.nan
+    with pytest.raises(ValueError) as single:
+        shifted_moments(cov, [0.0, 0.0, np.nan], rows)
+    with pytest.raises(ValueError) as batched:
+        shifted_moments(cov, batch, rows)
+    assert str(batched.value) == str(single.value)
+
+
 def test_matches_pair_partition_reference_200_specs():
     # the recursion against the enumeration it replaced: d <= 4, order <= 12,
     # every odd-numbered spec shifted
