@@ -205,6 +205,8 @@ def _cmd_moment(args, config: dict) -> int:
     else:
         deltas = [float(v) for v in str(shift_text).split(",")]
         value = shifted_moment(cov, deltas, exponents)
+    if not math.isfinite(value):
+        raise ValueError(f"value is {value}: the moment is outside the float range")
     order = sum(exponents)
     matchings = count_matchings(order) if order % 2 == 0 else 0
     sys.stdout.write(f"value: {_fmt(value)}\n")

@@ -93,11 +93,12 @@ class PairConditional:
 
 class _PairRow:
     """:class:`PairConditional` at an (n,) array of x3 values: ``mu_bar`` and
-    ``delta`` are (2, n) and ``_moments`` is one batched table, so the wick
-    pair quantities, :func:`relative_de_pair` and :func:`gibbs_gap` return (n,)
-    arrays equal to the per-point values bit for bit.  The conditional
-    covariance does not depend on x3; ``cond`` is the one validated at the
-    first x3, for its covariance, precision and log-det, not its mean."""
+    ``delta`` are (2, n) and ``_moments`` is one batched table, filled on first
+    use, so the wick pair quantities, :func:`relative_de_pair` and
+    :func:`gibbs_gap` return (n,) arrays equal to the per-point values bit for
+    bit.  The conditional covariance does not depend on x3; ``cond`` is the
+    one validated at the first x3, for its covariance, precision and log-det,
+    not its mean."""
 
     def __init__(self, base: Gaussian, x3):
         x3 = np.asarray(x3, dtype=float)
@@ -108,7 +109,10 @@ class _PairRow:
         gain, _ = base._derived[("condition", (0, 1), (2,))]
         self.mu_bar = base.mean[[0, 1], None] + gain @ (x3[None, :] - base.mean[[2], None])
         self.delta = self.mu_bar - self.pair.mean[:, None]
-        self._moments = _phi_moments(self.cond.cov, self.delta)
+
+    @cached_property
+    def _moments(self) -> dict:
+        return _phi_moments(self.cond.cov, self.delta)
 
 
 def _centers(pc: PairConditional, centers) -> np.ndarray:

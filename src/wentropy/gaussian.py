@@ -113,16 +113,25 @@ class Gaussian:
         return self._lower
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
-        """Log density at ``points`` of shape (m, dim)."""
+        """Log density at ``points`` of shape (m, dim), or at one point of shape (dim,).
+
+        The standardized points z = L^{-1} (x - mu) are formed as a (dim, m)
+        array and the quadratic form |z|^2 is summed over its leading axis,
+        so the reduction runs over contiguous rows whatever the layout of
+        ``points``: fast both for the coordinate-major blocks of the
+        quadrature oracles and for the row-major draws of the Monte Carlo one.
+        Every layout, and a lone point, gives the same bits for the same point.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"points have dimension {pts.shape[1]}, distribution has {self.dim}"
             )
+        if len(pts) == 1:  # BLAS's matrix-vector kernel rounds unlike a block's
+            return self.log_pdf(np.repeat(pts, 2, axis=0))[:1]
         centered = pts - self.mean
-        # z = L^{-1} (x - mu) row by row, quadratic form = |z|^2
-        z = centered @ self._inv_lower.T
-        quad = np.sum(z * z, axis=1)
+        z = self._inv_lower @ centered.T
+        quad = np.sum(z * z, axis=0)
         return -0.5 * (self.dim * np.log(2.0 * np.pi) + self.log_det + quad)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:

@@ -118,13 +118,20 @@ class GridSpec:
 def _chunks(grid: GridSpec):
     """Yield cell-center coordinates, (m, dim) each, in blocks of whole
     first-axis slabs holding at most ``BLOCK_POINTS`` points (or one slab,
-    if a slab alone is larger)."""
+    if a slab alone is larger).
+
+    Each block is stored coordinate-major: the (m, dim) array is the
+    transpose of a C-contiguous (dim, m) one, so every coordinate column is
+    contiguous.  The integrands reduce over coordinates (``CentralWeight``'s
+    product, ``Gaussian.log_pdf``'s quadratic form); over a row-major block
+    they would walk a short strided axis, several times slower, for the same
+    values."""
     axes = [grid.axis_centers(k) for k in range(grid.dim)]
     slab_points = math.prod(axis.size for axis in axes[1:])
     step = max(1, BLOCK_POINTS // slab_points)
     for start in range(0, axes[0].size, step):
         mesh = np.meshgrid(axes[0][start : start + step], *axes[1:], indexing="ij")
-        yield np.stack([m.ravel() for m in mesh], axis=-1)
+        yield np.stack([m.ravel() for m in mesh]).T
 
 
 def _integrate(grid: GridSpec, term: Callable[[np.ndarray], np.ndarray]) -> float:

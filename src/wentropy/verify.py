@@ -26,7 +26,7 @@ from .discrete import (
     relative_de_identity_check,
     relative_we_identity_check,
 )
-from .gaussian import gaussian_kl
+from .gaussian import ConditionSpec, condition, gaussian_kl
 from .moments import central_moment
 from .quadrature import (
     MIN_POINTS,
@@ -283,16 +283,18 @@ def _check_pair_formulas(checks, cfg, pairs):
 
 def _check_relative_de(checks, cfg):
     # first family: transcribed form against the generic paper-mode formula
+    # both modes from one row per rho; the KL oracle conditions on its own
     printed_devs, kl_devs = [], []
+    x3s = np.linspace(-3.0, 3.0, 31)
     for rho in np.linspace(-0.7, 0.7, 29):
         base = cf.example1_cov(rho)
-        for x3 in np.linspace(-3.0, 3.0, 31):
-            pc = cf.PairConditional(base, x3)
+        row = cf._PairRow(base, x3s)
+        generics = cf.relative_de_pair(row, "paper")
+        correcteds = cf.relative_de_pair(row, "corrected")
+        for x3, generic, corrected in zip(x3s, generics, correcteds):
             point = {"example": 1, "rho": float(rho), "x3": float(x3)}
             printed = cf.example1_relative_de_paper(rho, x3)
-            generic = cf.relative_de_pair(pc, "paper")
-            corrected = cf.relative_de_pair(pc, "corrected")
-            kl = gaussian_kl(pc.cond, pc.pair)
+            kl = gaussian_kl(condition(base, ConditionSpec((0, 1), (2,), [x3])), row.pair)
             printed_devs.append((abs(printed - generic), printed, generic, point))
             kl_devs.append((abs(corrected - kl), corrected, kl, point))
     dev_p, printed, generic, point = _worst(printed_devs)

@@ -211,6 +211,15 @@ def test_moment_odd_order(capsys, tmp_path):
     assert out.splitlines() == ["value: 0", "matchings: 0"]
 
 
+@pytest.mark.parametrize("shift, value", [("1e30,1e30", "inf"), ("1e200,-1e200", "nan")])
+def test_moment_rejects_non_finite_value(capsys, tmp_path, shift, value):
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"cov": [[1, 0.5], [0.5, 1]]}))
+    code, out, err = run(capsys, ["moment", "--cov", str(cov), "--r", "6,6", f"--shift={shift}"])
+    assert code == 2 and out == ""
+    assert err == f"error: value is {value}: the moment is outside the float range\n"
+
+
 def test_moment_bad_file_exits_2(capsys, tmp_path):
     cov = tmp_path / "cov.json"
     cov.write_text("{\"mean\": [0]}")
@@ -343,9 +352,11 @@ def test_verify_worst_point_ignores_rounding_level_perturbations():
 
 def test_verify_builds_each_case_once(monkeypatch):
     # one base per (example, rho) and one PairConditional per pair case feed
-    # every check; the counts do not depend on the grid sizes
-    counts = {"validate": 0, "pair": 0}
+    # every check, and the relative-de scan builds one _PairRow per rho; the
+    # counts do not depend on the grid sizes
+    counts = {"validate": 0, "pair": 0, "row": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
+    row_init = cf._PairRow.__init__
 
     def counting_validate(dist):
         counts["validate"] += 1
@@ -355,12 +366,17 @@ def test_verify_builds_each_case_once(monkeypatch):
         counts["pair"] += 1
         post_init(pc)
 
+    def counting_row_init(row, *args):
+        counts["row"] += 1
+        row_init(row, *args)
+
     monkeypatch.setattr(gaussian, "validate", counting_validate)
     monkeypatch.setattr(cf.PairConditional, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cf._PairRow, "__init__", counting_row_init)
     verify.run_verify(
         VerifyConfig(tri_points=16, pair_points=16, mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 109, "pair": 921}
+    assert counts == {"validate": 109, "pair": 22, "row": 29}
 
 
 def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):

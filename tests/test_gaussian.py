@@ -77,6 +77,19 @@ def test_log_pdf_matches_dense_reference():
         assert np.max(np.abs(got - gaussian_logpdf(pts, mean, cov))) <= 1e-12
 
 
+def test_log_pdf_is_bit_identical_for_every_point_layout():
+    # quadrature blocks are coordinate-major, Monte Carlo draws row-major
+    rng = np.random.default_rng(31)
+    for n in range(1, MAX_DIM + 1):
+        dist = Gaussian(rng.normal(size=n), rand_spd(rng, n))
+        pts = dist.mean + 2.0 * rng.normal(size=(64, n))
+        ref = dist.log_pdf(pts)
+        np.testing.assert_array_equal(dist.log_pdf(np.asfortranarray(pts)), ref)
+        np.testing.assert_array_equal(dist.log_pdf(pts[::2]), ref[::2])
+        for k in (0, 17, 63):
+            np.testing.assert_array_equal(dist.log_pdf(pts[k]), ref[k : k + 1])
+
+
 def test_array_containers_compare_by_identity():
     # generated == would compare array fields elementwise and raise
     from wentropy.closedform import PairConditional

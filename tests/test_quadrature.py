@@ -16,6 +16,7 @@ from wentropy.quadrature import (
     mutual_wde_quadrature,
     relative_wde_monte_carlo,
     relative_wde_quadrature,
+    _chunks,
     wde_quadrature,
     weighted_mass,
 )
@@ -31,6 +32,21 @@ def test_grid_spec_validation():
         GridSpec(((1.0, 0.0, 64),))  # inverted bounds
     with pytest.raises(ValueError):
         GridSpec(((0.0, 1.0, 10**5), (0.0, 1.0, 10**4)))  # cell cap
+
+
+@pytest.mark.parametrize("axes", [
+    ((-1.0, 1.0, 600), (0.0, 2.0, 300)),
+    ((-1.0, 1.0, 64), (0.0, 1.0, 48), (2.0, 3.0, 64)),
+])
+def test_chunks_cover_the_grid_in_order_coordinate_major(axes):
+    grid = GridSpec(axes)
+    blocks = list(_chunks(grid))
+    assert len(blocks) > 2  # the first axis spans several blocks
+    mesh = np.meshgrid(*(grid.axis_centers(k) for k in range(grid.dim)), indexing="ij")
+    centres = np.stack([m.ravel() for m in mesh], axis=-1)
+    np.testing.assert_array_equal(np.concatenate(blocks), centres)
+    for block in blocks:
+        assert all(block[:, k].flags.c_contiguous for k in range(grid.dim))
 
 
 def test_wde_standard_normal_unit_weight():
