@@ -184,7 +184,7 @@ def _cmd_verify(args, config: dict) -> int:
         sys.stderr.write(
             f"{report['n_failed']} oracle check(s) failed: {', '.join(sorted(set(failed)))}\n"
             "If these are wick-vs-quadrature comparisons at a tightened tolerance, the\n"
-            "grid is too coarse for it (GridTooCoarse): raise --tri-points/--pair-points\n"
+            "grid is too coarse for it: raise --tri-points/--pair-points\n"
             "or relax --tol-quad.\n"
         )
         return 1
@@ -195,7 +195,7 @@ def _cmd_moment(args, config: dict) -> int:
     cov_path = _resolve(args, config, "cov", required=True)
     with open(cov_path) as handle:
         payload = json.load(handle)
-    if "cov" not in payload:
+    if not isinstance(payload, dict) or "cov" not in payload:
         raise ValueError(f"{cov_path}: JSON object must contain a 'cov' matrix")
     cov = np.asarray(payload["cov"], dtype=float)
     exponents = [int(v) for v in str(_resolve(args, config, "r", required=True)).split(",")]

@@ -12,7 +12,6 @@ slices follow the 0 log 0 = 0 and 0 log(0/0) = 0 conventions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
@@ -61,22 +60,6 @@ class DiscreteJoint:
         keep = sorted(axes)
         drop = tuple(k for k in range(self.ndim) if k not in keep)
         return self.probs.sum(axis=drop) if drop else self.probs
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dims": list(self.probs.shape),
-                "support": [list(map(float, s)) for s in self.support],
-                "probs": [float(v) for v in self.probs.ravel(order="C")],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteJoint":
-        data = json.loads(text)
-        dims = [int(d) for d in data["dims"]]
-        probs = np.asarray(data["probs"], dtype=float).reshape(dims, order="C")
-        return cls(probs, tuple(np.asarray(s, dtype=float) for s in data["support"]))
 
 
 def random_joint(rng: np.random.Generator, dims) -> DiscreteJoint:

@@ -37,10 +37,6 @@ class SupportMismatchError(WentropyError):
     """The reference density vanishes where the weighted integrand does not."""
 
 
-class GridTooCoarseError(WentropyError):
-    """Refining the quadrature grid moved the result by more than the tolerance."""
-
-
 class OutOfSupportError(WentropyError):
     """A data point with positive weight has zero density under the model."""
 

@@ -299,9 +299,9 @@ def gaussian_kl(f: Gaussian, g: Gaussian) -> float:
     """Kullback-Leibler divergence KL(f || g) between Gaussians, in nats."""
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimensions differ: {f.dim} vs {g.dim}")
-    lower = g.chol()
-    solve = lambda rhs: np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
-    trace = float(np.trace(solve(f.cov)))
-    diff = g.mean - f.mean
-    quad = float(diff @ solve(diff))
+    # tr(Sg^-1 Sf) = |Lg^-1 Lf|_F^2 and the Mahalanobis term is |Lg^-1 (mg - mf)|^2
+    a = g._inv_lower @ f._lower
+    trace = float(np.sum(a * a))
+    z = g._inv_lower @ (g.mean - f.mean)
+    quad = float(z @ z)
     return 0.5 * (trace + quad - f.dim + (g.log_det - f.log_det))

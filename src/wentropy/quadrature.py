@@ -2,8 +2,7 @@
 
 Midpoint rule on a uniform grid over [mu - 8 sigma, mu + 8 sigma] per
 dimension.  For smooth integrands that decay at the box edges this converges
-spectrally, so modest grids already sit far below the comparison tolerances;
-the refinement self-check makes the residual error observable on demand.
+spectrally, so modest grids already sit far below the comparison tolerances.
 
 Every weighted operation accepts ``weight=None`` for the unit weight, and the
 unweighted entry points are thin aliases through the same code path.
@@ -17,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarseError, SupportMismatchError
+from .errors import SupportMismatchError
 from .gaussian import Gaussian
 
 # densities below this are treated as exact zeros (0 log 0 = 0 convention)
@@ -26,7 +25,6 @@ TINY = 1e-300
 MAX_CELLS = 10**8
 MIN_POINTS = 16
 HALF_WIDTH = 8.0  # grid half-width in marginal standard deviations
-REFINE_TOL = 1e-4
 # points evaluated at once; bounds the memory of one block of the integrand
 BLOCK_POINTS = 2**16
 
@@ -96,9 +94,6 @@ class GridSpec:
         step = (hi - lo) / n
         return lo + (np.arange(n) + 0.5) * step
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(tuple((lo, hi, n * factor) for lo, hi, n in self.axes))
-
     @classmethod
     def for_gaussians(cls, dists: Sequence[Gaussian], points: int) -> "GridSpec":
         """Axis box covering ``HALF_WIDTH`` marginal deviations of every distribution."""
@@ -140,21 +135,11 @@ def _integrate(grid: GridSpec, term: Callable[[np.ndarray], np.ndarray]) -> floa
     return total * grid.cell_volume
 
 
-def weighted_mass(pdf, weight, grid: GridSpec) -> float:
-    """Integral of phi * f over the grid; reports how much weighted mass the box covers."""
-
-    def term(pts):
-        return _weight_values(weight, pts) * pdf(pts)
-
-    return _integrate(grid, term)
-
-
 def _log_ratio_integral(
     f_pdf,
     refs,
     weight,
     grid: GridSpec,
-    check_refinement: bool,
     require_support: bool = False,
 ) -> float:
     """int phi f (log f - log ref) by midpoint quadrature.
@@ -163,10 +148,7 @@ def _log_ratio_integral(
     ``(pdf, cols)`` pairs in ``refs`` (no pairs: ref = 1).  Every density is
     evaluated once per block.  A cell where f or a reference factor is at most
     ``TINY`` contributes 0, unless ``require_support`` is set and phi f
-    exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.  With
-    ``check_refinement`` the integral is recomputed on the doubled grid and
-    :class:`GridTooCoarseError` raised if that moves it by more than
-    ``REFINE_TOL``.
+    exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.
     """
 
     def term(pts):
@@ -188,25 +170,17 @@ def _log_ratio_integral(
         log_ref = sum(np.log(r[mask]) for r in ref_values)
         return phi[mask] * f * (np.log(f) - log_ref)
 
-    value = _integrate(grid, term)
-    if check_refinement:
-        refined = _integrate(grid.refined(), term)
-        if abs(refined - value) > REFINE_TOL:
-            raise GridTooCoarseError(
-                f"doubling the grid moved the result by {abs(refined - value):.3e} "
-                f"(> {REFINE_TOL:g}); refine the grid"
-            )
-    return value
+    return _integrate(grid, term)
 
 
-def wde_quadrature(pdf, weight, grid: GridSpec, check_refinement: bool = False) -> float:
+def wde_quadrature(pdf, weight, grid: GridSpec) -> float:
     """Weighted differential entropy -int phi f log f by midpoint quadrature."""
-    return -_log_ratio_integral(pdf, (), weight, grid, check_refinement)
+    return -_log_ratio_integral(pdf, (), weight, grid)
 
 
-def de_quadrature(pdf, grid: GridSpec, check_refinement: bool = False) -> float:
+def de_quadrature(pdf, grid: GridSpec) -> float:
     """Unweighted differential entropy; same code path with the unit weight."""
-    return wde_quadrature(pdf, None, grid, check_refinement)
+    return wde_quadrature(pdf, None, grid)
 
 
 def conditional_wde_quadrature(
@@ -215,41 +189,26 @@ def conditional_wde_quadrature(
     weight,
     grid: GridSpec,
     given_dims: int = 1,
-    check_refinement: bool = False,
 ) -> float:
     """-int phi f(x, y) log[f(x, y) / f2(y)] with y the trailing ``given_dims`` coordinates."""
     refs = [(given_pdf, slice(-given_dims, None))]
-    return -_log_ratio_integral(joint_pdf, refs, weight, grid, check_refinement)
+    return -_log_ratio_integral(joint_pdf, refs, weight, grid)
 
 
-def mutual_wde_quadrature(
-    joint_pdf,
-    marginal_pdfs,
-    weight,
-    grid: GridSpec,
-    check_refinement: bool = False,
-) -> float:
+def mutual_wde_quadrature(joint_pdf, marginal_pdfs, weight, grid: GridSpec) -> float:
     """int phi f log[f / prod_i f_i], with the 0 log(0/0) = 0 convention."""
     refs = [(marg, slice(k, k + 1)) for k, marg in enumerate(marginal_pdfs)]
-    return _log_ratio_integral(joint_pdf, refs, weight, grid, check_refinement)
+    return _log_ratio_integral(joint_pdf, refs, weight, grid)
 
 
-def relative_wde_quadrature(
-    f_pdf,
-    g_pdf,
-    weight,
-    grid: GridSpec,
-    check_refinement: bool = False,
-) -> float:
+def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
     """Weighted divergence int phi f log(f/g).
 
     Raises :class:`SupportMismatchError` if g vanishes on a cell where the
     weighted integrand does not.
     """
     refs = [(g_pdf, slice(None))]
-    return _log_ratio_integral(
-        f_pdf, refs, weight, grid, check_refinement, require_support=True
-    )
+    return _log_ratio_integral(f_pdf, refs, weight, grid, require_support=True)
 
 
 def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:

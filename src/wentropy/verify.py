@@ -64,8 +64,8 @@ class VerifyConfig:
     discrete_cases: int = 50
 
     def __post_init__(self):
-        if self.tol_quad <= 0:
-            raise ValueError("tol_quad must be positive")
+        if not (np.isfinite(self.tol_quad) and self.tol_quad > 0):
+            raise ValueError(f"tol_quad must be positive and finite, got {self.tol_quad}")
         if self.discrete_cases < 1:
             raise ValueError(f"discrete_cases must be at least 1, got {self.discrete_cases}")
         McConfig(self.mc_samples, self.seed)  # its minimum and message, before any check runs

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -220,12 +221,15 @@ def test_moment_rejects_non_finite_value(capsys, tmp_path, shift, value):
     assert err == f"error: value is {value}: the moment is outside the float range\n"
 
 
-def test_moment_bad_file_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text", ['{"mean": [0]}', "5", "null", '"cov"'], ids=["no-cov-key", "number", "null", "string"]
+)
+def test_moment_bad_file_exits_2(capsys, tmp_path, text):
     cov = tmp_path / "cov.json"
-    cov.write_text("{\"mean\": [0]}")
-    code, _, err = run(capsys, ["moment", "--cov", str(cov), "--r", "2"])
-    assert code == 2
-    assert "cov" in err
+    cov.write_text(text)
+    code, out, err = run(capsys, ["moment", "--cov", str(cov), "--r", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {cov}: JSON object must contain a 'cov' matrix\n"
 
 
 def test_wdic_golden_classical_reduction(capsys):
@@ -387,7 +391,7 @@ def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
          "--mc-samples", "50000", "--discrete-cases", "5", "--out", str(out)],
     )
     assert code == 1
-    assert "GridTooCoarse" in err
+    assert "raise --tri-points/--pair-points\nor relax --tol-quad." in err
     report = json.loads(out.read_text())  # report written despite the failure
     assert report["n_failed"] > 0
 
@@ -400,8 +404,13 @@ def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
         ("mc-samples", "999", "need at least 1000 samples, got 999"),
         ("tri-points", "15", "need at least 16 points per axis, got 15"),
         ("pair-points", "0", "need at least 16 points per axis, got 0"),
+        ("tol-quad", "nan", "tol_quad must be positive and finite, got nan"),
+        ("tol-quad", "inf", "tol_quad must be positive and finite, got inf"),
     ],
-    ids=["discrete-cases-0", "discrete-cases--3", "mc-samples-999", "tri-points-15", "pair-points-0"],
+    ids=[
+        "discrete-cases-0", "discrete-cases--3", "mc-samples-999", "tri-points-15",
+        "pair-points-0", "tol-quad-nan", "tol-quad-inf",
+    ],
 )
 def test_verify_rejects_fewer_than_one_discrete_case(
     capsys, tmp_path, monkeypatch, key, value, message
@@ -421,8 +430,10 @@ def test_verify_rejects_fewer_than_one_discrete_case(
     assert message in err
     assert not out.exists()
     assert entered == []
+    name = key.replace("-", "_")
+    field = next(f for f in dataclasses.fields(VerifyConfig) if f.name == name)
     with pytest.raises(ValueError, match=message):
-        VerifyConfig(**{key.replace("-", "_"): int(value)})
+        VerifyConfig(**{name: type(field.default)(value)})
 
 
 def test_scan_matches_golden_bytes(capsys, tmp_path):

@@ -30,15 +30,11 @@ def entropy(p):
     return -float(np.sum(p[mask] * np.log(p[mask])))
 
 
-def test_validation_and_json_round_trip():
+def test_validation_rejects_bad_pmfs():
     with pytest.raises(ValueError):
         DiscreteJoint(np.array([[0.6, 0.5], [0.0, 0.0]]), (np.arange(2.0), np.arange(2.0)))
     with pytest.raises(ValueError):
         DiscreteJoint(np.array([[0.7, -0.2], [0.3, 0.2]]), (np.arange(2.0), np.arange(2.0)))
-    joint = random_joint(np.random.default_rng(0), (2, 3, 2))
-    again = DiscreteJoint.from_json(joint.to_json())
-    assert np.array_equal(again.probs, joint.probs)
-    assert all(np.array_equal(a, b) for a, b in zip(again.support, joint.support))
 
 
 def test_chain_rule_de_product_pmf():

@@ -295,6 +295,21 @@ def test_gaussian_kl_zero_iff_equal_and_nonnegative():
         assert gaussian_kl(f, g) >= 0.0
 
 
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_gaussian_kl_matches_dense_inverse_formula(dim):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(10):
+        f = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+        g = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+        inv = np.linalg.inv(g.cov)
+        diff = g.mean - f.mean
+        dense = 0.5 * (
+            np.trace(inv @ f.cov) + diff @ inv @ diff - dim
+            + np.linalg.slogdet(g.cov)[1] - np.linalg.slogdet(f.cov)[1]
+        )
+        assert gaussian_kl(f, g) == pytest.approx(dense, rel=1e-12)
+
+
 def test_gaussian_kl_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         gaussian_kl(Gaussian([0.0], [[1.0]]), Gaussian([0.0, 0.0], np.eye(2)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wentropy.errors import GridTooCoarseError, SupportMismatchError
+from wentropy.errors import SupportMismatchError
 from wentropy.gaussian import ConditionSpec, Gaussian, condition, example1_cov, gaussian_kl
 from wentropy.quadrature import (
     CentralWeight,
@@ -18,7 +18,6 @@ from wentropy.quadrature import (
     relative_wde_quadrature,
     _chunks,
     wde_quadrature,
-    weighted_mass,
 )
 
 STD_NORMAL = Gaussian([0.0], [[1.0]])
@@ -69,11 +68,6 @@ def test_de_quadrature_is_unit_weight_path():
     assert de_quadrature(STD_NORMAL.pdf, GRID_1D) == wde_quadrature(
         STD_NORMAL.pdf, None, GRID_1D
     )
-
-
-def test_weighted_mass_reports_coverage():
-    mass = weighted_mass(STD_NORMAL.pdf, CentralWeight([0.0]), GRID_1D)
-    assert mass == pytest.approx(1.0, abs=1e-10)  # E[X^2] of a standard normal
 
 
 def test_conditional_independent_factors():
@@ -230,20 +224,11 @@ def test_monte_carlo_stderr_scaling_and_determinism():
     assert again == small
 
 
-def test_refinement_self_check():
-    # well-resolved grid passes
-    wde_quadrature(STD_NORMAL.pdf, None, GRID_1D, check_refinement=True)
-    # sixteen cells across +-8 sigma of a narrow spike cannot resolve it
-    narrow = Gaussian([0.0], [[0.05**2]])
-    coarse = GridSpec(((-8.0, 8.0, 16),))
-    with pytest.raises(GridTooCoarseError):
-        wde_quadrature(narrow.pdf, None, coarse, check_refinement=True)
-
-
 def test_grid_refinement_convergence():
     base = GridSpec.for_gaussian(STD_NORMAL, 64)
     coarse = wde_quadrature(STD_NORMAL.pdf, CentralWeight([0.0]), base)
-    fine = wde_quadrature(STD_NORMAL.pdf, CentralWeight([0.0]), base.refined())
+    doubled = GridSpec(tuple((lo, hi, 2 * n) for lo, hi, n in base.axes))
+    fine = wde_quadrature(STD_NORMAL.pdf, CentralWeight([0.0]), doubled)
     assert abs(fine - coarse) < 1e-4
 
 
