@@ -353,7 +353,8 @@ def wdic(
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Random-walk sampler settings; draws kept are steps - burn_in."""
+    """Random-walk sampler settings; draws kept are steps - burn_in, at least
+    ``MIN_DRAWS``."""
 
     steps: int
     burn_in: int
@@ -361,16 +362,21 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self):
-        if not (int(self.steps) > int(self.burn_in) >= 0):
-            raise ValueError(
-                f"need steps > burn_in >= 0, got steps={self.steps}, burn_in={self.burn_in}"
-            )
-        if float(self.step_size) <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "burn_in", int(self.burn_in))
         object.__setattr__(self, "step_size", float(self.step_size))
         object.__setattr__(self, "seed", int(self.seed))
+        if not (self.steps > self.burn_in >= 0):
+            raise ValueError(
+                f"need steps > burn_in >= 0, got steps={self.steps}, burn_in={self.burn_in}"
+            )
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        # refused here, not after every step has run
+        if self.steps - self.burn_in < MIN_DRAWS:
+            raise EmptyDrawsError(
+                f"need at least {MIN_DRAWS} draws, got {self.steps - self.burn_in}"
+            )
 
 
 def metropolis_sample(
@@ -382,29 +388,41 @@ def metropolis_sample(
     """Random-walk Metropolis draws from the (unweighted) posterior.
 
     Deterministic for a fixed seed; the chain starts at the midpoint of the
-    model bounds.  Proposals outside the model bounds are
-    rejected; the post-burn-in acceptance rate is reported on the result and
-    must exceed 0.1%.
+    model bounds.  Each step draws ``standard_normal(p)``, then ``random()``
+    only when the proposal lies inside the model bounds; proposals outside
+    are rejected.  Both ``log_density`` and ``log_prior`` see one fresh
+    ``(p,)`` float64 array per scored proposal.  The post-burn-in acceptance
+    rate is reported on the result and must exceed 0.1%.
     """
     rng = np.random.default_rng(cfg.seed)
-    theta = np.array([0.5 * (lo + hi) for lo, hi in model.bounds])
+    bounds = model.bounds
+    n_params, step_size, y = model.n_params, cfg.step_size, data.y
 
-    def log_post(th: np.ndarray) -> float:
+    def log_post(th: list) -> float:
+        arr = np.array(th)
         return float(
-            np.sum(np.asarray(model.log_density(data.y, th), dtype=float))
-        ) + float(log_prior(th))
+            np.asarray(model.log_density(y, arr), dtype=float).sum()
+        ) + float(log_prior(arr))
 
+    # the state is Python floats: t + step_size * z is the same IEEE operation
+    # numpy applies per element, without its dispatch cost on (p,) arrays
+    theta = [0.5 * (lo + hi) for lo, hi in bounds]
     current = log_post(theta)
-    kept = np.empty((cfg.steps - cfg.burn_in, model.n_params))
+    kept = np.empty((cfg.steps - cfg.burn_in, n_params))
     kept_lp = np.empty(cfg.steps - cfg.burn_in)
     accepted_after_burn = 0
     for step in range(cfg.steps):
-        proposal = theta + cfg.step_size * rng.standard_normal(model.n_params)
+        proposal = [
+            t + step_size * z
+            for t, z in zip(theta, rng.standard_normal(n_params).tolist())
+        ]
         accept = False
         # out-of-bounds proposals have zero prior mass: reject outright
-        if model.within_bounds(proposal):
+        if all(lo <= t <= hi for t, (lo, hi) in zip(proposal, bounds)):
             candidate = log_post(proposal)
-            if math.log(rng.random()) < candidate - current:
+            u = rng.random()
+            # random() can return 0.0, whose log is -inf: accept
+            if (math.log(u) if u > 0.0 else -math.inf) < candidate - current:
                 theta, current = proposal, candidate
                 accept = True
         if step >= cfg.burn_in:
@@ -478,13 +496,24 @@ def builtin_model(name: str) -> ModelSpec:
 
 def default_log_prior(model: ModelSpec, scale: float = 10.0):
     """Independent normal prior with the given scale on every parameter."""
+    scale = float(scale)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"prior scale must be positive and finite, got {scale!r}")
+    const = -0.5 * math.log(2.0 * math.pi * scale * scale)
+    denom = 2.0 * scale * scale
 
-    def log_prior(theta: np.ndarray) -> float:
-        return float(
-            np.sum(
-                -0.5 * math.log(2.0 * math.pi * scale * scale)
-                - np.asarray(theta) ** 2 / (2.0 * scale * scale)
-            )
-        )
+    def log_prior(theta) -> float:
+        terms = [
+            const - t * t / denom
+            for t in np.asarray(theta, dtype=float).ravel().tolist()
+        ]
+        # the same value as np.sum over the terms: it adds fewer than 8 left
+        # to right from 0.0, and 8 or more in its own unrolled order
+        if len(terms) >= 8:
+            return float(np.sum(terms))
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
 
     return log_prior

@@ -119,3 +119,35 @@ def per_draw_logliks(model, thetas, data) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             out.append(float(np.sum(np.where(dead, 0.0, data.weights * logs))))
     return np.array(out)
+
+
+def reference_metropolis(model, log_prior, data, cfg):
+    """Reference random-walk Metropolis chain: the array-based loop the
+    float-based sampler replaced, returning ``(draws, log_posts,
+    acceptance_rate)``.  The package sampler must reproduce it bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    theta = np.array([0.5 * (lo + hi) for lo, hi in model.bounds])
+
+    def log_post(th: np.ndarray) -> float:
+        return float(
+            np.sum(np.asarray(model.log_density(data.y, th), dtype=float))
+        ) + float(log_prior(th))
+
+    current = log_post(theta)
+    kept = np.empty((cfg.steps - cfg.burn_in, model.n_params))
+    kept_lp = np.empty(cfg.steps - cfg.burn_in)
+    accepted_after_burn = 0
+    for step in range(cfg.steps):
+        proposal = theta + cfg.step_size * rng.standard_normal(model.n_params)
+        accept = False
+        # out-of-bounds proposals have zero prior mass: reject outright
+        if model.within_bounds(proposal):
+            candidate = log_post(proposal)
+            if math.log(rng.random()) < candidate - current:
+                theta, current = proposal, candidate
+                accept = True
+        if step >= cfg.burn_in:
+            kept[step - cfg.burn_in] = theta
+            kept_lp[step - cfg.burn_in] = current
+            accepted_after_burn += accept
+    return kept, kept_lp, accepted_after_burn / (cfg.steps - cfg.burn_in)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wentropy import closedform as cf
-from wentropy import gaussian, verify
+from wentropy import cli, gaussian, verify
 from wentropy.cli import main
 from wentropy.verify import VerifyConfig, _worst
 
@@ -259,18 +259,52 @@ def test_wdic_sampler_deterministic(capsys, tmp_path):
     assert 0.0 < payload["acceptance_rate"] < 1.0
 
 
-def test_wdic_sampler_golden(capsys):
+@pytest.mark.parametrize(
+    "extra, golden_name",
+    [
+        ([], "toy_sample_golden.json"),
+        (["--model", "normal", "--weights-center", "0.5"], "toy_sample_normal_golden.json"),
+    ],
+    ids=["normal-mean", "normal-central-weights"],
+)
+def test_wdic_sampler_golden(capsys, extra, golden_name):
     # pins the sampler's random stream, not only its run-to-run determinism
     code, out, _ = run(
         capsys,
-        ["wdic", "--data", str(DATA_DIR / "toy_data.csv"), "--sample", "1500,300,0.4,42"],
+        ["wdic", "--data", str(DATA_DIR / "toy_data.csv"), "--sample", "1500,300,0.4,42"]
+        + extra,
     )
     assert code == 0
     got = json.loads(out)
-    golden = json.loads((DATA_DIR / "toy_sample_golden.json").read_text())
-    for key in ("wdic", "pwd", "dev_at_hat", "theta_hat", "acceptance_rate"):
-        assert got[key] == golden[key], key
-    assert list(got) == list(golden) + ["pwd_mcse", "ess"]
+    golden = json.loads((DATA_DIR / golden_name).read_text())
+    assert {key: got[key] for key in golden} == golden
+    assert list(got) == [
+        "wdic", "pwd", "dev_at_hat", "theta_hat", "acceptance_rate", "pwd_mcse", "ess"
+    ]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--sample", "2000,500,nan,1"], "step_size must be positive and finite, got nan"),
+        (["--sample", "2000,500,inf,1"], "step_size must be positive and finite, got inf"),
+        (["--sample", "2000,1950,0.4,1"], "need at least 100 draws, got 50"),
+        (["--prior-scale", "0"], "prior scale must be positive and finite, got 0.0"),
+        (["--prior-scale=-1"], "prior scale must be positive and finite, got -1.0"),
+        (["--prior-scale", "nan"], "prior scale must be positive and finite, got nan"),
+        (["--prior-scale", "inf"], "prior scale must be positive and finite, got inf"),
+    ],
+    ids=["step-nan", "step-inf", "50-draws", "scale-0", "scale--1", "scale-nan", "scale-inf"],
+)
+def test_wdic_refuses_bad_sampler_input_before_sampling(capsys, monkeypatch, extra, message):
+    entered = []
+    monkeypatch.setattr(cli, "metropolis_sample", lambda *args: entered.append(args))
+    argv = ["wdic", "--data", str(DATA_DIR / "toy_data.csv")]
+    if "--sample" not in extra:
+        argv += ["--sample", "1500,300,0.4,42"]
+    code, out, err = run(capsys, argv + extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert entered == []
 
 
 def test_wdic_zero_weights(capsys, tmp_path):

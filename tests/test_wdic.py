@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import per_draw_logliks
+from helpers import per_draw_logliks, reference_metropolis
 from wentropy.errors import (
     EmptyDrawsError,
     OutOfSupportError,
@@ -310,6 +310,116 @@ def test_metropolis_zero_acceptance_error():
     cfg = SamplerConfig(steps=2000, burn_in=100, step_size=1e7, seed=3)
     with pytest.raises(ZeroAcceptanceError):
         metropolis_sample(MODEL, default_log_prior(MODEL), data, cfg)
+
+
+def _tight_three_parameter_model():
+    def log_density(y, theta):
+        a, b, c = theta
+        return -0.5 * (y[:, 0] - a - b * c) ** 2 - 0.5 * c * c
+
+    # bounds tight against the step size: many proposals fall outside them
+    return ModelSpec("tight-3", 3, log_density, ((-0.2, 0.2), (-0.5, 0.5), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("case", ["normal-mean", "normal-central-weights", "tight-3"])
+def test_metropolis_matches_reference_loop(case):
+    rng = np.random.default_rng(40)
+    data = WeightedDataset(rng.normal(0.4, 1.3, size=(60, 1)), np.ones(60))
+    if case == "normal-mean":
+        model, cfg = MODEL, SamplerConfig(3000, 500, 0.4, 41)
+    elif case == "normal-central-weights":
+        model, cfg = normal_model(), SamplerConfig(3000, 500, 0.25, 42)
+        data = data.with_central_weights([0.4])
+    else:
+        model, cfg = _tight_three_parameter_model(), SamplerConfig(3000, 500, 0.3, 43)
+    prior = default_log_prior(model, 3.0)
+    seen_density, seen_prior = [], []
+
+    def recording_density(y, theta):
+        seen_density.append(theta)
+        return model.log_density(y, theta)
+
+    def recording_prior(theta):
+        seen_prior.append(theta)
+        return prior(theta)
+
+    recording = ModelSpec(model.name, model.n_params, recording_density, model.bounds)
+    got = metropolis_sample(recording, recording_prior, data, cfg)
+    draws, log_posts, rate = reference_metropolis(model, prior, data, cfg)
+    assert np.array_equal(got.draws, draws)
+    assert np.array_equal(got.log_posts, log_posts)
+    assert got.acceptance_rate == rate
+    # both callables see the same fresh (p,) float64 array per scored proposal
+    assert len(seen_density) == len(seen_prior)
+    assert all(a is b for a, b in zip(seen_density, seen_prior))
+    assert len({id(a) for a in seen_density}) == len(seen_density)
+    assert all(a.dtype == np.float64 and a.shape == (model.n_params,) for a in seen_density)
+    if case == "tight-3":  # out-of-bounds proposals skipped the uniform draw
+        assert cfg.steps + 1 - len(seen_density) > cfg.steps // 10
+
+
+def test_default_log_prior_equals_the_array_expression_bit_for_bit():
+    rng = np.random.default_rng(50)
+    for scale in (10.0, 0.7, 3.0):
+        log_prior = default_log_prior(MODEL, scale)
+        for p in range(1, 13):
+            for _ in range(100):
+                theta = rng.normal(0.0, 20.0, size=p)
+                theta[rng.random(p) < 0.2] = 0.0
+                theta[rng.random(p) < 0.2] = -0.0
+                old = float(
+                    np.sum(
+                        -0.5 * math.log(2.0 * math.pi * scale * scale)
+                        - np.asarray(theta) ** 2 / (2.0 * scale * scale)
+                    )
+                )
+                assert log_prior(theta).hex() == old.hex(), (scale, theta)
+
+
+def test_metropolis_accepts_a_zero_uniform_draw(monkeypatch):
+    # random() can return exactly 0.0; its log is -inf, so the move is taken
+    real_rng = np.random.default_rng
+
+    class FirstUniformZero:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+            self._zero_next = True
+
+        def standard_normal(self, size):
+            return self._rng.standard_normal(size)
+
+        def random(self):
+            if self._zero_next:
+                self._zero_next = False
+                return 0.0
+            return self._rng.random()
+
+    rng = np.random.default_rng(13)
+    data = make_data(rng, mean=0.5)
+    prior = default_log_prior(MODEL)
+    cfg = SamplerConfig(steps=400, burn_in=0, step_size=3.0, seed=8)
+    first = 3.0 * float(real_rng(cfg.seed).standard_normal(1)[0])
+    monkeypatch.setattr(np.random, "default_rng", FirstUniformZero)
+    draws = metropolis_sample(MODEL, prior, data, cfg)
+    assert draws.draws[0, 0] == first
+    start = float(np.sum(MODEL.log_density(data.y, np.zeros(1)))) + prior(np.zeros(1))
+    assert draws.log_posts[0] < start  # a downhill move only the zero draw accepts
+
+
+@pytest.mark.parametrize("sd", [1.0, 2.0])
+def test_penalty_is_weighted_draw_variance_for_normal_mean(sd):
+    # the weighted deviance is quadratic in the mean, so with theta_hat the
+    # draw mean pwd = (W / sd^2) * var0(draws) exactly, for any weights
+    model = normal_mean_model(sd)
+    rng = np.random.default_rng(60 + int(sd))
+    for _ in range(5):
+        weights = rng.exponential(1.0, size=40)
+        weights[rng.random(40) < 0.25] = 0.0
+        data = WeightedDataset(rng.normal(0.5, sd, size=(40, 1)), weights)
+        draws = rng.normal(rng.normal(0.5, 0.3), 0.2, size=(400, 1))
+        result = wdic(model, PosteriorDraws(draws, provenance="seeded"), data)
+        exact = weights.sum() / sd**2 * float(np.var(draws))
+        assert result.pwd == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_model_recovery_prefers_generating_model():
