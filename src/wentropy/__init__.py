@@ -33,6 +33,7 @@ from .gaussian import (
     ConditionSpec,
     Gaussian,
     condition,
+    conditional_mean,
     example1_cov,
     example2_cov,
     gaussian_de,

@@ -159,7 +159,7 @@ def _cmd_scan(args, config: dict) -> int:
         ",".join(["rho", "x3"] + [column for column, _ in table]),
     ]
     for rho in rhos.tolist():
-        row = cf._PairRow(make_base(rho), x3s)
+        row = cf.PairConditional(make_base(rho), x3s)
         with np.errstate(all="ignore"):  # overflow is reported below, by point
             columns = [values(rho, row) for _, values in table]
         for k, x3 in enumerate(x3_list):

@@ -5,8 +5,9 @@ agree with the quadrature oracles, and every wick-mode entropy is an instance
 of one kernel, :func:`_weighted_cross_entropy`, whose moments all come from one
 Wick recursion.  A :class:`PairConditional` fills that moment table once and
 every pair quantity reads it; the pair entropies have one assembly each, and
-the mode switch happens only in LambdaBar and Upsilon; on a :class:`_PairRow`,
-a row of x3 values with one batched table, they return (n,) arrays.
+the mode switch happens only in LambdaBar and Upsilon.  At an (n,) array of x3
+values the table is one batched table and every pair quantity returns an (n,)
+array.  Closed forms take conditional means only from ``mu_bar`` and ``delta``.
 ``"paper"`` evaluates the transcribed factored formulas verbatim, including
 their known defects, through the kernel's assembly step; the verify command
 measures each one against wick mode and reports a CONFIRMED/DISCREPANT verdict
@@ -24,13 +25,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatchError, DomainError
 from .gaussian import (
     ConditionSpec,
     Gaussian,
     check_entropy_mode,
     check_example2_rho,
     condition,
+    conditional_mean,
     example1_cov,
     example2_cov,
 )
@@ -48,17 +50,21 @@ def check_formula_mode(mode: str) -> str:
 @dataclass(frozen=True, eq=False)
 class PairConditional:
     """A trivariate Gaussian together with its leading pair, conditioned on the
-    third coordinate.
+    third coordinate at ``x3``: one value, or an (n,) array of values.
 
-    Derived fields: ``pair`` is the marginal of coordinates (0, 1), ``cond``
-    the conditional of (0, 1) given coordinate 2 equal to ``x3``, ``mu_bar``
-    its mean, and ``delta`` the shift between conditional and marginal means.
-    The wick moment table of the conditional pair about the marginal means is
-    filled on first use.
+    Derived fields: ``pair`` is the marginal of coordinates (0, 1), ``mu_bar``
+    the conditional mean of (0, 1) given coordinate 2 equal to ``x3``, and
+    ``delta`` the shift between conditional and marginal means, both (2,) for
+    one value and (2, n), one column per value, for an array.  ``cond`` is the
+    conditional at ``x3`` for one value and at the first value for an array:
+    its covariance, precision and log-det do not depend on x3.  The wick moment
+    table of the conditional pair about the marginal means is filled on first
+    use; for an array every pair quantity returns an (n,) array equal to the
+    per-point values bit for bit.
     """
 
     base: Gaussian
-    x3: float
+    x3: float | np.ndarray
     pair: Gaussian = field(init=False)
     cond: Gaussian = field(init=False)
     mu_bar: np.ndarray = field(init=False)
@@ -67,16 +73,23 @@ class PairConditional:
     def __post_init__(self):
         if self.base.dim != 3:
             raise ValueError(f"base must be trivariate, got dimension {self.base.dim}")
-        x3 = float(self.x3)
+        x3 = np.array(self.x3, dtype=float)
+        if x3.ndim > 1 or x3.size == 0:
+            raise DimensionMismatchError(
+                f"x3 must be one value or a non-empty (n,) array, got shape {x3.shape}"
+            )
         pair = self.base.marginal([0, 1])
-        cond = condition(self.base, ConditionSpec((0, 1), (2,), np.array([x3])))
-        delta = cond.mean - pair.mean
-        delta.setflags(write=False)
-        object.__setattr__(self, "x3", x3)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "mu_bar", cond.mean)
-        object.__setattr__(self, "delta", delta)
+        cond = condition(self.base, ConditionSpec((0, 1), (2,), x3.ravel()[:1]))
+        if x3.ndim:
+            mu_bar = conditional_mean(self.base, ConditionSpec((0, 1), (2,), x3[None]))
+            delta = mu_bar - pair.mean[:, None]
+        else:
+            mu_bar, delta = cond.mean, cond.mean - pair.mean
+        for arr in (x3, mu_bar, delta):
+            arr.setflags(write=False)
+        self.__dict__.update(
+            x3=x3 if x3.ndim else float(x3), pair=pair, cond=cond, mu_bar=mu_bar, delta=delta
+        )
 
     @cached_property
     def _moments(self) -> dict:
@@ -89,39 +102,6 @@ class PairConditional:
     @classmethod
     def from_example2(cls, rho: float, x3: float) -> "PairConditional":
         return cls(example2_cov(rho), x3)
-
-
-class _PairRow:
-    """:class:`PairConditional` at an (n,) array of x3 values: ``mu_bar`` and
-    ``delta`` are (2, n) and ``_moments`` is one batched table, filled on first
-    use, so the wick pair quantities, :func:`relative_de_pair` and
-    :func:`gibbs_gap` return (n,) arrays equal to the per-point values bit for
-    bit.  The conditional covariance does not depend on x3; ``cond`` is the
-    one validated at the first x3, for its covariance, precision and log-det,
-    not its mean."""
-
-    def __init__(self, base: Gaussian, x3):
-        x3 = np.asarray(x3, dtype=float)
-        if not np.all(np.isfinite(x3)):
-            raise ValueError("value contains non-finite entries")
-        self.pair = base.marginal([0, 1])
-        self.cond = condition(base, ConditionSpec((0, 1), (2,), x3[:1]))
-        gain, _ = base._derived[("condition", (0, 1), (2,))]
-        self.mu_bar = base.mean[[0, 1], None] + gain @ (x3[None, :] - base.mean[[2], None])
-        self.delta = self.mu_bar - self.pair.mean[:, None]
-
-    @cached_property
-    def _moments(self) -> dict:
-        return _phi_moments(self.cond.cov, self.delta)
-
-
-def _centers(pc: PairConditional, centers) -> np.ndarray:
-    if centers is None:
-        return pc.pair.mean
-    arr = np.atleast_1d(np.asarray(centers, dtype=float))
-    if arr.shape != (2,):
-        raise ValueError(f"need 2 centers, got shape {arr.shape}")
-    return arr
 
 
 def _cross_entropy(g: Gaussian, bulk: float, inner) -> float:
@@ -231,10 +211,15 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
 def theta(pc: PairConditional, centers=None) -> float:
     """Conditional expectation of the squared-deviation product,
     E[(X_1 - a_1)^2 (X_2 - a_2)^2 | X_3 = x3], exactly via shifted moments; at
-    the default centers, the marginal means, the pair's moment table entry."""
+    the default centers, the marginal means, the pair's moment table entry.
+    Explicit centers apply to every x3 of a row."""
     if centers is None:
         return pc._moments[()]
-    return shifted_moment(pc.cond.cov, pc.cond.mean - _centers(pc, centers), (2, 2))
+    centers = np.atleast_1d(np.asarray(centers, dtype=float))
+    if centers.shape != (2,):
+        raise ValueError(f"need 2 centers, got shape {centers.shape}")
+    shift = (pc.mu_bar.T - centers).T  # per column of a row
+    return shifted_moment(pc.cond.cov, shift, (2, 2))
 
 
 # fourth- and sixth-order helpers used by the transcribed conditional formulas

@@ -158,7 +158,8 @@ class Gaussian:
 
 @dataclass(frozen=True, eq=False)
 class ConditionSpec:
-    """Keep coordinates ``kept``, fix coordinates ``given`` to ``value`` (0-based)."""
+    """Keep coordinates ``kept``, fix coordinates ``given`` to ``value`` (0-based):
+    one (len(given),) value, or a (len(given), n) block for :func:`conditional_mean`."""
 
     kept: tuple
     given: tuple
@@ -167,14 +168,15 @@ class ConditionSpec:
     def __post_init__(self):
         kept = tuple(int(i) for i in self.kept)
         given = tuple(int(i) for i in self.given)
-        value = _float_array(np.atleast_1d(self.value), "value", ndim=1)
+        ndim = 2 if np.ndim(self.value) == 2 else 1  # one value or a block
+        value = _float_array(np.atleast_1d(self.value), "value", ndim=ndim)
         if set(kept) & set(given):
             raise ValueError(f"kept {kept} and given {given} overlap")
         if len(set(kept)) != len(kept) or len(set(given)) != len(given):
             raise ValueError("kept/given indices must be distinct")
-        if value.size != len(given):
+        if len(value) != len(given):
             raise DimensionMismatchError(
-                f"value length {value.size} does not match given set size {len(given)}"
+                f"value length {len(value)} does not match given set size {len(given)}"
             )
         object.__setattr__(self, "kept", kept)
         object.__setattr__(self, "given", given)
@@ -207,41 +209,52 @@ def validate(dist: Gaussian) -> None:
         )
 
 
-def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
-    """Conditional distribution of the kept coordinates given the fixed ones.
+def conditional_mean(dist: Gaussian, spec: ConditionSpec) -> np.ndarray:
+    """Mean of the kept coordinates given the fixed ones, mean_a + gain (value - mean_b).
 
-    An empty given-set returns the marginal on the kept coordinates exactly
-    (pure slicing, no arithmetic).  Per (kept, given), ``dist`` keeps the first
-    result and its gain; later values compute only the mean.  A failure keeps nothing.
+    A (len(given),) value gives a (len(kept),) mean, a (len(given), n) block a
+    (len(kept), n) one whose column k is the mean at ``value[:, k]``, bit for
+    bit when one coordinate is given.  The gain cov_ab cov_bb^{-1} is solved
+    on first use per (kept, given) and kept by ``dist``.
     """
-    n = dist.dim
-    for i in spec.kept + spec.given:
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for dimension {n}")
+    a, b = list(spec.kept), list(spec.given)
+    key = ("gain", spec.kept, spec.given)
+    if key not in dist._derived:
+        for i in a + b:
+            if not 0 <= i < dist.dim:
+                raise ValueError(f"index {i} out of range for dimension {dist.dim}")
+        try:
+            lower = np.linalg.cholesky(dist.cov[b][:, b])
+        except np.linalg.LinAlgError as exc:
+            raise SingularGivenBlockError(
+                f"covariance block of given coordinates {tuple(b)} is not invertible"
+            ) from exc
+        # two triangular solves
+        cov_ab = dist.cov[a][:, b]
+        dist._derived[key] = np.linalg.solve(lower.T, np.linalg.solve(lower, cov_ab.T)).T
+    gain, column = dist._derived[key], (-1,) + (1,) * (spec.value.ndim - 1)
+    return dist.mean[a].reshape(column) + gain @ (spec.value - dist.mean[b].reshape(column))
+
+
+def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
+    """Conditional distribution of the kept coordinates given one value of the fixed ones.
+
+    An empty given-set returns the marginal on the kept coordinates exactly.
+    Per (kept, given), ``dist`` keeps the gain and the first result; later
+    values compute only the mean, by :func:`conditional_mean`.  A failed
+    validation keeps only the gain.
+    """
+    mean = conditional_mean(dist, spec)  # checks the indices
     if not spec.given:
         return dist.marginal(spec.kept)
-    a = list(spec.kept)
-    b = list(spec.given)
     key = ("condition", spec.kept, spec.given)
     if key in dist._derived:
-        gain, first = dist._derived[key]
-        return first._with_mean(dist.mean[a] + gain @ (spec.value - dist.mean[b]))
-    cov_aa = dist.cov[np.ix_(a, a)]
-    cov_ab = dist.cov[np.ix_(a, b)]
-    cov_bb = dist.cov[np.ix_(b, b)]
-    try:
-        lower = np.linalg.cholesky(cov_bb)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGivenBlockError(
-            f"covariance block of given coordinates {tuple(b)} is not invertible"
-        ) from exc
-    # gain = cov_ab @ cov_bb^{-1} via two triangular solves
-    gain = np.linalg.solve(lower.T, np.linalg.solve(lower, cov_ab.T)).T
-    mean = dist.mean[a] + gain @ (spec.value - dist.mean[b])
-    cov = cov_aa - gain @ cov_ab.T
-    cov = 0.5 * (cov + cov.T)
-    dist._derived[key] = (gain, Gaussian(mean, cov))
-    return dist._derived[key][1]
+        return dist._derived[key]._with_mean(mean)
+    a, b = list(spec.kept), list(spec.given)
+    gain = dist._derived[("gain", spec.kept, spec.given)]
+    cov = dist.cov[a][:, a] - gain @ dist.cov[a][:, b].T
+    dist._derived[key] = Gaussian(mean, 0.5 * (cov + cov.T))
+    return dist._derived[key]
 
 
 def example1_cov(rho: float) -> Gaussian:

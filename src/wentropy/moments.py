@@ -36,20 +36,23 @@ def count_matchings(order: int) -> int:
     return result
 
 
-def _check_spec(cov: np.ndarray, exponents) -> tuple[np.ndarray, list[int]]:
+def _check_spec(cov: np.ndarray, exponent_rows) -> tuple[np.ndarray, list[list[int]]]:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DimensionMismatchError(f"cov must be square, got shape {cov.shape}")
-    r = [int(e) for e in exponents]
-    if any(e < 0 for e in r):
-        raise ValueError(f"exponents must be nonnegative, got {r}")
-    if len(r) != cov.shape[0]:
-        raise DimensionMismatchError(
-            f"{len(r)} exponents for covariance of dimension {cov.shape[0]}"
-        )
-    if sum(r) > ORDER_CAP:
-        raise OrderCapError(f"total order {sum(r)} exceeds cap {ORDER_CAP}")
-    return cov, r
+    if not np.isfinite(cov).all():
+        raise ValueError("cov must be finite")
+    rows = [[int(e) for e in exponents] for exponents in exponent_rows]
+    for r in rows:
+        if any(e < 0 for e in r):
+            raise ValueError(f"exponents must be nonnegative, got {r}")
+        if len(r) != cov.shape[0]:
+            raise DimensionMismatchError(
+                f"{len(r)} exponents for covariance of dimension {cov.shape[0]}"
+            )
+        if sum(r) > ORDER_CAP:
+            raise OrderCapError(f"total order {sum(r)} exceeds cap {ORDER_CAP}")
+    return cov, rows
 
 
 def _wick_moment(s: list, m: list, e: tuple, memo: dict) -> float:
@@ -87,7 +90,7 @@ def central_moment(cov, exponents) -> float:
     Odd total order returns exactly 0 without evaluation; even order runs the
     Wick recursion with zero mean.
     """
-    cov, r = _check_spec(cov, exponents)
+    cov, (r,) = _check_spec(cov, [exponents])
     if sum(r) % 2 != 0:
         return 0.0
     return _wick_moment(cov.tolist(), [0.0] * len(r), tuple(r), {})
@@ -100,10 +103,9 @@ def shifted_moments(cov, deltas, exponent_rows) -> list:
     ``deltas`` of shape (d, n) is a batch of n shifts: each row's value is then
     an (n,) array whose column k equals the call with ``deltas[:, k]``, bit for
     bit.  As for floats, overflow gives inf or nan without a warning."""
-    checked = [_check_spec(cov, r) for r in exponent_rows]
-    if not checked:
+    cov, rows = _check_spec(cov, exponent_rows)
+    if not rows:
         return []
-    cov = checked[0][0]
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape[:1] != cov.shape[:1] or deltas.ndim > 2:
         raise DimensionMismatchError(
@@ -114,7 +116,7 @@ def shifted_moments(cov, deltas, exponent_rows) -> list:
     batch = deltas.shape[1:]
     s, m, memo = cov.tolist(), list(deltas) if batch else deltas.tolist(), {}
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [_wick_moment(s, m, tuple(r), memo) for _, r in checked]
+        values = [_wick_moment(s, m, tuple(r), memo) for r in rows]
     return [np.broadcast_to(v, batch) for v in values] if batch else values
 
 

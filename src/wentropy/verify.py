@@ -29,7 +29,6 @@ from .discrete import (
 from .gaussian import ConditionSpec, condition, gaussian_kl
 from .moments import central_moment
 from .quadrature import (
-    MIN_POINTS,
     CentralWeight,
     GridSpec,
     McConfig,
@@ -68,10 +67,10 @@ class VerifyConfig:
             raise ValueError(f"tol_quad must be positive and finite, got {self.tol_quad}")
         if self.discrete_cases < 1:
             raise ValueError(f"discrete_cases must be at least 1, got {self.discrete_cases}")
-        McConfig(self.mc_samples, self.seed)  # its minimum and message, before any check runs
-        for n in (self.tri_points, self.pair_points):
-            if n < MIN_POINTS:  # GridSpec's minimum and message
-                raise ValueError(f"need at least {MIN_POINTS} points per axis, got {n}")
+        # their minimums, GridSpec's cell cap and their messages, before any check runs
+        McConfig(self.mc_samples, self.seed)
+        GridSpec(((0.0, 1.0, self.tri_points),) * 3)
+        GridSpec(((0.0, 1.0, self.pair_points),) * 2)
 
 
 def _record(formula, mode, point, paper=None, wick=None, quad=None, dev=None, verdict=None):
@@ -288,7 +287,7 @@ def _check_relative_de(checks, cfg):
     x3s = np.linspace(-3.0, 3.0, 31)
     for rho in np.linspace(-0.7, 0.7, 29):
         base = cf.example1_cov(rho)
-        row = cf._PairRow(base, x3s)
+        row = cf.PairConditional(base, x3s)
         generics = cf.relative_de_pair(row, "paper")
         correcteds = cf.relative_de_pair(row, "corrected")
         for x3, generic, corrected in zip(x3s, generics, correcteds):

@@ -499,6 +499,8 @@ def default_log_prior(model: ModelSpec, scale: float = 10.0):
     scale = float(scale)
     if not 0.0 < scale < math.inf:
         raise ValueError(f"prior scale must be positive and finite, got {scale!r}")
+    if not 0.0 < 2.0 * math.pi * scale * scale < math.inf:
+        raise ValueError(f"prior scale {scale!r} leaves the float range when squared")
     const = -0.5 * math.log(2.0 * math.pi * scale * scale)
     denom = 2.0 * scale * scale
 

@@ -221,6 +221,14 @@ def test_moment_rejects_non_finite_value(capsys, tmp_path, shift, value):
     assert err == f"error: value is {value}: the moment is outside the float range\n"
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_moment_refuses_non_finite_covariance(capsys, tmp_path, entry):
+    cov = tmp_path / "cov.json"
+    cov.write_text(f'{{"cov": [[{entry}, 0.5], [0.5, 1]]}}')
+    code, out, err = run(capsys, ["moment", "--cov", str(cov), "--r", "2,2"])
+    assert (code, out, err) == (2, "", "error: cov must be finite\n")
+
+
 @pytest.mark.parametrize(
     "text", ['{"mean": [0]}', "5", "null", '"cov"'], ids=["no-cov-key", "number", "null", "string"]
 )
@@ -293,8 +301,13 @@ def test_wdic_sampler_golden(capsys, extra, golden_name):
         (["--prior-scale=-1"], "prior scale must be positive and finite, got -1.0"),
         (["--prior-scale", "nan"], "prior scale must be positive and finite, got nan"),
         (["--prior-scale", "inf"], "prior scale must be positive and finite, got inf"),
+        (["--prior-scale", "1e-200"], "prior scale 1e-200 leaves the float range when squared"),
+        (["--prior-scale", "1e200"], "prior scale 1e+200 leaves the float range when squared"),
     ],
-    ids=["step-nan", "step-inf", "50-draws", "scale-0", "scale--1", "scale-nan", "scale-inf"],
+    ids=[
+        "step-nan", "step-inf", "50-draws", "scale-0", "scale--1", "scale-nan", "scale-inf",
+        "scale-1e-200", "scale-1e200",
+    ],
 )
 def test_wdic_refuses_bad_sampler_input_before_sampling(capsys, monkeypatch, extra, message):
     entered = []
@@ -390,11 +403,10 @@ def test_verify_worst_point_ignores_rounding_level_perturbations():
 
 def test_verify_builds_each_case_once(monkeypatch):
     # one base per (example, rho) and one PairConditional per pair case feed
-    # every check, and the relative-de scan builds one _PairRow per rho; the
-    # counts do not depend on the grid sizes
-    counts = {"validate": 0, "pair": 0, "row": 0}
+    # every check, and the relative-de scan builds one PairConditional row per
+    # rho (22 + 29); the counts do not depend on the grid sizes
+    counts = {"validate": 0, "pair": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
-    row_init = cf._PairRow.__init__
 
     def counting_validate(dist):
         counts["validate"] += 1
@@ -404,17 +416,12 @@ def test_verify_builds_each_case_once(monkeypatch):
         counts["pair"] += 1
         post_init(pc)
 
-    def counting_row_init(row, *args):
-        counts["row"] += 1
-        row_init(row, *args)
-
     monkeypatch.setattr(gaussian, "validate", counting_validate)
     monkeypatch.setattr(cf.PairConditional, "__post_init__", counting_post_init)
-    monkeypatch.setattr(cf._PairRow, "__init__", counting_row_init)
     verify.run_verify(
         VerifyConfig(tri_points=16, pair_points=16, mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 109, "pair": 22, "row": 29}
+    assert counts == {"validate": 109, "pair": 51}
 
 
 def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
@@ -438,12 +445,14 @@ def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
         ("mc-samples", "999", "need at least 1000 samples, got 999"),
         ("tri-points", "15", "need at least 16 points per axis, got 15"),
         ("pair-points", "0", "need at least 16 points per axis, got 0"),
+        ("tri-points", "465", "grid has 100544625 cells, above the 100000000 cap"),
+        ("pair-points", "10001", "grid has 100020001 cells, above the 100000000 cap"),
         ("tol-quad", "nan", "tol_quad must be positive and finite, got nan"),
         ("tol-quad", "inf", "tol_quad must be positive and finite, got inf"),
     ],
     ids=[
         "discrete-cases-0", "discrete-cases--3", "mc-samples-999", "tri-points-15",
-        "pair-points-0", "tol-quad-nan", "tol-quad-inf",
+        "pair-points-0", "tri-points-465", "pair-points-10001", "tol-quad-nan", "tol-quad-inf",
     ],
 )
 def test_verify_rejects_fewer_than_one_discrete_case(

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import gauss_hermite_expectation, gaussian_logpdf, grid_moment, rand_spd
 from wentropy import closedform as cf
-from wentropy.errors import DomainError
+from wentropy.errors import DimensionMismatchError, DomainError
 from wentropy.gaussian import Gaussian, gaussian_kl
 from wentropy.moments import central_moment, shifted_moment
 from wentropy.quadrature import (
@@ -432,6 +432,21 @@ def test_shared_row_base_is_bit_identical_to_a_fresh_base_per_point(example):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (rho, x3)
 
 
+def _pair_quantities(pc):
+    """Every pair quantity of ``pc``, by name, in both formula modes."""
+    out = {"mu_bar": pc.mu_bar.T, "delta": pc.delta.T, "theta": cf.theta(pc),
+           "theta_centers": cf.theta(pc, (0.3, -1.2)), "gibbs_gap": cf.gibbs_gap(pc)}
+    for mode in ("paper", "corrected"):
+        out[f"relative_de_pair[{mode}]"] = cf.relative_de_pair(pc, mode)
+    for mode in cf.FORMULA_MODES:
+        for f in (cf.cond_wde_pair, cf.cross_wde_pair, cf.relative_we_pair):
+            out[f"{f.__name__}[{mode}]"] = f(pc, mode)
+        for f in (cf.lambda_bar, cf.upsilon):
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                out[f"{f.__name__}[{i}{j},{mode}]"] = f(pc, i, j, mode)
+    return out
+
+
 @pytest.mark.parametrize("example", [1, 2])
 def test_pair_row_is_bit_identical_to_per_point_values(example):
     fresh = cf.PairConditional.from_example1 if example == 1 else cf.PairConditional.from_example2
@@ -439,26 +454,14 @@ def test_pair_row_is_bit_identical_to_per_point_values(example):
     rhos = (-0.7, -0.25, 0.0, 0.4, 0.78) if example == 1 else (0.01, 0.2, 0.3333, 0.49)
     x3s = np.array([-3.0, -1.7, -0.2, -0.0, 0.0, 0.3, 1.1, 2.9])
     for rho in rhos:
-        row = cf._PairRow(make_base(rho), x3s)
-        rows = {
-            "Dw_wick": cf.relative_we_pair(row, "wick"),
-            "D_corrected": cf.relative_de_pair(row, "corrected"),
-            "D_paper": cf.relative_de_pair(row, "paper"),
-            "gibbs_gap": cf.gibbs_gap(row),
-            "mu_bar": row.mu_bar.T,
-            "delta": row.delta.T,
-        }
+        row = cf.PairConditional(make_base(rho), x3s)
+        rows = _pair_quantities(row)
+        first = fresh(rho, x3s[0]).cond  # a row's cond is the conditional at its first x3
+        assert row.cond.mean.tobytes() == first.mean.tobytes()
+        assert row.cond.cov.tobytes() == first.cov.tobytes()
         for k, x3 in enumerate(x3s):
-            pc = fresh(rho, x3)
-            points = {
-                "Dw_wick": cf.relative_we_pair(pc, "wick"),
-                "D_corrected": cf.relative_de_pair(pc, "corrected"),
-                "D_paper": cf.relative_de_pair(pc, "paper"),
-                "gibbs_gap": cf.gibbs_gap(pc),
-                "mu_bar": pc.mu_bar,
-                "delta": pc.delta,
-            }
-            for name, value in points.items():
+            for name, value in _pair_quantities(fresh(rho, x3)).items():
+                assert np.shape(rows[name]) == (x3s.size,) + np.shape(value), name
                 got = np.asarray(rows[name][k]).tobytes()
                 assert got == np.asarray(value, dtype=float).tobytes(), (name, rho, x3)
 
@@ -467,6 +470,13 @@ def test_pair_row_rejects_non_finite_x3_like_a_point():
     base = cf.example2_cov(0.25)
     with pytest.raises(ValueError) as point:
         cf.PairConditional(base, np.inf)
-    with pytest.raises(ValueError) as row:
-        cf._PairRow(base, np.array([0.0, 1.0, np.nan]))
-    assert str(row.value) == str(point.value)
+    for x3s in ([0.0, 1.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError) as row:
+            cf.PairConditional(base, np.array(x3s))
+        assert str(row.value) == str(point.value)
+
+
+@pytest.mark.parametrize("x3", [np.zeros((2, 3)), np.zeros((1, 1)), np.array([]), []])
+def test_pair_conditional_refuses_a_2d_or_empty_x3(x3):
+    with pytest.raises(DimensionMismatchError, match="x3 must be one value or a non-empty"):
+        cf.PairConditional(cf.example1_cov(0.5), x3)

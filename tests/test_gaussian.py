@@ -17,6 +17,7 @@ from wentropy.gaussian import (
     ConditionSpec,
     Gaussian,
     condition,
+    conditional_mean,
     example1_cov,
     example2_cov,
     gaussian_de,
@@ -147,6 +148,31 @@ def test_condition_empty_given_is_exact_slice():
     out = condition(dist, ConditionSpec((1, 3), (), []))
     assert np.array_equal(out.mean, dist.mean[[1, 3]])
     assert np.array_equal(out.cov, dist.cov[np.ix_([1, 3], [1, 3])])
+
+
+def test_conditional_mean_on_a_fresh_base_matches_condition():
+    # one value and a block, each on its own fresh base: no condition call first
+    rng = np.random.default_rng(12)
+    for given in ((2,), (0, 3)):
+        kept = tuple(i for i in range(4) if i not in given)
+        for _ in range(10):
+            mean, cov = rng.normal(size=4), rand_spd(rng, 4)
+            block = rng.normal(size=(len(given), 6))
+            got = conditional_mean(Gaussian(mean, cov), ConditionSpec(kept, given, block))
+            assert got.shape == (len(kept), 6)
+            for k in range(6):
+                spec = ConditionSpec(kept, given, block[:, k])
+                one = conditional_mean(Gaussian(mean, cov), spec)
+                assert one.tobytes() == condition(Gaussian(mean, cov), spec).mean.tobytes()
+                if len(given) == 1:
+                    assert got[:, k].tobytes() == one.tobytes()
+                else:
+                    assert got[:, k] == pytest.approx(one, rel=1e-14, abs=1e-14)
+    for given in ((3,), (-1,)):
+        with pytest.raises(ValueError, match=f"index {given[0]} out of range"):
+            conditional_mean(example1_cov(0.5), ConditionSpec((0,), given, [0.0]))
+    with pytest.raises(ValueError, match="1-dimensional"):
+        ConditionSpec((0,), (1,), np.zeros((1, 2, 2)))
 
 
 def test_condition_schur_determinant_identity():

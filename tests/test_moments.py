@@ -68,6 +68,22 @@ def test_order_cap_and_dimension_checks():
         shifted_moment(cov, [0.0], (2, 2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariance_is_refused(bad):
+    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
+    for entry in ((0, 0), (0, 1)):
+        s = cov.copy()
+        s[entry] = bad
+        calls = (
+            lambda: central_moment(s, (0, 2)),
+            lambda: shifted_moment(s, [0.1, 0.0], (2, 2)),
+            lambda: shifted_moments(s, np.zeros((2, 3)), [(2, 2)]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="cov must be finite"):
+                call()
+
+
 def test_shifted_moments_rows_equal_single_calls():
     rng = np.random.default_rng(22)
     cov = rand_spd(rng, 3)
