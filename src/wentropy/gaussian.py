@@ -112,26 +112,22 @@ class Gaussian:
         """Lower Cholesky factor of the covariance."""
         return self._lower
 
-    def log_pdf(self, points: np.ndarray) -> np.ndarray:
-        """Log density at ``points`` of shape (m, dim), or at one point of shape (dim,).
+    def log_pdf(self, points) -> np.ndarray:
+        """Log density at ``points``, read by :func:`coordinates`: a tuple of
+        ``dim`` coordinate arrays (the quadrature oracles pass an open mesh), or points.
 
-        The standardized points z = L^{-1} (x - mu) are formed as a (dim, m)
-        array and the quadratic form |z|^2 is summed over its leading axis,
-        so the reduction runs over contiguous rows whatever the layout of
-        ``points``: fast both for the coordinate-major blocks of the
-        quadrature oracles and for the row-major draws of the Monte Carlo one.
-        Every layout, and a lone point, gives the same bits for the same point.
+        z = L^{-1} (x - mu) is formed one coordinate at a time: L^{-1} is lower
+        triangular, so on an open mesh z_k has the shape of the first k + 1 axes
+        only.  Points go down the same path as ``tuple(points.T)``, so every
+        layout gives the same bits for the same point.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"points have dimension {pts.shape[1]}, distribution has {self.dim}"
-            )
-        if len(pts) == 1:  # BLAS's matrix-vector kernel rounds unlike a block's
-            return self.log_pdf(np.repeat(pts, 2, axis=0))[:1]
-        centered = pts - self.mean
-        z = self._inv_lower @ centered.T
-        quad = np.sum(z * z, axis=0)
+        centred = [x - m for x, m in zip(coordinates(points, self.dim), self.mean)]
+        quad = 0.0
+        for k, row in enumerate(self._inv_lower):
+            z = sum(row[j] * centred[j] for j in range(k + 1))
+            z *= z  # z is new: square and accumulate in place, one block-sized array
+            z += quad
+            quad = z
         return -0.5 * (self.dim * np.log(2.0 * np.pi) + self.log_det + quad)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
@@ -181,6 +177,17 @@ class ConditionSpec:
         object.__setattr__(self, "kept", kept)
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "value", value)
+
+
+def coordinates(points, dim: int) -> tuple:
+    """``points`` as a tuple of ``dim`` coordinate arrays.  A tuple is taken as
+    coordinate arrays already; anything else is read as points, shape (m, dim)
+    or (dim,) for one point, and split into its columns."""
+    if not isinstance(points, tuple):
+        points = tuple(np.atleast_2d(np.asarray(points, dtype=float)).T)
+    if len(points) != dim:
+        raise DimensionMismatchError(f"points have dimension {len(points)}, expected {dim}")
+    return points
 
 
 def validate(dist: Gaussian) -> None:

@@ -6,6 +6,9 @@ spectrally, so modest grids already sit far below the comparison tolerances.
 
 Every weighted operation accepts ``weight=None`` for the unit weight, and the
 unweighted entry points are thin aliases through the same code path.
+
+Densities and weights see each block of cells as an open mesh (``_chunks``); a
+result of lower rank, a scalar included, is broadcast to the block before it is summed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import SupportMismatchError
-from .gaussian import Gaussian
+from .gaussian import Gaussian, coordinates
 
 # densities below this are treated as exact zeros (0 log 0 = 0 convention)
 TINY = 1e-300
@@ -46,15 +49,14 @@ class CentralWeight:
     def dim(self) -> int:
         return self.centers.size
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.prod((pts - self.centers) ** 2, axis=1)
+    def __call__(self, points) -> np.ndarray:
+        """phi at ``points``, read as :func:`gaussian.coordinates` reads them."""
+        coords = coordinates(points, self.dim)
+        return math.prod((x - a) ** 2 for x, a in zip(coords, self.centers))
 
 
-def _weight_values(weight, points: np.ndarray) -> np.ndarray:
-    if weight is None:
-        return np.ones(points.shape[0])
-    return weight(points)
+def _weight_values(weight, points, shape) -> np.ndarray:
+    return np.broadcast_to(1.0 if weight is None else weight(points), shape)
 
 
 @dataclass(frozen=True)
@@ -111,28 +113,24 @@ class GridSpec:
 
 
 def _chunks(grid: GridSpec):
-    """Yield cell-center coordinates, (m, dim) each, in blocks of whole
-    first-axis slabs holding at most ``BLOCK_POINTS`` points (or one slab,
-    if a slab alone is larger).
+    """Yield the cell centres in blocks of whole first-axis slabs holding at
+    most ``BLOCK_POINTS`` points (or one slab, if a slab alone is larger).
 
-    Each block is stored coordinate-major: the (m, dim) array is the
-    transpose of a C-contiguous (dim, m) one, so every coordinate column is
-    contiguous.  The integrands reduce over coordinates (``CentralWeight``'s
-    product, ``Gaussian.log_pdf``'s quadratic form); over a row-major block
-    they would walk a short strided axis, several times slower, for the same
-    values."""
-    axes = [grid.axis_centers(k) for k in range(grid.dim)]
-    slab_points = math.prod(axis.size for axis in axes[1:])
-    step = max(1, BLOCK_POINTS // slab_points)
-    for start in range(0, axes[0].size, step):
-        mesh = np.meshgrid(axes[0][start : start + step], *axes[1:], indexing="ij")
-        yield np.stack([m.ravel() for m in mesh]).T
+    Each block is an open mesh: a tuple of ``dim`` views of the axis centres,
+    array k shaped to vary along axis k only, which broadcast to the block in
+    C order.  No (m, dim) array is built, and the integrands, which reduce over
+    coordinates, keep most of their terms at the size of a few axes."""
+    mesh = np.ix_(*(grid.axis_centers(k) for k in range(grid.dim)))
+    step = max(1, BLOCK_POINTS // math.prod(axis.size for axis in mesh[1:]))
+    for start in range(0, mesh[0].size, step):
+        yield (mesh[0][start : start + step],) + mesh[1:]
 
 
-def _integrate(grid: GridSpec, term: Callable[[np.ndarray], np.ndarray]) -> float:
-    # fsum rounds the total of the block sums once, whatever the block count
-    total = math.fsum(float(np.sum(term(pts))) for pts in _chunks(grid))
-    return total * grid.cell_volume
+def _integrate(grid: GridSpec, term: Callable) -> float:
+    # term(pts, shape) for each block and its shape; fsum rounds the total of
+    # the block sums once, whatever the block count
+    sums = (term(pts, np.broadcast_shapes(*(x.shape for x in pts))) for pts in _chunks(grid))
+    return math.fsum(float(np.sum(s)) for s in sums) * grid.cell_volume
 
 
 def _log_ratio_integral(
@@ -151,24 +149,30 @@ def _log_ratio_integral(
     exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.
     """
 
-    def term(pts):
-        f = f_pdf(pts)
-        ref_values = [pdf(pts[:, cols]) for pdf, cols in refs]
-        phi = _weight_values(weight, pts)
+    def term(pts, shape):
+        f = np.broadcast_to(f_pdf(pts), shape)
+        ref_values = [np.asarray(pdf(pts[cols])) for pdf, cols in refs]  # at their own shape
+        phi = _weight_values(weight, pts, shape)
         mask = f > TINY
         for r in ref_values:
             covered = r > TINY
-            if require_support:
+            if require_support and not covered.all():
                 bad = (phi * f > TINY) & ~covered
                 if np.any(bad):
-                    where = pts[int(np.argmax(bad))]
+                    cell = np.unravel_index(int(np.argmax(bad)), shape)
+                    where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
                     raise SupportMismatchError(
                         f"reference density vanishes at {where} where phi*f > 0"
                     )
             mask &= covered
-        f = f[mask]
-        log_ref = sum(np.log(r[mask]) for r in ref_values)
-        return phi[mask] * f * (np.log(f) - log_ref)
+        if not mask.all():  # boolean indexing copies: only where a cell drops out
+            f, phi = f[mask], phi[mask]
+            ref_values = [np.broadcast_to(r, shape)[mask] for r in ref_values]
+        log_ratio = np.log(f)  # new, so updated in place: fewer block-sized arrays
+        log_ratio -= sum(np.log(r) for r in ref_values)
+        log_ratio *= f
+        log_ratio *= phi
+        return log_ratio
 
     return _integrate(grid, term)
 
@@ -214,8 +218,8 @@ def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
 def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
     """int phi (f - g): the sign condition of the weighted Gibbs inequality."""
 
-    def term(pts):
-        return _weight_values(weight, pts) * (f_pdf(pts) - g_pdf(pts))
+    def term(pts, shape):
+        return _weight_values(weight, pts, shape) * (f_pdf(pts) - g_pdf(pts))
 
     return _integrate(grid, term)
 
@@ -246,8 +250,8 @@ def relative_wde_monte_carlo(sampler, f_pdf, g_pdf, weight, cfg: McConfig) -> Mc
     error comes from the sample variance.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    pts = sampler(rng, cfg.samples)
-    vals = _weight_values(weight, pts) * (
+    pts = tuple(sampler(rng, cfg.samples).T)
+    vals = _weight_values(weight, pts, (cfg.samples,)) * (
         np.log(np.maximum(f_pdf(pts), TINY)) - np.log(np.maximum(g_pdf(pts), TINY))
     )
     estimate = float(np.mean(vals))
@@ -260,7 +264,8 @@ def moment_quadrature(dist: Gaussian, exponents, points: int = 64) -> float:
     grid = GridSpec.for_gaussian(dist, points)
     r = [int(e) for e in exponents]
 
-    def term(pts):
-        return np.prod((pts - dist.mean) ** r, axis=1) * dist.pdf(pts)
+    def term(pts, shape):  # a factor per coordinate: the block's shape
+        factors = ((x - m) ** e for x, m, e in zip(pts, dist.mean, r, strict=True))
+        return math.prod(factors) * dist.pdf(pts)
 
     return _integrate(grid, term)

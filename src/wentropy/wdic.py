@@ -503,6 +503,9 @@ def default_log_prior(model: ModelSpec, scale: float = 10.0):
         raise ValueError(f"prior scale {scale!r} leaves the float range when squared")
     const = -0.5 * math.log(2.0 * math.pi * scale * scale)
     denom = 2.0 * scale * scale
+    edge = max(abs(b) for bound in model.bounds for b in bound)
+    if not math.isfinite(edge * edge / denom):  # the largest t * t / denom inside the bounds
+        raise ValueError(f"prior scale {scale!r} overflows the log prior at the model bound {edge!r}")
 
     def log_prior(theta) -> float:
         terms = [

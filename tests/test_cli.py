@@ -303,10 +303,14 @@ def test_wdic_sampler_golden(capsys, extra, golden_name):
         (["--prior-scale", "inf"], "prior scale must be positive and finite, got inf"),
         (["--prior-scale", "1e-200"], "prior scale 1e-200 leaves the float range when squared"),
         (["--prior-scale", "1e200"], "prior scale 1e+200 leaves the float range when squared"),
+        (["--prior-scale", "1e-154"],
+         "prior scale 1e-154 overflows the log prior at the model bound 50.0"),
+        (["--prior-scale", "1e-160"],
+         "prior scale 1e-160 overflows the log prior at the model bound 50.0"),
     ],
     ids=[
         "step-nan", "step-inf", "50-draws", "scale-0", "scale--1", "scale-nan", "scale-inf",
-        "scale-1e-200", "scale-1e200",
+        "scale-1e-200", "scale-1e200", "scale-1e-154", "scale-1e-160",
     ],
 )
 def test_wdic_refuses_bad_sampler_input_before_sampling(capsys, monkeypatch, extra, message):

@@ -89,6 +89,41 @@ def test_log_pdf_is_bit_identical_for_every_point_layout():
         np.testing.assert_array_equal(dist.log_pdf(pts[::2]), ref[::2])
         for k in (0, 17, 63):
             np.testing.assert_array_equal(dist.log_pdf(pts[k]), ref[k : k + 1])
+            np.testing.assert_array_equal(dist.log_pdf(pts[k].tolist()), ref[k : k + 1])
+        # a tuple is read as coordinate arrays, a list as points
+        np.testing.assert_array_equal(dist.log_pdf(tuple(pts.T)), ref)
+        np.testing.assert_array_equal(dist.log_pdf(pts.tolist()), ref)
+
+
+def test_log_pdf_on_an_open_mesh_is_bit_identical_to_the_points():
+    rng = np.random.default_rng(37)
+    for n in range(1, MAX_DIM + 1):
+        dist = Gaussian(rng.normal(size=n), rand_spd(rng, n))
+        axes = [dist.mean[k] + 2.0 * rng.normal(size=5 - (k % 3)) for k in range(n)]
+        mesh = np.ix_(*axes)
+        got = dist.log_pdf(mesh)
+        assert got.shape == tuple(a.size for a in axes)
+        grid = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grid], axis=-1)
+        np.testing.assert_array_equal(got.ravel(), dist.log_pdf(pts))
+        np.testing.assert_array_equal(dist.pdf(mesh).ravel(), dist.pdf(pts))
+    with pytest.raises(DimensionMismatchError, match="points have dimension 2, expected 3"):
+        example1_cov(0.4).log_pdf(np.ix_([0.0], [1.0]))
+
+
+def test_central_weight_reads_coordinates_and_points_alike():
+    from wentropy.quadrature import CentralWeight
+
+    rng = np.random.default_rng(41)
+    weight = CentralWeight([0.3, -0.7, 1.1])
+    pts = rng.normal(size=(50, 3))
+    ref = weight(pts)
+    np.testing.assert_array_equal(weight(tuple(pts.T)), ref)
+    np.testing.assert_array_equal(weight(pts.tolist()), ref)
+    np.testing.assert_array_equal(weight(pts[7]), ref[7:8])
+    mesh = np.ix_(pts[:4, 0], pts[:5, 1], pts[:6, 2])
+    grid = np.stack([g.ravel() for g in np.meshgrid(*mesh, indexing="ij")], axis=-1)
+    np.testing.assert_array_equal(weight(mesh).ravel(), weight(grid))
 
 
 def test_array_containers_compare_by_identity():

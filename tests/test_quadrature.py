@@ -16,6 +16,7 @@ from wentropy.quadrature import (
     mutual_wde_quadrature,
     relative_wde_monte_carlo,
     relative_wde_quadrature,
+    BLOCK_POINTS,
     _chunks,
     wde_quadrature,
 )
@@ -43,9 +44,89 @@ def test_chunks_cover_the_grid_in_order_coordinate_major(axes):
     assert len(blocks) > 2  # the first axis spans several blocks
     mesh = np.meshgrid(*(grid.axis_centers(k) for k in range(grid.dim)), indexing="ij")
     centres = np.stack([m.ravel() for m in mesh], axis=-1)
-    np.testing.assert_array_equal(np.concatenate(blocks), centres)
+    # each block is an open mesh; broadcast, its cells in C order are the rows
+    flat = [np.stack([x.ravel() for x in np.broadcast_arrays(*block)], axis=-1) for block in blocks]
+    np.testing.assert_array_equal(np.concatenate(flat), centres)
     for block in blocks:
-        assert all(block[:, k].flags.c_contiguous for k in range(grid.dim))
+        assert isinstance(block, tuple) and len(block) == grid.dim
+        for k, x in enumerate(block):  # varies along axis k only
+            assert x.ndim == grid.dim and all(n == 1 for j, n in enumerate(x.shape) if j != k)
+            assert x.shape[k] == grid.axes[k][2] or k == 0
+        assert block[0].size * math.prod(x.size for x in block[1:]) <= BLOCK_POINTS
+
+
+def _is_open_mesh(pts, dim, axes):
+    # a tuple of arrays on a dim-axis block, array i varying along axes[i] only
+    return isinstance(pts, tuple) and len(pts) == len(axes) and all(
+        x.ndim == dim and all(n == 1 for j, n in enumerate(x.shape) if j != k)
+        for x, k in zip(pts, axes)
+    )
+
+
+def test_densities_and_weights_see_open_mesh_blocks():
+    dist = example1_cov(0.4)
+    grid = GridSpec.for_gaussian(dist, 48)
+    seen = {}
+
+    def recording(name, fn):
+        def call(pts):
+            seen.setdefault(name, []).append(pts)
+            return fn(pts)
+        return call
+
+    f = recording("f", dist.pdf)
+    weight = recording("weight", CentralWeight([0.1, -0.2, 0.3]))
+    wde_quadrature(f, weight, grid)
+    relative_wde_quadrature(f, recording("g", dist.pdf), weight, grid)
+    gibbs_condition_value(f, recording("g", dist.pdf), weight, grid)
+    conditional_wde_quadrature(f, recording("given", dist.marginal([1, 2]).pdf), weight,
+                               grid, given_dims=2)
+    margs = [recording(f"marginal-{k}", dist.marginal([k]).pdf) for k in range(3)]
+    mutual_wde_quadrature(f, margs, weight, grid)
+    expected_axes = {"f": (0, 1, 2), "weight": (0, 1, 2), "g": (0, 1, 2), "given": (1, 2),
+                     **{f"marginal-{k}": (k,) for k in range(3)}}
+    assert set(seen) == set(expected_axes)
+    for name, calls in seen.items():
+        assert all(_is_open_mesh(pts, grid.dim, expected_axes[name]) for pts in calls), name
+
+
+def _full_shape(fn):
+    # the same values as fn, broadcast to the block by the callable itself
+    def call(pts):
+        return np.array(np.broadcast_to(fn(pts), np.broadcast_shapes(*(x.shape for x in pts))))
+    return call
+
+
+def test_short_results_are_broadcast_to_the_block():
+    # a density or weight may return a lower-rank or scalar result; every
+    # cell of the block must still count
+    from types import SimpleNamespace
+
+    grid = GridSpec(((-2.0, 2.0, 40), (-1.0, 3.0, 24)))
+    box = Gaussian([0.0, 1.0], [[1.0 / 16.0, 0.0], [0.0, 1.0 / 16.0]])  # the same box
+    first = Gaussian([0.3], [[0.8]])
+    f = lambda pts: 0.25 * first.pdf(pts[:1])  # varies along the first axis only
+    g = lambda pts: 1.0 / 16.0  # uniform on the box
+    phi = lambda pts: (pts[0] - 0.1) ** 2
+    cases = {
+        "wde": lambda f, g, phi: wde_quadrature(f, phi, grid),
+        "wde-unit": lambda f, g, phi: wde_quadrature(g, None, grid),
+        "relative": lambda f, g, phi: relative_wde_quadrature(f, g, phi, grid),
+        "conditional": lambda f, g, phi: conditional_wde_quadrature(f, g, phi, grid),
+        "mutual": lambda f, g, phi: mutual_wde_quadrature(f, [g, g], phi, grid),
+        "gibbs": lambda f, g, phi: gibbs_condition_value(f, g, phi, grid),
+        "gibbs-unit": lambda f, g, phi: gibbs_condition_value(g, lambda pts: 0.0, None, grid),
+        "moment": lambda f, g, phi: moment_quadrature(
+            SimpleNamespace(dim=2, mean=box.mean, cov=box.cov, pdf=g), (0, 0), points=32
+        ),
+    }
+    for name, case in cases.items():
+        full = case(_full_shape(f), _full_shape(g), _full_shape(phi))
+        assert full != 0.0, name
+        assert case(f, g, phi) == full, name
+    assert cases["gibbs-unit"](f, g, phi) == pytest.approx(1.0, abs=1e-14)
+    assert cases["wde-unit"](f, g, phi) == pytest.approx(math.log(16.0), abs=1e-13)
+    assert cases["moment"](f, g, phi) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_wde_standard_normal_unit_weight():
@@ -60,7 +141,7 @@ def test_wde_standard_normal_square_weight():
 
 def test_wde_uniform_density_is_zero():
     grid = GridSpec(((0.0, 1.0, 64),))
-    pdf = lambda pts: np.ones(pts.shape[0])
+    pdf = lambda pts: np.ones_like(pts[0])
     assert wde_quadrature(pdf, None, grid) == 0.0
 
 
@@ -82,7 +163,7 @@ def test_conditional_zero_weight():
     joint = Gaussian([0.0, 0.0], np.eye(2))
     given = Gaussian([0.0], [[1.0]])
     grid = GridSpec.for_gaussian(joint, 64)
-    zero = lambda pts: np.zeros(pts.shape[0])
+    zero = lambda pts: np.zeros_like(pts[0] * pts[1])
     assert conditional_wde_quadrature(joint.pdf, given.pdf, zero, grid) == 0.0
 
 
@@ -149,10 +230,16 @@ def test_relative_matches_closed_form_kl():
 def test_relative_support_mismatch_raises():
     f = STD_NORMAL
     def g(pts):
-        inside = (pts[:, 0] >= 0.0) & (pts[:, 0] <= 1.0)
-        return np.where(inside, 1.0, 0.0)
-    with pytest.raises(SupportMismatchError):
+        (x,) = pts
+        return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
+    with pytest.raises(SupportMismatchError, match=r"vanishes at \[-7\.99"):
         relative_wde_quadrature(f.pdf, g, None, GRID_1D)
+    # a reference of lower rank than the block names the whole offending point
+    grid = GridSpec(((-1.0, 1.0, 16), (-2.0, 2.0, 16)))
+    left = lambda pts: np.where(pts[0] <= 0.5, 0.5, 0.0)
+    upper = lambda pts: np.where(pts[1] > 0.0, 1.0, 0.0)
+    with pytest.raises(SupportMismatchError, match=r"vanishes at \[0\.5625 +0\.125 *\]"):
+        relative_wde_quadrature(lambda pts: 0.25, left, upper, grid)
 
 
 def test_gibbs_condition_value_cases():
