@@ -7,7 +7,10 @@ makes the central-moment weights (x - a)^2 meaningful.
 
 Each checker computes both sides of an identity independently from the tensor
 and returns them; the caller asserts closeness.  Zero-probability cells and
-slices follow the 0 log 0 = 0 and 0 log(0/0) = 0 conventions.
+slices follow the 0 log 0 = 0 and 0 log(0/0) = 0 conventions through one
+masked log, ``p * _log0(q)`` with ``_log0(q)`` = log q where q > 0 and 0
+elsewhere.  That holds because every q here is p itself, a marginal or a
+conditional of p, or a product of marginals, so q > 0 wherever p > 0.
 """
 
 from __future__ import annotations
@@ -69,12 +72,14 @@ def random_joint(rng: np.random.Generator, dims) -> DiscreteJoint:
     return DiscreteJoint(probs, tuple(np.arange(k, dtype=float) for k in dims))
 
 
-def _xlogy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p * log(q) with zero contribution wherever p == 0."""
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log(q[mask])
-    return out
+def _log0(q: np.ndarray) -> np.ndarray:
+    """log q where q > 0 and 0 elsewhere (see the module docstring)."""
+    return np.log(np.where(q > 0, q, 1.0))
+
+
+def _weighted_mutual(wp: np.ndarray, p: np.ndarray, product: np.ndarray) -> float:
+    """sum of wp log(p / product), for wp the weight times p."""
+    return float((wp * (_log0(p) - _log0(product))).sum())
 
 
 def _outer(vectors) -> np.ndarray:
@@ -136,32 +141,18 @@ def chain_rule_wde_check(joint: DiscreteJoint, weight: CentralWeight | None) -> 
     """
     p = joint.probs
     n = p.ndim
-    sq = _squared_devs(joint, weight)
-    full_weight = _outer(sq)
-    lhs = -float((full_weight * _xlogy(p, p)).sum())
-
+    wp = _outer(_squared_devs(joint, weight)) * p
+    lhs = -float((wp * _log0(p)).sum())
     rhs = 0.0
     psi: list[np.ndarray] = []
     for i in range(n):
         trailing_axes = tuple(range(i + 1, n))
-        front = p.sum(axis=trailing_axes) if trailing_axes else p
-        # s[x_1..x_{i+1}] = sum over trailing coords of p * prod of trailing sq
-        if trailing_axes:
-            tail = _outer(sq[i + 1 :])
-            s = (p * tail.reshape((1,) * (i + 1) + tail.shape)).sum(axis=trailing_axes)
-        else:
-            s = p
-        prev = front.sum(axis=i)
-        denom = np.where(prev > 0, prev, 1.0)
-        cond = front / np.expand_dims(denom, axis=i)
-        front_sq = _outer(sq[: i + 1])
-        mask = front > 0
-        contrib = np.zeros_like(front)
-        contrib[mask] = front_sq[mask] * s[mask] * np.log(cond[mask])
-        rhs -= float(contrib.sum())
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(front > 0, s / np.where(front > 0, front, 1.0), 0.0)
-        psi.append(front_sq * ratio)
+        # the marginal of the first i + 1 coordinates, and the stage weight times it
+        front, wfront = p.sum(axis=trailing_axes), wp.sum(axis=trailing_axes)
+        prev = front.sum(axis=i, keepdims=True)
+        cond = front / np.where(prev > 0, prev, 1.0)
+        rhs -= float((wfront * _log0(cond)).sum())
+        psi.append(wfront / np.where(front > 0, front, 1.0))  # wfront is 0 where front is
     return ChainWdeResult(lhs, rhs, psi)
 
 
@@ -174,29 +165,22 @@ def mutual_de_decomposition_check(joint: DiscreteJoint) -> MutualDecompResult:
     p = joint.probs
     n = p.ndim
     marginals = [joint.marginal([k]) for k in range(n)]
-    product = _outer(marginals)
-    mask = p > 0
-    lhs = float((_xlogy(p, p)[mask] - _xlogy(p, product)[mask]).sum())
-
-    rhs = 0.0
-    rhs_expectation = 0.0
+    lhs = _weighted_mutual(p, p, _outer(marginals))
+    rhs = rhs_expectation = 0.0
     for i in range(n - 1):
-        h_marginal = -float(_xlogy(marginals[i], marginals[i]).sum())
-        tail = p.sum(axis=tuple(range(i))) if i else p  # axes (i, i+1, .., n-1)
+        h_marginal = -float((marginals[i] * _log0(marginals[i])).sum())
+        tail = p.sum(axis=tuple(range(i)))  # axes (i, i+1, .., n-1)
         tail_next = tail.sum(axis=0)
-        denom = np.where(tail_next > 0, tail_next, 1.0)
-        cond = tail / denom[None, ...]
-        h_cond = -float(_xlogy(tail, cond).sum())
+        cond = tail / np.where(tail_next > 0, tail_next, 1.0)
+        h_cond = -float((tail * _log0(cond)).sum())
         rhs += h_marginal - h_cond
         # pointwise conditional entropy, averaged over the conditioning values
-        h_point = -_xlogy(cond, cond).sum(axis=0)
+        h_point = -(cond * _log0(cond)).sum(axis=0)
         rhs_expectation += float((tail_next * (h_marginal - h_point)).sum())
     return MutualDecompResult(lhs, rhs, rhs_expectation)
 
 
-def mutual_wde_decomposition_check(
-    joint: DiscreteJoint, weight: CentralWeight
-) -> CheckPair:
+def mutual_wde_decomposition_check(joint: DiscreteJoint, weight: CentralWeight) -> CheckPair:
     """Weighted mutual information vs per-coordinate weighted entropies minus
     the weighted conditional entropy given the last coordinate.
 
@@ -205,35 +189,16 @@ def mutual_wde_decomposition_check(
     """
     p = joint.probs
     n = p.ndim
-    sq = _squared_devs(joint, weight)
-    full_weight = _outer(sq)
+    wp = _outer(_squared_devs(joint, weight)) * p
     marginals = [joint.marginal([k]) for k in range(n)]
-    product = _outer(marginals)
-    mask = p > 0
-    lhs = float(
-        (full_weight[mask] * (_xlogy(p, p)[mask] - _xlogy(p, product)[mask])).sum()
-    )
-
+    lhs = _weighted_mutual(wp, p, _outer(marginals))
     rhs = 0.0
     for j in range(n - 1):
         others = tuple(k for k in range(n) if k != j)
-        # axes of the outer product follow the ascending order of `others`, so
-        # inserting the singleton at position j aligns it with the joint tensor
-        other_sq = np.expand_dims(_outer([sq[k] for k in others]), axis=j)
-        # s[x_j] = sum over the other coordinates of p * prod_{k != j} sq_k;
-        # dividing by the marginal would give E[prod sq | x_j], but keeping the
-        # product s * log f_j avoids 0/0 at empty slices
-        s = (p * other_sq).sum(axis=others)
-        m = marginals[j] > 0
-        contrib = np.zeros_like(s)
-        contrib[m] = sq[j][m] * s[m] * np.log(marginals[j][m])
-        rhs -= float(contrib.sum())
-    last = marginals[n - 1]
-    last_full = np.broadcast_to(last.reshape((1,) * (n - 1) + (last.size,)), p.shape)
-    cond_entropy = -float(
-        (full_weight[mask] * (_xlogy(p, p)[mask] - _xlogy(p, last_full)[mask])).sum()
-    )
-    rhs -= cond_entropy
+        # the j-th weight times the j-th marginal: no 0/0 at empty slices
+        rhs -= float((wp.sum(axis=others) * _log0(marginals[j])).sum())
+    # minus the weighted conditional entropy given the last coordinate
+    rhs += _weighted_mutual(wp, p, marginals[n - 1])
     return CheckPair(lhs, rhs)
 
 
@@ -266,8 +231,7 @@ def relative_we_identity_check(
     """
     p = joint.probs
     n = p.ndim
-    if split is None:
-        split = n - 1
+    split = n - 1 if split is None else split
     if not 0 < split < n:
         raise ValueError(f"split must be in 1..{n - 1}, got {split}")
     x_axes = tuple(range(split))
@@ -277,27 +241,15 @@ def relative_we_identity_check(
     sq_x = _outer(_squared_devs(joint, weight_x, x_axes))
     sq_y = _outer(_squared_devs(joint, weight_y, y_axes))
 
-    y_shape = tuple(p.shape[k] for k in y_axes)
-    lhs = np.zeros(y_shape)
-    rhs = np.zeros(y_shape)
-    for y_idx in np.ndindex(*y_shape):
-        py = p2[y_idx]
-        if py <= 0:
-            continue
-        block = p[(slice(None),) * split + y_idx] / py
-        mask = block > 0
-        div = float(
-            (sq_x[mask] * (_xlogy(block, block)[mask] - _xlogy(block, f1)[mask])).sum()
-        )
-        cross = -float((sq_x[mask] * _xlogy(block, f1)[mask]).sum())
-        cond = -float((sq_x * _xlogy(block, block)).sum())
-        lhs[y_idx] = div
-        rhs[y_idx] = cross - cond
-    product = np.multiply.outer(f1, p2)
-    full_weight = np.multiply.outer(sq_x, sq_y)
-    mask = p > 0
-    mutual = float(
-        (full_weight[mask] * (_xlogy(p, p)[mask] - _xlogy(p, product)[mask])).sum()
-    )
+    # the conditional at every trailing value at once, 0 on an empty slice
+    cond = p / np.where(p2 > 0, p2, 1.0)
+    column = f1.shape + (1,) * len(y_axes)  # leading-block arrays as columns
+    wcond = sq_x.reshape(column) * cond
+    log_cond, log_f1 = _log0(cond), _log0(f1).reshape(column)
+    lhs = (wcond * (log_cond - log_f1)).sum(axis=x_axes)
+    cross = -(wcond * log_f1).sum(axis=x_axes)
+    rhs = cross + (wcond * log_cond).sum(axis=x_axes)  # minus the conditional entropy
+    wp = np.multiply.outer(sq_x, sq_y) * p
+    mutual = _weighted_mutual(wp, p, np.multiply.outer(f1, p2))
     expected = float((sq_y * p2 * lhs).sum())
     return RelativeIdentityResult(lhs, rhs, mutual, expected)

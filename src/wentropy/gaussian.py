@@ -143,11 +143,13 @@ class Gaussian:
 
     def sampler(self):
         """Return ``draw(rng, n) -> (n, dim)`` sampling from this distribution."""
-        lower = self._lower
+        # a C-ordered copy of L^T: the product with the F-ordered view lower.T
+        # takes a slower path, several times slower for a 2 x 2 factor
+        lower_t = np.ascontiguousarray(self._lower.T)
 
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
             z = rng.standard_normal((n, self.dim))
-            return self.mean + z @ lower.T
+            return self.mean + z @ lower_t
 
         return draw
 

@@ -3,8 +3,18 @@ implemented independently of the package code paths they check."""
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
+
+from wentropy.discrete import (
+    ChainWdeResult,
+    CheckPair,
+    DiscreteJoint,
+    MutualDecompResult,
+    RelativeIdentityResult,
+)
+from wentropy.quadrature import CentralWeight
 
 
 def rand_spd(rng: np.random.Generator, n: int = 3, lo: float = 0.3, hi: float = 3.0):
@@ -151,3 +161,199 @@ def reference_metropolis(model, log_prior, data, cfg):
             kept_lp[step - cfg.burn_in] = current
             accepted_after_burn += accept
     return kept, kept_lp, accepted_after_burn / (cfg.steps - cfg.burn_in)
+
+
+# Reference discrete identity checkers: the loop-and-mask implementations the
+# whole-array checkers in ``wentropy.discrete`` replaced, kept verbatim (with
+# their helpers) so the rewrite can be compared against them.
+
+
+def _xlogy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p * log(q) with zero contribution wherever p == 0."""
+    out = np.zeros_like(p)
+    mask = p > 0
+    out[mask] = p[mask] * np.log(q[mask])
+    return out
+
+
+def _outer(vectors) -> np.ndarray:
+    return reduce(np.multiply.outer, vectors)
+
+
+def _squared_devs(
+    joint: DiscreteJoint, weight: CentralWeight | None, axes=None
+) -> list[np.ndarray]:
+    """(x_k - a_k)^2 over the labels of each of ``axes`` (all by default);
+    ``weight=None`` is the unit weight, so every weighted checker reduces to
+    its unweighted identity."""
+    axes = tuple(range(joint.ndim)) if axes is None else tuple(axes)
+    if weight is None:
+        return [np.ones(joint.probs.shape[k]) for k in axes]
+    if weight.dim != len(axes):
+        raise ValueError(
+            f"weight has {weight.dim} centers for a {len(axes)}-coordinate pmf"
+        )
+    return [(joint.support[k] - weight.centers[i]) ** 2 for i, k in enumerate(axes)]
+
+
+def reference_chain_rule_wde_check(joint: DiscreteJoint, weight: CentralWeight | None) -> ChainWdeResult:
+    """Weighted chain rule with the induced per-stage weights.
+
+    The i-th stage weight multiplies the leading squared deviations by the
+    conditional expectation of the trailing ones given the first i
+    coordinates; the final stage carries the full product weight.
+    """
+    p = joint.probs
+    n = p.ndim
+    sq = _squared_devs(joint, weight)
+    full_weight = _outer(sq)
+    lhs = -float((full_weight * _xlogy(p, p)).sum())
+
+    rhs = 0.0
+    psi: list[np.ndarray] = []
+    for i in range(n):
+        trailing_axes = tuple(range(i + 1, n))
+        front = p.sum(axis=trailing_axes) if trailing_axes else p
+        # s[x_1..x_{i+1}] = sum over trailing coords of p * prod of trailing sq
+        if trailing_axes:
+            tail = _outer(sq[i + 1 :])
+            s = (p * tail.reshape((1,) * (i + 1) + tail.shape)).sum(axis=trailing_axes)
+        else:
+            s = p
+        prev = front.sum(axis=i)
+        denom = np.where(prev > 0, prev, 1.0)
+        cond = front / np.expand_dims(denom, axis=i)
+        front_sq = _outer(sq[: i + 1])
+        mask = front > 0
+        contrib = np.zeros_like(front)
+        contrib[mask] = front_sq[mask] * s[mask] * np.log(cond[mask])
+        rhs -= float(contrib.sum())
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(front > 0, s / np.where(front > 0, front, 1.0), 0.0)
+        psi.append(front_sq * ratio)
+    return ChainWdeResult(lhs, rhs, psi)
+
+
+def reference_mutual_de_decomposition_check(joint: DiscreteJoint) -> MutualDecompResult:
+    """Mutual information vs marginal-minus-conditional entropies.
+
+    ``rhs_expectation`` re-evaluates the conditional entropies pointwise at
+    each conditioning value and averages, which must agree as well.
+    """
+    p = joint.probs
+    n = p.ndim
+    marginals = [joint.marginal([k]) for k in range(n)]
+    product = _outer(marginals)
+    mask = p > 0
+    lhs = float((_xlogy(p, p)[mask] - _xlogy(p, product)[mask]).sum())
+
+    rhs = 0.0
+    rhs_expectation = 0.0
+    for i in range(n - 1):
+        h_marginal = -float(_xlogy(marginals[i], marginals[i]).sum())
+        tail = p.sum(axis=tuple(range(i))) if i else p  # axes (i, i+1, .., n-1)
+        tail_next = tail.sum(axis=0)
+        denom = np.where(tail_next > 0, tail_next, 1.0)
+        cond = tail / denom[None, ...]
+        h_cond = -float(_xlogy(tail, cond).sum())
+        rhs += h_marginal - h_cond
+        # pointwise conditional entropy, averaged over the conditioning values
+        h_point = -_xlogy(cond, cond).sum(axis=0)
+        rhs_expectation += float((tail_next * (h_marginal - h_point)).sum())
+    return MutualDecompResult(lhs, rhs, rhs_expectation)
+
+
+def reference_mutual_wde_decomposition_check(
+    joint: DiscreteJoint, weight: CentralWeight
+) -> CheckPair:
+    """Weighted mutual information vs per-coordinate weighted entropies minus
+    the weighted conditional entropy given the last coordinate.
+
+    The j-th coordinate's weight multiplies its own squared deviation by the
+    conditional expectation of all the others' squared deviations given it.
+    """
+    p = joint.probs
+    n = p.ndim
+    sq = _squared_devs(joint, weight)
+    full_weight = _outer(sq)
+    marginals = [joint.marginal([k]) for k in range(n)]
+    product = _outer(marginals)
+    mask = p > 0
+    lhs = float(
+        (full_weight[mask] * (_xlogy(p, p)[mask] - _xlogy(p, product)[mask])).sum()
+    )
+
+    rhs = 0.0
+    for j in range(n - 1):
+        others = tuple(k for k in range(n) if k != j)
+        # axes of the outer product follow the ascending order of `others`, so
+        # inserting the singleton at position j aligns it with the joint tensor
+        other_sq = np.expand_dims(_outer([sq[k] for k in others]), axis=j)
+        # s[x_j] = sum over the other coordinates of p * prod_{k != j} sq_k;
+        # dividing by the marginal would give E[prod sq | x_j], but keeping the
+        # product s * log f_j avoids 0/0 at empty slices
+        s = (p * other_sq).sum(axis=others)
+        m = marginals[j] > 0
+        contrib = np.zeros_like(s)
+        contrib[m] = sq[j][m] * s[m] * np.log(marginals[j][m])
+        rhs -= float(contrib.sum())
+    last = marginals[n - 1]
+    last_full = np.broadcast_to(last.reshape((1,) * (n - 1) + (last.size,)), p.shape)
+    cond_entropy = -float(
+        (full_weight[mask] * (_xlogy(p, p)[mask] - _xlogy(p, last_full)[mask])).sum()
+    )
+    rhs -= cond_entropy
+    return CheckPair(lhs, rhs)
+
+
+def reference_relative_we_identity_check(
+    joint: DiscreteJoint,
+    weight_x: CentralWeight | None,
+    weight_y: CentralWeight | None,
+    split: int | None = None,
+) -> RelativeIdentityResult:
+    """Weighted analogue of :func:`relative_de_identity_check` (a weight of
+    ``None`` is the unit weight on its block).
+
+    Per trailing value y, the weighted divergence of the conditional from the
+    marginal equals the cross-weighted entropy minus the weighted conditional
+    entropy; weighting the average over y by the trailing squared deviations
+    recovers the weighted mutual information with the product weight.
+    """
+    p = joint.probs
+    n = p.ndim
+    if split is None:
+        split = n - 1
+    if not 0 < split < n:
+        raise ValueError(f"split must be in 1..{n - 1}, got {split}")
+    x_axes = tuple(range(split))
+    y_axes = tuple(range(split, n))
+    f1 = p.sum(axis=y_axes)
+    p2 = p.sum(axis=x_axes)
+    sq_x = _outer(_squared_devs(joint, weight_x, x_axes))
+    sq_y = _outer(_squared_devs(joint, weight_y, y_axes))
+
+    y_shape = tuple(p.shape[k] for k in y_axes)
+    lhs = np.zeros(y_shape)
+    rhs = np.zeros(y_shape)
+    for y_idx in np.ndindex(*y_shape):
+        py = p2[y_idx]
+        if py <= 0:
+            continue
+        block = p[(slice(None),) * split + y_idx] / py
+        mask = block > 0
+        div = float(
+            (sq_x[mask] * (_xlogy(block, block)[mask] - _xlogy(block, f1)[mask])).sum()
+        )
+        cross = -float((sq_x[mask] * _xlogy(block, f1)[mask]).sum())
+        cond = -float((sq_x * _xlogy(block, block)).sum())
+        lhs[y_idx] = div
+        rhs[y_idx] = cross - cond
+    product = np.multiply.outer(f1, p2)
+    full_weight = np.multiply.outer(sq_x, sq_y)
+    mask = p > 0
+    mutual = float(
+        (full_weight[mask] * (_xlogy(p, p)[mask] - _xlogy(p, product)[mask])).sum()
+    )
+    expected = float((sq_y * p2 * lhs).sum())
+    return RelativeIdentityResult(lhs, rhs, mutual, expected)

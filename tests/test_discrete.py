@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import (
+    reference_chain_rule_wde_check,
+    reference_mutual_de_decomposition_check,
+    reference_mutual_wde_decomposition_check,
+    reference_relative_we_identity_check,
+)
 from wentropy.discrete import (
     DiscreteJoint,
     chain_rule_de_check,
@@ -208,12 +214,22 @@ def test_identity_checks_tolerate_zero_slices():
     assert lhs == pytest.approx(rhs, abs=TOL)
     lhs, rhs, _ = chain_rule_wde_check(joint, weight)
     assert lhs == pytest.approx(rhs, abs=TOL)
+    # the pointwise conditional entropy meets the empty (x2, x3) = (0, 1) slice
     res = mutual_de_decomposition_check(joint)
     assert res.lhs == pytest.approx(res.rhs, abs=TOL)
+    assert res.lhs == pytest.approx(res.rhs_expectation, abs=TOL)
     lhs, rhs = mutual_wde_decomposition_check(joint, weight)
     assert lhs == pytest.approx(rhs, abs=TOL)
     res = relative_de_identity_check(joint, 1)
     assert np.max(np.abs(res.lhs - res.rhs)) < TOL
+    # at split=1 the trailing marginal p2 is 0 at (0, 1): that conditional is
+    # empty, with non-unit weights on both blocks too
+    weighted = relative_we_identity_check(
+        joint, CentralWeight([0.5]), CentralWeight([-0.5, 1.5]), 1
+    )
+    assert np.max(np.abs(weighted.lhs - weighted.rhs)) < TOL
+    assert weighted.lhs[0, 1] == 0.0 and weighted.rhs[0, 1] == 0.0
+    assert weighted.mutual == pytest.approx(weighted.expected, abs=TOL)
     # weight=None is the unit weight: the weighted checkers reduce exactly to
     # the unweighted ones
     lhs, rhs, _ = chain_rule_wde_check(joint, None)
@@ -225,3 +241,57 @@ def test_identity_checks_tolerate_zero_slices():
         chain_rule_wde_check(joint, CentralWeight([0.5, 0.5]))
     with pytest.raises(ValueError):
         relative_we_identity_check(joint, None, CentralWeight([0.5]), 1)
+    for split in (0, 3):
+        with pytest.raises(ValueError, match=f"split must be in 1..2, got {split}"):
+            relative_de_identity_check(joint, split)
+
+
+def zeroed_joint(rng, dims):
+    """A seeded pmf with about 30% of its cells and one whole slice set to 0."""
+    raw = rng.random(dims) ** 2
+    raw[rng.random(dims) < 0.3] = 0.0
+    axis = int(rng.integers(len(dims)))
+    raw[(slice(None),) * axis + (0,)] = 0.0
+    raw[(1,) * len(dims)] += 0.5  # outside the empty slice, so some mass is left
+    return DiscreteJoint(raw / raw.sum(), tuple(np.arange(k, dtype=float) for k in dims))
+
+
+def arrays(result):
+    """Every output of a checker result as an array, ``psi`` flattened in."""
+    out = []
+    for value in result:
+        out += [np.asarray(v) for v in value] if isinstance(value, list) else [np.asarray(value)]
+    return out
+
+
+def test_checkers_match_the_loop_reference():
+    # every output of the whole-array checkers equals the loop-and-mask
+    # reference to rounding; weighted values reach about 1e4, so the bound is
+    # relative to max(1, |reference|)
+    rng = np.random.default_rng(16)
+    for case in range(120):
+        n = int(rng.integers(2, 5))
+        dims = tuple(int(rng.integers(2, 5)) for _ in range(n))
+        joint = zeroed_joint(rng, dims) if case % 2 else random_joint(rng, dims)
+        centers = rng.uniform(-1.0, 1.0, size=n)
+        split = int(rng.integers(1, n))
+        pairs = [
+            (mutual_de_decomposition_check(joint), reference_mutual_de_decomposition_check(joint))
+        ]
+        for w, wx, wy in (
+            (CentralWeight(centers), CentralWeight(centers[:split]), CentralWeight(centers[split:])),
+            (None, None, None),
+        ):
+            pairs += [
+                (chain_rule_wde_check(joint, w), reference_chain_rule_wde_check(joint, w)),
+                (mutual_wde_decomposition_check(joint, w), reference_mutual_wde_decomposition_check(joint, w)),
+                (
+                    relative_we_identity_check(joint, wx, wy, split),
+                    reference_relative_we_identity_check(joint, wx, wy, split),
+                ),
+            ]
+        for new, ref in pairs:
+            assert type(new) is type(ref)
+            for a, b in zip(arrays(new), arrays(ref), strict=True):
+                assert a.shape == b.shape
+                assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))

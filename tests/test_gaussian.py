@@ -126,6 +126,27 @@ def test_central_weight_reads_coordinates_and_points_alike():
     np.testing.assert_array_equal(weight(mesh).ravel(), weight(grid))
 
 
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sampler_draws_mean_plus_normals_times_the_transposed_factor(dim):
+    # the sampler multiplies by a C-ordered copy of L^T; from the same stream,
+    # its draws keep the bits of the product with the transposed view, except
+    # that one lone draw goes through another BLAS kernel and may differ in
+    # its last bits
+    rng = np.random.default_rng(40 + dim)
+    g = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+    lower = np.linalg.cholesky(g.cov)
+    draw = g.sampler()
+    for n in (1, 2, 17, 1001):
+        draws = draw(np.random.default_rng(dim), n)
+        z = np.random.default_rng(dim).standard_normal((n, dim))
+        expected = g.mean + z @ lower.T
+        assert draws.shape == (n, dim)
+        if n == 1:
+            np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(draws, expected)
+
+
 def test_array_containers_compare_by_identity():
     # generated == would compare array fields elementwise and raise
     from wentropy.closedform import PairConditional
