@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -257,6 +258,7 @@ def _cmd_wdic(args, config: dict) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wentropy",
@@ -311,8 +313,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _read_config(getattr(args, "config", None))
         known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}

@@ -7,11 +7,14 @@ formulas against wick mode and only report a CONFIRMED/DISCREPANT verdict; a
 deviation there is a finding, not a failure.
 
 Each check record carries {formula, mode, point, paper_value, wick_value,
-quadrature_value, abs_dev, verdict}.
+quadrature_value, abs_dev, verdict}, and passes when ``abs_dev`` is at most its
+limit: every limit is one of the named constants below, scaled by a value or
+a Monte Carlo standard error where the check needs it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,6 +43,10 @@ from .quadrature import (
 FORMULA_RTOL = 1e-10  # transcription agreement threshold (relative, floored)
 IDENTITY_TOL = 1e-10
 KL_TOL = 1e-10
+XI_RTOL = 1e-12  # Xi against the sixth moment, relative to the moment
+MODE_TOL = 1e-12  # a pair divergence against cross minus conditional, one mode
+RELATIVE_DE_TOL = 1e-12  # a printed relative entropy against its generic form
+MC_STDERRS = 4.0  # Monte Carlo against quadrature, in standard errors
 GIBBS_FLOOR = -1e-8
 # A check that scans several points reports the first one whose deviation is
 # within rounding of the largest, not the first strict maximum: many
@@ -73,7 +80,10 @@ class VerifyConfig:
         GridSpec(((0.0, 1.0, self.pair_points),) * 2)
 
 
-def _record(formula, mode, point, paper=None, wick=None, quad=None, dev=None, verdict=None):
+def _record(formula, mode, point, dev, limit, paper=None, wick=None, quad=None, finding=False):
+    """One check record; it passes when ``dev <= limit``.  A finding about a
+    transcription is CONFIRMED or DISCREPANT, an oracle check OK or FAIL."""
+    passed, failed = ("CONFIRMED", "DISCREPANT") if finding else ("OK", "FAIL")
     return {
         "formula": formula,
         "mode": mode,
@@ -82,21 +92,31 @@ def _record(formula, mode, point, paper=None, wick=None, quad=None, dev=None, ve
         "wick_value": wick,
         "quadrature_value": quad,
         "abs_dev": dev,
-        "verdict": verdict,
+        "verdict": passed if dev <= limit else failed,
     }
 
 
-def _transcription(formula, point, paper, wick):
-    dev = abs(paper - wick)
-    verdict = "CONFIRMED" if dev <= max(FORMULA_RTOL, FORMULA_RTOL * abs(wick)) else "DISCREPANT"
-    return _record(formula, "paper-vs-wick", point, paper=paper, wick=wick, dev=dev, verdict=verdict)
+def _transcription(formula, point, paper, wick, mode="paper-vs-wick", limit=None):
+    """``paper`` against ``wick``, by default within FORMULA_RTOL * max(1, |wick|)."""
+    if limit is None:
+        limit = max(FORMULA_RTOL, FORMULA_RTOL * abs(wick))
+    return _record(formula, mode, point, abs(paper - wick), limit, paper, wick, finding=True)
 
 
-def _oracle(formula, mode, point, wick, quad, tol):
-    dev = abs(wick - quad)
+def _oracle(formula, mode, point, wick, quad, limit):
+    return _record(formula, mode, point, abs(wick - quad), limit, wick=wick, quad=quad)
+
+
+def _gibbs(point, gap, rel_w, rel_q):
+    """Weighted Gibbs: a nonnegative condition gap must force a nonnegative
+    divergence, down to GIBBS_FLOOR; a negative gap forces nothing (the
+    divergence can and does dip below zero at small |x3|).  A divergence that
+    is not finite fails at any gap."""
+    dev = max(0.0, -min(rel_q, rel_w)) if math.isfinite(rel_q + rel_w) else math.nan
+    limit = math.inf if gap < 0.0 else -GIBBS_FLOOR
     return _record(
-        formula, mode, point, wick=wick, quad=quad, dev=dev,
-        verdict="OK" if dev <= tol else "FAIL",
+        "gibbs-implication", "oracle", {**point, "condition_gap": gap}, dev, limit,
+        wick=rel_w, quad=rel_q,
     )
 
 
@@ -108,10 +128,10 @@ def _worst(candidates):
     return next(c for c in candidates if c[0] >= cut)
 
 
-def _worst_transcription(formula, rows):
+def _worst_transcription(formula, rows, mode="paper-vs-wick", limit=None):
     """The transcription record of the worst ``(paper, wick, point)`` row."""
     _, paper, wick, point = _worst([(abs(p - w), p, w, pt) for p, w, pt in rows])
-    return _transcription(formula, point, paper, wick)
+    return _transcription(formula, point, paper, wick, mode, limit)
 
 
 def _random_spd(rng: np.random.Generator, n: int = 3) -> np.ndarray:
@@ -149,42 +169,29 @@ def _check_xi(checks, cfg):
         wick = central_moment(cov, (2, 2, 2))
         candidates.append((abs(paper - wick) / abs(wick), paper, wick))
     rel, paper, wick = _worst(candidates)
-    checks.append(
-        _record(
-            "Xi-identity", "paper-vs-wick", {"matrices": 100, "worst_rel_dev": rel},
-            paper=paper, wick=wick, dev=abs(paper - wick),
-            verdict="CONFIRMED" if rel <= 1e-12 else "DISCREPANT",
-        )
-    )
+    point = {"matrices": 100, "worst_rel_dev": rel}
+    checks.append(_transcription("Xi-identity", point, paper, wick, limit=XI_RTOL * abs(wick)))
 
 
 def _check_lambda_table(checks, cfg):
     rng = np.random.default_rng(cfg.seed + 1)
     cases = [("Sigma=I", np.eye(3)), ("Sigma=random-spd", _random_spd(rng))]
     for label, cov in cases:
-        for i in range(3):
-            for j in range(3):
-                paper = cf.lambda_paper(cov, i, j)
-                wick = cf.lambda_wick(cov, i, j)
-                checks.append(
-                    _transcription(f"Lambda_{i + 1}{j + 1}", label, paper, wick)
-                )
+        for i, j in np.ndindex(3, 3):
+            paper, wick = cf.lambda_paper(cov, i, j), cf.lambda_wick(cov, i, j)
+            checks.append(_transcription(f"Lambda_{i + 1}{j + 1}", label, paper, wick))
 
 
 def _check_weightednormal(checks, cfg, bases):
+    formula = "weighted-entropy-trivariate"
     for (example, rho), dist in bases.items():
         point = {"example": example, "rho": rho}
         wick = cf.wde_trivariate(dist, "wick")
         paper = cf.wde_trivariate(dist, "paper")
         grid = GridSpec.for_gaussian(dist, cfg.tri_points)
         quad = wde_quadrature(dist.pdf, CentralWeight(dist.mean), grid)
-        checks.append(_transcription("weighted-entropy-trivariate", point, paper, wick))
-        checks.append(
-            _oracle(
-                "weighted-entropy-trivariate", "wick-vs-quadrature", point,
-                wick, quad, cfg.tol_quad,
-            )
-        )
+        checks.append(_transcription(formula, point, paper, wick))
+        checks.append(_oracle(formula, "wick-vs-quadrature", point, wick, quad, cfg.tol_quad))
 
 
 def _check_theta(checks, pairs):
@@ -240,25 +247,19 @@ def _check_pair_formulas(checks, cfg, pairs):
             cond_w = cf.cond_wde_pair(pc, "wick")
             cross_w = cf.cross_wde_pair(pc, "wick")
             rel_w = cf.relative_we_pair(pc, "wick")
-            checks.append(
-                _oracle("cond-wde-pair", "wick-vs-quadrature", point, cond_w, cond_q, cfg.tol_quad)
-            )
-            checks.append(
-                _oracle("cross-wde-pair", "wick-vs-quadrature", point, cross_w, cross_q, cfg.tol_quad)
-            )
-            checks.append(
-                _oracle("relative-we-pair", "wick-vs-quadrature", point, rel_w, rel_q, cfg.tol_quad)
-            )
             rel_p = cf.relative_we_pair(pc, "paper")
-            for mode, lhs in (("paper", rel_p), ("wick", rel_w)):
-                rhs = cf.cross_wde_pair(pc, mode) - cf.cond_wde_pair(pc, mode)
-                checks.append(
-                    _record(
-                        "relative-we-mode-consistency", f"{mode}-mode", point,
-                        wick=lhs, quad=rhs, dev=abs(lhs - rhs),
-                        verdict="OK" if abs(lhs - rhs) <= 1e-12 else "FAIL",
-                    )
-                )
+            # each divergence against cross minus conditional of its own mode
+            rhs_p, rhs_w = (
+                cf.cross_wde_pair(pc, m) - cf.cond_wde_pair(pc, m) for m in ("paper", "wick")
+            )
+            for formula, mode, wick, quad, limit in (
+                ("cond-wde-pair", "wick-vs-quadrature", cond_w, cond_q, cfg.tol_quad),
+                ("cross-wde-pair", "wick-vs-quadrature", cross_w, cross_q, cfg.tol_quad),
+                ("relative-we-pair", "wick-vs-quadrature", rel_w, rel_q, cfg.tol_quad),
+                ("relative-we-mode-consistency", "paper-mode", rel_p, rhs_p, MODE_TOL),
+                ("relative-we-mode-consistency", "wick-mode", rel_w, rhs_w, MODE_TOL),
+            ):
+                checks.append(_oracle(formula, mode, point, wick, quad, limit))
             checks.append(_transcription("relative-we-pair", point, rel_p, rel_w))
             checks.append(
                 _transcription(
@@ -266,24 +267,13 @@ def _check_pair_formulas(checks, cfg, pairs):
                     printed_dw(point["rho"], point["x3"]), rel_w,
                 )
             )
-            # weighted Gibbs: a nonnegative condition gap must force a
-            # nonnegative divergence; a negative gap forces nothing (the
-            # divergence can and does dip below zero at small |x3|)
-            gap = cf.gibbs_gap(pc)
-            ok = gap < 0.0 or min(rel_q, rel_w) >= GIBBS_FLOOR
-            checks.append(
-                _record(
-                    "gibbs-implication", "oracle", {**point, "condition_gap": gap},
-                    wick=rel_w, quad=rel_q, dev=max(0.0, -min(rel_q, rel_w)),
-                    verdict="OK" if ok else "FAIL",
-                )
-            )
+            checks.append(_gibbs(point, cf.gibbs_gap(pc), rel_w, rel_q))
 
 
 def _check_relative_de(checks, cfg):
     # first family: transcribed form against the generic paper-mode formula
     # both modes from one row per rho; the KL oracle conditions on its own
-    printed_devs, kl_devs = [], []
+    printed_rows, kl_rows = [], []
     x3s = np.linspace(-3.0, 3.0, 31)
     for rho in np.linspace(-0.7, 0.7, 29):
         base = cf.example1_cov(rho)
@@ -294,36 +284,25 @@ def _check_relative_de(checks, cfg):
             point = {"example": 1, "rho": float(rho), "x3": float(x3)}
             printed = cf.example1_relative_de_paper(rho, x3)
             kl = gaussian_kl(condition(base, ConditionSpec((0, 1), (2,), [x3])), row.pair)
-            printed_devs.append((abs(printed - generic), printed, generic, point))
-            kl_devs.append((abs(corrected - kl), corrected, kl, point))
-    dev_p, printed, generic, point = _worst(printed_devs)
+            printed_rows.append((printed, generic, point))
+            kl_rows.append((abs(corrected - kl), corrected, kl, point))
     checks.append(
-        _record(
-            "relative-de-example1-printed", "paper-vs-paper-mode", point,
-            paper=printed, wick=generic, dev=dev_p,
-            verdict="CONFIRMED" if dev_p <= 1e-12 else "DISCREPANT",
+        _worst_transcription(
+            "relative-de-example1-printed", printed_rows, "paper-vs-paper-mode", RELATIVE_DE_TOL
         )
     )
-    dev_k, corrected, kl, point = _worst(kl_devs)
-    checks.append(
-        _record(
-            "relative-de-corrected-vs-kl", "oracle", point,
-            wick=corrected, quad=kl, dev=dev_k,
-            verdict="OK" if dev_k <= KL_TOL else "FAIL",
-        )
-    )
+    _, corrected, kl, point = _worst(kl_rows)
+    checks.append(_oracle("relative-de-corrected-vs-kl", "oracle", point, corrected, kl, KL_TOL))
     # second family: its printed closed form equals the corrected value, and
     # sits exactly 1 below the generic paper-mode representation
     pc = cf.PairConditional.from_example2(0.25, 1.0)
     printed = cf.example2_relative_de_paper(0.25, 1.0)
     corrected = cf.relative_de_pair(pc, "corrected")
     point = {"example": 2, "rho": 0.25, "x3": 1.0}
-    dev = abs(printed - corrected)
     checks.append(
-        _record(
-            "relative-de-example2-printed-vs-corrected", "transcription", point,
-            paper=printed, wick=corrected, dev=dev,
-            verdict="CONFIRMED" if dev <= 1e-12 else "DISCREPANT",
+        _transcription(
+            "relative-de-example2-printed-vs-corrected", point, printed, corrected,
+            "transcription", RELATIVE_DE_TOL,
         )
     )
     checks.append(
@@ -371,10 +350,7 @@ def _check_discrete(checks, cfg):
         worst = list(map(max, worst, _discrete_deviations(joint, centers, split)))
     for name, dev in zip(names, worst):
         checks.append(
-            _record(
-                name, "discrete-identity", {"cases": cfg.discrete_cases},
-                dev=dev, verdict="OK" if dev <= IDENTITY_TOL else "FAIL",
-            )
+            _record(name, "discrete-identity", {"cases": cfg.discrete_cases}, dev, IDENTITY_TOL)
         )
 
 
@@ -387,15 +363,8 @@ def _check_monte_carlo(checks, cfg):
         pc.cond.sampler(), pc.cond.pdf, pc.pair.pdf, weight,
         McConfig(cfg.mc_samples, cfg.seed + 3),
     )
-    dev = abs(est - quad)
-    checks.append(
-        _record(
-            "mc-vs-quadrature", "oracle", {"example": 1, "rho": 0.4, "x3": 1.0,
-                                           "stderr": stderr},
-            wick=est, quad=quad, dev=dev,
-            verdict="OK" if dev <= 4.0 * stderr else "FAIL",
-        )
-    )
+    point = {"example": 1, "rho": 0.4, "x3": 1.0, "stderr": stderr}
+    checks.append(_oracle("mc-vs-quadrature", "oracle", point, est, quad, MC_STDERRS * stderr))
 
 
 def run_verify(cfg: VerifyConfig | None = None) -> dict:

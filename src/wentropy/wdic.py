@@ -33,6 +33,7 @@ from .errors import (
     OutOfSupportError,
     ZeroAcceptanceError,
 )
+from .quadrature import CentralWeight
 
 MIN_DRAWS = 100
 LOG_TINY = -745.0  # log of the smallest positive double; anything below is "zero density"
@@ -90,7 +91,7 @@ class WeightedDataset:
             raise DimensionMismatchError(
                 f"{centers.size} centers for {self.y.shape[1]}-dimensional data"
             )
-        return WeightedDataset(self.y, np.prod((self.y - centers) ** 2, axis=1))
+        return WeightedDataset(self.y, CentralWeight(centers)(self.y))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from wentropy import closedform as cf
 from wentropy import cli, gaussian, verify
 from wentropy.cli import main
-from wentropy.verify import VerifyConfig, _worst
+from wentropy.verify import VerifyConfig, _gibbs, _worst
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -202,6 +203,21 @@ def test_moment_negative_shift_attached_with_equals(capsys, tmp_path):
     assert code == 0
     # E[(Y1 - 1)^2] E[(Y2 + 2)^2] = 2 * 5
     assert out.splitlines()[0] == "value: 10"
+
+
+def test_consecutive_calls_carry_no_option_over(capsys, tmp_path):
+    # one parser serves every call in a process; a flag given to one call
+    # must not reach the next
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"cov": np.eye(2).tolist()}))
+    moment = ["moment", "--cov", str(cov), "--r", "2,2"]
+    assert run(capsys, moment + ["--shift=1,1"])[:2] == (0, "value: 4\nmatchings: 3\n")
+    assert run(capsys, moment)[:2] == (0, "value: 1\nmatchings: 3\n")
+    scan = ["scan", "--example", "2", "--rho", "0.1:0.4:3", "--x3", "0:1:2"]
+    _, header, _ = parse_csv(run(capsys, scan + ["--modes", "corrected"])[1])
+    assert header == ["rho", "x3", "D_corrected", "gibbs_gap"]
+    _, header, _ = parse_csv(run(capsys, scan)[1])
+    assert header == ["rho", "x3", "D_paper", "D_corrected", "Dw_wick", "Dw_printed", "gibbs_gap"]
 
 
 def test_moment_odd_order(capsys, tmp_path):
@@ -405,6 +421,31 @@ def test_verify_worst_point_ignores_rounding_level_perturbations():
     assert _worst([(1e-13, "a"), (2e-12, "b")]) == (2e-12, "b")
 
 
+def test_gibbs_implication_fails_only_below_the_floor_at_a_nonnegative_gap():
+    # a nonnegative condition gap forces a divergence of at least GIBBS_FLOOR,
+    # by quadrature and by wick mode; a negative gap forces nothing
+    point = {"example": 1, "rho": 0.3, "x3": 0.5}
+
+    def verdict(gap, rel_w, rel_q):
+        return _gibbs(point, gap, rel_w, rel_q)["verdict"]
+
+    for gap in (0.0, 0.7):
+        assert verdict(gap, -2e-8, 0.1) == "FAIL"
+        assert verdict(gap, 0.1, -2e-8) == "FAIL"
+        assert verdict(gap, -1e-8, -1e-8) == "OK"
+        assert verdict(gap, 0.0, 0.2) == "OK"
+    for rel in (-2e-8, -1.0, 0.0, 3.0):
+        assert verdict(-0.1, rel, rel) == "OK"
+    # a divergence that is not finite is a broken oracle, whatever the gap
+    for gap, bad in ((-0.1, math.nan), (0.7, math.nan), (0.7, math.inf), (-0.1, -math.inf)):
+        assert verdict(gap, bad, 0.1) == "FAIL"
+        assert verdict(gap, 0.1, bad) == "FAIL"
+    record = _gibbs(point, 0.2, -2e-8, -1e-9)
+    assert record["point"] == {**point, "condition_gap": 0.2}
+    assert (record["wick_value"], record["quadrature_value"]) == (-2e-8, -1e-9)
+    assert record["abs_dev"] == 2e-8
+
+
 def test_verify_builds_each_case_once(monkeypatch):
     # one base per (example, rho) and one PairConditional per pair case feed
     # every check, and the relative-de scan builds one PairConditional row per
@@ -492,3 +533,15 @@ def test_scan_matches_golden_bytes(capsys, tmp_path):
         assert main(argv) == 0
         golden = DATA_DIR / f"scan_golden_{example}.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+
+def test_verify_matches_golden_bytes(capsys, tmp_path):
+    # a coarse basket, recorded once: its grids fail 37 oracle checks, so the
+    # report pins all four verdicts and the failure exit code
+    out = tmp_path / "report.json"
+    argv = [
+        "verify", "--tri-points", "16", "--pair-points", "16", "--mc-samples", "1000",
+        "--discrete-cases", "2", "--out", str(out),
+    ]
+    assert run(capsys, argv)[0] == 1
+    assert out.read_bytes() == (DATA_DIR / "verify_golden_small.json").read_bytes()

@@ -62,6 +62,10 @@ def test_dataset_validation():
         WeightedDataset([[0.0]], [-1.0])
     with pytest.raises(Exception):
         WeightedDataset([[0.0], [1.0]], [1.0])
+    data = WeightedDataset([[0.0, 1.0], [1.0, 2.0]], [1.0, 1.0])
+    for center in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="centers must be a finite vector"):
+            data.with_central_weights([0.5, center])
 
 
 def test_weighted_loglik_unit_weights_is_standard():
