@@ -8,9 +8,18 @@ one, weights enter only the deviance scoring.
 Every log-likelihood sum of the scoring, weighted or not, goes through one
 evaluator that scores a block of draws per ``log_density`` call: each parameter
 is passed as a ``(k, 1)`` column and the result must broadcast to
-``(k, n_obs)``.  A model's ``log_density`` must also accept a single ``(p,)``
-theta, whose parameters are scalars, because the sampler scores one proposal
-at a time with its own sum, in which zero density just means rejection.
+``(k, n_obs)``.  A random-walk chain repeats its state on every rejection, so
+the evaluator scores each run of consecutive equal draws once and copies the
+sum to the whole run; every sum has the same bits as when each draw is scored.
+
+The sampler scores one proposal at a time with its own unweighted sum, in
+which zero density just means rejection: through ``ModelSpec.summarize`` when
+the model supplies it (the built-in normal models work from n, the mean and
+the sum of squares of the data), else by summing ``log_density`` over the
+rows, so ``log_density`` must also accept a single ``(p,)`` theta, whose
+parameters are scalars.  The two agree to rounding, not bit for bit: the kept
+log posteriors differ in their last bits, and an accept decision within about
+1e-13 of the threshold, or a ``mode`` tie, can go the other way.
 
 Reductions over draws happen in sorted order, so ``wdic`` and ``pwd`` are
 exactly invariant under reordering of the draw collection.  The Monte Carlo
@@ -96,12 +105,18 @@ class WeightedDataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parametric log density g(y | theta) with box bounds on theta."""
+    """Parametric log density g(y | theta) with box bounds on theta.
+
+    ``summarize``, when given, maps the observations y to a function of theta
+    (a sequence of p floats) that returns sum_i log g(y_i | theta): the
+    sampler's shortcut past ``log_density``.
+    """
 
     name: str
     n_params: int
     log_density: Callable
     bounds: tuple
+    summarize: Callable | None = None
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
@@ -218,17 +233,26 @@ def _weighted_logliks(
     """Sum of weight_i * log g(y_i | theta) for every row of ``thetas`` (k, p),
     evaluated in blocks of at most ``_BLOCK_POINTS`` draw-observation pairs.
 
-    An observation whose log density is at most ``LOG_TINY`` contributes 0 when
+    Each run of consecutive equal rows is scored once, at its first row.  An
+    observation whose log density is at most ``LOG_TINY`` contributes 0 when
     its weight is 0 and raises ``OutOfSupportError`` otherwise; a NaN or +inf
-    log density under a positive weight raises ``ValueError``.
+    log density under a positive weight raises ``ValueError``, naming the
+    first such draw.
     """
     n = data.n
     weights = data.weights
     positive = weights > 0
+    # equal bits, not ==: a model may tell -0.0 from 0.0
+    bits = thetas.view(np.int64)
+    new = np.empty(thetas.shape[0], dtype=bool)
+    new[:1] = True
+    new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    distinct = thetas[starts]
     rows = max(1, _BLOCK_POINTS // n)
-    out = np.empty(thetas.shape[0])
-    for start in range(0, thetas.shape[0], rows):
-        block = thetas[start : start + rows]
+    out = np.empty(distinct.shape[0])
+    for start in range(0, distinct.shape[0], rows):
+        block = distinct[start : start + rows]
         k = block.shape[0]
         logs = np.asarray(model.log_density(data.y, block.T[:, :, None]), dtype=float)
         try:
@@ -248,13 +272,13 @@ def _weighted_logliks(
                     f"weight {weights[idx]!r}"
                 )
             raise ValueError(
-                f"draw {start + draw}: log density {float(logs[draw, idx])!r} at "
+                f"draw {starts[start + draw]}: log density {float(logs[draw, idx])!r} at "
                 f"observation {idx} under {model.name}"
             )
         with np.errstate(invalid="ignore"):  # 0 * -inf on weight-0 rows
             terms = np.where(live, weights * logs, 0.0)
         out[start : start + k] = np.sum(terms, axis=1)
-    return out
+    return out[np.cumsum(new) - 1]
 
 
 def weighted_loglik(model: ModelSpec, theta, data: WeightedDataset) -> float:
@@ -391,19 +415,24 @@ def metropolis_sample(
     Deterministic for a fixed seed; the chain starts at the midpoint of the
     model bounds.  Each step draws ``standard_normal(p)``, then ``random()``
     only when the proposal lies inside the model bounds; proposals outside
-    are rejected.  Both ``log_density`` and ``log_prior`` see one fresh
-    ``(p,)`` float64 array per scored proposal.  The post-burn-in acceptance
-    rate is reported on the result and must exceed 0.1%.
+    are rejected.  ``log_prior`` sees one fresh ``(p,)`` float64 array per
+    scored proposal; so does ``log_density``, unless the model supplies
+    ``summarize``, whose function of theta then scores the likelihood.  The
+    post-burn-in acceptance rate is reported on the result and must exceed
+    0.1%.
     """
     rng = np.random.default_rng(cfg.seed)
     bounds = model.bounds
     n_params, step_size, y = model.n_params, cfg.step_size, data.y
+    loglik = None if model.summarize is None else model.summarize(y)
 
     def log_post(th: list) -> float:
         arr = np.array(th)
-        return float(
-            np.asarray(model.log_density(y, arr), dtype=float).sum()
-        ) + float(log_prior(arr))
+        if loglik is None:
+            lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
+        else:
+            lik = loglik(th)
+        return lik + float(log_prior(arr))
 
     # the state is Python floats: t + step_size * z is the same IEEE operation
     # numpy applies per element, without its dispatch cost on (p,) arrays
@@ -447,6 +476,26 @@ def metropolis_sample(
 # ---------------------------------------------------------------------------
 
 
+def _normal_summary(scale: Callable) -> Callable:
+    """``summarize`` for a normal model of the first data column, whose
+    ``scale(theta)`` gives (variance, log normalizer) and theta[0] the mean:
+    sum_i log N(y_i | mu, var) = n norm - (SS + n (ybar - mu)^2) / (2 var)."""
+
+    def summarize(y: np.ndarray) -> Callable:
+        col = y[:, 0].tolist()
+        n = len(col)
+        ybar = math.fsum(col) / n
+        ss = math.fsum((v - ybar) ** 2 for v in col)
+
+        def loglik(theta) -> float:
+            var, norm = scale(theta)
+            return n * norm - (ss + n * (ybar - theta[0]) ** 2) / (2.0 * var)
+
+        return loglik
+
+    return summarize
+
+
 def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
     """Normal with unknown mean and known standard deviation."""
     sd = float(sd)
@@ -455,7 +504,10 @@ def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
     def log_density(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return const - (y[:, 0] - theta[0]) ** 2 / (2.0 * sd * sd)
 
-    return ModelSpec(f"normal-mean(sd={sd:g})", 1, log_density, ((-bound, bound),))
+    return ModelSpec(
+        f"normal-mean(sd={sd:g})", 1, log_density, ((-bound, bound),),
+        _normal_summary(lambda theta: (sd * sd, const)),
+    )
 
 
 def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
@@ -479,7 +531,8 @@ def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
         return norm - (y[:, 0] - mu) ** 2 / (2.0 * var)
 
     return ModelSpec(
-        "normal", 2, log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound))
+        "normal", 2, log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound)),
+        _normal_summary(lambda theta: scale(theta[1])),
     )
 
 

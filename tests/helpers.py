@@ -131,6 +131,22 @@ def per_draw_logliks(model, thetas, data) -> np.ndarray:
     return np.array(out)
 
 
+def reference_penalty(logliks, dev_at_hat) -> tuple:
+    """Reference ``(pwd, pwd_mcse, ess)`` from the weighted log-likelihood of
+    every draw: the sorted mean of the deviance differences, and batch means
+    over floor(sqrt(n)) batches in draw order."""
+    diffs = -2.0 * np.asarray(logliks, dtype=float) - dev_at_hat
+    pwd = float(np.mean(np.sort(diffs)))
+    n = diffs.size
+    batches = math.isqrt(n)
+    size = n // batches
+    means = np.mean(diffs[: batches * size].reshape(batches, size), axis=1)
+    sigma2 = size * float(np.var(means, ddof=1))
+    if sigma2 == 0.0:
+        return pwd, 0.0, float(n)
+    return pwd, math.sqrt(sigma2 / n), n * float(np.var(diffs, ddof=1)) / sigma2
+
+
 def reference_metropolis(model, log_prior, data, cfg):
     """Reference random-walk Metropolis chain: the array-based loop the
     float-based sampler replaced, returning ``(draws, log_posts,

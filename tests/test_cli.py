@@ -9,7 +9,8 @@ import pytest
 from wentropy import closedform as cf
 from wentropy import cli, gaussian, verify
 from wentropy.cli import main
-from wentropy.verify import VerifyConfig, _gibbs, _worst
+from wentropy.quadrature import McEstimate
+from wentropy.verify import VerifyConfig, _check_monte_carlo, _gibbs, _worst
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -444,6 +445,29 @@ def test_gibbs_implication_fails_only_below_the_floor_at_a_nonnegative_gap():
     assert record["point"] == {**point, "condition_gap": 0.2}
     assert (record["wick_value"], record["quadrature_value"]) == (-2e-8, -1e-9)
     assert record["abs_dev"] == 2e-8
+
+
+@pytest.mark.parametrize("k, verdict", [(3.5, "OK"), (-3.5, "OK"), (4.5, "FAIL"), (-4.5, "FAIL")])
+def test_monte_carlo_check_allows_four_standard_errors(monkeypatch, k, verdict):
+    # pins both the factor and the standard error it scales
+    quads, quadrature = [], verify.relative_wde_quadrature
+
+    def recording_quadrature(*args):
+        quads.append(quadrature(*args))
+        return quads[-1]
+
+    stderr = 1e-3
+    monkeypatch.setattr(verify, "relative_wde_quadrature", recording_quadrature)
+    monkeypatch.setattr(
+        verify, "relative_wde_monte_carlo",
+        lambda *args: McEstimate(quads[-1] + k * stderr, stderr),
+    )
+    checks = []
+    _check_monte_carlo(checks, VerifyConfig(pair_points=16))
+    (record,) = checks
+    assert record["formula"] == "mc-vs-quadrature"
+    assert record["point"]["stderr"] == stderr
+    assert record["verdict"] == verdict
 
 
 def test_verify_builds_each_case_once(monkeypatch):

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import per_draw_logliks, reference_metropolis
+from helpers import per_draw_logliks, reference_metropolis, reference_penalty
 from wentropy.errors import (
     EmptyDrawsError,
     OutOfSupportError,
@@ -25,6 +26,7 @@ from wentropy.wdic import (
     wdic,
     weighted_deviance,
     weighted_loglik,
+    _penalty,
     _weighted_logliks,
 )
 
@@ -254,6 +256,76 @@ def test_nonfinite_log_density_is_an_input_error(value):
     assert math.isfinite(wdic(model, draws, ignored).wdic)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_log_density_inside_a_run_names_its_first_draw(value):
+    def logd(y, theta):
+        return np.where(y[:, 0] > theta[0] + 1.5, value, -0.5 * (y[:, 0] - theta[0]) ** 2)
+
+    model = ModelSpec("bad-tail", 1, logd, ((-2.0, 2.0),))
+    y = np.linspace(-1.0, 1.0, 200)[:, None]
+    arr = np.zeros((300, 1))
+    arr[140:146, 0] = -0.7  # one run of six bad draws
+    arr[200:260, 0] = -0.7  # the same bad draw again, later
+    draws = PosteriorDraws(arr, provenance="x")
+    with pytest.raises(ValueError, match=rf"^draw 140: log density {value!r} at observation 180 "):
+        wdic(model, draws, WeightedDataset(y, np.ones(200)))
+
+
+def test_penalty_scores_runs_as_every_draw_bit_for_bit():
+    rng = np.random.default_rng(60)
+    data = WeightedDataset(rng.normal(0.4, 1.3, size=(150, 1)), rng.exponential(size=150))
+
+    def signed(y, theta):  # tells -0.0 from 0.0, as a run must
+        return -0.5 * (y[:, 0] - theta[0]) ** 2 + np.copysign(0.25, theta[0])
+
+    cases = [
+        (normal_model(), np.column_stack([rng.normal(0.4, 0.1, 40), rng.normal(0.2, 0.1, 40)])),
+        (MODEL, rng.normal(0.4, 0.1, (40, 1))),
+        (ModelSpec("signed", 1, signed, ((-2.0, 2.0),)), np.array([[0.0], [-0.0], [0.3]] * 14)),
+    ]
+    for model, distinct in cases:
+        # long runs, repeats that are not consecutive, and a reordering of both
+        runs = np.repeat(distinct, rng.integers(1, 60, size=distinct.shape[0]), axis=0)
+        arr = np.concatenate([runs, runs[::7], distinct[::-1], runs[rng.permutation(runs.shape[0])]])
+        if model.n_params == 2:  # one parameter moves while the other repeats
+            arr[5:25] = [[0.3 + 0.01 * k, 0.2] for k in range(20)]
+        dev_at_hat = weighted_deviance(model, arr[0], data)
+        got = _penalty(model, PosteriorDraws(arr, provenance="runs"), dev_at_hat, data)
+        want = reference_penalty(per_draw_logliks(model, arr, data), dev_at_hat)
+        assert [v.hex() for v in got] == [v.hex() for v in want], model.name
+
+
+@pytest.mark.parametrize("name", ["normal-mean", "normal-mean-sd2", "normal"])
+def test_summarize_matches_the_per_row_sum(name):
+    model = builtin_model(name)
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 60, 1000):
+        y = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.3, 3.0), size=(n, 1))
+        loglik = model.summarize(y)
+        for k in range(200):
+            theta = [rng.uniform(-50.0, 50.0) if k % 3 == 0 else rng.normal(y.mean(), 2.0)]
+            if model.n_params == 2:  # at both log-sd bounds and inside them
+                theta.append((-5.0, 5.0, rng.uniform(-5.0, 5.0))[k % 3])
+            rows = float(np.asarray(model.log_density(y, np.array(theta))).sum())
+            assert loglik(theta) == pytest.approx(rows, rel=1e-13, abs=0.0), (n, theta)
+
+
+@pytest.mark.parametrize("name", ["normal-mean", "normal-mean-sd2", "normal"])
+def test_sampler_with_summarize_matches_the_per_row_path(name):
+    model = builtin_model(name)
+    per_row = dataclasses.replace(model, summarize=None)
+    prior = default_log_prior(model, 10.0)
+    for n, step_size, seed in [(1, 2.0, 1), (30, 0.4, 2), (200, 0.05, 3), (200, 0.4, 4)]:
+        rng = np.random.default_rng(seed)
+        data = WeightedDataset(rng.normal(0.3, 1.2, size=(n, 1)), np.ones(n))
+        cfg = SamplerConfig(3000, 500, step_size, seed)
+        fast = metropolis_sample(model, prior, data, cfg)
+        slow = metropolis_sample(per_row, prior, data, cfg)
+        assert np.array_equal(fast.draws, slow.draws)
+        assert fast.acceptance_rate == slow.acceptance_rate
+        assert np.allclose(fast.log_posts, slow.log_posts, rtol=1e-13, atol=0.0)
+
+
 def test_wdic_invariant_under_draw_reordering():
     rng = np.random.default_rng(8)
     data = make_data(rng)
@@ -348,6 +420,7 @@ def test_metropolis_matches_reference_loop(case):
         return prior(theta)
 
     recording = ModelSpec(model.name, model.n_params, recording_density, model.bounds)
+    assert recording.summarize is None  # the per-row path, pinned to the reference loop
     got = metropolis_sample(recording, recording_prior, data, cfg)
     draws, log_posts, rate = reference_metropolis(model, prior, data, cfg)
     assert np.array_equal(got.draws, draws)
