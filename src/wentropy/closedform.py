@@ -365,9 +365,10 @@ def _check_example1_rho(rho: float) -> float:
     return r
 
 
-def example1_relative_de_paper(rho: float, x3: float) -> float:
+def example1_relative_de_paper(rho: float, x3: float | np.ndarray) -> float | np.ndarray:
     """Printed closed form of the pair divergence for the first family
-    (carries the transcribed +1 constant)."""
+    (carries the transcribed +1 constant).  At an (n,) array of x3 it is the
+    (n,) array of the per-point values, bit for bit."""
     r = _check_example1_rho(rho)
     r2, r4 = r * r, r**4
     return (

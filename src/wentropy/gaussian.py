@@ -119,19 +119,28 @@ class Gaussian:
         z = L^{-1} (x - mu) is formed one coordinate at a time: L^{-1} is lower
         triangular, so on an open mesh z_k has the shape of the first k + 1 axes
         only.  Points go down the same path as ``tuple(points.T)``, so every
-        layout gives the same bits for the same point.
+        layout gives the same bits for the same point.  Every array the sum
+        builds is new, so it is squared, accumulated and finished in place:
+        ``quad += dim log 2 pi + log_det``, then ``quad *= -0.5``, the same
+        operations in the same order as ``-0.5 * (constant + quad)``.
         """
         centred = [x - m for x, m in zip(coordinates(points, self.dim), self.mean)]
         quad = 0.0
         for k, row in enumerate(self._inv_lower):
             z = sum(row[j] * centred[j] for j in range(k + 1))
-            z *= z  # z is new: square and accumulate in place, one block-sized array
+            z *= z
             z += quad
             quad = z
-        return -0.5 * (self.dim * np.log(2.0 * np.pi) + self.log_det + quad)
+        quad += self.dim * np.log(2.0 * np.pi) + self.log_det
+        quad *= -0.5
+        return quad
 
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_pdf(points))
+    def pdf(self, points) -> np.ndarray:
+        """Density at ``points``: :meth:`log_pdf`'s new array, exponentiated in
+        place (coordinate scalars give a scalar)."""
+        log_density = self.log_pdf(points)
+        out = log_density if isinstance(log_density, np.ndarray) else None
+        return np.exp(log_density, out=out)
 
     def marginal(self, indices) -> "Gaussian":
         """Marginal on ``indices``; the same object for the same indices."""
@@ -317,13 +326,29 @@ def gaussian_de(dist: Gaussian, mode: str = "corrected") -> float:
     return float(value)
 
 
-def gaussian_kl(f: Gaussian, g: Gaussian) -> float:
-    """Kullback-Leibler divergence KL(f || g) between Gaussians, in nats."""
+def gaussian_kl(f: Gaussian, g: Gaussian, means=None) -> float | np.ndarray:
+    """Kullback-Leibler divergence KL(f || g) between Gaussians, in nats.
+
+    With ``means``, a finite (f.dim, n) block, it is KL(f_k || g) for the n
+    Gaussians f_k of f's covariance and mean ``means[:, k]``, as an (n,) array:
+    the trace and log-det terms are computed once, the Mahalanobis term once
+    per column.  Each entry is within a few ulps of the one-mean call; the
+    block's products need not round as the one-mean path's do.
+    """
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimensions differ: {f.dim} vs {g.dim}")
     # tr(Sg^-1 Sf) = |Lg^-1 Lf|_F^2 and the Mahalanobis term is |Lg^-1 (mg - mf)|^2
     a = g._inv_lower @ f._lower
     trace = float(np.sum(a * a))
-    z = g._inv_lower @ (g.mean - f.mean)
-    quad = float(z @ z)
+    if means is None:
+        z = g._inv_lower @ (g.mean - f.mean)
+        quad = float(z @ z)
+    else:
+        means = _float_array(means, "means", ndim=2)
+        if means.shape[0] != f.dim:
+            raise DimensionMismatchError(
+                f"means block has {means.shape[0]} rows, expected {f.dim}"
+            )
+        cols = (g._inv_lower @ (g.mean[:, None] - means)).T
+        quad = (cols[:, None, :] @ cols[:, :, None]).ravel()  # one dot per column
     return 0.5 * (trace + quad - f.dim + (g.log_det - f.log_det))

@@ -169,7 +169,8 @@ def _log_ratio_integral(
             f, phi = f[mask], phi[mask]
             ref_values = [np.broadcast_to(r, shape)[mask] for r in ref_values]
         log_ratio = np.log(f)  # new, so updated in place: fewer block-sized arrays
-        log_ratio -= sum(np.log(r) for r in ref_values)
+        if ref_values:  # no references: ref = 1, and no pass subtracting 0
+            log_ratio -= sum(np.log(r) for r in ref_values)
         log_ratio *= f
         log_ratio *= phi
         return log_ratio

@@ -29,7 +29,7 @@ from .discrete import (
     relative_de_identity_check,
     relative_we_identity_check,
 )
-from .gaussian import ConditionSpec, condition, gaussian_kl
+from .gaussian import ConditionSpec, conditional_mean, gaussian_kl
 from .moments import central_moment
 from .quadrature import (
     CentralWeight,
@@ -271,19 +271,21 @@ def _check_pair_formulas(checks, cfg, pairs):
 
 
 def _check_relative_de(checks, cfg):
-    # first family: transcribed form against the generic paper-mode formula
-    # both modes from one row per rho; the KL oracle conditions on its own
+    # first family, one x3 row per rho: printed form against the generic
+    # paper-mode formula, corrected mode against the KL oracle, which takes
+    # the row's conditional covariance but its own block of means, not mu_bar
     printed_rows, kl_rows = [], []
     x3s = np.linspace(-3.0, 3.0, 31)
     for rho in np.linspace(-0.7, 0.7, 29):
         base = cf.example1_cov(rho)
         row = cf.PairConditional(base, x3s)
+        means = conditional_mean(base, ConditionSpec((0, 1), (2,), x3s[None]))
+        kls = gaussian_kl(row.cond, row.pair, means)
+        printeds = cf.example1_relative_de_paper(rho, x3s)
         generics = cf.relative_de_pair(row, "paper")
         correcteds = cf.relative_de_pair(row, "corrected")
-        for x3, generic, corrected in zip(x3s, generics, correcteds):
+        for x3, printed, generic, corrected, kl in zip(x3s, printeds, generics, correcteds, kls):
             point = {"example": 1, "rho": float(rho), "x3": float(x3)}
-            printed = cf.example1_relative_de_paper(rho, x3)
-            kl = gaussian_kl(condition(base, ConditionSpec((0, 1), (2,), [x3])), row.pair)
             printed_rows.append((printed, generic, point))
             kl_rows.append((abs(corrected - kl), corrected, kl, point))
     checks.append(

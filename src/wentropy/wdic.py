@@ -148,7 +148,10 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorDraws:
-    """Ordered posterior parameter draws plus where they came from."""
+    """Ordered posterior parameter draws plus where they came from.
+
+    Draws must be finite; ``log_posts``, when given, holds one log posterior
+    per draw and no NaN, so the ``mode`` rule's ranking is a total order."""
 
     draws: np.ndarray
     provenance: str
@@ -170,6 +173,8 @@ class PosteriorDraws:
             lp = np.asarray(self.log_posts, dtype=float)
             if lp.shape != (draws.shape[0],):
                 raise DimensionMismatchError("one log posterior per draw required")
+            if np.isnan(lp).any():
+                raise ValueError("log_posts must not be NaN")
             lp = lp.copy()
             lp.setflags(write=False)
             object.__setattr__(self, "log_posts", lp)
@@ -344,7 +349,8 @@ def posterior_point_estimate(
 ) -> np.ndarray:
     """Point estimate from the draws: columnwise mean, or the draw with the
     highest log posterior (falling back to the unweighted log-likelihood when
-    the draws carry no posterior values)."""
+    the draws carry no posterior values).  A ``mode`` tie goes to the largest
+    parameter values, compared column by column, then to the first such draw."""
     arr = _validate_draws_for(model, draws)
     if rule == "mean":
         return np.mean(np.sort(arr, axis=0), axis=0)
@@ -354,9 +360,13 @@ def posterior_point_estimate(
         else:
             unit = WeightedDataset(data.y, np.ones(data.n))
             scores = _weighted_logliks(model, arr, unit)
-        # deterministic under reordering: break score ties on the parameter values
-        best = max(range(arr.shape[0]), key=lambda s: (scores[s], tuple(arr[s])))
-        return arr[best].copy()
+        # deterministic under reordering: the draw Python's max picks over
+        # (score, tuple(row)) keys, by narrowing the tied draws column by column
+        best = np.flatnonzero(scores == scores.max())
+        for column in arr.T:
+            values = column[best]
+            best = best[values == values.max()]
+        return arr[best[0]].copy()
     raise ValueError(f"rule must be 'mean' or 'mode', got {rule!r}")
 
 

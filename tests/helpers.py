@@ -35,6 +35,24 @@ def gaussian_logpdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np
     return -0.5 * (mean.size * np.log(2 * np.pi) + log_det + quad)
 
 
+def reference_log_pdf(dist, points) -> np.ndarray:
+    """``Gaussian.log_pdf`` as it was before it finished in place: the same
+    z = L^{-1} (x - mu) one coordinate at a time, then
+    ``-0.5 * (dim log 2 pi + log_det + quad)`` as a new array.  The package
+    must match it bit for bit."""
+    inv_lower = np.linalg.inv(dist.chol())
+    if not isinstance(points, tuple):
+        points = tuple(np.atleast_2d(np.asarray(points, dtype=float)).T)
+    centred = [x - m for x, m in zip(points, dist.mean)]
+    quad = 0.0
+    for k, row in enumerate(inv_lower):
+        z = sum(row[j] * centred[j] for j in range(k + 1))
+        z *= z
+        z += quad
+        quad = z
+    return -0.5 * (dist.dim * np.log(2.0 * np.pi) + dist.log_det + quad)
+
+
 def grid_moment(mean, cov, exponents, points=96, half_width=8.0, centers=None):
     """Independent midpoint-rule oracle for E[prod (X_i - c_i)^{r_i}].
 
@@ -145,6 +163,13 @@ def reference_penalty(logliks, dev_at_hat) -> tuple:
     if sigma2 == 0.0:
         return pwd, 0.0, float(n)
     return pwd, math.sqrt(sigma2 / n), n * float(np.var(diffs, ddof=1)) / sigma2
+
+
+def reference_mode(arr, scores) -> np.ndarray:
+    """Reference ``mode`` pick: Python's ``max`` over ``(score, tuple(row))``
+    keys, the first maximal draw on a tie (so -0.0 and 0.0 tie)."""
+    best = max(range(arr.shape[0]), key=lambda s: (scores[s], tuple(arr[s])))
+    return arr[best].copy()
 
 
 def reference_metropolis(model, log_prior, data, cfg):

@@ -473,9 +473,12 @@ def test_monte_carlo_check_allows_four_standard_errors(monkeypatch, k, verdict):
 def test_verify_builds_each_case_once(monkeypatch):
     # one base per (example, rho) and one PairConditional per pair case feed
     # every check, and the relative-de scan builds one PairConditional row per
-    # rho (22 + 29); the counts do not depend on the grid sizes
-    counts = {"validate": 0, "pair": 0}
+    # rho (22 + 29); the counts do not depend on the grid sizes.  Each
+    # PairConditional conditions once, and the relative-de KL oracle takes one
+    # row of means per rho, so there is no other condition call
+    counts = {"validate": 0, "pair": 0, "condition": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
+    condition = gaussian.condition
 
     def counting_validate(dist):
         counts["validate"] += 1
@@ -485,12 +488,28 @@ def test_verify_builds_each_case_once(monkeypatch):
         counts["pair"] += 1
         post_init(pc)
 
+    def counting_condition(dist, spec):
+        counts["condition"] += 1
+        return condition(dist, spec)
+
     monkeypatch.setattr(gaussian, "validate", counting_validate)
     monkeypatch.setattr(cf.PairConditional, "__post_init__", counting_post_init)
+    monkeypatch.setattr(gaussian, "condition", counting_condition)
+    monkeypatch.setattr(cf, "condition", counting_condition)  # imported by name
+    assert not hasattr(verify, "condition")
     verify.run_verify(
         VerifyConfig(tri_points=16, pair_points=16, mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 109, "pair": 51}
+    assert counts == {"validate": 109, "pair": 51, "condition": 51}
+
+
+def test_run_verify_twice_in_one_process_gives_equal_reports():
+    # densities and divergences are finished in place on their own new
+    # arrays: a second run sees no cached array written by the first
+    first = verify.run_verify()
+    second = verify.run_verify()
+    assert json.dumps(first) == json.dumps(second)
+    assert first["n_checks"] == 228 and first["ok"]
 
 
 def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):

@@ -142,6 +142,15 @@ def test_relative_de_pair_example1_printed_value():
     assert cf.example1_relative_de_paper(rho, x3) == pytest.approx(expected, abs=1e-15)
 
 
+def test_example1_printed_relative_de_on_an_x3_row_is_the_per_point_floats():
+    x3s = np.linspace(-3.0, 3.0, 31)
+    for rho in np.linspace(-0.7, 0.7, 29):
+        row = cf.example1_relative_de_paper(rho, x3s)
+        assert row.shape == x3s.shape
+        points = [cf.example1_relative_de_paper(float(rho), float(x3)) for x3 in x3s]
+        assert [float(v).hex() for v in row] == [v.hex() for v in points]
+
+
 def test_relative_de_pair_example2_printed_value():
     rho = 0.25
     pc = cf.PairConditional.from_example2(rho, 0.0)

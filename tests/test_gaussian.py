@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gaussian_logpdf, rand_spd
+from helpers import gaussian_logpdf, rand_spd, reference_log_pdf
 from wentropy import gaussian
 from wentropy.closedform import PairConditional
 from wentropy.errors import (
@@ -109,6 +109,41 @@ def test_log_pdf_on_an_open_mesh_is_bit_identical_to_the_points():
         np.testing.assert_array_equal(dist.pdf(mesh).ravel(), dist.pdf(pts))
     with pytest.raises(DimensionMismatchError, match="points have dimension 2, expected 3"):
         example1_cov(0.4).log_pdf(np.ix_([0.0], [1.0]))
+
+
+def test_log_pdf_and_pdf_finish_in_place_with_the_reference_bits():
+    # a 96^3 open mesh in the quadrature's blocks of whole first-axis slabs
+    dist = example1_cov(0.5)
+    grid = GridSpec.for_gaussian(dist, 96)
+    mesh = np.ix_(*(grid.axis_centers(k) for k in range(3)))
+    saved = [x.copy() for x in mesh]
+    step = BLOCK_POINTS // (96 * 96)
+    assert 96 // step > 2  # several blocks
+    for start in range(0, 96, step):
+        block = (mesh[0][start : start + step],) + mesh[1:]
+        want = reference_log_pdf(dist, block)
+        np.testing.assert_array_equal(dist.log_pdf(block), want)
+        np.testing.assert_array_equal(dist.pdf(block), np.exp(want))
+    for x, before in zip(mesh, saved):
+        np.testing.assert_array_equal(x, before)
+    # (m, d) points and one point, for every dimension
+    rng = np.random.default_rng(41)
+    for n in range(1, MAX_DIM + 1):
+        dist = Gaussian(rng.normal(size=n), rand_spd(rng, n))
+        pts = dist.mean + 2.0 * rng.normal(size=(50, n))
+        for arg in (pts, pts[7], tuple(pts.T)):
+            saved = [np.array(x, copy=True) for x in arg]
+            want = reference_log_pdf(dist, arg)
+            np.testing.assert_array_equal(dist.log_pdf(arg), want)
+            np.testing.assert_array_equal(dist.pdf(arg), np.exp(want))
+            for x, before in zip(arg, saved):
+                np.testing.assert_array_equal(x, before)
+
+
+def test_pdf_at_coordinate_scalars_is_a_scalar():
+    dist = example1_cov(0.3)
+    point = [0.2, -0.1, 0.4]
+    assert dist.pdf(tuple(point)) == dist.pdf(point)[0]
 
 
 def test_central_weight_reads_coordinates_and_points_alike():
@@ -395,6 +430,56 @@ def test_gaussian_kl_matches_dense_inverse_formula(dim):
 def test_gaussian_kl_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         gaussian_kl(Gaussian([0.0], [[1.0]]), Gaussian([0.0, 0.0], np.eye(2)))
+
+
+def _one_mean_kl(f, g) -> float:
+    """The one-mean expression of ``gaussian_kl``, from the public factors."""
+    inv_lower = np.linalg.inv(g.chol())
+    a = inv_lower @ f.chol()
+    z = inv_lower @ (g.mean - f.mean)
+    return 0.5 * (float(np.sum(a * a)) + float(z @ z) - f.dim + (g.log_det - f.log_det))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_gaussian_kl_block_of_means_matches_the_one_mean_calls(dim):
+    rng = np.random.default_rng(200 + dim)
+    for _ in range(10):
+        f = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+        g = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+        means = rng.normal(size=(dim, 9))
+        block = gaussian_kl(f, g, means)
+        assert block.shape == (9,)
+        for k in range(9):
+            one = gaussian_kl(Gaussian(means[:, k], f.cov), g)
+            assert one == _one_mean_kl(Gaussian(means[:, k], f.cov), g)  # its bits kept
+            assert block[k] == pytest.approx(one, rel=1e-15, abs=0.0)
+        assert gaussian_kl(f, g) == _one_mean_kl(f, g)
+
+
+def test_gaussian_kl_block_on_the_relative_de_points():
+    # verify's 29 x 31 (rho, x3) scan: one block per rho against 899 one-mean calls
+    x3s = np.linspace(-3.0, 3.0, 31)
+    for rho in np.linspace(-0.7, 0.7, 29):
+        base = example1_cov(rho)
+        pair = base.marginal([0, 1])
+        cond = condition(base, ConditionSpec((0, 1), (2,), x3s[:1]))
+        block = gaussian_kl(cond, pair, conditional_mean(base, ConditionSpec((0, 1), (2,), x3s[None])))
+        for k, x3 in enumerate(x3s):
+            one = gaussian_kl(condition(base, ConditionSpec((0, 1), (2,), [x3])), pair)
+            assert block[k] == pytest.approx(one, rel=1e-15, abs=0.0)
+
+
+def test_gaussian_kl_refuses_a_bad_block_of_means():
+    f, g = example1_cov(0.3), example2_cov(0.25)
+    with pytest.raises(DimensionMismatchError, match="means block has 2 rows, expected 3"):
+        gaussian_kl(f, g, np.zeros((2, 4)))
+    for bad in (np.nan, np.inf):
+        means = np.zeros((3, 4))
+        means[1, 2] = bad
+        with pytest.raises(ValueError, match="means contains non-finite entries"):
+            gaussian_kl(f, g, means)
+    with pytest.raises(ValueError, match="means must be 2-dimensional"):
+        gaussian_kl(f, g, np.zeros(3))
 
 
 def test_gaussian_kl_matches_quadrature():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import per_draw_logliks, reference_metropolis, reference_penalty
+from helpers import per_draw_logliks, reference_metropolis, reference_mode, reference_penalty
 from wentropy.errors import (
     EmptyDrawsError,
     OutOfSupportError,
@@ -352,6 +352,58 @@ def test_wdic_mode_rule_picks_highest_scoring_draw():
     scores = per_draw_logliks(model, arr, WeightedDataset(wide.y, np.ones(wide.n)))
     picked = posterior_point_estimate(model, PosteriorDraws(arr, provenance="x"), wide, "mode")
     assert np.array_equal(picked, arr[int(np.argmax(scores))])
+
+
+def _mode_of(arr, log_posts):
+    draws = PosteriorDraws(arr, provenance="x", log_posts=log_posts)
+    return posterior_point_estimate(normal_model(), draws, None, "mode")
+
+
+def test_mode_rule_breaks_ties_as_the_reference_max():
+    rng = np.random.default_rng(10)
+    # few distinct scores and few distinct values per column: many ties
+    arr = np.column_stack([rng.choice([0.1, 0.2, 0.3], 400), rng.choice([-1.0, 0.5, 2.0], 400)])
+    log_posts = rng.choice([-3.0, -2.0, -1.0], 400)
+    for perm in (np.arange(400), np.arange(400)[::-1], rng.permutation(400), rng.permutation(400)):
+        got = _mode_of(arr[perm], log_posts[perm])
+        assert np.array_equal(got, reference_mode(arr[perm], log_posts[perm]))
+        assert np.array_equal(got, [0.3, 2.0])  # the same draw whatever the order
+    # all scores tied, -inf included: the parameter values decide
+    for score in (0.0, -np.inf):
+        flat = np.full(400, score)
+        assert np.array_equal(_mode_of(arr, flat), reference_mode(arr, flat))
+
+
+def test_mode_rule_ties_rows_that_differ_in_the_sign_of_a_zero():
+    # -0.0 == 0.0, so these rows tie and the first one in draw order is picked
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        arr = np.array([[0.5, 1.0], [first, 1.0], [second, 1.0], [0.5, 0.5]] * 30)
+        arr[::4, 0] = 0.4
+        log_posts = np.tile([-1.0, 0.0, 0.0, -1.0], 30)
+        got = _mode_of(arr, log_posts)
+        want = reference_mode(arr, log_posts)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, first)
+
+
+def test_mode_rule_matches_the_reference_on_a_chain():
+    # a random-walk chain repeats its state: equal draws and equal scores
+    rng = np.random.default_rng(11)
+    data = make_data(rng, n=50, mean=0.3)
+    model = normal_model()
+    draws = metropolis_sample(model, default_log_prior(model, 10.0), data, SamplerConfig(3000, 500, 0.3, 12))
+    got = posterior_point_estimate(model, draws, data, "mode")
+    assert np.array_equal(got, reference_mode(draws.draws, draws.log_posts))
+
+
+def test_posterior_draws_refuse_nan_log_posts():
+    arr = np.zeros((200, 1))
+    log_posts = np.zeros(200)
+    log_posts[57] = np.nan
+    with pytest.raises(ValueError, match="log_posts must not be NaN"):
+        PosteriorDraws(arr, provenance="x", log_posts=log_posts)
+    log_posts[57] = -np.inf  # an infinite log posterior is still a score
+    PosteriorDraws(arr, provenance="x", log_posts=log_posts)
 
 
 def test_metropolis_recovers_conjugate_posterior():
