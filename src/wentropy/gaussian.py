@@ -157,8 +157,12 @@ class Gaussian:
         lower_t = np.ascontiguousarray(self._lower.T)
 
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            z = rng.standard_normal((n, self.dim))
-            return self.mean + z @ lower_t
+            out = rng.standard_normal((n, self.dim)) @ lower_t
+            # the mean one column at a time, in place: the same additions as
+            # mean + product, without broadcasting over a short last axis
+            for k, m in enumerate(self.mean):
+                out[:, k] += m
+            return out
 
         return draw
 

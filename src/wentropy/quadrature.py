@@ -9,6 +9,13 @@ unweighted entry points are thin aliases through the same code path.
 
 Densities and weights see each block of cells as an open mesh (``_chunks``); a
 result of lower rank, a scalar included, is broadcast to the block before it is summed.
+One integrator of int phi f (log f - log ref) serves every entropy quadrature,
+and takes several references in one pass: ``wde_and_relative_wde_quadrature``
+gets a weighted entropy and a weighted divergence from one evaluation of f, phi
+and log f per cell.
+
+The Monte Carlo estimator draws and scores its samples in blocks of
+``MC_BLOCK_ROWS`` rows, so it holds one value per sample and one block's arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ MIN_POINTS = 16
 HALF_WIDTH = 8.0  # grid half-width in marginal standard deviations
 # points evaluated at once; bounds the memory of one block of the integrand
 BLOCK_POINTS = 2**16
+# Monte Carlo rows drawn and scored at once; a row takes several numbers (its
+# coordinates and density terms), so a block holds about BLOCK_POINTS of them
+MC_BLOCK_ROWS = BLOCK_POINTS // 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,61 +136,82 @@ def _chunks(grid: GridSpec):
         yield (mesh[0][start : start + step],) + mesh[1:]
 
 
-def _integrate(grid: GridSpec, term: Callable) -> float:
-    # term(pts, shape) for each block and its shape; fsum rounds the total of
-    # the block sums once, whatever the block count
-    sums = (term(pts, np.broadcast_shapes(*(x.shape for x in pts))) for pts in _chunks(grid))
-    return math.fsum(float(np.sum(s)) for s in sums) * grid.cell_volume
+def _integrate(grid: GridSpec, term: Callable) -> list[float]:
+    # term(pts, shape) gives one array per integrand for each block and its
+    # shape; fsum rounds each integrand's total of the block sums once,
+    # whatever the block count
+    block_sums = []
+    for pts in _chunks(grid):
+        # `arrays` still holds the last block's arrays while this block's are
+        # made.  Freed first, they would leave a free heap top large enough
+        # for glibc to hand back to the system, and every block would then
+        # page-fault on its new arrays, which about doubled a 96^3 integral.
+        arrays = term(pts, np.broadcast_shapes(*(x.shape for x in pts)))
+        block_sums.append([float(np.sum(s)) for s in arrays])
+    return [math.fsum(sums) * grid.cell_volume for sums in zip(*block_sums)]
+
+
+def _log0(x, keep) -> np.ndarray:
+    """log x where ``keep`` holds and 0 elsewhere, so a dropped cell raises no warning."""
+    return np.log(x) if keep.all() else np.log(x, out=np.zeros(np.shape(x)), where=keep)
 
 
 def _log_ratio_integral(
     f_pdf,
-    refs,
+    ref_sets,
     weight,
     grid: GridSpec,
     require_support: bool = False,
-) -> float:
-    """int phi f (log f - log ref) by midpoint quadrature.
+) -> list[float]:
+    """int phi f (log f - log ref) by midpoint quadrature, one value per
+    reference set, all from one pass over the grid.
 
-    The reference density is the product of ``pdf(x[cols])`` over the
-    ``(pdf, cols)`` pairs in ``refs`` (no pairs: ref = 1).  Every density is
-    evaluated once per block.  A cell where f or a reference factor is at most
-    ``TINY`` contributes 0, unless ``require_support`` is set and phi f
-    exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.
+    A set's reference density is the product of ``pdf(x[cols])`` over its
+    ``(pdf, cols)`` pairs (no pairs: ref = 1).  f, phi and log f are evaluated
+    once per block for all the sets, and each set's reference densities once.
+    A cell where f or a factor of the set's reference is at most ``TINY``
+    contributes 0 to that set, unless ``require_support`` is set and phi f
+    exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.  Such a
+    block's product is formed on the whole block, with the dropped cells'
+    logs read as 0, and only ``product[mask]`` is summed.
     """
 
     def term(pts, shape):
         f = np.broadcast_to(f_pdf(pts), shape)
-        ref_values = [np.asarray(pdf(pts[cols])) for pdf, cols in refs]  # at their own shape
         phi = _weight_values(weight, pts, shape)
-        mask = f > TINY
-        for r in ref_values:
-            covered = r > TINY
-            if require_support and not covered.all():
-                bad = (phi * f > TINY) & ~covered
-                if np.any(bad):
-                    cell = np.unravel_index(int(np.argmax(bad)), shape)
-                    where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
-                    raise SupportMismatchError(
-                        f"reference density vanishes at {where} where phi*f > 0"
-                    )
-            mask &= covered
-        if not mask.all():  # boolean indexing copies: only where a cell drops out
-            f, phi = f[mask], phi[mask]
-            ref_values = [np.broadcast_to(r, shape)[mask] for r in ref_values]
-        log_ratio = np.log(f)  # new, so updated in place: fewer block-sized arrays
-        if ref_values:  # no references: ref = 1, and no pass subtracting 0
-            log_ratio -= sum(np.log(r) for r in ref_values)
-        log_ratio *= f
-        log_ratio *= phi
-        return log_ratio
+        live = f > TINY
+        log_f = _log0(f, live)
+        products = []
+        for refs in ref_sets:
+            mask, log_ref = live, 0.0
+            for pdf, cols in refs:
+                r = np.asarray(pdf(pts[cols]))  # at its own shape
+                covered = r > TINY
+                if require_support and not covered.all():
+                    bad = (phi * f > TINY) & ~covered
+                    if np.any(bad):
+                        cell = np.unravel_index(int(np.argmax(bad)), shape)
+                        where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
+                        raise SupportMismatchError(
+                            f"reference density vanishes at {where} where phi*f > 0"
+                        )
+                mask = mask & covered
+                log_ref = log_ref + _log0(r, covered)
+            # the last set updates log f in place, an earlier one a copy
+            product = log_f if len(products) == len(ref_sets) - 1 else log_f.copy()
+            if refs:  # no references: ref = 1, and no pass subtracting 0
+                product -= log_ref
+            product *= f
+            product *= phi
+            products.append(product if mask.all() else product[mask])
+        return products
 
     return _integrate(grid, term)
 
 
 def wde_quadrature(pdf, weight, grid: GridSpec) -> float:
     """Weighted differential entropy -int phi f log f by midpoint quadrature."""
-    return -_log_ratio_integral(pdf, (), weight, grid)
+    return -_log_ratio_integral(pdf, [()], weight, grid)[0]
 
 
 def de_quadrature(pdf, grid: GridSpec) -> float:
@@ -197,13 +228,13 @@ def conditional_wde_quadrature(
 ) -> float:
     """-int phi f(x, y) log[f(x, y) / f2(y)] with y the trailing ``given_dims`` coordinates."""
     refs = [(given_pdf, slice(-given_dims, None))]
-    return -_log_ratio_integral(joint_pdf, refs, weight, grid)
+    return -_log_ratio_integral(joint_pdf, [refs], weight, grid)[0]
 
 
 def mutual_wde_quadrature(joint_pdf, marginal_pdfs, weight, grid: GridSpec) -> float:
     """int phi f log[f / prod_i f_i], with the 0 log(0/0) = 0 convention."""
     refs = [(marg, slice(k, k + 1)) for k, marg in enumerate(marginal_pdfs)]
-    return _log_ratio_integral(joint_pdf, refs, weight, grid)
+    return _log_ratio_integral(joint_pdf, [refs], weight, grid)[0]
 
 
 def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
@@ -213,16 +244,26 @@ def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
     weighted integrand does not.
     """
     refs = [(g_pdf, slice(None))]
-    return _log_ratio_integral(f_pdf, refs, weight, grid, require_support=True)
+    return _log_ratio_integral(f_pdf, [refs], weight, grid, require_support=True)[0]
+
+
+def wde_and_relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> tuple:
+    """``(wde_quadrature(f_pdf, ...), relative_wde_quadrature(f_pdf, g_pdf, ...))``
+    from one pass over the grid, each with the bits of its own call: f, phi
+    and log f are evaluated once per cell for both.
+    """
+    refs = [(g_pdf, slice(None))]
+    wde, relative = _log_ratio_integral(f_pdf, [(), refs], weight, grid, require_support=True)
+    return -wde, relative
 
 
 def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
     """int phi (f - g): the sign condition of the weighted Gibbs inequality."""
 
     def term(pts, shape):
-        return _weight_values(weight, pts, shape) * (f_pdf(pts) - g_pdf(pts))
+        return [_weight_values(weight, pts, shape) * (f_pdf(pts) - g_pdf(pts))]
 
-    return _integrate(grid, term)
+    return _integrate(grid, term)[0]
 
 
 @dataclass(frozen=True)
@@ -248,13 +289,20 @@ def relative_wde_monte_carlo(sampler, f_pdf, g_pdf, weight, cfg: McConfig) -> Mc
     """Monte Carlo estimate of int phi f log(f/g) from draws of f.
 
     Deterministic for a fixed seed (counter-based generator); the standard
-    error comes from the sample variance.
+    error comes from the sample variance.  Rows are drawn and scored in blocks
+    of ``MC_BLOCK_ROWS``, in order, into one array of the values: the stream
+    and the values are those of one draw of every row, unless the sampler
+    rounds a short block differently.  A Gaussian sampler's one-row tail block
+    is a BLAS matrix-vector product, which from 4 dimensions can differ in the
+    last bit.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    pts = tuple(sampler(rng, cfg.samples).T)
-    vals = _weight_values(weight, pts, (cfg.samples,)) * (
-        np.log(np.maximum(f_pdf(pts), TINY)) - np.log(np.maximum(g_pdf(pts), TINY))
-    )
+    vals = np.empty(cfg.samples)
+    for start in range(0, cfg.samples, MC_BLOCK_ROWS):
+        block = vals[start : start + MC_BLOCK_ROWS]
+        pts = tuple(sampler(rng, block.size).T)
+        log_ratio = np.log(np.maximum(f_pdf(pts), TINY)) - np.log(np.maximum(g_pdf(pts), TINY))
+        np.multiply(_weight_values(weight, pts, block.shape), log_ratio, out=block)
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.samples))
     return McEstimate(estimate, stderr)
@@ -267,6 +315,6 @@ def moment_quadrature(dist: Gaussian, exponents, points: int = 64) -> float:
 
     def term(pts, shape):  # a factor per coordinate: the block's shape
         factors = ((x - m) ** e for x, m, e in zip(pts, dist.mean, r, strict=True))
-        return math.prod(factors) * dist.pdf(pts)
+        return [math.prod(factors) * dist.pdf(pts)]
 
-    return _integrate(grid, term)
+    return _integrate(grid, term)[0]

@@ -37,6 +37,7 @@ from .quadrature import (
     McConfig,
     relative_wde_monte_carlo,
     relative_wde_quadrature,
+    wde_and_relative_wde_quadrature,
     wde_quadrature,
 )
 
@@ -229,8 +230,7 @@ def _check_conditional_moments(checks, pairs):
 def _pair_quadratures(pc: cf.PairConditional, points: int):
     weight = CentralWeight(pc.pair.mean)
     grid = GridSpec.for_gaussians([pc.cond, pc.pair], points)
-    cond_q = wde_quadrature(pc.cond.pdf, weight, grid)
-    rel_q = relative_wde_quadrature(pc.cond.pdf, pc.pair.pdf, weight, grid)
+    cond_q, rel_q = wde_and_relative_wde_quadrature(pc.cond.pdf, pc.pair.pdf, weight, grid)
     # -int phi f(.|x3) log f_pair = weighted entropy of the conditional plus
     # the weighted divergence from the marginal
     cross_q = cond_q + rel_q

@@ -3,7 +3,9 @@ implemented independently of the package code paths they check."""
 
 import itertools
 import math
+import tracemalloc
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -14,7 +16,8 @@ from wentropy.discrete import (
     MutualDecompResult,
     RelativeIdentityResult,
 )
-from wentropy.quadrature import CentralWeight
+from wentropy.errors import SupportMismatchError
+from wentropy.quadrature import TINY, CentralWeight, GridSpec, McEstimate, _chunks
 
 
 def rand_spd(rng: np.random.Generator, n: int = 3, lo: float = 0.3, hi: float = 3.0):
@@ -23,6 +26,17 @@ def rand_spd(rng: np.random.Generator, n: int = 3, lo: float = 0.3, hi: float = 
     q, _ = np.linalg.qr(a)
     eigs = rng.uniform(lo, hi, size=n)
     return (q * eigs) @ q.T
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of ``fn(*args)``, in bytes, over what was already
+    allocated.  numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def gaussian_logpdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -398,3 +412,81 @@ def reference_relative_we_identity_check(
     )
     expected = float((sq_y * p2 * lhs).sum())
     return RelativeIdentityResult(lhs, rhs, mutual, expected)
+
+
+# Reference quadrature oracles: the one-reference-set integrator and the
+# one-draw Monte Carlo estimator that the one-pass and blocked versions in
+# ``wentropy.quadrature`` replaced, kept verbatim (with their helpers) so the
+# package can be compared against them bit for bit.
+
+
+def _weight_values(weight, points, shape) -> np.ndarray:
+    return np.broadcast_to(1.0 if weight is None else weight(points), shape)
+
+
+def _integrate(grid: GridSpec, term: Callable) -> float:
+    # term(pts, shape) for each block and its shape; fsum rounds the total of
+    # the block sums once, whatever the block count
+    sums = (term(pts, np.broadcast_shapes(*(x.shape for x in pts))) for pts in _chunks(grid))
+    return math.fsum(float(np.sum(s)) for s in sums) * grid.cell_volume
+
+
+def reference_log_ratio_integral(
+    f_pdf,
+    refs,
+    weight,
+    grid: GridSpec,
+    require_support: bool = False,
+) -> float:
+    """int phi f (log f - log ref) by midpoint quadrature.
+
+    The reference density is the product of ``pdf(x[cols])`` over the
+    ``(pdf, cols)`` pairs in ``refs`` (no pairs: ref = 1).  Every density is
+    evaluated once per block.  A cell where f or a reference factor is at most
+    ``TINY`` contributes 0, unless ``require_support`` is set and phi f
+    exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.
+    """
+
+    def term(pts, shape):
+        f = np.broadcast_to(f_pdf(pts), shape)
+        ref_values = [np.asarray(pdf(pts[cols])) for pdf, cols in refs]  # at their own shape
+        phi = _weight_values(weight, pts, shape)
+        mask = f > TINY
+        for r in ref_values:
+            covered = r > TINY
+            if require_support and not covered.all():
+                bad = (phi * f > TINY) & ~covered
+                if np.any(bad):
+                    cell = np.unravel_index(int(np.argmax(bad)), shape)
+                    where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
+                    raise SupportMismatchError(
+                        f"reference density vanishes at {where} where phi*f > 0"
+                    )
+            mask &= covered
+        if not mask.all():  # boolean indexing copies: only where a cell drops out
+            f, phi = f[mask], phi[mask]
+            ref_values = [np.broadcast_to(r, shape)[mask] for r in ref_values]
+        log_ratio = np.log(f)  # new, so updated in place: fewer block-sized arrays
+        if ref_values:  # no references: ref = 1, and no pass subtracting 0
+            log_ratio -= sum(np.log(r) for r in ref_values)
+        log_ratio *= f
+        log_ratio *= phi
+        return log_ratio
+
+    return _integrate(grid, term)
+
+
+def reference_relative_wde_monte_carlo(sampler, f_pdf, g_pdf, weight, cfg) -> McEstimate:
+    """Monte Carlo estimate of int phi f log(f/g) from draws of f.
+
+    Deterministic for a fixed seed (counter-based generator); the standard
+    error comes from the sample variance.
+    """
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    pts = tuple(sampler(rng, cfg.samples).T)
+    vals = _weight_values(weight, pts, (cfg.samples,)) * (
+        np.log(np.maximum(f_pdf(pts), TINY)) - np.log(np.maximum(g_pdf(pts), TINY))
+    )
+    estimate = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.samples))
+    return McEstimate(estimate, stderr)

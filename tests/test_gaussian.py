@@ -163,10 +163,10 @@ def test_central_weight_reads_coordinates_and_points_alike():
 
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_sampler_draws_mean_plus_normals_times_the_transposed_factor(dim):
-    # the sampler multiplies by a C-ordered copy of L^T; from the same stream,
-    # its draws keep the bits of the product with the transposed view, except
-    # that one lone draw goes through another BLAS kernel and may differ in
-    # its last bits
+    # the sampler multiplies by a C-ordered copy of L^T and adds the mean one
+    # column at a time; from the same stream, its draws keep the bits of mean
+    # plus the product with the transposed view, except that one lone draw
+    # goes through another BLAS kernel and may differ in its last bits
     rng = np.random.default_rng(40 + dim)
     g = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
     lower = np.linalg.cholesky(g.cov)

@@ -3,8 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    reference_log_ratio_integral,
+    reference_relative_wde_monte_carlo,
+    traced_peak,
+)
+from wentropy import closedform as cf
+from wentropy import verify
 from wentropy.errors import SupportMismatchError
-from wentropy.gaussian import ConditionSpec, Gaussian, condition, example1_cov, gaussian_kl
+from wentropy.gaussian import (
+    ConditionSpec,
+    Gaussian,
+    condition,
+    example1_cov,
+    example2_cov,
+    gaussian_kl,
+)
 from wentropy.quadrature import (
     CentralWeight,
     GridSpec,
@@ -16,7 +30,10 @@ from wentropy.quadrature import (
     mutual_wde_quadrature,
     relative_wde_monte_carlo,
     relative_wde_quadrature,
+    wde_and_relative_wde_quadrature,
     BLOCK_POINTS,
+    MC_BLOCK_ROWS,
+    TINY,
     _chunks,
     wde_quadrature,
 )
@@ -242,6 +259,68 @@ def test_relative_support_mismatch_raises():
         relative_wde_quadrature(lambda pts: 0.25, left, upper, grid)
 
 
+def test_one_pass_pair_integrals_keep_the_bits_of_one_set_per_pass():
+    # the conditional's weighted entropy and its weighted divergence from the
+    # pair marginal, on every pair case verify integrates
+    cases = [pc for cases in verify._pair_cases(verify._family_bases()).values() for _, pc in cases]
+    assert len(cases) == 20
+    for pc in cases:
+        f, g, weight = pc.cond.pdf, pc.pair.pdf, CentralWeight(pc.pair.mean)
+        grid = GridSpec.for_gaussians([pc.cond, pc.pair], verify.VerifyConfig().pair_points)
+        wde, rel = wde_and_relative_wde_quadrature(f, g, weight, grid)
+        assert wde == -reference_log_ratio_integral(f, (), weight, grid)
+        assert rel == reference_log_ratio_integral(
+            f, [(g, slice(None))], weight, grid, require_support=True
+        )
+        assert (wde, rel) == (wde_quadrature(f, weight, grid), relative_wde_quadrature(f, g, weight, grid))
+
+
+def test_blocks_with_dropped_cells_keep_the_bits_of_boolean_indexing():
+    def dropped_f_cells(dist, grid):
+        return np.count_nonzero(dist.pdf(np.ix_(*map(grid.axis_centers, range(3)))) <= TINY)
+
+    # the second family at rho 0.1 underflows to 0 in the corners of its 96^3 box
+    dist = example2_cov(0.1)
+    grid = GridSpec.for_gaussian(dist, 96)
+    weight = CentralWeight(dist.mean)
+    assert dropped_f_cells(dist, grid) > 0
+    assert wde_quadrature(dist.pdf, weight, grid) == -reference_log_ratio_integral(
+        dist.pdf, (), weight, grid
+    )
+    # references that vanish where f does not, without and with dropped f cells
+    for dist, dropped in ((example1_cov(0.4), False), (dist, True)):
+        grid = GridSpec.for_gaussian(dist, 48)
+        assert (dropped_f_cells(dist, grid) > 0) == dropped
+        weight = CentralWeight([0.1, -0.2, 0.3])
+        third = dist.marginal([2])
+        given = lambda pts: np.where(pts[0] < 1.0, third.pdf(pts), 0.0)
+        margs = [dist.marginal([k]).pdf for k in range(3)]
+        margs[1] = lambda pts, first=dist.marginal([1]): np.where(pts[0] > -0.5, first.pdf(pts), 0.0)
+        refs = [(m, slice(k, k + 1)) for k, m in enumerate(margs)]
+        assert conditional_wde_quadrature(dist.pdf, given, weight, grid) == (
+            -reference_log_ratio_integral(dist.pdf, [(given, slice(-1, None))], weight, grid)
+        )
+        assert mutual_wde_quadrature(dist.pdf, margs, weight, grid) == (
+            reference_log_ratio_integral(dist.pdf, refs, weight, grid)
+        )
+
+
+def test_support_mismatch_message_matches_the_reference():
+    # the first offending cell lies in a later block than the first
+    grid = GridSpec(((-1.0, 1.0, 600), (-2.0, 2.0, 300)))
+    assert len(list(_chunks(grid))) > 2
+    f = lambda pts: 0.25
+    g = lambda pts: np.where(pts[0] <= 0.5, 0.5, 0.0) * np.where(pts[1] > 0.0, 1.0, 0.5)
+    weight = CentralWeight([0.0, 1.0])
+    with pytest.raises(SupportMismatchError) as expected:
+        reference_log_ratio_integral(f, [(g, slice(None))], weight, grid, require_support=True)
+    assert "vanishes at [ 0.5016" in str(expected.value)
+    for call in (relative_wde_quadrature, wde_and_relative_wde_quadrature):
+        with pytest.raises(SupportMismatchError) as raised:
+            call(f, g, weight, grid)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_gibbs_condition_value_cases():
     assert gibbs_condition_value(STD_NORMAL.pdf, STD_NORMAL.pdf, None, GRID_1D) == 0.0
     dist = example1_cov(0.5)
@@ -309,6 +388,25 @@ def test_monte_carlo_stderr_scaling_and_determinism():
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.2)
     again = relative_wde_monte_carlo(*args, McConfig(50_000, 7))
     assert again == small
+
+
+@pytest.mark.parametrize("samples", [
+    MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1, 2 * MC_BLOCK_ROWS + 1, 200_000,
+])
+def test_blocked_monte_carlo_keeps_the_bits_of_one_draw(samples):
+    pc = cf.PairConditional.from_example1(0.4, 1.0)
+    args = (pc.cond.sampler(), pc.cond.pdf, pc.pair.pdf, CentralWeight(pc.pair.mean))
+    cfg = McConfig(samples, 11)
+    assert relative_wde_monte_carlo(*args, cfg) == reference_relative_wde_monte_carlo(*args, cfg)
+
+
+def test_verify_monte_carlo_call_stays_under_4_mib():
+    # drawing and scoring all 200k rows at once peaked near 14 MiB
+    cfg = verify.VerifyConfig()
+    pc = cf.PairConditional.from_example1(0.4, 1.0)
+    args = (pc.cond.sampler(), pc.cond.pdf, pc.pair.pdf, CentralWeight(pc.pair.mean))
+    mc = McConfig(cfg.mc_samples, cfg.seed + 3)
+    assert traced_peak(relative_wde_monte_carlo, *args, mc) < 4 * 2**20
 
 
 def test_grid_refinement_convergence():
