@@ -60,7 +60,6 @@ from .wdic import (
     SamplerConfig,
     WeightedDataset,
     metropolis_sample,
-    penalty_pwd,
     wdic,
     weighted_deviance,
     weighted_loglik,

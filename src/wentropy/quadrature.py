@@ -291,18 +291,19 @@ def relative_wde_monte_carlo(sampler, f_pdf, g_pdf, weight, cfg: McConfig) -> Mc
     Deterministic for a fixed seed (counter-based generator); the standard
     error comes from the sample variance.  Rows are drawn and scored in blocks
     of ``MC_BLOCK_ROWS``, in order, into one array of the values: the stream
-    and the values are those of one draw of every row, unless the sampler
-    rounds a short block differently.  A Gaussian sampler's one-row tail block
-    is a BLAS matrix-vector product, which from 4 dimensions can differ in the
-    last bit.
+    and the values are those of one draw of every row.  A short tail block is
+    drawn at the full size and only its first rows are scored, since a sampler
+    may round a short block differently (a Gaussian sampler's one-row block is
+    a BLAS matrix-vector product).
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     vals = np.empty(cfg.samples)
     for start in range(0, cfg.samples, MC_BLOCK_ROWS):
         block = vals[start : start + MC_BLOCK_ROWS]
-        pts = tuple(sampler(rng, block.size).T)
+        pts = tuple(sampler(rng, MC_BLOCK_ROWS)[: block.size].T)
         log_ratio = np.log(np.maximum(f_pdf(pts), TINY)) - np.log(np.maximum(g_pdf(pts), TINY))
         np.multiply(_weight_values(weight, pts, block.shape), log_ratio, out=block)
+    del pts, log_ratio  # the last block's draw would outlive it into np.std's temporaries
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.samples))
     return McEstimate(estimate, stderr)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -318,20 +319,6 @@ def _penalty(
     return pwd, math.sqrt(sigma2 / n), n * float(np.var(diffs, ddof=1)) / sigma2
 
 
-def penalty_pwd(
-    model: ModelSpec, draws: PosteriorDraws, theta_hat, data: WeightedDataset
-) -> float:
-    """Effective number of parameters: posterior-mean deviance minus the
-    deviance at the point estimate.
-
-    Averaged as differences against the point-estimate deviance (sorted for
-    draw-order invariance), which avoids cancellation between large deviances
-    and makes the all-draws-identical case exactly zero.
-    """
-    pwd, _, _ = _penalty(model, draws, weighted_deviance(model, theta_hat, data), data)
-    return pwd
-
-
 class WdicResult(NamedTuple):
     wdic: float
     pwd: float
@@ -423,51 +410,52 @@ def metropolis_sample(
     """Random-walk Metropolis draws from the (unweighted) posterior.
 
     Deterministic for a fixed seed; the chain starts at the midpoint of the
-    model bounds.  Each step draws ``standard_normal(p)``, then ``random()``
-    only when the proposal lies inside the model bounds; proposals outside
-    are rejected.  ``log_prior`` sees one fresh ``(p,)`` float64 array per
-    scored proposal; so does ``log_density``, unless the model supplies
-    ``summarize``, whose function of theta then scores the likelihood.  The
+    model bounds.  Each step draws p scalar ``standard_normal()`` values (the
+    stream of one ``standard_normal(p)``), then ``random()`` only when the
+    proposal lies inside the model bounds; proposals outside are rejected.
+    When the model supplies ``summarize``, its function of theta scores the
+    likelihood and ``log_prior`` sees each scored proposal as a list of p
+    Python floats, which it must not modify; otherwise ``log_prior`` and
+    ``log_density`` see the same fresh ``(p,)`` float64 array.  The
     post-burn-in acceptance rate is reported on the result and must exceed
     0.1%.
     """
     rng = np.random.default_rng(cfg.seed)
+    normal, uniform = rng.standard_normal, rng.random
     bounds = model.bounds
-    n_params, step_size, y = model.n_params, cfg.step_size, data.y
+    step_size, burn_in, y = cfg.step_size, cfg.burn_in, data.y
     loglik = None if model.summarize is None else model.summarize(y)
 
     def log_post(th: list) -> float:
+        if loglik is not None:
+            return loglik(th) + float(log_prior(th))
         arr = np.array(th)
-        if loglik is None:
-            lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
-        else:
-            lik = loglik(th)
+        lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
         return lik + float(log_prior(arr))
 
     # the state is Python floats: t + step_size * z is the same IEEE operation
     # numpy applies per element, without its dispatch cost on (p,) arrays
     theta = [0.5 * (lo + hi) for lo, hi in bounds]
     current = log_post(theta)
-    kept = np.empty((cfg.steps - cfg.burn_in, n_params))
-    kept_lp = np.empty(cfg.steps - cfg.burn_in)
+    kept, kept_lp = array("d"), array("d")
     accepted_after_burn = 0
     for step in range(cfg.steps):
-        proposal = [
-            t + step_size * z
-            for t, z in zip(theta, rng.standard_normal(n_params).tolist())
-        ]
+        proposal = [t + step_size * normal() for t in theta]
         accept = False
         # out-of-bounds proposals have zero prior mass: reject outright
-        if all(lo <= t <= hi for t, (lo, hi) in zip(proposal, bounds)):
+        for t, (lo, hi) in zip(proposal, bounds):
+            if not lo <= t <= hi:
+                break
+        else:
             candidate = log_post(proposal)
-            u = rng.random()
+            u = uniform()
             # random() can return 0.0, whose log is -inf: accept
             if (math.log(u) if u > 0.0 else -math.inf) < candidate - current:
                 theta, current = proposal, candidate
                 accept = True
-        if step >= cfg.burn_in:
-            kept[step - cfg.burn_in] = theta
-            kept_lp[step - cfg.burn_in] = current
+        if step >= burn_in:
+            kept.extend(theta)
+            kept_lp.append(current)
             accepted_after_burn += accept
     rate = accepted_after_burn / (cfg.steps - cfg.burn_in)
     if rate < 0.001:
@@ -478,7 +466,8 @@ def metropolis_sample(
         f"sampler(seed={cfg.seed}, steps={cfg.steps}, burn_in={cfg.burn_in}, "
         f"step_size={cfg.step_size!r})"
     )
-    return PosteriorDraws(kept, provenance, log_posts=kept_lp, acceptance_rate=rate)
+    draws = np.frombuffer(kept).reshape(-1, model.n_params)
+    return PosteriorDraws(draws, provenance, log_posts=np.frombuffer(kept_lp), acceptance_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +548,10 @@ def builtin_model(name: str) -> ModelSpec:
 
 
 def default_log_prior(model: ModelSpec, scale: float = 10.0):
-    """Independent normal prior with the given scale on every parameter."""
+    """Independent normal prior with the given scale on every parameter.
+
+    The returned function takes theta as an array-like, or as a flat list of
+    p Python floats, which it reads without a conversion."""
     scale = float(scale)
     if not 0.0 < scale < math.inf:
         raise ValueError(f"prior scale must be positive and finite, got {scale!r}")
@@ -572,10 +564,10 @@ def default_log_prior(model: ModelSpec, scale: float = 10.0):
         raise ValueError(f"prior scale {scale!r} overflows the log prior at the model bound {edge!r}")
 
     def log_prior(theta) -> float:
-        terms = [
-            const - t * t / denom
-            for t in np.asarray(theta, dtype=float).ravel().tolist()
-        ]
+        # a list, as the sampler passes, is taken as the p floats it holds
+        if not isinstance(theta, list):
+            theta = np.asarray(theta, dtype=float).ravel().tolist()
+        terms = [const - t * t / denom for t in theta]
         # the same value as np.sum over the terms: it adds fewer than 8 left
         # to right from 0.0, and 8 or more in its own unrolled order
         if len(terms) >= 8:

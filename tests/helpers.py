@@ -16,8 +16,16 @@ from wentropy.discrete import (
     MutualDecompResult,
     RelativeIdentityResult,
 )
-from wentropy.errors import SupportMismatchError
+from wentropy.errors import SupportMismatchError, ZeroAcceptanceError
 from wentropy.quadrature import TINY, CentralWeight, GridSpec, McEstimate, _chunks
+from wentropy.wdic import (
+    ModelSpec,
+    PosteriorDraws,
+    SamplerConfig,
+    WeightedDataset,
+    _penalty,
+    weighted_deviance,
+)
 
 
 def rand_spd(rng: np.random.Generator, n: int = 3, lo: float = 0.3, hi: float = 3.0):
@@ -216,6 +224,81 @@ def reference_metropolis(model, log_prior, data, cfg):
             kept_lp[step - cfg.burn_in] = current
             accepted_after_burn += accept
     return kept, kept_lp, accepted_after_burn / (cfg.steps - cfg.burn_in)
+
+
+def reference_list_metropolis(
+    model: ModelSpec,
+    log_prior: Callable,
+    data: WeightedDataset,
+    cfg: SamplerConfig,
+) -> PosteriorDraws:
+    """Reference sampler kept verbatim: the list-state loop that drew
+    ``standard_normal(p)`` per step, gave ``log_prior`` a fresh ``(p,)`` array
+    on both paths and wrote the kept rows into preallocated arrays.  The
+    package sampler must reproduce its draws, log posteriors and acceptance
+    rate bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    bounds = model.bounds
+    n_params, step_size, y = model.n_params, cfg.step_size, data.y
+    loglik = None if model.summarize is None else model.summarize(y)
+
+    def log_post(th: list) -> float:
+        arr = np.array(th)
+        if loglik is None:
+            lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
+        else:
+            lik = loglik(th)
+        return lik + float(log_prior(arr))
+
+    # the state is Python floats: t + step_size * z is the same IEEE operation
+    # numpy applies per element, without its dispatch cost on (p,) arrays
+    theta = [0.5 * (lo + hi) for lo, hi in bounds]
+    current = log_post(theta)
+    kept = np.empty((cfg.steps - cfg.burn_in, n_params))
+    kept_lp = np.empty(cfg.steps - cfg.burn_in)
+    accepted_after_burn = 0
+    for step in range(cfg.steps):
+        proposal = [
+            t + step_size * z
+            for t, z in zip(theta, rng.standard_normal(n_params).tolist())
+        ]
+        accept = False
+        # out-of-bounds proposals have zero prior mass: reject outright
+        if all(lo <= t <= hi for t, (lo, hi) in zip(proposal, bounds)):
+            candidate = log_post(proposal)
+            u = rng.random()
+            # random() can return 0.0, whose log is -inf: accept
+            if (math.log(u) if u > 0.0 else -math.inf) < candidate - current:
+                theta, current = proposal, candidate
+                accept = True
+        if step >= cfg.burn_in:
+            kept[step - cfg.burn_in] = theta
+            kept_lp[step - cfg.burn_in] = current
+            accepted_after_burn += accept
+    rate = accepted_after_burn / (cfg.steps - cfg.burn_in)
+    if rate < 0.001:
+        raise ZeroAcceptanceError(
+            f"acceptance rate {rate:.5f} after burn-in; decrease step_size"
+        )
+    provenance = (
+        f"sampler(seed={cfg.seed}, steps={cfg.steps}, burn_in={cfg.burn_in}, "
+        f"step_size={cfg.step_size!r})"
+    )
+    return PosteriorDraws(kept, provenance, log_posts=kept_lp, acceptance_rate=rate)
+
+
+def penalty_pwd(
+    model: ModelSpec, draws: PosteriorDraws, theta_hat, data: WeightedDataset
+) -> float:
+    """Effective number of parameters: posterior-mean deviance minus the
+    deviance at the point estimate.
+
+    Averaged as differences against the point-estimate deviance (sorted for
+    draw-order invariance), which avoids cancellation between large deviances
+    and makes the all-draws-identical case exactly zero.
+    """
+    pwd, _, _ = _penalty(model, draws, weighted_deviance(model, theta_hat, data), data)
+    return pwd
 
 
 # Reference discrete identity checkers: the loop-and-mask implementations the

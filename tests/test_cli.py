@@ -567,6 +567,20 @@ def test_verify_rejects_fewer_than_one_discrete_case(
         VerifyConfig(**{name: type(field.default)(value)})
 
 
+SAMPLE_GOLDEN = json.loads((DATA_DIR / "wdic_sample_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_GOLDEN))
+def test_wdic_sampler_matches_golden_bytes(capsys, case):
+    # 200 seeded rows, long chains: the sampler's stream, accept decisions and
+    # every digit of the output, recorded once
+    golden = SAMPLE_GOLDEN[case]
+    argv = ["wdic", "--data", str(DATA_DIR / "wdic_sample_data.csv")] + golden["args"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == golden["stdout"]
+
+
 def test_scan_matches_golden_bytes(capsys, tmp_path):
     # all-mode scans of both families, recorded once: scan output must not move by a byte
     grids = {1: "--rho=-0.7:0.7:8", 2: "--rho=0.01:0.49:8"}

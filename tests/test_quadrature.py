@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    rand_spd,
     reference_log_ratio_integral,
     reference_relative_wde_monte_carlo,
     traced_peak,
@@ -398,6 +399,26 @@ def test_blocked_monte_carlo_keeps_the_bits_of_one_draw(samples):
     args = (pc.cond.sampler(), pc.cond.pdf, pc.pair.pdf, CentralWeight(pc.pair.mean))
     cfg = McConfig(samples, 11)
     assert relative_wde_monte_carlo(*args, cfg) == reference_relative_wde_monte_carlo(*args, cfg)
+
+
+def test_blocked_monte_carlo_keeps_a_5d_tail_row():
+    # a one-row tail block drawn alone goes through BLAS's matrix-vector
+    # product, which from 4 dimensions can round a draw differently
+    rng = np.random.default_rng(0)
+    f = Gaussian(rng.normal(size=5), rand_spd(rng, 5))
+    g = Gaussian(rng.normal(size=5), rand_spd(rng, 5))
+    scored = []
+
+    def f_pdf(pts):
+        scored.append(np.stack(pts, axis=1))
+        return f.pdf(pts)
+
+    args = (f.sampler(), f_pdf, g.pdf, CentralWeight(f.mean))
+    cfg = McConfig(2 * MC_BLOCK_ROWS + 1, 3)
+    got = relative_wde_monte_carlo(*args, cfg)
+    one_draw = f.sampler()(np.random.Generator(np.random.Philox(cfg.seed)), cfg.samples)
+    assert np.array_equal(np.concatenate(scored), one_draw)
+    assert got == reference_relative_wde_monte_carlo(*args, cfg)
 
 
 def test_verify_monte_carlo_call_stays_under_4_mib():

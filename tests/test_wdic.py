@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import per_draw_logliks, reference_metropolis, reference_mode, reference_penalty
+from helpers import (
+    penalty_pwd,
+    per_draw_logliks,
+    reference_list_metropolis,
+    reference_metropolis,
+    reference_mode,
+    reference_penalty,
+    traced_peak,
+)
 from wentropy.errors import (
     EmptyDrawsError,
     OutOfSupportError,
@@ -21,7 +29,6 @@ from wentropy.wdic import (
     metropolis_sample,
     normal_mean_model,
     normal_model,
-    penalty_pwd,
     posterior_point_estimate,
     wdic,
     weighted_deviance,
@@ -503,6 +510,54 @@ def test_default_log_prior_equals_the_array_expression_bit_for_bit():
                     )
                 )
                 assert log_prior(theta).hex() == old.hex(), (scale, theta)
+                # the sampler's summarize path passes the list of floats itself
+                assert log_prior(theta.tolist()).hex() == old.hex(), (scale, theta)
+
+
+@pytest.mark.parametrize(
+    "case", ["normal-mean", "normal-mean-sd2", "normal", "tight-3", "burn-in-0"]
+)
+def test_metropolis_matches_the_list_loop_bit_for_bit(case):
+    rng = np.random.default_rng(44)
+    data = WeightedDataset(rng.normal(0.4, 1.3, size=(200, 1)), np.ones(200))
+    cfg = SamplerConfig(4000, 500, 0.2, 45)
+    if case == "tight-3":  # the per-row path, many proposals out of bounds
+        model, cfg = _tight_three_parameter_model(), SamplerConfig(4000, 500, 0.3, 46)
+    elif case == "burn-in-0":
+        model, cfg = normal_model(), SamplerConfig(600, 0, 0.5, 47)
+    else:
+        model = builtin_model(case)
+    prior = default_log_prior(model, 3.0)
+    got = metropolis_sample(model, prior, data, cfg)
+    want = reference_list_metropolis(model, prior, data, cfg)
+    assert got.draws.tobytes() == want.draws.tobytes()
+    assert got.log_posts.tobytes() == want.log_posts.tobytes()
+    assert got.acceptance_rate == want.acceptance_rate
+    assert got.provenance == want.provenance
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_scalar_normals_are_the_stream_of_one_vector_draw(p):
+    # the sampler draws p scalar normals per step in place of standard_normal(p)
+    for seed in range(50):
+        scalar, vector = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            drawn = [scalar.standard_normal() for _ in range(p)]
+            assert drawn == vector.standard_normal(p).tolist()
+            assert scalar.random() == vector.random()
+
+
+def test_sampler_keeps_its_draws_in_compact_storage():
+    # kept draws and log posteriors as doubles, plus the copy PosteriorDraws
+    # makes of them: about twice 8 * kept * (p + 1) bytes, where Python lists
+    # of rows would take several times that
+    rng = np.random.default_rng(48)
+    data = WeightedDataset(rng.normal(0.3, 1.2, size=(200, 1)), np.ones(200))
+    cfg = SamplerConfig(20_000, 2_000, 0.08, 5)
+    for model in (normal_mean_model(1.0), normal_model()):
+        kept_bytes = 8 * (cfg.steps - cfg.burn_in) * (model.n_params + 1)
+        peak = traced_peak(metropolis_sample, model, default_log_prior(model), data, cfg)
+        assert peak < 2.25 * kept_bytes, model.name
 
 
 def test_metropolis_accepts_a_zero_uniform_draw(monkeypatch):
@@ -514,7 +569,7 @@ def test_metropolis_accepts_a_zero_uniform_draw(monkeypatch):
             self._rng = real_rng(seed)
             self._zero_next = True
 
-        def standard_normal(self, size):
+        def standard_normal(self, size=None):
             return self._rng.standard_normal(size)
 
         def random(self):
