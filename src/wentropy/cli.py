@@ -185,8 +185,7 @@ def _cmd_verify(args, config: dict) -> int:
         sys.stderr.write(
             f"{report['n_failed']} oracle check(s) failed: {', '.join(sorted(set(failed)))}\n"
             "If these are wick-vs-quadrature comparisons at a tightened tolerance, the\n"
-            "grid is too coarse for it: raise --tri-points/--pair-points\n"
-            "or relax --tol-quad.\n"
+            "grid is too coarse for it: raise --pair-points or relax --tol-quad.\n"
         )
         return 1
     return 0
@@ -277,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification basket, emit a JSON report")
     verify.add_argument("--tol-quad", type=float)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--tri-points", type=int)
     verify.add_argument("--pair-points", type=int)
     verify.add_argument("--mc-samples", type=int)
     verify.add_argument("--discrete-cases", type=int)

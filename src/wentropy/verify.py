@@ -38,12 +38,13 @@ from .quadrature import (
     relative_wde_monte_carlo,
     relative_wde_quadrature,
     wde_and_relative_wde_quadrature,
-    wde_quadrature,
+    wde_gauss_hermite,
 )
 
 FORMULA_RTOL = 1e-10  # transcription agreement threshold (relative, floored)
 IDENTITY_TOL = 1e-10
 KL_TOL = 1e-10
+EXACT_RTOL = 1e-12  # wick against the exact Gauss-Hermite rule, relative, floored
 XI_RTOL = 1e-12  # Xi against the sixth moment, relative to the moment
 MODE_TOL = 1e-12  # a pair divergence against cross minus conditional, one mode
 RELATIVE_DE_TOL = 1e-12  # a printed relative entropy against its generic form
@@ -65,7 +66,6 @@ PAIR_X3S = (-2.0, 0.0, 0.5, 1.5)
 class VerifyConfig:
     seed: int = 20250801
     tol_quad: float = 1e-4
-    tri_points: int = 96
     pair_points: int = 192
     mc_samples: int = 200_000
     discrete_cases: int = 50
@@ -77,7 +77,6 @@ class VerifyConfig:
             raise ValueError(f"discrete_cases must be at least 1, got {self.discrete_cases}")
         # their minimums, GridSpec's cell cap and their messages, before any check runs
         McConfig(self.mc_samples, self.seed)
-        GridSpec(((0.0, 1.0, self.tri_points),) * 3)
         GridSpec(((0.0, 1.0, self.pair_points),) * 2)
 
 
@@ -183,16 +182,15 @@ def _check_lambda_table(checks, cfg):
             checks.append(_transcription(f"Lambda_{i + 1}{j + 1}", label, paper, wick))
 
 
-def _check_weightednormal(checks, cfg, bases):
+def _check_weightednormal(checks, bases):
     formula = "weighted-entropy-trivariate"
     for (example, rho), dist in bases.items():
         point = {"example": example, "rho": rho}
-        wick = cf.wde_trivariate(dist, "wick")
-        paper = cf.wde_trivariate(dist, "paper")
-        grid = GridSpec.for_gaussian(dist, cfg.tri_points)
-        quad = wde_quadrature(dist.pdf, CentralWeight(dist.mean), grid)
+        paper, wick = (cf.wde_trivariate(dist, m) for m in ("paper", "wick"))
+        quad = wde_gauss_hermite(dist, CentralWeight(dist.mean))
+        limit = max(EXACT_RTOL, EXACT_RTOL * abs(quad))
         checks.append(_transcription(formula, point, paper, wick))
-        checks.append(_oracle(formula, "wick-vs-quadrature", point, wick, quad, cfg.tol_quad))
+        checks.append(_oracle(formula, "wick-vs-quadrature", point, wick, quad, limit))
 
 
 def _check_theta(checks, pairs):
@@ -377,7 +375,7 @@ def run_verify(cfg: VerifyConfig | None = None) -> dict:
     _check_lambda_table(checks, cfg)
     bases = _family_bases()
     pairs = _pair_cases(bases)
-    _check_weightednormal(checks, cfg, bases)
+    _check_weightednormal(checks, bases)
     _check_theta(checks, pairs)
     _check_conditional_moments(checks, pairs)
     _check_pair_formulas(checks, cfg, pairs)

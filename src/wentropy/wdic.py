@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -159,7 +159,7 @@ class PosteriorDraws:
     log_posts: np.ndarray | None = None
     acceptance_rate: float | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
         if draws.shape[0] < MIN_DRAWS:
             raise EmptyDrawsError(
@@ -167,7 +167,7 @@ class PosteriorDraws:
             )
         if not np.all(np.isfinite(draws)):
             raise ValueError("draws must be finite")
-        draws = draws.copy()
+        draws = draws.copy() if copy else draws
         draws.setflags(write=False)
         object.__setattr__(self, "draws", draws)
         if self.log_posts is not None:
@@ -176,9 +176,17 @@ class PosteriorDraws:
                 raise DimensionMismatchError("one log posterior per draw required")
             if np.isnan(lp).any():
                 raise ValueError("log_posts must not be NaN")
-            lp = lp.copy()
+            lp = lp.copy() if copy else lp
             lp.setflags(write=False)
             object.__setattr__(self, "log_posts", lp)
+
+    @classmethod
+    def _adopt(cls, *values) -> "PosteriorDraws":
+        """The constructor's checks, but fresh arrays are made read-only in place, not copied."""
+        self = cls.__new__(cls)
+        vars(self).update(zip([f.name for f in fields(cls)], values))
+        self.__post_init__(copy=False)
+        return self
 
     @property
     def size(self) -> int:
@@ -467,7 +475,7 @@ def metropolis_sample(
         f"step_size={cfg.step_size!r})"
     )
     draws = np.frombuffer(kept).reshape(-1, model.n_params)
-    return PosteriorDraws(draws, provenance, log_posts=np.frombuffer(kept_lp), acceptance_rate=rate)
+    return PosteriorDraws._adopt(draws, provenance, np.frombuffer(kept_lp), rate)
 
 
 # ---------------------------------------------------------------------------

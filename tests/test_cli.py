@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -385,7 +388,7 @@ def test_verify_default_passes_and_reports_lambda(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, _, _ = run(
         capsys,
-        ["verify", "--tri-points", "64", "--pair-points", "96",
+        ["verify", "--pair-points", "96",
          "--mc-samples", "50000", "--discrete-cases", "10", "--out", str(out)],
     )
     assert code == 0
@@ -498,7 +501,7 @@ def test_verify_builds_each_case_once(monkeypatch):
     monkeypatch.setattr(cf, "condition", counting_condition)  # imported by name
     assert not hasattr(verify, "condition")
     verify.run_verify(
-        VerifyConfig(tri_points=16, pair_points=16, mc_samples=1000, discrete_cases=1)
+        VerifyConfig(pair_points=16, mc_samples=1000, discrete_cases=1)
     )
     assert counts == {"validate": 109, "pair": 51, "condition": 51}
 
@@ -512,15 +515,45 @@ def test_run_verify_twice_in_one_process_gives_equal_reports():
     assert first["n_checks"] == 228 and first["ok"]
 
 
+def test_verify_checks_the_trivariate_entropies_against_the_exact_rule():
+    report = verify.run_verify(VerifyConfig(pair_points=16, mc_samples=1000, discrete_cases=1))
+    oracles = [
+        c for c in report["checks"]
+        if c["formula"] == "weighted-entropy-trivariate" and c["mode"] == "wick-vs-quadrature"
+    ]
+    assert len(oracles) == 6
+    for c in oracles:
+        assert c["abs_dev"] <= verify.EXACT_RTOL * max(1.0, abs(c["quadrature_value"]))
+        assert c["verdict"] == "OK"
+
+
+def test_cli_and_verify_leave_numpy_polynomial_unimported():
+    # its first import takes milliseconds that every command would pay
+    code = (
+        "import sys\n"
+        "import wentropy.cli\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "from wentropy.verify import VerifyConfig, run_verify\n"
+        "run_verify(VerifyConfig(pair_points=16, mc_samples=1000, discrete_cases=1))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False", "False"]
+
+
 def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, _, err = run(
         capsys,
-        ["verify", "--tol-quad", "1e-9", "--tri-points", "64", "--pair-points", "96",
+        ["verify", "--tol-quad", "1e-9", "--pair-points", "32",
          "--mc-samples", "50000", "--discrete-cases", "5", "--out", str(out)],
     )
     assert code == 1
-    assert "raise --tri-points/--pair-points\nor relax --tol-quad." in err
+    assert "raise --pair-points or relax --tol-quad." in err
     report = json.loads(out.read_text())  # report written despite the failure
     assert report["n_failed"] > 0
 
@@ -531,16 +564,14 @@ def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
         ("discrete-cases", "0", "discrete_cases must be at least 1, got 0"),
         ("discrete-cases", "-3", "discrete_cases must be at least 1, got -3"),
         ("mc-samples", "999", "need at least 1000 samples, got 999"),
-        ("tri-points", "15", "need at least 16 points per axis, got 15"),
         ("pair-points", "0", "need at least 16 points per axis, got 0"),
-        ("tri-points", "465", "grid has 100544625 cells, above the 100000000 cap"),
         ("pair-points", "10001", "grid has 100020001 cells, above the 100000000 cap"),
         ("tol-quad", "nan", "tol_quad must be positive and finite, got nan"),
         ("tol-quad", "inf", "tol_quad must be positive and finite, got inf"),
     ],
     ids=[
-        "discrete-cases-0", "discrete-cases--3", "mc-samples-999", "tri-points-15",
-        "pair-points-0", "tri-points-465", "pair-points-10001", "tol-quad-nan", "tol-quad-inf",
+        "discrete-cases-0", "discrete-cases--3", "mc-samples-999",
+        "pair-points-0", "pair-points-10001", "tol-quad-nan", "tol-quad-inf",
     ],
 )
 def test_verify_rejects_fewer_than_one_discrete_case(
@@ -593,11 +624,11 @@ def test_scan_matches_golden_bytes(capsys, tmp_path):
 
 
 def test_verify_matches_golden_bytes(capsys, tmp_path):
-    # a coarse basket, recorded once: its grids fail 37 oracle checks, so the
+    # a coarse basket, recorded once: its grids fail 34 oracle checks, so the
     # report pins all four verdicts and the failure exit code
     out = tmp_path / "report.json"
     argv = [
-        "verify", "--tri-points", "16", "--pair-points", "16", "--mc-samples", "1000",
+        "verify", "--pair-points", "16", "--mc-samples", "1000",
         "--discrete-cases", "2", "--out", str(out),
     ]
     assert run(capsys, argv)[0] == 1

@@ -12,12 +12,14 @@ from helpers import (
 from wentropy import closedform as cf
 from wentropy import verify
 from wentropy.errors import SupportMismatchError
+from wentropy.moments import central_moment, shifted_moment
 from wentropy.gaussian import (
     ConditionSpec,
     Gaussian,
     condition,
     example1_cov,
     example2_cov,
+    gaussian_de,
     gaussian_kl,
 )
 from wentropy.quadrature import (
@@ -36,6 +38,8 @@ from wentropy.quadrature import (
     MC_BLOCK_ROWS,
     TINY,
     _chunks,
+    _hermite_rule,
+    wde_gauss_hermite,
     wde_quadrature,
 )
 
@@ -441,3 +445,65 @@ def test_grid_refinement_convergence():
 def test_moment_quadrature_fourth_moment():
     value = moment_quadrature(STD_NORMAL, (4,), points=256)
     assert value == pytest.approx(3.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hermite_rule_matches_numpy_hermegauss(n):
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = _hermite_rule(n)
+    ref_nodes, ref_weights = hermegauss(n)
+    assert np.max(np.abs(nodes - ref_nodes)) < 1e-14
+    assert np.max(np.abs(weights - ref_weights / math.sqrt(2.0 * math.pi))) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 7))  # 2n within the moment engine's order cap
+def test_hermite_rule_is_exact_below_degree_2n(n):
+    nodes, weights = _hermite_rule(n)
+    sd, shift = 1.3, 0.7
+    for k in range(2 * n):
+        rule = float(np.sum(weights * (sd * nodes + shift) ** k))
+        assert rule == pytest.approx(shifted_moment([[sd**2]], [shift], (k,)), rel=1e-12), k
+    # the rule's error on Z^(2n) is n!, at least 2% of E[Z^(2n)] = (2n - 1)!!
+    exact = central_moment([[sd**2]], (2 * n,))
+    assert abs(float(np.sum(weights * (sd * nodes) ** (2 * n))) - exact) > 1e-2 * exact
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tensor_hermite_rule_is_exact_on_bivariate_moments(n):
+    # with x = L z + shift, x_1^r1 x_2^r2 has degree r1 + r2 in z_1 and r2 in
+    # z_2, so every total degree up to 2n - 1 is exact
+    rng = np.random.default_rng(60 + n)
+    dist = Gaussian(np.zeros(2), rand_spd(rng, 2))
+    shift = rng.normal(size=2)
+    nodes, weights = _hermite_rule(n)
+    z1, z2 = np.meshgrid(nodes, nodes, indexing="ij")
+    lower = dist.chol()
+    x1 = lower[0, 0] * z1 + shift[0]
+    x2 = lower[1, 0] * z1 + lower[1, 1] * z2 + shift[1]
+    mass = np.outer(weights, weights)
+    for r1 in range(2 * n):
+        for r2 in range(2 * n - r1):
+            rule = float(np.sum(mass * x1**r1 * x2**r2))
+            exact = shifted_moment(dist.cov, shift, (r1, r2))
+            assert rule == pytest.approx(exact, rel=1e-12, abs=1e-12), (r1, r2)
+
+
+def test_wde_gauss_hermite_matches_the_wick_kernel():
+    rng = np.random.default_rng(61)
+    for dim in range(1, 6):
+        for _ in range(4):
+            dist = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+            centers = dist.mean + rng.normal(scale=0.8, size=dim)
+            wick = cf._weighted_cross_entropy(dist, dist, centers)
+            rule = wde_gauss_hermite(dist, CentralWeight(centers))
+            assert rule == pytest.approx(wick, rel=1e-12), dim
+            assert wde_gauss_hermite(dist, None) == pytest.approx(gaussian_de(dist), rel=1e-12)
+
+
+def test_family_bases_midpoint_integrals_match_the_exact_rule():
+    # the 96^3 midpoint integrals verify checked wick against before the rule
+    for (example, rho), dist in verify._family_bases().items():
+        weight = CentralWeight(dist.mean)
+        midpoint = wde_quadrature(dist.pdf, weight, GridSpec.for_gaussian(dist, 96))
+        assert abs(midpoint - wde_gauss_hermite(dist, weight)) < 1e-4, (example, rho)

@@ -548,16 +548,30 @@ def test_scalar_normals_are_the_stream_of_one_vector_draw(p):
 
 
 def test_sampler_keeps_its_draws_in_compact_storage():
-    # kept draws and log posteriors as doubles, plus the copy PosteriorDraws
-    # makes of them: about twice 8 * kept * (p + 1) bytes, where Python lists
-    # of rows would take several times that
+    # kept draws and log posteriors as doubles, handed to PosteriorDraws
+    # without a copy: about 8 * kept * (p + 1) bytes plus the buffers' growth
+    # slack, where a copy would double it and Python lists of rows take
+    # several times that
     rng = np.random.default_rng(48)
     data = WeightedDataset(rng.normal(0.3, 1.2, size=(200, 1)), np.ones(200))
     cfg = SamplerConfig(20_000, 2_000, 0.08, 5)
     for model in (normal_mean_model(1.0), normal_model()):
         kept_bytes = 8 * (cfg.steps - cfg.burn_in) * (model.n_params + 1)
         peak = traced_peak(metropolis_sample, model, default_log_prior(model), data, cfg)
-        assert peak < 2.25 * kept_bytes, model.name
+        assert peak < 1.25 * kept_bytes, model.name
+
+
+def test_sampler_hands_over_read_only_draws_and_the_constructor_copies():
+    rng = np.random.default_rng(49)
+    data = WeightedDataset(rng.normal(0.3, 1.2, size=(50, 1)), np.ones(50))
+    model = normal_model()
+    post = metropolis_sample(model, default_log_prior(model), data, SamplerConfig(600, 100, 0.3, 7))
+    assert not post.draws.flags.writeable and not post.log_posts.flags.writeable
+    draws, log_posts = np.ones((100, 2)), np.zeros(100)
+    built = PosteriorDraws(draws, "caller", log_posts)
+    assert not np.shares_memory(built.draws, draws)
+    assert not np.shares_memory(built.log_posts, log_posts)
+    assert draws.flags.writeable and log_posts.flags.writeable
 
 
 def test_metropolis_accepts_a_zero_uniform_draw(monkeypatch):
