@@ -46,9 +46,6 @@ from .quadrature import (
     GridSpec,
     McConfig,
     conditional_wde_quadrature,
-    de_quadrature,
-    gibbs_condition_value,
-    moment_quadrature,
     mutual_wde_quadrature,
     relative_wde_monte_carlo,
     relative_wde_quadrature,

@@ -184,8 +184,6 @@ def _cmd_verify(args, config: dict) -> int:
         failed = [c["formula"] for c in report["checks"] if c["verdict"] == "FAIL"]
         sys.stderr.write(
             f"{report['n_failed']} oracle check(s) failed: {', '.join(sorted(set(failed)))}\n"
-            "If these are wick-vs-quadrature comparisons at a tightened tolerance, the\n"
-            "grid is too coarse for it: raise --pair-points or relax --tol-quad.\n"
         )
         return 1
     return 0
@@ -274,9 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--config")
 
     verify = sub.add_parser("verify", help="run the verification basket, emit a JSON report")
-    verify.add_argument("--tol-quad", type=float)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--pair-points", type=int)
     verify.add_argument("--mc-samples", type=int)
     verify.add_argument("--discrete-cases", type=int)
     verify.add_argument("--out")

@@ -3,15 +3,13 @@
 Midpoint rule on a uniform grid over [mu - 8 sigma, mu + 8 sigma] per dimension, which
 converges spectrally for smooth integrands that decay at the box edges.
 
-Every weighted operation accepts ``weight=None`` for the unit weight, and the
-unweighted entry points are thin aliases through the same code path.
+Every weighted operation accepts ``weight=None`` for the unit weight.
 
 Densities and weights see each block of cells as an open mesh (``_chunks``); a
 result of lower rank, a scalar included, is broadcast to the block before it is summed.
-One integrator of int phi f (log f - log ref) serves every entropy quadrature,
-and takes several references in one pass: ``wde_and_relative_wde_quadrature``
-gets a weighted entropy and a weighted divergence from one evaluation of f, phi
-and log f per cell.
+One integrator of int phi f (log f - log ref) serves every entropy quadrature.
+
+For Gaussian densities, ``wde_gauss_hermite`` gives -E_f[phi log ref] exactly, up to rounding.
 
 The Monte Carlo estimator draws and scores its samples in blocks of
 ``MC_BLOCK_ROWS`` rows, so it holds one value per sample and one block's arrays.
@@ -135,19 +133,18 @@ def _chunks(grid: GridSpec):
         yield (mesh[0][start : start + step],) + mesh[1:]
 
 
-def _integrate(grid: GridSpec, term: Callable) -> list[float]:
-    # term(pts, shape) gives one array per integrand for each block and its
-    # shape; fsum rounds each integrand's total of the block sums once,
-    # whatever the block count
+def _integrate(grid: GridSpec, term: Callable) -> float:
+    # term(pts, shape) for each block and its shape; fsum rounds the total of
+    # the block sums once, whatever the block count
     block_sums = []
     for pts in _chunks(grid):
-        # `arrays` still holds the last block's arrays while this block's are
-        # made.  Freed first, they would leave a free heap top large enough
+        # `array` still holds the last block's array while this block's arrays
+        # are made.  Freed first, it would leave a free heap top large enough
         # for glibc to hand back to the system, and every block would then
         # page-fault on its new arrays, which about doubled a 96^3 integral.
-        arrays = term(pts, np.broadcast_shapes(*(x.shape for x in pts)))
-        block_sums.append([float(np.sum(s)) for s in arrays])
-    return [math.fsum(sums) * grid.cell_volume for sums in zip(*block_sums)]
+        array = term(pts, np.broadcast_shapes(*(x.shape for x in pts)))
+        block_sums.append(float(np.sum(array)))
+    return math.fsum(block_sums) * grid.cell_volume
 
 
 def _log0(x, keep) -> np.ndarray:
@@ -157,19 +154,17 @@ def _log0(x, keep) -> np.ndarray:
 
 def _log_ratio_integral(
     f_pdf,
-    ref_sets,
+    refs,
     weight,
     grid: GridSpec,
     require_support: bool = False,
-) -> list[float]:
-    """int phi f (log f - log ref) by midpoint quadrature, one value per
-    reference set, all from one pass over the grid.
+) -> float:
+    """int phi f (log f - log ref) by midpoint quadrature.
 
-    A set's reference density is the product of ``pdf(x[cols])`` over its
-    ``(pdf, cols)`` pairs (no pairs: ref = 1).  f, phi and log f are evaluated
-    once per block for all the sets, and each set's reference densities once.
-    A cell where f or a factor of the set's reference is at most ``TINY``
-    contributes 0 to that set, unless ``require_support`` is set and phi f
+    The reference density is the product of ``pdf(x[cols])`` over the
+    ``(pdf, cols)`` pairs in ``refs`` (no pairs: ref = 1).  Every density is
+    evaluated once per block.  A cell where f or a reference factor is at most
+    ``TINY`` contributes 0, unless ``require_support`` is set and phi f
     exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.  Such a
     block's product is formed on the whole block, with the dropped cells'
     logs read as 0, and only ``product[mask]`` is summed.
@@ -178,44 +173,33 @@ def _log_ratio_integral(
     def term(pts, shape):
         f = np.broadcast_to(f_pdf(pts), shape)
         phi = _weight_values(weight, pts, shape)
-        live = f > TINY
-        log_f = _log0(f, live)
-        products = []
-        for refs in ref_sets:
-            mask, log_ref = live, 0.0
-            for pdf, cols in refs:
-                r = np.asarray(pdf(pts[cols]))  # at its own shape
-                covered = r > TINY
-                if require_support and not covered.all():
-                    bad = (phi * f > TINY) & ~covered
-                    if np.any(bad):
-                        cell = np.unravel_index(int(np.argmax(bad)), shape)
-                        where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
-                        raise SupportMismatchError(
-                            f"reference density vanishes at {where} where phi*f > 0"
-                        )
-                mask = mask & covered
-                log_ref = log_ref + _log0(r, covered)
-            # the last set updates log f in place, an earlier one a copy
-            product = log_f if len(products) == len(ref_sets) - 1 else log_f.copy()
-            if refs:  # no references: ref = 1, and no pass subtracting 0
-                product -= log_ref
-            product *= f
-            product *= phi
-            products.append(product if mask.all() else product[mask])
-        return products
+        mask = f > TINY
+        product, log_ref = _log0(f, mask), 0.0  # log f is new, so updated in place
+        for pdf, cols in refs:
+            r = np.asarray(pdf(pts[cols]))  # at its own shape
+            covered = r > TINY
+            if require_support and not covered.all():
+                bad = (phi * f > TINY) & ~covered
+                if np.any(bad):
+                    cell = np.unravel_index(int(np.argmax(bad)), shape)
+                    where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
+                    raise SupportMismatchError(
+                        f"reference density vanishes at {where} where phi*f > 0"
+                    )
+            mask = mask & covered
+            log_ref = log_ref + _log0(r, covered)
+        if refs:  # no references: ref = 1, and no pass subtracting 0
+            product -= log_ref
+        product *= f
+        product *= phi
+        return product if mask.all() else product[mask]
 
     return _integrate(grid, term)
 
 
 def wde_quadrature(pdf, weight, grid: GridSpec) -> float:
     """Weighted differential entropy -int phi f log f by midpoint quadrature."""
-    return -_log_ratio_integral(pdf, [()], weight, grid)[0]
-
-
-def de_quadrature(pdf, grid: GridSpec) -> float:
-    """Unweighted differential entropy; same code path with the unit weight."""
-    return wde_quadrature(pdf, None, grid)
+    return -_log_ratio_integral(pdf, (), weight, grid)
 
 
 def conditional_wde_quadrature(
@@ -227,13 +211,13 @@ def conditional_wde_quadrature(
 ) -> float:
     """-int phi f(x, y) log[f(x, y) / f2(y)] with y the trailing ``given_dims`` coordinates."""
     refs = [(given_pdf, slice(-given_dims, None))]
-    return -_log_ratio_integral(joint_pdf, [refs], weight, grid)[0]
+    return -_log_ratio_integral(joint_pdf, refs, weight, grid)
 
 
 def mutual_wde_quadrature(joint_pdf, marginal_pdfs, weight, grid: GridSpec) -> float:
     """int phi f log[f / prod_i f_i], with the 0 log(0/0) = 0 convention."""
     refs = [(marg, slice(k, k + 1)) for k, marg in enumerate(marginal_pdfs)]
-    return _log_ratio_integral(joint_pdf, [refs], weight, grid)[0]
+    return _log_ratio_integral(joint_pdf, refs, weight, grid)
 
 
 def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
@@ -243,26 +227,7 @@ def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
     weighted integrand does not.
     """
     refs = [(g_pdf, slice(None))]
-    return _log_ratio_integral(f_pdf, [refs], weight, grid, require_support=True)[0]
-
-
-def wde_and_relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> tuple:
-    """``(wde_quadrature(f_pdf, ...), relative_wde_quadrature(f_pdf, g_pdf, ...))``
-    from one pass over the grid, each with the bits of its own call: f, phi
-    and log f are evaluated once per cell for both.
-    """
-    refs = [(g_pdf, slice(None))]
-    wde, relative = _log_ratio_integral(f_pdf, [(), refs], weight, grid, require_support=True)
-    return -wde, relative
-
-
-def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
-    """int phi (f - g): the sign condition of the weighted Gibbs inequality."""
-
-    def term(pts, shape):
-        return [_weight_values(weight, pts, shape) * (f_pdf(pts) - g_pdf(pts))]
-
-    return _integrate(grid, term)[0]
+    return _log_ratio_integral(f_pdf, refs, weight, grid, require_support=True)
 
 
 @dataclass(frozen=True)
@@ -315,23 +280,13 @@ def _hermite_rule(n: int) -> tuple:
     return nodes, vectors[0] ** 2 / np.sum(vectors[0] ** 2)
 
 
-def wde_gauss_hermite(dist: Gaussian, weight) -> float:
-    """-E_f[phi log f] for a Gaussian f and phi None or a :class:`CentralWeight`, by the tensor
-    Gauss-Hermite rule in x = mu + L z with dim + 2 nodes per axis.  phi log f has degree at
-    most 2 dim + 2 in each z_k, so the rule is exact up to rounding."""
+def wde_gauss_hermite(dist: Gaussian, weight, ref: Gaussian | None = None) -> float:
+    """-E_f[phi log ref] for a Gaussian f = ``dist``, a Gaussian ``ref`` (default f: the
+    weighted entropy of f) and phi None or a :class:`CentralWeight`, by the tensor Gauss-Hermite
+    rule in x = mu + L z with dim + 2 nodes per axis.  log ref is quadratic in z, so phi log ref
+    has degree at most 2 dim + 2 in each z_k, and the rule is exact up to rounding."""
     nodes, weights = _hermite_rule(dist.dim + 2)
     z, mass = np.ix_(*[nodes] * dist.dim), math.prod(np.ix_(*[weights] * dist.dim))
     pts = tuple(m + sum(c * zk for c, zk in zip(row, z)) for m, row in zip(dist.mean, dist.chol()))
-    return -float(np.sum(mass * _weight_values(weight, pts, mass.shape) * dist.log_pdf(pts)))
-
-
-def moment_quadrature(dist: Gaussian, exponents, points: int = 64) -> float:
-    """E[prod (X_i - mu_i)^{r_i}] by tensor quadrature; oracle for the Wick moments."""
-    grid = GridSpec.for_gaussian(dist, points)
-    r = [int(e) for e in exponents]
-
-    def term(pts, shape):  # a factor per coordinate: the block's shape
-        factors = ((x - m) ** e for x, m, e in zip(pts, dist.mean, r, strict=True))
-        return [math.prod(factors) * dist.pdf(pts)]
-
-    return _integrate(grid, term)[0]
+    log_ref = (dist if ref is None else ref).log_pdf(pts)
+    return -float(np.sum(mass * _weight_values(weight, pts, mass.shape) * log_ref))

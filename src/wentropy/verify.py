@@ -31,15 +31,7 @@ from .discrete import (
 )
 from .gaussian import ConditionSpec, conditional_mean, gaussian_kl
 from .moments import central_moment
-from .quadrature import (
-    CentralWeight,
-    GridSpec,
-    McConfig,
-    relative_wde_monte_carlo,
-    relative_wde_quadrature,
-    wde_and_relative_wde_quadrature,
-    wde_gauss_hermite,
-)
+from .quadrature import CentralWeight, McConfig, relative_wde_monte_carlo, wde_gauss_hermite
 
 FORMULA_RTOL = 1e-10  # transcription agreement threshold (relative, floored)
 IDENTITY_TOL = 1e-10
@@ -48,7 +40,7 @@ EXACT_RTOL = 1e-12  # wick against the exact Gauss-Hermite rule, relative, floor
 XI_RTOL = 1e-12  # Xi against the sixth moment, relative to the moment
 MODE_TOL = 1e-12  # a pair divergence against cross minus conditional, one mode
 RELATIVE_DE_TOL = 1e-12  # a printed relative entropy against its generic form
-MC_STDERRS = 4.0  # Monte Carlo against quadrature, in standard errors
+MC_STDERRS = 4.0  # Monte Carlo against the exact rule, in standard errors
 GIBBS_FLOOR = -1e-8
 # A check that scans several points reports the first one whose deviation is
 # within rounding of the largest, not the first strict maximum: many
@@ -65,19 +57,13 @@ PAIR_X3S = (-2.0, 0.0, 0.5, 1.5)
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 20250801
-    tol_quad: float = 1e-4
-    pair_points: int = 192
     mc_samples: int = 200_000
     discrete_cases: int = 50
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol_quad) and self.tol_quad > 0):
-            raise ValueError(f"tol_quad must be positive and finite, got {self.tol_quad}")
         if self.discrete_cases < 1:
             raise ValueError(f"discrete_cases must be at least 1, got {self.discrete_cases}")
-        # their minimums, GridSpec's cell cap and their messages, before any check runs
-        McConfig(self.mc_samples, self.seed)
-        GridSpec(((0.0, 1.0, self.pair_points),) * 2)
+        McConfig(self.mc_samples, self.seed)  # its minimum and message, before any check runs
 
 
 def _record(formula, mode, point, dev, limit, paper=None, wick=None, quad=None, finding=False):
@@ -182,15 +168,20 @@ def _check_lambda_table(checks, cfg):
             checks.append(_transcription(f"Lambda_{i + 1}{j + 1}", label, paper, wick))
 
 
+def _exact(formula, point, wick, quad):
+    """``wick`` against the exact rule, within EXACT_RTOL * max(1, |quad|)."""
+    limit = max(EXACT_RTOL, EXACT_RTOL * abs(quad))
+    return _oracle(formula, "wick-vs-quadrature", point, wick, quad, limit)
+
+
 def _check_weightednormal(checks, bases):
     formula = "weighted-entropy-trivariate"
     for (example, rho), dist in bases.items():
         point = {"example": example, "rho": rho}
         paper, wick = (cf.wde_trivariate(dist, m) for m in ("paper", "wick"))
         quad = wde_gauss_hermite(dist, CentralWeight(dist.mean))
-        limit = max(EXACT_RTOL, EXACT_RTOL * abs(quad))
         checks.append(_transcription(formula, point, paper, wick))
-        checks.append(_oracle(formula, "wick-vs-quadrature", point, wick, quad, limit))
+        checks.append(_exact(formula, point, wick, quad))
 
 
 def _check_theta(checks, pairs):
@@ -225,23 +216,22 @@ def _check_conditional_moments(checks, pairs):
                 checks.append(_worst_transcription(f"Upsilon_{name}", upss))
 
 
-def _pair_quadratures(pc: cf.PairConditional, points: int):
+def _pair_quadratures(pc: cf.PairConditional):
+    """The conditional's weighted entropy, its weighted cross entropy with the
+    pair marginal and their difference, the weighted divergence, by the exact rule."""
     weight = CentralWeight(pc.pair.mean)
-    grid = GridSpec.for_gaussians([pc.cond, pc.pair], points)
-    cond_q, rel_q = wde_and_relative_wde_quadrature(pc.cond.pdf, pc.pair.pdf, weight, grid)
-    # -int phi f(.|x3) log f_pair = weighted entropy of the conditional plus
-    # the weighted divergence from the marginal
-    cross_q = cond_q + rel_q
-    return cond_q, cross_q, rel_q
+    cond_q = wde_gauss_hermite(pc.cond, weight)
+    cross_q = wde_gauss_hermite(pc.cond, weight, pc.pair)
+    return cond_q, cross_q, cross_q - cond_q
 
 
-def _check_pair_formulas(checks, cfg, pairs):
+def _check_pair_formulas(checks, pairs):
     for example, cases in pairs.items():
         printed_dw = (
             cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
         )
         for point, pc in cases:
-            cond_q, cross_q, rel_q = _pair_quadratures(pc, cfg.pair_points)
+            cond_q, cross_q, rel_q = _pair_quadratures(pc)
             cond_w = cf.cond_wde_pair(pc, "wick")
             cross_w = cf.cross_wde_pair(pc, "wick")
             rel_w = cf.relative_we_pair(pc, "wick")
@@ -250,14 +240,16 @@ def _check_pair_formulas(checks, cfg, pairs):
             rhs_p, rhs_w = (
                 cf.cross_wde_pair(pc, m) - cf.cond_wde_pair(pc, m) for m in ("paper", "wick")
             )
-            for formula, mode, wick, quad, limit in (
-                ("cond-wde-pair", "wick-vs-quadrature", cond_w, cond_q, cfg.tol_quad),
-                ("cross-wde-pair", "wick-vs-quadrature", cross_w, cross_q, cfg.tol_quad),
-                ("relative-we-pair", "wick-vs-quadrature", rel_w, rel_q, cfg.tol_quad),
-                ("relative-we-mode-consistency", "paper-mode", rel_p, rhs_p, MODE_TOL),
-                ("relative-we-mode-consistency", "wick-mode", rel_w, rhs_w, MODE_TOL),
+            for formula, wick, quad in (
+                ("cond-wde-pair", cond_w, cond_q),
+                ("cross-wde-pair", cross_w, cross_q),
+                ("relative-we-pair", rel_w, rel_q),
             ):
-                checks.append(_oracle(formula, mode, point, wick, quad, limit))
+                checks.append(_exact(formula, point, wick, quad))
+            for mode, lhs, rhs in (("paper-mode", rel_p, rhs_p), ("wick-mode", rel_w, rhs_w)):
+                checks.append(
+                    _oracle("relative-we-mode-consistency", mode, point, lhs, rhs, MODE_TOL)
+                )
             checks.append(_transcription("relative-we-pair", point, rel_p, rel_w))
             checks.append(
                 _transcription(
@@ -357,8 +349,7 @@ def _check_discrete(checks, cfg):
 def _check_monte_carlo(checks, cfg):
     pc = cf.PairConditional.from_example1(0.4, 1.0)
     weight = CentralWeight(pc.pair.mean)
-    grid = GridSpec.for_gaussians([pc.cond, pc.pair], cfg.pair_points)
-    quad = relative_wde_quadrature(pc.cond.pdf, pc.pair.pdf, weight, grid)
+    quad = _pair_quadratures(pc)[2]
     est, stderr = relative_wde_monte_carlo(
         pc.cond.sampler(), pc.cond.pdf, pc.pair.pdf, weight,
         McConfig(cfg.mc_samples, cfg.seed + 3),
@@ -378,7 +369,7 @@ def run_verify(cfg: VerifyConfig | None = None) -> dict:
     _check_weightednormal(checks, bases)
     _check_theta(checks, pairs)
     _check_conditional_moments(checks, pairs)
-    _check_pair_formulas(checks, cfg, pairs)
+    _check_pair_formulas(checks, pairs)
     _check_relative_de(checks, cfg)
     _check_discrete(checks, cfg)
     _check_monte_carlo(checks, cfg)

@@ -17,7 +17,8 @@ from wentropy.discrete import (
     RelativeIdentityResult,
 )
 from wentropy.errors import SupportMismatchError, ZeroAcceptanceError
-from wentropy.quadrature import TINY, CentralWeight, GridSpec, McEstimate, _chunks
+from wentropy import quadrature
+from wentropy.quadrature import TINY, CentralWeight, GridSpec, McEstimate, _chunks, wde_quadrature
 from wentropy.wdic import (
     ModelSpec,
     PosteriorDraws,
@@ -497,10 +498,39 @@ def reference_relative_we_identity_check(
     return RelativeIdentityResult(lhs, rhs, mutual, expected)
 
 
-# Reference quadrature oracles: the one-reference-set integrator and the
-# one-draw Monte Carlo estimator that the one-pass and blocked versions in
-# ``wentropy.quadrature`` replaced, kept verbatim (with their helpers) so the
-# package can be compared against them bit for bit.
+# Midpoint oracles that only the tests call, on the package's integrator.
+
+
+def de_quadrature(pdf, grid: GridSpec) -> float:
+    """Unweighted differential entropy; same code path with the unit weight."""
+    return wde_quadrature(pdf, None, grid)
+
+
+def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
+    """int phi (f - g): the sign condition of the weighted Gibbs inequality."""
+
+    def term(pts, shape):
+        return quadrature._weight_values(weight, pts, shape) * (f_pdf(pts) - g_pdf(pts))
+
+    return quadrature._integrate(grid, term)
+
+
+def moment_quadrature(dist, exponents, points: int = 64) -> float:
+    """E[prod (X_i - mu_i)^{r_i}] by tensor quadrature; oracle for the Wick moments."""
+    grid = GridSpec.for_gaussian(dist, points)
+    r = [int(e) for e in exponents]
+
+    def term(pts, shape):  # a factor per coordinate: the block's shape
+        factors = ((x - m) ** e for x, m, e in zip(pts, dist.mean, r, strict=True))
+        return math.prod(factors) * dist.pdf(pts)
+
+    return quadrature._integrate(grid, term)
+
+
+# Reference quadrature oracles: the integrator that indexes every factor by
+# the mask and the one-draw Monte Carlo estimator that the whole-block and
+# blocked versions in ``wentropy.quadrature`` replaced, kept verbatim (with
+# their helpers) so the package can be compared against them bit for bit.
 
 
 def _weight_values(weight, points, shape) -> np.ndarray:

@@ -388,8 +388,7 @@ def test_verify_default_passes_and_reports_lambda(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, _, _ = run(
         capsys,
-        ["verify", "--pair-points", "96",
-         "--mc-samples", "50000", "--discrete-cases", "10", "--out", str(out)],
+        ["verify", "--mc-samples", "50000", "--discrete-cases", "10", "--out", str(out)],
     )
     assert code == 0
     report = json.loads(out.read_text())
@@ -452,23 +451,26 @@ def test_gibbs_implication_fails_only_below_the_floor_at_a_nonnegative_gap():
 
 @pytest.mark.parametrize("k, verdict", [(3.5, "OK"), (-3.5, "OK"), (4.5, "FAIL"), (-4.5, "FAIL")])
 def test_monte_carlo_check_allows_four_standard_errors(monkeypatch, k, verdict):
-    # pins both the factor and the standard error it scales
-    quads, quadrature = [], verify.relative_wde_quadrature
+    # pins both the factor and the standard error it scales, around the exact
+    # rule's weighted divergence (cross entropy minus conditional entropy)
+    rels, pair_quadratures = [], verify._pair_quadratures
 
-    def recording_quadrature(*args):
-        quads.append(quadrature(*args))
-        return quads[-1]
+    def recording_pair_quadratures(pc):
+        values = pair_quadratures(pc)
+        rels.append(values[2])
+        return values
 
     stderr = 1e-3
-    monkeypatch.setattr(verify, "relative_wde_quadrature", recording_quadrature)
+    monkeypatch.setattr(verify, "_pair_quadratures", recording_pair_quadratures)
     monkeypatch.setattr(
         verify, "relative_wde_monte_carlo",
-        lambda *args: McEstimate(quads[-1] + k * stderr, stderr),
+        lambda *args: McEstimate(rels[-1] + k * stderr, stderr),
     )
     checks = []
-    _check_monte_carlo(checks, VerifyConfig(pair_points=16))
+    _check_monte_carlo(checks, VerifyConfig())
     (record,) = checks
     assert record["formula"] == "mc-vs-quadrature"
+    assert record["quadrature_value"] == rels[-1]
     assert record["point"]["stderr"] == stderr
     assert record["verdict"] == verdict
 
@@ -501,7 +503,7 @@ def test_verify_builds_each_case_once(monkeypatch):
     monkeypatch.setattr(cf, "condition", counting_condition)  # imported by name
     assert not hasattr(verify, "condition")
     verify.run_verify(
-        VerifyConfig(pair_points=16, mc_samples=1000, discrete_cases=1)
+        VerifyConfig(mc_samples=1000, discrete_cases=1)
     )
     assert counts == {"validate": 109, "pair": 51, "condition": 51}
 
@@ -516,7 +518,7 @@ def test_run_verify_twice_in_one_process_gives_equal_reports():
 
 
 def test_verify_checks_the_trivariate_entropies_against_the_exact_rule():
-    report = verify.run_verify(VerifyConfig(pair_points=16, mc_samples=1000, discrete_cases=1))
+    report = verify.run_verify(VerifyConfig(mc_samples=1000, discrete_cases=1))
     oracles = [
         c for c in report["checks"]
         if c["formula"] == "weighted-entropy-trivariate" and c["mode"] == "wick-vs-quadrature"
@@ -534,7 +536,7 @@ def test_cli_and_verify_leave_numpy_polynomial_unimported():
         "import wentropy.cli\n"
         "print('numpy.polynomial' in sys.modules)\n"
         "from wentropy.verify import VerifyConfig, run_verify\n"
-        "run_verify(VerifyConfig(pair_points=16, mc_samples=1000, discrete_cases=1))\n"
+        "run_verify(VerifyConfig(mc_samples=1000, discrete_cases=1))\n"
         "print('numpy.polynomial' in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -545,17 +547,23 @@ def test_cli_and_verify_leave_numpy_polynomial_unimported():
     assert done.stdout.split() == ["False", "False"]
 
 
-def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
+def test_verify_failure_exits_1_names_the_formulas_and_writes_the_report(
+    capsys, tmp_path, monkeypatch
+):
+    # an exact-rule oracle off by 1e-9 fails every record it checks directly
+    rule = verify.wde_gauss_hermite
+    monkeypatch.setattr(verify, "wde_gauss_hermite", lambda *args: rule(*args) + 1e-9)
     out = tmp_path / "report.json"
     code, _, err = run(
-        capsys,
-        ["verify", "--tol-quad", "1e-9", "--pair-points", "32",
-         "--mc-samples", "50000", "--discrete-cases", "5", "--out", str(out)],
+        capsys, ["verify", "--mc-samples", "1000", "--discrete-cases", "1", "--out", str(out)]
     )
     assert code == 1
-    assert "raise --pair-points or relax --tol-quad." in err
     report = json.loads(out.read_text())  # report written despite the failure
     assert report["n_failed"] > 0
+    assert err == (
+        f"{report['n_failed']} oracle check(s) failed: "
+        "cond-wde-pair, cross-wde-pair, weighted-entropy-trivariate\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -564,15 +572,8 @@ def test_verify_tight_tolerance_fails_with_guidance(capsys, tmp_path):
         ("discrete-cases", "0", "discrete_cases must be at least 1, got 0"),
         ("discrete-cases", "-3", "discrete_cases must be at least 1, got -3"),
         ("mc-samples", "999", "need at least 1000 samples, got 999"),
-        ("pair-points", "0", "need at least 16 points per axis, got 0"),
-        ("pair-points", "10001", "grid has 100020001 cells, above the 100000000 cap"),
-        ("tol-quad", "nan", "tol_quad must be positive and finite, got nan"),
-        ("tol-quad", "inf", "tol_quad must be positive and finite, got inf"),
     ],
-    ids=[
-        "discrete-cases-0", "discrete-cases--3", "mc-samples-999",
-        "pair-points-0", "pair-points-10001", "tol-quad-nan", "tol-quad-inf",
-    ],
+    ids=["discrete-cases-0", "discrete-cases--3", "mc-samples-999"],
 )
 def test_verify_rejects_fewer_than_one_discrete_case(
     capsys, tmp_path, monkeypatch, key, value, message
@@ -596,6 +597,29 @@ def test_verify_rejects_fewer_than_one_discrete_case(
     field = next(f for f in dataclasses.fields(VerifyConfig) if f.name == name)
     with pytest.raises(ValueError, match=message):
         VerifyConfig(**{name: type(field.default)(value)})
+
+
+def test_verify_refuses_the_removed_grid_settings(capsys, tmp_path, monkeypatch):
+    # the pair grids' size and tolerance went with the grids: an old flag is a
+    # usage error and an old config file fails loudly instead of being ignored
+    entered = []
+    for name in [n for n in vars(verify) if n.startswith("_check_")]:
+        monkeypatch.setattr(verify, name, lambda checks, cfg, name=name: entered.append(name))
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as raised:
+        main(["verify", "--pair-points", "192", "--out", str(out)])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --pair-points 192" in capsys.readouterr().err
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("tol-quad = 1e-4\n")
+    code, stdout, err = run(capsys, ["verify", "--config", str(cfg), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert "unknown config key 'tol-quad'" in err
+    assert not out.exists()
+    assert entered == []
+    assert {f.name for f in dataclasses.fields(VerifyConfig)} == {
+        "seed", "mc_samples", "discrete_cases"
+    }
 
 
 SAMPLE_GOLDEN = json.loads((DATA_DIR / "wdic_sample_golden.json").read_text())
@@ -624,12 +648,10 @@ def test_scan_matches_golden_bytes(capsys, tmp_path):
 
 
 def test_verify_matches_golden_bytes(capsys, tmp_path):
-    # a coarse basket, recorded once: its grids fail 34 oracle checks, so the
-    # report pins all four verdicts and the failure exit code
+    # a small basket, recorded once: every oracle passes and every finding is
+    # pinned by its bytes; the FAIL verdict and exit 1 are pinned by
+    # test_verify_failure_exits_1_names_the_formulas_and_writes_the_report
     out = tmp_path / "report.json"
-    argv = [
-        "verify", "--pair-points", "16", "--mc-samples", "1000",
-        "--discrete-cases", "2", "--out", str(out),
-    ]
-    assert run(capsys, argv)[0] == 1
+    argv = ["verify", "--mc-samples", "1000", "--discrete-cases", "2", "--out", str(out)]
+    assert run(capsys, argv)[0] == 0
     assert out.read_bytes() == (DATA_DIR / "verify_golden_small.json").read_bytes()

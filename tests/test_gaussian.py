@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gaussian_logpdf, rand_spd, reference_log_pdf
+from helpers import de_quadrature, gaussian_logpdf, rand_spd, reference_log_pdf
 from wentropy import gaussian
 from wentropy.closedform import PairConditional
 from wentropy.errors import (
@@ -27,7 +27,6 @@ from wentropy.gaussian import (
 from wentropy.quadrature import (
     BLOCK_POINTS,
     GridSpec,
-    de_quadrature,
     relative_wde_quadrature,
 )
 

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binomial_shifted_moment, grid_moment, pairing_moment, rand_spd
+from helpers import (
+    binomial_shifted_moment,
+    grid_moment,
+    moment_quadrature,
+    pairing_moment,
+    rand_spd,
+)
 from wentropy.errors import DimensionMismatchError, OddOrderError, OrderCapError
 from wentropy.moments import central_moment, count_matchings, shifted_moment, shifted_moments
 
@@ -258,7 +264,6 @@ def test_covariance_scaling(spec, seed):
 def test_matches_quadrature_up_to_order_four():
     rng = np.random.default_rng(6)
     from wentropy.gaussian import Gaussian
-    from wentropy.quadrature import moment_quadrature
 
     for _ in range(3):
         cov = rand_spd(rng, 3)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    de_quadrature,
+    gibbs_condition_value,
+    moment_quadrature,
     rand_spd,
     reference_log_ratio_integral,
     reference_relative_wde_monte_carlo,
@@ -27,13 +30,9 @@ from wentropy.quadrature import (
     GridSpec,
     McConfig,
     conditional_wde_quadrature,
-    de_quadrature,
-    gibbs_condition_value,
-    moment_quadrature,
     mutual_wde_quadrature,
     relative_wde_monte_carlo,
     relative_wde_quadrature,
-    wde_and_relative_wde_quadrature,
     BLOCK_POINTS,
     MC_BLOCK_ROWS,
     TINY,
@@ -264,22 +263,6 @@ def test_relative_support_mismatch_raises():
         relative_wde_quadrature(lambda pts: 0.25, left, upper, grid)
 
 
-def test_one_pass_pair_integrals_keep_the_bits_of_one_set_per_pass():
-    # the conditional's weighted entropy and its weighted divergence from the
-    # pair marginal, on every pair case verify integrates
-    cases = [pc for cases in verify._pair_cases(verify._family_bases()).values() for _, pc in cases]
-    assert len(cases) == 20
-    for pc in cases:
-        f, g, weight = pc.cond.pdf, pc.pair.pdf, CentralWeight(pc.pair.mean)
-        grid = GridSpec.for_gaussians([pc.cond, pc.pair], verify.VerifyConfig().pair_points)
-        wde, rel = wde_and_relative_wde_quadrature(f, g, weight, grid)
-        assert wde == -reference_log_ratio_integral(f, (), weight, grid)
-        assert rel == reference_log_ratio_integral(
-            f, [(g, slice(None))], weight, grid, require_support=True
-        )
-        assert (wde, rel) == (wde_quadrature(f, weight, grid), relative_wde_quadrature(f, g, weight, grid))
-
-
 def test_blocks_with_dropped_cells_keep_the_bits_of_boolean_indexing():
     def dropped_f_cells(dist, grid):
         return np.count_nonzero(dist.pdf(np.ix_(*map(grid.axis_centers, range(3)))) <= TINY)
@@ -320,10 +303,9 @@ def test_support_mismatch_message_matches_the_reference():
     with pytest.raises(SupportMismatchError) as expected:
         reference_log_ratio_integral(f, [(g, slice(None))], weight, grid, require_support=True)
     assert "vanishes at [ 0.5016" in str(expected.value)
-    for call in (relative_wde_quadrature, wde_and_relative_wde_quadrature):
-        with pytest.raises(SupportMismatchError) as raised:
-            call(f, g, weight, grid)
-        assert str(raised.value) == str(expected.value)
+    with pytest.raises(SupportMismatchError) as raised:
+        relative_wde_quadrature(f, g, weight, grid)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_gibbs_condition_value_cases():
@@ -499,6 +481,15 @@ def test_wde_gauss_hermite_matches_the_wick_kernel():
             rule = wde_gauss_hermite(dist, CentralWeight(centers))
             assert rule == pytest.approx(wick, rel=1e-12), dim
             assert wde_gauss_hermite(dist, None) == pytest.approx(gaussian_de(dist), rel=1e-12)
+            # the reference defaults to f itself, with the same bits
+            assert wde_gauss_hermite(dist, CentralWeight(centers), None) == rule
+            assert wde_gauss_hermite(dist, CentralWeight(centers), dist) == rule
+            # a cross entropy: log g is still quadratic in the rule's z
+            ref = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+            centers = rng.normal(size=dim)
+            wick = cf._weighted_cross_entropy(dist, ref, centers)
+            rule = wde_gauss_hermite(dist, CentralWeight(centers), ref)
+            assert rule == pytest.approx(wick, rel=1e-12), dim
 
 
 def test_family_bases_midpoint_integrals_match_the_exact_rule():
