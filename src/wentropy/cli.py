@@ -141,17 +141,18 @@ def _cmd_scan(args, config: dict) -> int:
     printed_we = (
         cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
     )
-    # (mode, column, values of (rho, row) at every x3); a column without a mode
-    # is always written.  The printed formulas are evaluated point by point.
-    x3_list = x3s.tolist()
+    # (mode, column, fill(rho, row) -> the values at every x3); a column without a mode
+    # is always written.  Each column is one call on the whole x3 row, the
+    # printed formulas included: their x3 terms are + - * / only, so the row
+    # holds the per-point floats bit for bit.
     table = [
-        ("paper", "D_paper", lambda rho, row: [printed_de(rho, x3) for x3 in x3_list]),
+        ("paper", "D_paper", lambda rho, row: printed_de(rho, x3s)),
         ("corrected", "D_corrected", lambda rho, row: cf.relative_de_pair(row, "corrected")),
         ("wick", "Dw_wick", lambda rho, row: cf.relative_we_pair(row, "wick")),
-        ("paper", "Dw_printed", lambda rho, row: [printed_we(rho, x3) for x3 in x3_list]),
+        ("paper", "Dw_printed", lambda rho, row: printed_we(rho, x3s)),
         (None, "gibbs_gap", lambda rho, row: cf.gibbs_gap(row)),
     ]
-    table = [(column, value) for mode, column, value in table if mode is None or mode in modes]
+    table = [(column, fill) for mode, column, fill in table if mode is None or mode in modes]
 
     lines = [
         f"# {SCAN_SCHEMA}",
@@ -159,15 +160,23 @@ def _cmd_scan(args, config: dict) -> int:
         f"x3={x3s[0]:g}:{x3s[-1]:g}:{x3s.size} modes={','.join(modes)}",
         ",".join(["rho", "x3"] + [column for column, _ in table]),
     ]
+    x3_text = [_fmt(x3) for x3 in x3s.tolist()]
+    values_fmt = ",".join(["{:.17g}"] * len(table))  # _fmt of each value
     for rho in rhos.tolist():
         row = cf.PairConditional(make_base(rho), x3s)
         with np.errstate(all="ignore"):  # overflow is reported below, by point
-            columns = [values(rho, row) for _, values in table]
-        for k, x3 in enumerate(x3_list):
-            for (column, _), values in zip(table, columns):
-                if not math.isfinite(values[k]):
-                    raise ValueError(f"{column} is {values[k]} at rho={rho!r}, x3={x3!r}")
-            lines.append(",".join([_fmt(rho), _fmt(x3)] + [_fmt(v[k]) for v in columns]))
+            grid = np.stack([fill(rho, row) for _, fill in table], axis=1)  # (x3, column)
+        finite = np.isfinite(grid)
+        if not finite.all():  # the first bad value by x3, then by column
+            k, c = divmod(int(np.argmin(finite)), len(table))
+            raise ValueError(
+                f"{table[c][0]} is {float(grid[k, c])} at rho={rho!r}, x3={float(x3s[k])!r}"
+            )
+        head = _fmt(rho) + ","
+        lines += [
+            head + x3 + "," + values_fmt.format(*point)
+            for x3, point in zip(x3_text, grid.tolist())
+        ]
     _write_output("\n".join(lines) + "\n", _resolve(args, config, "out"))
     return 0
 

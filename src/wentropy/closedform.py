@@ -367,8 +367,8 @@ def _check_example1_rho(rho: float) -> float:
 
 def example1_relative_de_paper(rho: float, x3: float | np.ndarray) -> float | np.ndarray:
     """Printed closed form of the pair divergence for the first family
-    (carries the transcribed +1 constant).  At an (n,) array of x3 it is the
-    (n,) array of the per-point values, bit for bit."""
+    (carries the transcribed +1 constant).  Takes one x3 or an (n,) x3 row;
+    a row gives the (n,) per-point values, bit for bit."""
     r = _check_example1_rho(rho)
     r2, r4 = r * r, r**4
     return (
@@ -378,9 +378,10 @@ def example1_relative_de_paper(rho: float, x3: float | np.ndarray) -> float | np
     )
 
 
-def example2_relative_de_paper(rho: float, x3: float) -> float:
+def example2_relative_de_paper(rho: float, x3: float | np.ndarray) -> float | np.ndarray:
     """Printed closed form of the pair divergence for the second family
-    (its final printed line subtracts 1, i.e. it equals the corrected value)."""
+    (its final printed line subtracts 1, i.e. it equals the corrected value).
+    Takes one x3 or an (n,) x3 row, as :func:`example1_relative_de_paper`."""
     r = check_example2_rho(rho)
     return 0.5 * (1.0 + r + (1.0 - r) * x3 * x3 - math.log(r)) - 1.0
 
@@ -391,11 +392,12 @@ def example1_theta_paper(rho: float, x3: float) -> float:
     return 1.0 + 2.0 * r * r + r**4 * (x3 * x3 - 1.0)
 
 
-def example2_theta_paper(rho: float, x3: float) -> float:
+def example2_theta_paper(rho: float, x3: float | np.ndarray) -> float | np.ndarray:
     """Printed conditional product moment for the second family.
 
     The constant term carries 4 rho^4 where the exact moment has 2 rho^4; the
-    verify report flags the difference.
+    verify report flags the difference.  Takes one x3 or an (n,) x3 row, as
+    :func:`example1_relative_de_paper`.
     """
     r = check_example2_rho(rho)
     x2 = x3 * x3
@@ -447,11 +449,12 @@ def example1_upsilon_paper(rho: float, x3: float, i: int, j: int) -> float:
     )
 
 
-def example1_relative_we_paper(rho: float, x3: float) -> float:
+def example1_relative_we_paper(rho: float, x3: float | np.ndarray) -> float | np.ndarray:
     """Printed weighted-divergence closed form for the first family.
 
     Evaluated verbatim; its middle bracket is internally inconsistent, so it
-    is reported against wick mode rather than asserted.
+    is reported against wick mode rather than asserted.  Takes one x3 or an
+    (n,) x3 row, as :func:`example1_relative_de_paper`.
     """
     r = _check_example1_rho(rho)
     r2, r4, r6, r8 = r * r, r**4, r**6, r**8
@@ -479,8 +482,11 @@ def example1_relative_we_paper(rho: float, x3: float) -> float:
     return term1 + term2 + term3
 
 
-def example2_lambda_bar_paper(rho: float, x3: float, i: int, j: int) -> float:
-    """Printed appendix polynomials for the second family's conditional moments."""
+def example2_lambda_bar_paper(
+    rho: float, x3: float | np.ndarray, i: int, j: int
+) -> float | np.ndarray:
+    """Printed appendix polynomials for the second family's conditional moments.
+    Takes one x3 or an (n,) x3 row, as :func:`example1_relative_de_paper`."""
     r = check_example2_rho(rho)
     x2 = x3 * x3
     x4 = x2 * x2
@@ -512,8 +518,11 @@ def example2_lambda_bar_paper(rho: float, x3: float, i: int, j: int) -> float:
     )
 
 
-def example2_upsilon_paper(rho: float, x3: float, i: int, j: int) -> float:
-    """Printed appendix polynomials for the second family's shifted moments."""
+def example2_upsilon_paper(
+    rho: float, x3: float | np.ndarray, i: int, j: int
+) -> float | np.ndarray:
+    """Printed appendix polynomials for the second family's shifted moments.
+    Takes one x3 or an (n,) x3 row, as :func:`example1_relative_de_paper`."""
     r = check_example2_rho(rho)
     x2 = x3 * x3
     x4 = x2 * x2
@@ -553,11 +562,12 @@ def example2_upsilon_paper(rho: float, x3: float, i: int, j: int) -> float:
     )
 
 
-def example2_relative_we_paper(rho: float, x3: float) -> float:
+def example2_relative_we_paper(rho: float, x3: float | np.ndarray) -> float | np.ndarray:
     """Printed weighted-divergence closed form for the second family.
 
     Evaluated verbatim with its printed coefficients (including the extra
     (2 pi)^2 inside the log and a single off-diagonal shifted-moment term).
+    Takes one x3 or an (n,) x3 row, as :func:`example1_relative_de_paper`.
     """
     r = check_example2_rho(rho)
     theta_val = example2_theta_paper(r, x3)

@@ -59,7 +59,8 @@ def _wick_moment(s: list, m: list, e: tuple, memo: dict) -> float:
     """E[X^e] for X ~ N(m, s), with ``memo`` mapping exponent tuples to values.
 
     A zero mean term is skipped, so with m = 0 only even orders are visited.  A
-    mean entry may be an (n,) array of a batch's means; it skips per element.
+    mean entry may also be a batch coordinate from :func:`_batch_mean`: an (n,)
+    array that is never zero, or a (means, means != 0) pair that skips per element.
     """
     value = memo.get(e)
     if value is not None:
@@ -70,10 +71,13 @@ def _wick_moment(s: list, m: list, e: tuple, memo: dict) -> float:
     rest = list(e)
     rest[k] -= 1
     mk = m[k]
-    if isinstance(mk, np.ndarray):
-        value = np.where(mk != 0.0, mk * _wick_moment(s, m, tuple(rest), memo), 0.0)
-    else:
+    if isinstance(mk, float):
         value = mk * _wick_moment(s, m, tuple(rest), memo) if mk != 0.0 else 0.0
+    elif isinstance(mk, tuple):
+        means, nonzero = mk
+        value = np.where(nonzero, means * _wick_moment(s, m, tuple(rest), memo), 0.0)
+    else:
+        value = mk * _wick_moment(s, m, tuple(rest), memo)
     row = s[k]
     for j, n in enumerate(rest):
         if n:
@@ -82,6 +86,15 @@ def _wick_moment(s: list, m: list, e: tuple, memo: dict) -> float:
             rest[j] += 1
     memo[e] = value
     return value
+
+
+def _batch_mean(means: np.ndarray):
+    """One batch coordinate for :func:`_wick_moment`, its zero test made once:
+    0.0 when every mean is zero, the array when none is, else (means, mask)."""
+    nonzero = means != 0.0
+    if not nonzero.any():
+        return 0.0
+    return means if nonzero.all() else (means, nonzero)
 
 
 def central_moment(cov, exponents) -> float:
@@ -114,7 +127,8 @@ def shifted_moments(cov, deltas, exponent_rows) -> list:
     if not np.all(np.isfinite(deltas)):
         raise ValueError("deltas must be finite")
     batch = deltas.shape[1:]
-    s, m, memo = cov.tolist(), list(deltas) if batch else deltas.tolist(), {}
+    m = [_batch_mean(row) for row in deltas] if batch else deltas.tolist()
+    s, memo = cov.tolist(), {}
     with np.errstate(over="ignore", invalid="ignore"):
         values = [_wick_moment(s, m, tuple(r), memo) for r in rows]
     return [np.broadcast_to(v, batch) for v in values] if batch else values

@@ -106,8 +106,16 @@ def test_scan_rejects_non_finite_values_and_writes_nothing(capsys, tmp_path, mod
     assert err == f"error: {message}\n"
 
 
-def test_scan_fills_one_moment_table_per_rho_row(capsys, monkeypatch):
-    calls = {"shifted_moments": 0, "central_moment": 0}
+@pytest.mark.parametrize("example, printed", [
+    (1, {"example1_relative_de_paper": 4, "example1_relative_we_paper": 4}),
+    # the second family's printed Dw makes 7 sub-calls, once per row too
+    (2, {"example2_relative_de_paper": 4, "example2_relative_we_paper": 4,
+         "example2_theta_paper": 4, "example2_upsilon_paper": 12,
+         "example2_lambda_bar_paper": 12}),
+], ids=["example1", "example2"])
+def test_scan_works_once_per_rho_row(capsys, monkeypatch, example, printed):
+    # one moment table and one call of each printed formula per row, not per x3
+    calls = {"shifted_moments": 0, "central_moment": 0, **dict.fromkeys(printed, 0)}
     for name in calls:
 
         def counted(*args, _name=name, _fill=getattr(cf, name)):
@@ -115,9 +123,29 @@ def test_scan_fills_one_moment_table_per_rho_row(capsys, monkeypatch):
             return _fill(*args)
 
         monkeypatch.setattr(cf, name, counted)
-    code, out, _ = run(capsys, ["scan", "--example", "2", "--rho=0.1:0.4:4", "--x3=-2:2:9"])
+    argv = ["scan", "--example", str(example), "--rho=0.1:0.4:4", "--x3=-2:2:9"]
+    code, out, _ = run(capsys, argv)
     assert code == 0 and len(parse_csv(out)[2]) == 4 * 9
-    assert calls == {"shifted_moments": 4, "central_moment": 4}
+    assert calls == {"shifted_moments": 4, "central_moment": 4, **printed}
+
+
+def test_scan_names_the_first_non_finite_value_by_x3_then_column(capsys, tmp_path, monkeypatch):
+    # point 1 is bad in the last column, point 2 in an earlier one: point 1 is named
+    def poisoned(fill, k, bad):
+        def values(*args):
+            out = np.array(fill(*args), dtype=float)
+            out[k] = bad
+            return out
+        return values
+
+    monkeypatch.setattr(cf, "gibbs_gap", poisoned(cf.gibbs_gap, 1, np.nan))
+    monkeypatch.setattr(cf, "relative_de_pair", poisoned(cf.relative_de_pair, 2, -np.inf))
+    out = tmp_path / "scan.csv"
+    code, stdout, err = run(
+        capsys, ["scan", "--example", "1", "--rho=0.1:0.2:2", "--x3=0:1:3", "--out", str(out)]
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: gibbs_gap is nan at rho=0.1, x3=0.5\n"
 
 
 def test_scan_modes_subset(capsys):

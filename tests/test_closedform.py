@@ -142,13 +142,40 @@ def test_relative_de_pair_example1_printed_value():
     assert cf.example1_relative_de_paper(rho, x3) == pytest.approx(expected, abs=1e-15)
 
 
-def test_example1_printed_relative_de_on_an_x3_row_is_the_per_point_floats():
-    x3s = np.linspace(-3.0, 3.0, 31)
-    for rho in np.linspace(-0.7, 0.7, 29):
-        row = cf.example1_relative_de_paper(rho, x3s)
-        assert row.shape == x3s.shape
-        points = [cf.example1_relative_de_paper(float(rho), float(x3)) for x3 in x3s]
-        assert [float(v).hex() for v in row] == [v.hex() for v in points]
+EXAMPLE1_EDGE = math.sqrt((math.sqrt(5.0) - 1.0) / 2.0)  # 1 - rho^2 - rho^4 = 0
+PRINTED_ON_A_ROW = {
+    "example1_relative_de_paper": (cf.example1_relative_de_paper, 1),
+    "example1_relative_we_paper": (cf.example1_relative_we_paper, 1),
+    "example2_relative_de_paper": (cf.example2_relative_de_paper, 2),
+    "example2_relative_we_paper": (cf.example2_relative_we_paper, 2),
+    "example2_theta_paper": (cf.example2_theta_paper, 2),
+    **{f"example2_lambda_bar_paper[{i}{j}]":
+       (lambda rho, x3, i=i, j=j: cf.example2_lambda_bar_paper(rho, x3, i, j), 2)
+       for i, j in PAIR_KEYS},
+    **{f"example2_upsilon_paper[{i}{j}]":
+       (lambda rho, x3, i=i, j=j: cf.example2_upsilon_paper(rho, x3, i, j), 2)
+       for i, j in PAIR_KEYS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_ON_A_ROW))
+def test_printed_evaluators_on_an_x3_row_are_the_per_point_floats(name):
+    # scan calls these once per rho row: every x3 term is + - * / on x3 * x3
+    printed, example = PRINTED_ON_A_ROW[name]
+    edge = EXAMPLE1_EDGE * (1.0 - 1e-12)
+    rhos = [-edge, -0.7, -0.3, 0.0, 0.45, edge] if example == 1 else [1e-12, 0.2, 0.4, 0.5 - 1e-12]
+    rng = np.random.default_rng(25)
+    rows = [np.linspace(-3.0, 3.0, 31) + rng.uniform(-0.05, 0.05, 31) for _ in range(2)]
+    rows[0][[7, 15]] = -0.0, 0.0
+    rows.append(np.array([-5e199, -1e150, -0.0, 1e-160, 5e199]))  # x3 * x3 overflows
+    for rho in rhos:
+        for x3s in rows:
+            with np.errstate(all="ignore"):
+                row = printed(rho, x3s)
+            points = np.array([printed(float(rho), x3) for x3 in x3s.tolist()])
+            assert row.shape == x3s.shape
+            assert np.array_equal(row, points, equal_nan=True), (rho, x3s)
+            assert np.array_equal(np.signbit(row), np.signbit(points)), (rho, x3s)
 
 
 def test_relative_de_pair_example2_printed_value():

@@ -12,7 +12,10 @@ from helpers import (
     pairing_moment,
     rand_spd,
 )
+from wentropy import moments
+from wentropy.closedform import PairConditional
 from wentropy.errors import DimensionMismatchError, OddOrderError, OrderCapError
+from wentropy.gaussian import example1_cov
 from wentropy.moments import central_moment, count_matchings, shifted_moment, shifted_moments
 
 
@@ -123,16 +126,38 @@ def test_shifted_moments_batch_equals_per_column_calls_bit_for_bit():
     # odd and low orders too: E[Y_k + delta_k] is where a zero shift's sign shows
     rows = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 2),
             (3, 2, 2), (2, 3, 3), (4, 0, 1), (0, 5, 0), (2, 2, 2)]
-    batch = shifted_moments(cov, deltas, rows)
-    for r, values in zip(rows, batch):
-        single = [shifted_moment(cov, deltas[:, k], r) for k in range(deltas.shape[1])]
-        assert values.shape == (deltas.shape[1],)
-        assert values.tobytes() == np.array(single).tobytes(), r
-    # a mean row that is zero in every column, as the first family's second coordinate
-    deltas[1] = 0.0
-    for r, values in zip(rows, shifted_moments(cov, deltas, rows)):
-        single = [shifted_moment(cov, deltas[:, k], r) for k in range(deltas.shape[1])]
-        assert values.tobytes() == np.array(single).tobytes(), r
+    # every coordinate mixed; then one coordinate never zero, one zero in every
+    # column (as the first family's second coordinate, -0.0 included), one mixed
+    kinds = deltas.copy()
+    kinds[0] = rng.uniform(0.5, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
+    kinds[1] = [0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0]
+    for batch in (deltas, kinds):
+        for r, values in zip(rows, shifted_moments(cov, batch, rows)):
+            single = [shifted_moment(cov, batch[:, k], r) for k in range(batch.shape[1])]
+            assert values.shape == (batch.shape[1],)
+            assert values.tobytes() == np.array(single).tobytes(), r
+
+
+def test_a_batch_coordinate_zero_in_every_column_is_skipped_like_a_zero_float(monkeypatch):
+    # the first family's pair table: the second shift coordinate is 0 at every x3,
+    # so a row visits the scalar call's 44 recursion nodes, not 48
+    visits = []
+    wick = moments._wick_moment
+
+    def counted(s, m, e, memo):
+        visits.append(e)
+        return wick(s, m, e, memo)
+
+    def visits_to_fill(pc):
+        visits.clear()
+        assert len(pc._moments) == 6
+        return len(visits)
+
+    monkeypatch.setattr(moments, "_wick_moment", counted)
+    base = example1_cov(0.4)
+    row = PairConditional(base, np.array([-1.0, 0.5, 2.0]))
+    assert not row.delta[1].any()
+    assert visits_to_fill(row) == visits_to_fill(PairConditional(base, 0.5)) == 44
 
 
 def test_shifted_moments_batch_errors_match_single_calls():
