@@ -45,11 +45,8 @@ from .quadrature import (
     CentralWeight,
     GridSpec,
     McConfig,
-    conditional_wde_quadrature,
-    mutual_wde_quadrature,
     relative_wde_monte_carlo,
     relative_wde_quadrature,
-    wde_quadrature,
 )
 from .wdic import (
     ModelSpec,

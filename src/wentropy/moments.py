@@ -23,9 +23,15 @@ from .errors import DimensionMismatchError, OddOrderError, OrderCapError
 ORDER_CAP = 12
 
 
+def _as_int(value, name: str) -> int:
+    if int(value) != value:  # int() alone would truncate 1.5 to 1
+        raise ValueError(f"{name} {value} is not an integer")
+    return int(value)
+
+
 def count_matchings(order: int) -> int:
     """Number of perfect matchings of ``order`` symbols, (order-1)!!."""
-    order = int(order)
+    order = _as_int(order, "order")
     if order < 0 or order > ORDER_CAP:
         raise OrderCapError(f"order {order} outside 0..{ORDER_CAP}")
     if order % 2 != 0:
@@ -42,7 +48,7 @@ def _check_spec(cov: np.ndarray, exponent_rows) -> tuple[np.ndarray, list[list[i
         raise DimensionMismatchError(f"cov must be square, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise ValueError("cov must be finite")
-    rows = [[int(e) for e in exponents] for exponents in exponent_rows]
+    rows = [[_as_int(e, "exponent") for e in exponents] for exponents in exponent_rows]
     for r in rows:
         if any(e < 0 for e in r):
             raise ValueError(f"exponents must be nonnegative, got {r}")

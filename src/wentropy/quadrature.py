@@ -1,18 +1,18 @@
-"""Tensor-grid, Gauss-Hermite and Monte Carlo oracles for weighted entropy functionals.
-
-Midpoint rule on a uniform grid over [mu - 8 sigma, mu + 8 sigma] per dimension, which
-converges spectrally for smooth integrands that decay at the box edges.
-
-Every weighted operation accepts ``weight=None`` for the unit weight.
-
-Densities and weights see each block of cells as an open mesh (``_chunks``); a
-result of lower rank, a scalar included, is broadcast to the block before it is summed.
-One integrator of int phi f (log f - log ref) serves every entropy quadrature.
+"""Gauss-Hermite, Monte Carlo and midpoint oracles for weighted entropy functionals.
 
 For Gaussian densities, ``wde_gauss_hermite`` gives -E_f[phi log ref] exactly, up to rounding.
 
 The Monte Carlo estimator draws and scores its samples in blocks of
 ``MC_BLOCK_ROWS`` rows, so it holds one value per sample and one block's arrays.
+
+``relative_wde_quadrature`` is the one midpoint integral: the weighted divergence on
+a ``GridSpec``.  ``GridSpec.for_gaussians`` covers [mu - 8 sigma, mu + 8 sigma] per
+dimension, where the rule converges spectrally for smooth integrands that decay at
+the box edges.  The densities and weight see each block of cells as an open mesh
+(``_chunks``); a result of lower rank, a scalar included, is broadcast to the block
+before it is summed.
+
+Every weighted operation accepts ``weight=None`` for the unit weight.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ class GridSpec:
             axes.append((lo, hi, points))
         return cls(tuple(axes))
 
-    @classmethod
-    def for_gaussian(cls, dist: Gaussian, points: int) -> "GridSpec":
-        return cls.for_gaussians([dist], points)
-
 
 def _chunks(grid: GridSpec):
     """Yield the cell centres in blocks of whole first-axis slabs holding at
@@ -152,82 +148,37 @@ def _log0(x, keep) -> np.ndarray:
     return np.log(x) if keep.all() else np.log(x, out=np.zeros(np.shape(x)), where=keep)
 
 
-def _log_ratio_integral(
-    f_pdf,
-    refs,
-    weight,
-    grid: GridSpec,
-    require_support: bool = False,
-) -> float:
-    """int phi f (log f - log ref) by midpoint quadrature.
+def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
+    """Weighted divergence int phi f log(f/g) by midpoint quadrature.
 
-    The reference density is the product of ``pdf(x[cols])`` over the
-    ``(pdf, cols)`` pairs in ``refs`` (no pairs: ref = 1).  Every density is
-    evaluated once per block.  A cell where f or a reference factor is at most
-    ``TINY`` contributes 0, unless ``require_support`` is set and phi f
-    exceeds ``TINY`` there, which raises :class:`SupportMismatchError`.  Such a
-    block's product is formed on the whole block, with the dropped cells'
-    logs read as 0, and only ``product[mask]`` is summed.
+    f, g and the weight are each evaluated once per block.  A cell where f or
+    g is at most ``TINY`` contributes 0, and a block with such a cell forms
+    its product on the whole block, with the dropped cells' logs read as 0,
+    and sums only ``product[mask]``.  Raises :class:`SupportMismatchError` if
+    g vanishes on a cell where phi f exceeds ``TINY``.
     """
 
     def term(pts, shape):
         f = np.broadcast_to(f_pdf(pts), shape)
         phi = _weight_values(weight, pts, shape)
-        mask = f > TINY
-        product, log_ref = _log0(f, mask), 0.0  # log f is new, so updated in place
-        for pdf, cols in refs:
-            r = np.asarray(pdf(pts[cols]))  # at its own shape
-            covered = r > TINY
-            if require_support and not covered.all():
-                bad = (phi * f > TINY) & ~covered
-                if np.any(bad):
-                    cell = np.unravel_index(int(np.argmax(bad)), shape)
-                    where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
-                    raise SupportMismatchError(
-                        f"reference density vanishes at {where} where phi*f > 0"
-                    )
-            mask = mask & covered
-            log_ref = log_ref + _log0(r, covered)
-        if refs:  # no references: ref = 1, and no pass subtracting 0
-            product -= log_ref
+        g = np.asarray(g_pdf(pts))  # at its own shape
+        kept, covered = f > TINY, g > TINY
+        if not covered.all():
+            bad = (phi * f > TINY) & ~covered
+            if np.any(bad):
+                cell = np.unravel_index(int(np.argmax(bad)), shape)
+                where = np.array([np.broadcast_to(x, shape)[cell] for x in pts])
+                raise SupportMismatchError(
+                    f"reference density vanishes at {where} where phi*f > 0"
+                )
+        mask = kept & covered
+        product = _log0(f, kept)  # log f is new, so updated in place
+        product -= _log0(g, covered)
         product *= f
         product *= phi
         return product if mask.all() else product[mask]
 
     return _integrate(grid, term)
-
-
-def wde_quadrature(pdf, weight, grid: GridSpec) -> float:
-    """Weighted differential entropy -int phi f log f by midpoint quadrature."""
-    return -_log_ratio_integral(pdf, (), weight, grid)
-
-
-def conditional_wde_quadrature(
-    joint_pdf,
-    given_pdf,
-    weight,
-    grid: GridSpec,
-    given_dims: int = 1,
-) -> float:
-    """-int phi f(x, y) log[f(x, y) / f2(y)] with y the trailing ``given_dims`` coordinates."""
-    refs = [(given_pdf, slice(-given_dims, None))]
-    return -_log_ratio_integral(joint_pdf, refs, weight, grid)
-
-
-def mutual_wde_quadrature(joint_pdf, marginal_pdfs, weight, grid: GridSpec) -> float:
-    """int phi f log[f / prod_i f_i], with the 0 log(0/0) = 0 convention."""
-    refs = [(marg, slice(k, k + 1)) for k, marg in enumerate(marginal_pdfs)]
-    return _log_ratio_integral(joint_pdf, refs, weight, grid)
-
-
-def relative_wde_quadrature(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
-    """Weighted divergence int phi f log(f/g).
-
-    Raises :class:`SupportMismatchError` if g vanishes on a cell where the
-    weighted integrand does not.
-    """
-    refs = [(g_pdf, slice(None))]
-    return _log_ratio_integral(f_pdf, refs, weight, grid, require_support=True)
 
 
 @dataclass(frozen=True)

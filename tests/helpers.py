@@ -18,7 +18,7 @@ from wentropy.discrete import (
 )
 from wentropy.errors import SupportMismatchError, ZeroAcceptanceError
 from wentropy import quadrature
-from wentropy.quadrature import TINY, CentralWeight, GridSpec, McEstimate, _chunks, wde_quadrature
+from wentropy.quadrature import TINY, CentralWeight, GridSpec, McEstimate, _chunks
 from wentropy.wdic import (
     ModelSpec,
     PosteriorDraws,
@@ -498,12 +498,33 @@ def reference_relative_we_identity_check(
     return RelativeIdentityResult(lhs, rhs, mutual, expected)
 
 
-# Midpoint oracles that only the tests call, on the package's integrator.
+# Midpoint oracles that only the tests call.  The entropies are thin callers
+# of ``reference_log_ratio_integral`` below; the Gibbs condition and the
+# moments integrate their own terms on the package's grid blocks.
+
+
+def wde_quadrature(pdf, weight, grid: GridSpec) -> float:
+    """Weighted differential entropy -int phi f log f by midpoint quadrature."""
+    return -reference_log_ratio_integral(pdf, (), weight, grid)
 
 
 def de_quadrature(pdf, grid: GridSpec) -> float:
     """Unweighted differential entropy; same code path with the unit weight."""
     return wde_quadrature(pdf, None, grid)
+
+
+def conditional_wde_quadrature(
+    joint_pdf, given_pdf, weight, grid: GridSpec, given_dims: int = 1
+) -> float:
+    """-int phi f(x, y) log[f(x, y) / f2(y)] with y the trailing ``given_dims`` coordinates."""
+    refs = [(given_pdf, slice(-given_dims, None))]
+    return -reference_log_ratio_integral(joint_pdf, refs, weight, grid)
+
+
+def mutual_wde_quadrature(joint_pdf, marginal_pdfs, weight, grid: GridSpec) -> float:
+    """int phi f log[f / prod_i f_i], with the 0 log(0/0) = 0 convention."""
+    refs = [(marg, slice(k, k + 1)) for k, marg in enumerate(marginal_pdfs)]
+    return reference_log_ratio_integral(joint_pdf, refs, weight, grid)
 
 
 def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
@@ -517,7 +538,7 @@ def gibbs_condition_value(f_pdf, g_pdf, weight, grid: GridSpec) -> float:
 
 def moment_quadrature(dist, exponents, points: int = 64) -> float:
     """E[prod (X_i - mu_i)^{r_i}] by tensor quadrature; oracle for the Wick moments."""
-    grid = GridSpec.for_gaussian(dist, points)
+    grid = GridSpec.for_gaussians([dist], points)
     r = [int(e) for e in exponents]
 
     def term(pts, shape):  # a factor per coordinate: the block's shape
@@ -531,6 +552,7 @@ def moment_quadrature(dist, exponents, points: int = 64) -> float:
 # the mask and the one-draw Monte Carlo estimator that the whole-block and
 # blocked versions in ``wentropy.quadrature`` replaced, kept verbatim (with
 # their helpers) so the package can be compared against them bit for bit.
+# The integrator also computes the entropy oracles above.
 
 
 def _weight_values(weight, points, shape) -> np.ndarray:

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from helpers import grid_moment, rand_spd
+from helpers import grid_moment, rand_spd, wde_quadrature
 from wentropy import closedform as cf
 from wentropy.cli import main
 from wentropy.discrete import (
@@ -21,12 +21,7 @@ from wentropy.discrete import (
 )
 from wentropy.gaussian import Gaussian, gaussian_kl
 from wentropy.moments import central_moment, count_matchings
-from wentropy.quadrature import (
-    CentralWeight,
-    GridSpec,
-    relative_wde_quadrature,
-    wde_quadrature,
-)
+from wentropy.quadrature import CentralWeight, GridSpec, relative_wde_quadrature
 from wentropy.verify import VerifyConfig, _check_lambda_table
 from wentropy.wdic import (
     PosteriorDraws,
@@ -120,7 +115,7 @@ def test_c04_weighted_entropy_trivariate_vs_quadrature():
     for example, rhos in ((1, (0.0, 0.3, 0.5)), (2, (0.1, 0.25, 0.4))):
         for rho in rhos:
             dist = cf.example1_cov(rho) if example == 1 else cf.example2_cov(rho)
-            grid = GridSpec.for_gaussian(dist, 96)
+            grid = GridSpec.for_gaussians([dist], 96)
             quad = wde_quadrature(dist.pdf, CentralWeight(dist.mean), grid)
             worst = max(worst, abs(cf.wde_trivariate(dist, "wick") - quad))
     ok = worst <= 1e-4

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gauss_hermite_expectation, gaussian_logpdf, grid_moment, rand_spd
+from helpers import (
+    gauss_hermite_expectation,
+    gaussian_logpdf,
+    grid_moment,
+    rand_spd,
+    wde_quadrature,
+)
 from wentropy import closedform as cf
 from wentropy.errors import DimensionMismatchError, DomainError
 from wentropy.gaussian import Gaussian, gaussian_kl
 from wentropy.moments import central_moment, shifted_moment
-from wentropy.quadrature import (
-    CentralWeight,
-    GridSpec,
-    relative_wde_quadrature,
-    wde_quadrature,
-)
+from wentropy.quadrature import CentralWeight, GridSpec, relative_wde_quadrature
 
 PAIR_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -120,7 +121,7 @@ def test_wde_trivariate_identity_values():
 
 def test_wde_trivariate_wick_matches_quadrature():
     dist = cf.example1_cov(0.3)
-    grid = GridSpec.for_gaussian(dist, 96)
+    grid = GridSpec.for_gaussians([dist], 96)
     quad = wde_quadrature(dist.pdf, CentralWeight(dist.mean), grid)
     assert cf.wde_trivariate(dist, "wick") == pytest.approx(quad, abs=1e-4)
     # mean translation leaves the mean-centered weighted entropy unchanged

@@ -113,7 +113,7 @@ def test_log_pdf_on_an_open_mesh_is_bit_identical_to_the_points():
 def test_log_pdf_and_pdf_finish_in_place_with_the_reference_bits():
     # a 96^3 open mesh in the quadrature's blocks of whole first-axis slabs
     dist = example1_cov(0.5)
-    grid = GridSpec.for_gaussian(dist, 96)
+    grid = GridSpec.for_gaussians([dist], 96)
     mesh = np.ix_(*(grid.axis_centers(k) for k in range(3)))
     saved = [x.copy() for x in mesh]
     step = BLOCK_POINTS // (96 * 96)
@@ -384,14 +384,14 @@ def test_gaussian_de_matches_quadrature_50_seeds():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         dist = Gaussian(rng.normal(size=3), rand_spd(rng, 3))
-        grid = GridSpec.for_gaussian(dist, 48)
+        grid = GridSpec.for_gaussians([dist], 48)
         assert gaussian_de(dist, "corrected") == pytest.approx(
             de_quadrature(dist.pdf, grid), abs=1e-5
         )
     # a first axis that splits into several blocks of whole slabs plus a
     # shorter remainder block
     dist = Gaussian(rng.normal(size=3), rand_spd(rng, 3))
-    box = GridSpec.for_gaussian(dist, 64)
+    box = GridSpec.for_gaussians([dist], 64)
     lo, hi, _ = box.axes[0]
     grid = GridSpec(((lo, hi, 72),) + box.axes[1:])
     per_block = BLOCK_POINTS // 64**2

@@ -67,6 +67,19 @@ def test_count_matchings_values():
         count_matchings(14)
 
 
+def test_non_integral_orders_and_exponents_are_refused_not_truncated():
+    # int() would read (1.5, 2.7) as (1, 2), whose central moment is 0.0
+    with pytest.raises(ValueError, match="exponent 1.5 is not an integer"):
+        central_moment(np.eye(2), (1.5, 2.7))
+    with pytest.raises(ValueError, match="exponent 2.5 is not an integer"):
+        shifted_moments(np.eye(2), [0.0, 1.0], [(2, 2), (1, np.float64(2.5))])
+    with pytest.raises(ValueError, match="order 2.5 is not an integer"):
+        count_matchings(2.5)
+    # integral floats keep working
+    assert central_moment(np.eye(2), (2.0, 2.0)) == central_moment(np.eye(2), (2, 2)) == 1.0
+    assert count_matchings(4.0) == 3
+
+
 def test_order_cap_and_dimension_checks():
     cov = np.eye(2)
     with pytest.raises(OrderCapError):

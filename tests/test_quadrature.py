@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    conditional_wde_quadrature,
     de_quadrature,
     gibbs_condition_value,
     moment_quadrature,
+    mutual_wde_quadrature,
     rand_spd,
     reference_log_ratio_integral,
     reference_relative_wde_monte_carlo,
     traced_peak,
+    wde_quadrature,
 )
 from wentropy import closedform as cf
 from wentropy import verify
@@ -29,8 +32,6 @@ from wentropy.quadrature import (
     CentralWeight,
     GridSpec,
     McConfig,
-    conditional_wde_quadrature,
-    mutual_wde_quadrature,
     relative_wde_monte_carlo,
     relative_wde_quadrature,
     BLOCK_POINTS,
@@ -39,11 +40,10 @@ from wentropy.quadrature import (
     _chunks,
     _hermite_rule,
     wde_gauss_hermite,
-    wde_quadrature,
 )
 
 STD_NORMAL = Gaussian([0.0], [[1.0]])
-GRID_1D = GridSpec.for_gaussian(STD_NORMAL, 2048)
+GRID_1D = GridSpec.for_gaussians([STD_NORMAL], 2048)
 
 
 def test_grid_spec_validation():
@@ -86,7 +86,7 @@ def _is_open_mesh(pts, dim, axes):
 
 def test_densities_and_weights_see_open_mesh_blocks():
     dist = example1_cov(0.4)
-    grid = GridSpec.for_gaussian(dist, 48)
+    grid = GridSpec.for_gaussians([dist], 48)
     seen = {}
 
     def recording(name, fn):
@@ -175,7 +175,7 @@ def test_de_quadrature_is_unit_weight_path():
 def test_conditional_independent_factors():
     joint = Gaussian([0.0, 0.0], np.eye(2))
     given = Gaussian([0.0], [[1.0]])
-    grid = GridSpec.for_gaussian(joint, 256)
+    grid = GridSpec.for_gaussians([joint], 256)
     value = conditional_wde_quadrature(joint.pdf, given.pdf, None, grid)
     assert value == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-8)
 
@@ -183,7 +183,7 @@ def test_conditional_independent_factors():
 def test_conditional_zero_weight():
     joint = Gaussian([0.0, 0.0], np.eye(2))
     given = Gaussian([0.0], [[1.0]])
-    grid = GridSpec.for_gaussian(joint, 64)
+    grid = GridSpec.for_gaussians([joint], 64)
     zero = lambda pts: np.zeros_like(pts[0] * pts[1])
     assert conditional_wde_quadrature(joint.pdf, given.pdf, zero, grid) == 0.0
 
@@ -192,11 +192,11 @@ def test_conditional_chain_rule_over_trivariate():
     # averaging the conditional entropy over the third coordinate equals the
     # joint entropy minus the marginal entropy
     dist = example1_cov(0.4)
-    grid3 = GridSpec.for_gaussian(dist, 80)
+    grid3 = GridSpec.for_gaussians([dist], 80)
     third = dist.marginal([2])
     lhs = conditional_wde_quadrature(dist.pdf, third.pdf, None, grid3, given_dims=1)
     rhs = de_quadrature(dist.pdf, grid3) - de_quadrature(
-        third.pdf, GridSpec.for_gaussian(third, 2048)
+        third.pdf, GridSpec.for_gaussians([third], 2048)
     )
     assert lhs == pytest.approx(rhs, abs=1e-4)
 
@@ -204,7 +204,7 @@ def test_conditional_chain_rule_over_trivariate():
 def test_mutual_independent_is_zero():
     joint = Gaussian([0.0, 0.0], np.eye(2))
     margs = [joint.marginal([0]).pdf, joint.marginal([1]).pdf]
-    grid = GridSpec.for_gaussian(joint, 256)
+    grid = GridSpec.for_gaussians([joint], 256)
     value = mutual_wde_quadrature(joint.pdf, margs, CentralWeight([0.0, 0.0]), grid)
     assert value == pytest.approx(0.0, abs=1e-10)
 
@@ -213,7 +213,7 @@ def test_mutual_bivariate_gaussian():
     rho = 0.6
     joint = Gaussian([0.0, 0.0], [[1.0, rho], [rho, 1.0]])
     margs = [joint.marginal([0]).pdf, joint.marginal([1]).pdf]
-    grid = GridSpec.for_gaussian(joint, 256)
+    grid = GridSpec.for_gaussians([joint], 256)
     value = mutual_wde_quadrature(joint.pdf, margs, None, grid)
     assert value == pytest.approx(-0.5 * math.log(1 - rho**2), abs=1e-4)
 
@@ -221,14 +221,14 @@ def test_mutual_bivariate_gaussian():
 def test_mutual_trivariate_decomposition():
     # marginal-minus-conditional decomposition, both sides by quadrature
     dist = example1_cov(0.4)
-    grid3 = GridSpec.for_gaussian(dist, 80)
+    grid3 = GridSpec.for_gaussians([dist], 80)
     margs = [dist.marginal([k]).pdf for k in range(3)]
     lhs = mutual_wde_quadrature(dist.pdf, margs, None, grid3)
-    h1 = de_quadrature(margs[0], GridSpec.for_gaussian(dist.marginal([0]), 2048))
-    h2 = de_quadrature(margs[1], GridSpec.for_gaussian(dist.marginal([1]), 2048))
+    h1 = de_quadrature(margs[0], GridSpec.for_gaussians([dist.marginal([0])], 2048))
+    h2 = de_quadrature(margs[1], GridSpec.for_gaussians([dist.marginal([1])], 2048))
     tail12 = dist.marginal([1, 2])
     h1_cond = conditional_wde_quadrature(dist.pdf, tail12.pdf, None, grid3, given_dims=2)
-    grid2 = GridSpec.for_gaussian(tail12, 256)
+    grid2 = GridSpec.for_gaussians([tail12], 256)
     h2_cond = conditional_wde_quadrature(
         tail12.pdf, dist.marginal([2]).pdf, None, grid2, given_dims=1
     )
@@ -264,32 +264,22 @@ def test_relative_support_mismatch_raises():
 
 
 def test_blocks_with_dropped_cells_keep_the_bits_of_boolean_indexing():
-    def dropped_f_cells(dist, grid):
-        return np.count_nonzero(dist.pdf(np.ix_(*map(grid.axis_centers, range(3)))) <= TINY)
+    def dropped_cells(pdf, grid):
+        return np.count_nonzero(pdf(np.ix_(*map(grid.axis_centers, range(3)))) <= TINY)
 
-    # the second family at rho 0.1 underflows to 0 in the corners of its 96^3 box
-    dist = example2_cov(0.1)
-    grid = GridSpec.for_gaussian(dist, 96)
-    weight = CentralWeight(dist.mean)
-    assert dropped_f_cells(dist, grid) > 0
-    assert wde_quadrature(dist.pdf, weight, grid) == -reference_log_ratio_integral(
-        dist.pdf, (), weight, grid
-    )
-    # references that vanish where f does not, without and with dropped f cells
-    for dist, dropped in ((example1_cov(0.4), False), (dist, True)):
-        grid = GridSpec.for_gaussian(dist, 48)
-        assert (dropped_f_cells(dist, grid) > 0) == dropped
-        weight = CentralWeight([0.1, -0.2, 0.3])
-        third = dist.marginal([2])
-        given = lambda pts: np.where(pts[0] < 1.0, third.pdf(pts), 0.0)
-        margs = [dist.marginal([k]).pdf for k in range(3)]
-        margs[1] = lambda pts, first=dist.marginal([1]): np.where(pts[0] > -0.5, first.pdf(pts), 0.0)
-        refs = [(m, slice(k, k + 1)) for k, m in enumerate(margs)]
-        assert conditional_wde_quadrature(dist.pdf, given, weight, grid) == (
-            -reference_log_ratio_integral(dist.pdf, [(given, slice(-1, None))], weight, grid)
-        )
-        assert mutual_wde_quadrature(dist.pdf, margs, weight, grid) == (
-            reference_log_ratio_integral(dist.pdf, refs, weight, grid)
+    # the second family at rho 0.1 underflows to 0 in the corners of its box.
+    # The weight vanishes on one grid plane, so g may vanish there where f does
+    # not; a last-axis plane drops one cell per row, so keeping those cells
+    # would regroup numpy's pairwise sum and change the bits
+    for dist, dropped in ((example1_cov(0.4), False), (example2_cov(0.1), True)):
+        grid = GridSpec.for_gaussians([dist], 48)
+        assert (dropped_cells(dist.pdf, grid) > 0) == dropped
+        weight = CentralWeight([0.1, -0.2, grid.axis_centers(2)[20]])
+        wide = Gaussian(dist.mean, 2.0 * dist.cov)
+        g = lambda pts: np.where(weight(pts) * dist.pdf(pts) > TINY, wide.pdf(pts), 0.0)
+        assert dropped_cells(g, grid) > dropped_cells(dist.pdf, grid)
+        assert relative_wde_quadrature(dist.pdf, g, weight, grid) == reference_log_ratio_integral(
+            dist.pdf, [(g, slice(None))], weight, grid, require_support=True
         )
 
 
@@ -417,7 +407,7 @@ def test_verify_monte_carlo_call_stays_under_4_mib():
 
 
 def test_grid_refinement_convergence():
-    base = GridSpec.for_gaussian(STD_NORMAL, 64)
+    base = GridSpec.for_gaussians([STD_NORMAL], 64)
     coarse = wde_quadrature(STD_NORMAL.pdf, CentralWeight([0.0]), base)
     doubled = GridSpec(tuple((lo, hi, 2 * n) for lo, hi, n in base.axes))
     fine = wde_quadrature(STD_NORMAL.pdf, CentralWeight([0.0]), doubled)
@@ -496,5 +486,5 @@ def test_family_bases_midpoint_integrals_match_the_exact_rule():
     # the 96^3 midpoint integrals verify checked wick against before the rule
     for (example, rho), dist in verify._family_bases().items():
         weight = CentralWeight(dist.mean)
-        midpoint = wde_quadrature(dist.pdf, weight, GridSpec.for_gaussian(dist, 96))
+        midpoint = wde_quadrature(dist.pdf, weight, GridSpec.for_gaussians([dist], 96))
         assert abs(midpoint - wde_gauss_hermite(dist, weight)) < 1e-4, (example, rho)
