@@ -40,36 +40,37 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# what json.dumps runs on a str: the C escaper, ASCII output
+_escape = json.encoder.encode_basestring_ascii
+
+
 def _dump_json(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits, keys in insertion order."""
-    pad = "  " * indent
+    """JSON text with floats at 17 significant digits, keys in insertion order;
+    a non-finite float prints as the string of its repr ("inf", "nan")."""
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return f"{value:.17g}" if math.isfinite(value) else _escape(repr(value))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_dump_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        sep = "\n" + "  " * (indent + 1)
+        items = [f"{_escape(str(k))}: {_dump_json(v, indent + 1)}" for k, v in obj.items()]
+        return "{" + sep + ("," + sep).join(items) + sep[:-2] + "}"
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
+        if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {_dump_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        sep = "\n" + "  " * (indent + 1)
+        items = [_dump_json(v, indent + 1) for v in obj]
+        return "[" + sep + ("," + sep).join(items) + sep[:-2] + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not math.isfinite(value):
-            return json.dumps(repr(value))
-        return _fmt(value)
     if isinstance(obj, np.ndarray):
         return _dump_json(list(obj), indent)
-    return json.dumps(str(obj))
+    return _escape(str(obj))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
                 f"unknown config key {unknown[0]!r}; {args.command} takes {sorted(known)}"
             )
         return _COMMANDS[args.command](args, config)
-    except (WentropyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (WentropyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check its counts share."""
 
 
 class WentropyError(Exception):
@@ -47,3 +47,10 @@ class EmptyDrawsError(WentropyError):
 
 class ZeroAcceptanceError(WentropyError):
     """The random-walk sampler accepted (almost) no proposals after burn-in."""
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a non-integral one raises ``ValueError`` naming ``name``."""
+    if int(value) != value:  # int() alone would truncate 1.5 to 1
+        raise ValueError(f"{name} {value} is not an integer")
+    return int(value)

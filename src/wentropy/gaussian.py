@@ -208,7 +208,9 @@ def coordinates(points, dim: int) -> tuple:
 def validate(dist: Gaussian) -> None:
     """Check symmetry and positive definiteness, raising a named error otherwise.
 
-    The check :class:`Gaussian` runs on construction.
+    The check :class:`Gaussian` runs on construction.  One ``eigvalsh`` passes a
+    valid matrix; only a refused one computes its leading minors, so a minor
+    that is not positive is named before the eigenvalue ratio.
     """
     cov = dist.cov
     asym = np.abs(cov - cov.T)
@@ -218,17 +220,18 @@ def validate(dist: Gaussian) -> None:
             f"cov[{i},{j}]={cov[i, j]!r} vs cov[{j},{i}]={cov[j, i]!r} "
             f"(difference {asym[i, j]:.3e})"
         )
+    eigs = np.linalg.eigvalsh(cov)
+    if eigs[0] > 0.0 and eigs[0] >= SPD_EIG_RATIO * eigs[-1]:  # the ratio alone passes 0
+        return
     for k in range(1, dist.dim + 1):
         minor = float(np.linalg.det(cov[:k, :k]))
         if minor <= 0.0:
             raise NotPositiveDefiniteError(
                 f"leading principal minor of order {k} is {minor:.6e} (must be > 0)"
             )
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] < SPD_EIG_RATIO * eigs[-1]:
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {eigs[0]:.6e} below {SPD_EIG_RATIO:g} x largest {eigs[-1]:.6e}"
-        )
+    raise NotPositiveDefiniteError(
+        f"smallest eigenvalue {eigs[0]:.6e} below {SPD_EIG_RATIO:g} x largest {eigs[-1]:.6e}"
+    )
 
 
 def conditional_mean(dist: Gaussian, spec: ConditionSpec) -> np.ndarray:

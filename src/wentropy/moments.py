@@ -18,20 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OddOrderError, OrderCapError
+from .errors import DimensionMismatchError, OddOrderError, OrderCapError, as_int
 
 ORDER_CAP = 12
 
 
-def _as_int(value, name: str) -> int:
-    if int(value) != value:  # int() alone would truncate 1.5 to 1
-        raise ValueError(f"{name} {value} is not an integer")
-    return int(value)
-
-
 def count_matchings(order: int) -> int:
     """Number of perfect matchings of ``order`` symbols, (order-1)!!."""
-    order = _as_int(order, "order")
+    order = as_int(order, "order")
     if order < 0 or order > ORDER_CAP:
         raise OrderCapError(f"order {order} outside 0..{ORDER_CAP}")
     if order % 2 != 0:
@@ -48,7 +42,7 @@ def _check_spec(cov: np.ndarray, exponent_rows) -> tuple[np.ndarray, list[list[i
         raise DimensionMismatchError(f"cov must be square, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise ValueError("cov must be finite")
-    rows = [[_as_int(e, "exponent") for e in exponents] for exponents in exponent_rows]
+    rows = [[as_int(e, "exponent") for e in exponents] for exponents in exponent_rows]
     for r in rows:
         if any(e < 0 for e in r):
             raise ValueError(f"exponents must be nonnegative, got {r}")

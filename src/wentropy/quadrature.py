@@ -17,13 +17,14 @@ Every weighted operation accepts ``weight=None`` for the unit weight.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SupportMismatchError
+from .errors import SupportMismatchError, as_int
 from .gaussian import Gaussian, coordinates
 
 # densities below this are treated as exact zeros (0 log 0 = 0 convention)
@@ -189,10 +190,10 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if int(self.samples) < 1000:
+        object.__setattr__(self, "samples", as_int(self.samples, "samples"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        if self.samples < 1000:
             raise ValueError(f"need at least 1000 samples, got {self.samples}")
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 class McEstimate(NamedTuple):
@@ -224,11 +225,16 @@ def relative_wde_monte_carlo(sampler, f_pdf, g_pdf, weight, cfg: McConfig) -> Mc
     return McEstimate(estimate, stderr)
 
 
+@functools.cache
 def _hermite_rule(n: int) -> tuple:
     """The n-node Gauss rule for N(0, 1) by Golub-Welsch: the eigenvalues of the probabilists'
-    Jacobi matrix (eigh reads its lower triangle); weights: first eigenvector entries squared."""
+    Jacobi matrix (eigh reads its lower triangle); weights: first eigenvector entries squared.
+    Built once per node count; the arrays are read-only, as every caller shares them."""
     nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, n)), -1))
-    return nodes, vectors[0] ** 2 / np.sum(vectors[0] ** 2)
+    weights = vectors[0] ** 2 / np.sum(vectors[0] ** 2)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def wde_gauss_hermite(dist: Gaussian, weight, ref: Gaussian | None = None) -> float:

@@ -42,6 +42,7 @@ from .errors import (
     EmptyDrawsError,
     OutOfSupportError,
     ZeroAcceptanceError,
+    as_int,
 )
 from .quadrature import CentralWeight
 
@@ -392,10 +393,10 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "burn_in", int(self.burn_in))
+        object.__setattr__(self, "steps", as_int(self.steps, "steps"))
+        object.__setattr__(self, "burn_in", as_int(self.burn_in, "burn_in"))
         object.__setattr__(self, "step_size", float(self.step_size))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if not (self.steps > self.burn_in >= 0):
             raise ValueError(
                 f"need steps > burn_in >= 0, got steps={self.steps}, burn_in={self.burn_in}"

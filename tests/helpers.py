@@ -2,6 +2,7 @@
 implemented independently of the package code paths they check."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from functools import reduce
@@ -16,7 +17,13 @@ from wentropy.discrete import (
     MutualDecompResult,
     RelativeIdentityResult,
 )
-from wentropy.errors import SupportMismatchError, ZeroAcceptanceError
+from wentropy.errors import (
+    NotPositiveDefiniteError,
+    NotSymmetricError,
+    SupportMismatchError,
+    ZeroAcceptanceError,
+)
+from wentropy.gaussian import SPD_EIG_RATIO, SYMMETRY_ATOL
 from wentropy import quadrature
 from wentropy.quadrature import TINY, CentralWeight, GridSpec, McEstimate, _chunks
 from wentropy.wdic import (
@@ -625,3 +632,60 @@ def reference_relative_wde_monte_carlo(sampler, f_pdf, g_pdf, weight, cfg) -> Mc
     estimate = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.samples))
     return McEstimate(estimate, stderr)
+
+
+def reference_validate(dist) -> None:
+    """Symmetry, then every leading minor's determinant, then the eigenvalue
+    ratio: the first failing check raises, with its message."""
+    cov = dist.cov
+    asym = np.abs(cov - cov.T)
+    if asym.max() > SYMMETRY_ATOL:
+        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        raise NotSymmetricError(
+            f"cov[{i},{j}]={cov[i, j]!r} vs cov[{j},{i}]={cov[j, i]!r} "
+            f"(difference {asym[i, j]:.3e})"
+        )
+    for k in range(1, dist.dim + 1):
+        minor = float(np.linalg.det(cov[:k, :k]))
+        if minor <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"leading principal minor of order {k} is {minor:.6e} (must be > 0)"
+            )
+    eigs = np.linalg.eigvalsh(cov)
+    if eigs[0] < SPD_EIG_RATIO * eigs[-1]:
+        raise NotPositiveDefiniteError(
+            f"smallest eigenvalue {eigs[0]:.6e} below {SPD_EIG_RATIO:g} x largest {eigs[-1]:.6e}"
+        )
+
+
+def reference_dump_json(obj, indent: int = 0) -> str:
+    """JSON text with floats at 17 significant digits, keys in insertion order,
+    one ``json.dumps`` per string."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {reference_dump_json(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        items = ",\n".join(f"{pad}  {reference_dump_json(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if not math.isfinite(value):
+            return json.dumps(repr(value))
+        return f"{value:.17g}"
+    if isinstance(obj, np.ndarray):
+        return reference_dump_json(list(obj), indent)
+    return json.dumps(str(obj))

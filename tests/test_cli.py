@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_dump_json
 from wentropy import closedform as cf
 from wentropy import cli, gaussian, verify
 from wentropy.cli import main
@@ -286,6 +287,47 @@ def test_moment_bad_file_exits_2(capsys, tmp_path, text):
     code, out, err = run(capsys, ["moment", "--cov", str(cov), "--r", "2"])
     assert (code, out) == (2, "")
     assert err == f"error: {cov}: JSON object must contain a 'cov' matrix\n"
+
+
+def test_moment_malformed_cov_json_exits_2(capsys, tmp_path):
+    cov = tmp_path / "cov.json"
+    cov.write_text('{"cov": [[1, 0], [0, 1]')
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(cov.read_text())
+    code, out, err = run(capsys, ["moment", "--cov", str(cov), "--r", "2,2"])
+    assert (code, out, err) == (2, "", f"error: {decode.value}\n")
+
+
+STRINGS = ['say "hi"', "back\\slash", "ctl\x00\x07\x1f\n\t\r", "naïve ∑ 日本 \U0001f600", ""]
+JSON_PINS = {
+    "float": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324],
+    "np.float64": [np.float64(v) for v in (math.nan, math.inf, -math.inf, -0.0, 0.1)],
+    "np.float32": [np.float32(0.1), np.float32(math.inf)],
+    "scalars": [np.int64(-7), 3, True, False, np.bool_(True), np.bool_(False), None],
+    "empty": [{}, [], ()],
+    "nested": {"a": [1, (2.5, {"b": [], "c": {}})], "d": {"e": {"f": (None,)}}},
+    "ndarray": np.array([[1.0, math.nan], [-0.0, math.inf]]),
+    "string values": STRINGS,
+    "string keys": {text: i for i, text in enumerate(STRINGS)},
+    "other keys": {3: "int", 1.5: "float", None: "none", True: "bool"},
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_PINS))
+def test_dump_json_bytes_match_one_dumps_per_string(name):
+    # the C escaper gives the bytes of json.dumps on each string, key or value
+    obj = JSON_PINS[name]
+    assert cli._dump_json(obj) == reference_dump_json(obj)
+    assert cli._dump_json({"x": [obj]}, 2) == reference_dump_json({"x": [obj]}, 2)
+    if isinstance(obj, list):
+        for item in obj:
+            assert cli._dump_json(item) == reference_dump_json(item), item
+
+
+def test_dump_json_prints_non_finite_floats_as_strings():
+    got = [cli._dump_json(v) for v in (np.float64(math.inf), -math.inf, np.float64(math.nan))]
+    assert got == ['"inf"', '"-inf"', '"nan"']
+    assert json.loads(cli._dump_json({text: text for text in STRINGS})) == {t: t for t in STRINGS}
 
 
 def test_wdic_golden_classical_reduction(capsys):

@@ -1,9 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import de_quadrature, gaussian_logpdf, rand_spd, reference_log_pdf
+from helpers import (
+    de_quadrature,
+    gaussian_logpdf,
+    rand_spd,
+    reference_log_pdf,
+    reference_validate,
+)
 from wentropy import gaussian
 from wentropy.closedform import PairConditional
 from wentropy.errors import (
@@ -11,9 +18,11 @@ from wentropy.errors import (
     DomainError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    WentropyError,
 )
 from wentropy.gaussian import (
     MAX_DIM,
+    SPD_EIG_RATIO,
     ConditionSpec,
     Gaussian,
     condition,
@@ -65,6 +74,64 @@ def test_construction_validates():
     with pytest.raises(NotPositiveDefiniteError) as err:
         Gaussian(np.zeros(2), np.diag([1.0, 1e-12]))
     assert "smallest eigenvalue" in str(err.value)
+
+
+def _verdict(check, cov):
+    """None when ``check`` passes ``cov``, else its error type and message."""
+    try:
+        check(SimpleNamespace(cov=cov, dim=cov.shape[0]))
+    except WentropyError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _parity_cases(rng, d):
+    """Symmetric d x d matrices on both sides of every positive-definiteness verdict."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+
+    def spectrum(eigs):
+        cov = (q * np.asarray(eigs, dtype=float)) @ q.T
+        return (cov + cov.T) / 2
+
+    ones = np.ones(d - 1)
+    spd = rand_spd(rng, d)
+    return {
+        "spd": spd,
+        "ratio-above": spectrum([SPD_EIG_RATIO * 1.01, *ones]),
+        "ratio-below": spectrum([SPD_EIG_RATIO * 0.99, *ones]),
+        "singular-psd": spectrum([0.0, *rng.uniform(0.5, 2.0, d - 1)]),
+        "indefinite": spectrum([-0.5, *rng.uniform(0.5, 2.0, d - 1)]),
+        "negative-definite": -spd,
+        "zero": np.zeros((d, d)),
+    }
+
+
+def test_validate_matches_the_minor_then_eigenvalue_reference():
+    # same pass, or same error type and message, as the check that runs every
+    # leading minor before the eigenvalue ratio; the zero matrix passes the
+    # ratio alone (0 >= SPD_EIG_RATIO * 0), so it pins the positivity test
+    rng = np.random.default_rng(2027)
+    seen = set()
+    for d in range(1, MAX_DIM + 1):
+        for _ in range(4):
+            for name, cov in _parity_cases(rng, d).items():
+                got = _verdict(validate, cov)
+                assert got == _verdict(reference_validate, cov), (d, name)
+                seen.add("pass" if got is None else got[1].split(" ")[0])
+    # the cases reach the pass and both refusals
+    assert seen == {"pass", "leading", "smallest"}
+
+
+def test_validate_passes_a_tiny_identity_whose_minors_underflow():
+    # the one verdict that differs from the reference: 1e-200 I is positive
+    # definite with condition number 1, but its 2 x 2 determinant underflows to 0
+    cov = 1e-200 * np.eye(2)
+    assert _verdict(validate, cov) is None
+    assert _verdict(reference_validate, cov) == (
+        NotPositiveDefiniteError,
+        "leading principal minor of order 2 is 0.000000e+00 (must be > 0)",
+    )
+    assert Gaussian(np.zeros(2), cov).log_det == pytest.approx(2 * math.log(1e-200), rel=1e-15)
 
 
 def test_log_pdf_matches_dense_reference():

@@ -419,6 +419,30 @@ def test_moment_quadrature_fourth_moment():
     assert value == pytest.approx(3.0, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [(1500.7, 2, "samples 1500.7 is not an integer"), (1500, 2.9, "seed 2.9 is not an integer")],
+    ids=["samples", "seed"],
+)
+def test_mc_config_refuses_a_non_integral_count(samples, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        McConfig(samples, seed)
+
+
+def test_mc_config_takes_integral_floats_as_ints():
+    cfg = McConfig(1500.0, np.float64(2.0))
+    assert (cfg.samples, cfg.seed) == (1500, 2)
+    assert type(cfg.samples) is int and type(cfg.seed) is int
+
+
+def test_hermite_rule_is_built_once_per_node_count_and_read_only():
+    nodes, weights = _hermite_rule(5)
+    assert _hermite_rule(5)[0] is nodes and _hermite_rule(4)[0] is not nodes
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_hermite_rule_matches_numpy_hermegauss(n):
     from numpy.polynomial.hermite_e import hermegauss

@@ -15,7 +15,7 @@ from importlib import import_module
 from pathlib import Path
 
 import wentropy
-from wentropy import cli
+from wentropy import cli, quadrature
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -100,7 +100,9 @@ def test_every_package_function_a_command_never_calls_is_listed(tmp_path, capsys
         if event == "call":
             called.add(frame.f_code)
 
-    cli._build_parser.cache_clear()  # an earlier test may have built it
+    # an earlier test may have filled these caches; a cache hit runs no code
+    cli._build_parser.cache_clear()
+    quadrature._hermite_rule.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:

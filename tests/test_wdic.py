@@ -640,6 +640,22 @@ def test_model_recovery_prefers_generating_model():
     assert wins >= 9
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("steps", 1500.5), ("burn_in", 300.2), ("seed", 1.7)],
+)
+def test_sampler_config_refuses_a_non_integral_count(field, value):
+    kwargs = {"steps": 1500, "burn_in": 300, "step_size": 0.4, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} {value} is not an integer$"):
+        SamplerConfig(**kwargs)
+
+
+def test_sampler_config_takes_integral_floats_as_ints():
+    cfg = SamplerConfig(steps=1500.0, burn_in=np.int64(300), step_size=1, seed=7.0)
+    assert (cfg.steps, cfg.burn_in, cfg.step_size, cfg.seed) == (1500, 300, 1.0, 7)
+    assert {type(v) for v in (cfg.steps, cfg.burn_in, cfg.seed)} == {int}
+
+
 def test_builtin_model_registry():
     assert builtin_model("normal").n_params == 2
     with pytest.raises(ValueError):
