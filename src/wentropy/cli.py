@@ -9,7 +9,6 @@ significant digits, and nothing depends on wall clock or locale.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -81,10 +80,8 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_config(path: str | None) -> dict:
+def _read_config(path: str) -> dict:
     """Key-value config lines 'name = value'; keys mirror the long flag names."""
-    if not path:
-        return {}
     values = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -98,19 +95,8 @@ def _read_config(path: str | None) -> dict:
     return values
 
 
-def _resolve(args, config: dict, key: str, default=None, required: bool = False):
-    """Flag value if given, else the config file's, else the default."""
-    attr = key.replace("-", "_")
-    value = getattr(args, attr, None)
-    if value is None:
-        value = config.get(key, default)
-    if required and value is None:
-        raise ValueError(f"missing required option --{key}")
-    return value
-
-
 def _parse_range(text: str, name: str) -> np.ndarray:
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--{name} must be lo:hi:steps, got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
@@ -123,14 +109,11 @@ def _parse_range(text: str, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _cmd_scan(args, config: dict) -> int:
-    example = int(_resolve(args, config, "example", required=True))
-    if example not in (1, 2):
-        raise ValueError(f"--example must be 1 or 2, got {example}")
-    rhos = _parse_range(_resolve(args, config, "rho", required=True), "rho")
-    x3s = _parse_range(_resolve(args, config, "x3", required=True), "x3")
-    modes_text = _resolve(args, config, "modes", default=",".join(ALL_MODES))
-    modes = tuple(m.strip() for m in str(modes_text).split(",") if m.strip())
+def _cmd_scan(args) -> int:
+    example = args.example
+    rhos = _parse_range(args.rho, "rho")
+    x3s = _parse_range(args.x3, "x3")
+    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for m in modes:
         if m not in ALL_MODES:
             raise ValueError(f"unknown mode {m!r}; choose from {ALL_MODES}")
@@ -178,18 +161,13 @@ def _cmd_scan(args, config: dict) -> int:
             head + x3 + "," + values_fmt.format(*point)
             for x3, point in zip(x3_text, grid.tolist())
         ]
-    _write_output("\n".join(lines) + "\n", _resolve(args, config, "out"))
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_verify(args, config: dict) -> int:
-    # each field is the flag of the same name, cast by the type of its default
-    cfg = VerifyConfig(**{
-        f.name: type(f.default)(_resolve(args, config, f.name.replace("_", "-"), f.default))
-        for f in dataclasses.fields(VerifyConfig)
-    })
-    report = run_verify(cfg)
-    _write_output(_dump_json(report) + "\n", _resolve(args, config, "out"))
+def _cmd_verify(args) -> int:
+    report = run_verify(VerifyConfig(args.seed, args.mc_samples, args.discrete_cases))
+    _write_output(_dump_json(report) + "\n", args.out)
     if not report["ok"]:
         failed = [c["formula"] for c in report["checks"] if c["verdict"] == "FAIL"]
         sys.stderr.write(
@@ -199,19 +177,17 @@ def _cmd_verify(args, config: dict) -> int:
     return 0
 
 
-def _cmd_moment(args, config: dict) -> int:
-    cov_path = _resolve(args, config, "cov", required=True)
-    with open(cov_path) as handle:
+def _cmd_moment(args) -> int:
+    with open(args.cov) as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "cov" not in payload:
-        raise ValueError(f"{cov_path}: JSON object must contain a 'cov' matrix")
+        raise ValueError(f"{args.cov}: JSON object must contain a 'cov' matrix")
     cov = np.asarray(payload["cov"], dtype=float)
-    exponents = [int(v) for v in str(_resolve(args, config, "r", required=True)).split(",")]
-    shift_text = _resolve(args, config, "shift")
-    if shift_text is None:
+    exponents = [int(v) for v in args.r.split(",")]
+    if args.shift is None:
         value = central_moment(cov, exponents)
     else:
-        deltas = [float(v) for v in str(shift_text).split(",")]
+        deltas = [float(v) for v in args.shift.split(",")]
         value = shifted_moment(cov, deltas, exponents)
     if not math.isfinite(value):
         raise ValueError(f"value is {value}: the moment is outside the float range")
@@ -222,35 +198,29 @@ def _cmd_moment(args, config: dict) -> int:
     return 0
 
 
-def _cmd_wdic(args, config: dict) -> int:
-    data = WeightedDataset.from_csv(_resolve(args, config, "data", required=True))
-    centers_text = _resolve(args, config, "weights-center")
-    if centers_text is not None:
-        centers = [float(v) for v in str(centers_text).split(",")]
-        data = data.with_central_weights(centers)
-    model = builtin_model(str(_resolve(args, config, "model", default="normal-mean")))
-    draws_path = _resolve(args, config, "draws")
-    sample_text = _resolve(args, config, "sample")
-    if (draws_path is None) == (sample_text is None):
+def _cmd_wdic(args) -> int:
+    data = WeightedDataset.from_csv(args.data)
+    if args.weights_center is not None:
+        data = data.with_central_weights([float(v) for v in args.weights_center.split(",")])
+    model = builtin_model(args.model)
+    if (args.draws is None) == (args.sample is None):
         raise ValueError("provide exactly one of --draws FILE or --sample steps,burnin,step,seed")
     acceptance = None
-    if draws_path is not None:
-        draws = PosteriorDraws.from_csv(draws_path)
+    if args.draws is not None:
+        draws = PosteriorDraws.from_csv(args.draws)
     else:
-        parts = str(sample_text).split(",")
+        parts = args.sample.split(",")
         if len(parts) != 4:
-            raise ValueError(f"--sample must be steps,burnin,step,seed, got {sample_text!r}")
+            raise ValueError(f"--sample must be steps,burnin,step,seed, got {args.sample!r}")
         sampler_cfg = SamplerConfig(
             steps=int(parts[0]), burn_in=int(parts[1]),
             step_size=float(parts[2]), seed=int(parts[3]),
         )
-        prior_scale = float(_resolve(args, config, "prior-scale", default=10.0))
         draws = metropolis_sample(
-            model, default_log_prior(model, prior_scale), data, sampler_cfg
+            model, default_log_prior(model, args.prior_scale), data, sampler_cfg
         )
         acceptance = draws.acceptance_rate
-    rule = str(_resolve(args, config, "theta-hat", default="mean"))
-    result = wdic(model, draws, data, theta_hat_rule=rule)
+    result = wdic(model, draws, data, theta_hat_rule=args.theta_hat)
     payload = {
         "wdic": result.wdic,
         "pwd": result.pwd,
@@ -261,7 +231,7 @@ def _cmd_wdic(args, config: dict) -> int:
         payload["acceptance_rate"] = acceptance
     payload["pwd_mcse"] = result.pwd_mcse
     payload["ess"] = result.ess
-    _write_output(_dump_json(payload) + "\n", _resolve(args, config, "out"))
+    _write_output(_dump_json(payload) + "\n", args.out)
     return 0
 
 
@@ -277,14 +247,14 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--example", type=int, choices=(1, 2))
     scan.add_argument("--rho", help="lo:hi:steps")
     scan.add_argument("--x3", help="lo:hi:steps")
-    scan.add_argument("--modes", help="comma list from paper,corrected,wick")
+    scan.add_argument("--modes", default=",".join(ALL_MODES), help="comma list from %(default)s")
     scan.add_argument("--out")
     scan.add_argument("--config")
 
     verify = sub.add_parser("verify", help="run the verification basket, emit a JSON report")
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--mc-samples", type=int)
-    verify.add_argument("--discrete-cases", type=int)
+    verify.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    verify.add_argument("--mc-samples", type=int, default=VerifyConfig.mc_samples)
+    verify.add_argument("--discrete-cases", type=int, default=VerifyConfig.discrete_cases)
     verify.add_argument("--out")
     verify.add_argument("--config")
 
@@ -298,35 +268,50 @@ def _build_parser() -> argparse.ArgumentParser:
     wdic_cmd.add_argument("--data", help="CSV with columns y_1..y_d,weight")
     wdic_cmd.add_argument("--draws", help="CSV with columns theta_1..theta_p")
     wdic_cmd.add_argument("--sample", help="steps,burnin,step,seed")
-    wdic_cmd.add_argument("--model", help="normal-mean | normal-mean-sd2 | normal")
+    wdic_cmd.add_argument(
+        "--model", default="normal-mean", help="normal-mean | normal-mean-sd2 | normal"
+    )
     wdic_cmd.add_argument("--weights-center", help="comma list; derive weights from data")
-    wdic_cmd.add_argument("--theta-hat", choices=("mean", "mode"))
-    wdic_cmd.add_argument("--prior-scale", type=float)
+    wdic_cmd.add_argument("--theta-hat", choices=("mean", "mode"), default="mean")
+    wdic_cmd.add_argument("--prior-scale", type=float, default=10.0)
     wdic_cmd.add_argument("--out")
     wdic_cmd.add_argument("--config")
 
     return parser
 
 
+# each command's handler and the options it cannot run without
 _COMMANDS = {
-    "scan": _cmd_scan,
-    "verify": _cmd_verify,
-    "moment": _cmd_moment,
-    "wdic": _cmd_wdic,
+    "scan": (_cmd_scan, ("example", "rho", "x3")),
+    "verify": (_cmd_verify, ()),
+    "moment": (_cmd_moment, ("cov", "r")),
+    "wdic": (_cmd_wdic, ("data",)),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    handler, required = _COMMANDS[args.command]
     try:
-        config = _read_config(getattr(args, "config", None))
-        known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
-        unknown = [key for key in config if key not in known]
-        if unknown:
-            raise ValueError(
-                f"unknown config key {unknown[0]!r}; {args.command} takes {sorted(known)}"
-            )
-        return _COMMANDS[args.command](args, config)
+        if args.config:
+            config = _read_config(args.config)
+            known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
+            unknown = [key for key in config if key not in known]
+            if unknown:
+                raise ValueError(
+                    f"unknown config key {unknown[0]!r}; {args.command} takes {sorted(known)}"
+                )
+            # the file's lines parse as flags ahead of the command line's own,
+            # so each gets its flag's type and choices and an explicit flag wins
+            at = argv.index(args.command) + 1
+            lines = [f"--{key}={value}" for key, value in config.items()]
+            args = parser.parse_args(argv[:at] + lines + argv[at:])
+        for name in required:
+            if getattr(args, name) is None:
+                raise ValueError(f"missing required option --{name}")
+        return handler(args)
     except (WentropyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -55,7 +55,8 @@ _BLOCK_POINTS = 2**14
 
 @dataclass(frozen=True, eq=False)
 class WeightedDataset:
-    """Observations (n, d) with one nonnegative finite weight per row."""
+    """Observations (n, d), n and d at least 1, with one nonnegative finite
+    weight per row."""
 
     y: np.ndarray
     weights: np.ndarray
@@ -65,6 +66,10 @@ class WeightedDataset:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if y.ndim != 2:
             raise ValueError(f"observations must be 2-dimensional, got shape {y.shape}")
+        if 0 in y.shape:
+            raise ValueError(
+                f"observations need at least one row and one column, got shape {y.shape}"
+            )
         if w.shape != (y.shape[0],):
             raise DimensionMismatchError(
                 f"{w.size} weights for {y.shape[0]} observations"
@@ -530,12 +535,9 @@ def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
 
     def log_density(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
         mu, log_sd = theta
-        if np.ndim(log_sd) == 0:  # the sampler's per-proposal call stays scalar
-            var, norm = scale(log_sd)
-        else:
-            var, norm = np.array([scale(s) for s in log_sd.ravel()]).T.reshape(
-                (2,) + log_sd.shape
-            )
+        var, norm = np.array([scale(s) for s in np.ravel(log_sd)]).T.reshape(
+            (2,) + np.shape(log_sd)
+        )
         return norm - (y[:, 0] - mu) ** 2 / (2.0 * var)
 
     return ModelSpec(

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from wentropy import cli, gaussian, verify
 from wentropy.cli import main
 from wentropy.quadrature import McEstimate
 from wentropy.verify import VerifyConfig, _check_monte_carlo, _gibbs, _worst
+from wentropy.wdic import default_log_prior, wdic
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -203,6 +205,37 @@ def test_config_rejects_keys_that_are_not_flags_of_the_command(capsys, tmp_path)
     code, out, _ = run(capsys, ["moment", "--cov", str(cov), "--config", str(cfg)])
     assert code == 0
     assert out.splitlines()[0] == "value: 10"
+
+
+def test_config_value_gets_its_flags_type_and_choices(capsys, tmp_path):
+    # a bad value from a config file is the same usage error as the flag's,
+    # even when an explicit flag overrides it
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("example = 3\nrho = 0:0.2:3\nx3 = 0:1:2\n")
+    for argv in (
+        ["scan", "--example", "3", "--rho", "0:0.2:3", "--x3", "0:1:2"],
+        ["scan", "--config", str(cfg)],
+        ["scan", "--config", str(cfg), "--example", "1"],
+    ):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --example: invalid choice: 3 (choose from 1, 2)" in err
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli._build_parser()
+    verify_args = parser.parse_args(["verify"])
+    for field in dataclasses.fields(VerifyConfig):
+        value = getattr(verify_args, field.name)
+        assert (value, type(value)) == (field.default, type(field.default))
+    wdic_args = parser.parse_args(["wdic"])
+    scale = inspect.signature(default_log_prior).parameters["scale"].default
+    rule = inspect.signature(wdic).parameters["theta_hat_rule"].default
+    assert (wdic_args.prior_scale, type(wdic_args.prior_scale)) == (scale, float)
+    assert wdic_args.theta_hat == rule
 
 
 def test_moment_identity_covariance(capsys, tmp_path):
@@ -411,6 +444,21 @@ def test_wdic_refuses_bad_sampler_input_before_sampling(capsys, monkeypatch, ext
         argv += ["--sample", "1500,300,0.4,42"]
     code, out, err = run(capsys, argv + extra)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert entered == []
+
+
+def test_wdic_refuses_a_config_theta_hat_before_sampling(capsys, tmp_path, monkeypatch):
+    entered = []
+    monkeypatch.setattr(cli, "metropolis_sample", lambda *args: entered.append(args))
+    cfg = tmp_path / "wdic.cfg"
+    cfg.write_text("theta-hat = median\n")
+    argv = ["wdic", "--data", str(DATA_DIR / "toy_data.csv"), "--sample", "200000,100,0.4,1"]
+    with pytest.raises(SystemExit) as raised:
+        main(argv + ["--config", str(cfg)])
+    assert raised.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --theta-hat: invalid choice: 'median'" in err
     assert entered == []
 
 

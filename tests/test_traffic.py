@@ -74,6 +74,8 @@ def _package_functions() -> dict:
 def _command_paths(tmp_path) -> list:
     cov = tmp_path / "cov.json"
     cov.write_text(json.dumps({"cov": [[1.0, 0.5], [0.5, 2.0]]}))
+    config = tmp_path / "scan.cfg"
+    config.write_text("example = 2\nrho = 0.1:0.4:3\nx3 = 0:1:2\nmodes = wick\n")
     toy = ["--data", str(DATA_DIR / "toy_data.csv")]
     sample = ["--data", str(DATA_DIR / "wdic_sample_data.csv"), "--sample", "400,100,0.4,7"]
     return [
@@ -81,6 +83,7 @@ def _command_paths(tmp_path) -> list:
          "--out", str(tmp_path / "scan1.csv")],
         ["scan", "--example", "2", "--rho=0.05:0.45:29", "--x3=-3:3:31",
          "--out", str(tmp_path / "scan2.csv")],
+        ["scan", "--config", str(config), "--out", str(tmp_path / "scan3.csv")],
         ["verify", "--mc-samples", "1000", "--discrete-cases", "2",
          "--out", str(tmp_path / "verify.json")],
         ["moment", "--cov", str(cov), "--r", "2,2"],
@@ -88,7 +91,7 @@ def _command_paths(tmp_path) -> list:
         ["wdic", *toy, "--draws", str(DATA_DIR / "toy_draws.csv"), "--theta-hat", "mean"],
         ["wdic", *toy, "--draws", str(DATA_DIR / "toy_draws.csv"), "--theta-hat", "mode"],
         ["wdic", *sample, "--model", "normal", "--weights-center=0.5"],
-        ["wdic", *sample, "--model", "normal-mean-sd2"],
+        ["wdic", *sample, "--model", "normal-mean-sd2", "--theta-hat", "mode"],
     ]
 
 

@@ -77,6 +77,16 @@ def test_dataset_validation():
             data.with_central_weights([0.5, center])
 
 
+@pytest.mark.parametrize(
+    "y, weights", [(np.zeros((0, 1)), np.zeros(0)), (np.zeros((3, 0)), np.ones(3)), ([], [1.0])],
+    ids=["no-rows", "no-columns", "empty-list"],
+)
+def test_dataset_refuses_zero_rows_or_columns(y, weights):
+    # refused when built, not as a division by n = 0 in the scoring or a summary
+    with pytest.raises(ValueError, match="at least one row and one column, got shape"):
+        WeightedDataset(y, weights)
+
+
 def test_weighted_loglik_unit_weights_is_standard():
     rng = np.random.default_rng(0)
     data = make_data(rng)
