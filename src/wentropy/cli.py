@@ -81,12 +81,13 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _read_config(path: str) -> dict:
-    """Key-value config lines 'name = value'; keys mirror the long flag names."""
+    """Key-value config lines 'name = value'; keys mirror the long flag names.
+    A line whose first non-blank character is '#' is a comment; a '#' in a value is kept."""
     values = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -198,6 +199,7 @@ def _cmd_moment(args) -> int:
     return 0
 
 
+@np.errstate(all="ignore")  # overflow is reported below, by key
 def _cmd_wdic(args) -> int:
     data = WeightedDataset.from_csv(args.data)
     if args.weights_center is not None:
@@ -231,6 +233,9 @@ def _cmd_wdic(args) -> int:
         payload["acceptance_rate"] = acceptance
     payload["pwd_mcse"] = result.pwd_mcse
     payload["ess"] = result.ess
+    for key, value in payload.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key} is {value}: the result is outside the float range")
     _write_output(_dump_json(payload) + "\n", args.out)
     return 0
 

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import as_float_array
 from .quadrature import CentralWeight
 
 PROB_SUM_ATOL = 1e-12
@@ -34,23 +35,17 @@ class DiscreteJoint:
     support: tuple
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        support = tuple(np.asarray(s, dtype=float) for s in self.support)
-        if probs.ndim != len(support):
-            raise ValueError(
-                f"{probs.ndim}-axis tensor with {len(support)} support vectors"
-            )
+        support = tuple(
+            as_float_array(s, f"support[{k}]", ndim=1) for k, s in enumerate(self.support)
+        )
+        probs = as_float_array(self.probs, "probs", ndim=len(support))
         for k, s in enumerate(support):
-            if s.ndim != 1 or s.size != probs.shape[k]:
+            if s.size != probs.shape[k]:
                 raise ValueError(f"support[{k}] must have length {probs.shape[k]}")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        probs = probs.copy()
-        probs.setflags(write=False)
-        for s in support:
-            s.setflags(write=False)
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "support", support)
 

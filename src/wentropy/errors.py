@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer check its counts share."""
+"""Exception types shared across the package, and the checks its containers and counts share."""
+
+import numpy as np
 
 
 class WentropyError(Exception):
@@ -54,3 +56,16 @@ def as_int(value, name: str) -> int:
     if int(value) != value:  # int() alone would truncate 1.5 to 1
         raise ValueError(f"{name} {value} is not an integer")
     return int(value)
+
+
+def as_float_array(value, name: str, ndim: int, copy: bool = True) -> np.ndarray:
+    """``value`` as a read-only float array of ``ndim`` dimensions and finite entries, else a
+    ``ValueError`` naming ``name``: a copy, so the caller's array is neither frozen nor shared,
+    unless ``copy`` is False, which freezes a float array in place (a buffer handed over)."""
+    arr = np.array(value, dtype=float) if copy else np.asarray(value, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr

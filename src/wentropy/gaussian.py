@@ -18,6 +18,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularGivenBlockError,
+    as_float_array,
 )
 
 SYMMETRY_ATOL = 1e-12
@@ -32,16 +33,6 @@ def check_entropy_mode(mode: str) -> str:
     if mode not in ENTROPY_MODES:
         raise ValueError(f"mode must be one of {ENTROPY_MODES}, got {mode!r}")
     return mode
-
-
-def _float_array(x, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(x, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +57,8 @@ class Gaussian:
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        mean = _float_array(self.mean, "mean", ndim=1)
-        cov = _float_array(self.cov, "cov", ndim=2)
+        mean = as_float_array(self.mean, "mean", ndim=1)
+        cov = as_float_array(self.cov, "cov", ndim=2)
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatchError(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
@@ -84,7 +75,7 @@ class Gaussian:
 
     def _with_mean(self, mean) -> "Gaussian":
         """Same covariance and caches, new checked ``mean``: the one path that skips validate."""
-        mean = _float_array(mean, "mean", ndim=1)
+        mean = as_float_array(mean, "mean", ndim=1)
         if mean.shape != self.mean.shape:
             raise DimensionMismatchError(f"mean shape {mean.shape} is not {self.mean.shape}")
         new = object.__new__(Gaussian)
@@ -180,7 +171,7 @@ class ConditionSpec:
         kept = tuple(int(i) for i in self.kept)
         given = tuple(int(i) for i in self.given)
         ndim = 2 if np.ndim(self.value) == 2 else 1  # one value or a block
-        value = _float_array(np.atleast_1d(self.value), "value", ndim=ndim)
+        value = as_float_array(np.atleast_1d(self.value), "value", ndim=ndim)
         if set(kept) & set(given):
             raise ValueError(f"kept {kept} and given {given} overlap")
         if len(set(kept)) != len(kept) or len(set(given)) != len(given):
@@ -217,7 +208,7 @@ def validate(dist: Gaussian) -> None:
     if asym.max() > SYMMETRY_ATOL:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise NotSymmetricError(
-            f"cov[{i},{j}]={cov[i, j]!r} vs cov[{j},{i}]={cov[j, i]!r} "
+            f"cov[{i},{j}]={float(cov[i, j])!r} vs cov[{j},{i}]={float(cov[j, i])!r} "
             f"(difference {asym[i, j]:.3e})"
         )
     eigs = np.linalg.eigvalsh(cov)
@@ -351,7 +342,7 @@ def gaussian_kl(f: Gaussian, g: Gaussian, means=None) -> float | np.ndarray:
         z = g._inv_lower @ (g.mean - f.mean)
         quad = float(z @ z)
     else:
-        means = _float_array(means, "means", ndim=2)
+        means = as_float_array(means, "means", ndim=2)
         if means.shape[0] != f.dim:
             raise DimensionMismatchError(
                 f"means block has {means.shape[0]} rows, expected {f.dim}"

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SupportMismatchError, as_int
+from .errors import SupportMismatchError, as_float_array, as_int
 from .gaussian import Gaussian, coordinates
 
 # densities below this are treated as exact zeros (0 log 0 = 0 convention)
@@ -47,10 +47,7 @@ class CentralWeight:
     centers: np.ndarray
 
     def __post_init__(self):
-        centers = np.atleast_1d(np.asarray(self.centers, dtype=float))
-        if centers.ndim != 1 or not np.all(np.isfinite(centers)):
-            raise ValueError("centers must be a finite vector")
-        centers.setflags(write=False)
+        centers = as_float_array(np.atleast_1d(self.centers), "centers", ndim=1)
         object.__setattr__(self, "centers", centers)
 
     @property

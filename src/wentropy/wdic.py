@@ -42,6 +42,7 @@ from .errors import (
     EmptyDrawsError,
     OutOfSupportError,
     ZeroAcceptanceError,
+    as_float_array,
     as_int,
 )
 from .quadrature import CentralWeight
@@ -62,26 +63,19 @@ class WeightedDataset:
     weights: np.ndarray
 
     def __post_init__(self):
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if y.ndim != 2:
-            raise ValueError(f"observations must be 2-dimensional, got shape {y.shape}")
+        y = as_float_array(np.atleast_2d(self.y), "observations", ndim=2)
         if 0 in y.shape:
             raise ValueError(
                 f"observations need at least one row and one column, got shape {y.shape}"
             )
+        w = np.atleast_1d(self.weights)
         if w.shape != (y.shape[0],):
             raise DimensionMismatchError(
                 f"{w.size} weights for {y.shape[0]} observations"
             )
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(w)):
-            raise ValueError("observations and weights must be finite")
+        w = as_float_array(w, "weights", ndim=1)
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        y = y.copy()
-        w = w.copy()
-        y.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "weights", w)
 
@@ -166,15 +160,11 @@ class PosteriorDraws:
     acceptance_rate: float | None = None
 
     def __post_init__(self, copy: bool = True):
-        draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
+        draws = as_float_array(np.atleast_2d(self.draws), "draws", ndim=2, copy=copy)
         if draws.shape[0] < MIN_DRAWS:
             raise EmptyDrawsError(
                 f"need at least {MIN_DRAWS} draws, got {draws.shape[0]}"
             )
-        if not np.all(np.isfinite(draws)):
-            raise ValueError("draws must be finite")
-        draws = draws.copy() if copy else draws
-        draws.setflags(write=False)
         object.__setattr__(self, "draws", draws)
         if self.log_posts is not None:
             lp = np.asarray(self.log_posts, dtype=float)
@@ -289,7 +279,7 @@ def _weighted_logliks(
             if logs[draw, idx] <= LOG_TINY:
                 raise OutOfSupportError(
                     f"observation {idx} has zero density under {model.name} but "
-                    f"weight {weights[idx]!r}"
+                    f"weight {float(weights[idx])!r}"
                 )
             raise ValueError(
                 f"draw {starts[start + draw]}: log density {float(logs[draw, idx])!r} at "
@@ -489,16 +479,22 @@ def metropolis_sample(
 # ---------------------------------------------------------------------------
 
 
-def _normal_summary(scale: Callable) -> Callable:
-    """``summarize`` for a normal model of the first data column, whose
-    ``scale(theta)`` gives (variance, log normalizer) and theta[0] the mean:
-    sum_i log N(y_i | mu, var) = n norm - (SS + n (ybar - mu)^2) / (2 var)."""
+def _normal_summary(scale: Callable, bound: float) -> Callable:
+    """``summarize`` for a normal model of the first data column, whose ``scale(theta)``
+    gives (variance, log normalizer) and theta[0] in [-bound, bound] the mean:
+    sum_i log N(y_i | mu, var) = n norm - (SS + n (ybar - mu)^2) / (2 var).
+    Data whose sums or squares leave the float range are refused before any step."""
 
     def summarize(y: np.ndarray) -> Callable:
         col = y[:, 0].tolist()
         n = len(col)
-        ybar = math.fsum(col) / n
-        ss = math.fsum((v - ybar) ** 2 for v in col)
+        try:  # fsum and float ** raise OverflowError; + and * give inf
+            ybar = math.fsum(col) / n
+            ss = math.fsum((v - ybar) ** 2 for v in col)
+            if not math.isfinite(ss + n * (abs(ybar) + bound) ** 2):  # the largest numerator
+                raise OverflowError
+        except OverflowError:
+            raise ValueError("observations overflow the normal model's sum of squares") from None
 
         def loglik(theta) -> float:
             var, norm = scale(theta)
@@ -519,7 +515,7 @@ def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
 
     return ModelSpec(
         f"normal-mean(sd={sd:g})", 1, log_density, ((-bound, bound),),
-        _normal_summary(lambda theta: (sd * sd, const)),
+        _normal_summary(lambda theta: (sd * sd, const), bound),
     )
 
 
@@ -542,7 +538,7 @@ def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
 
     return ModelSpec(
         "normal", 2, log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound)),
-        _normal_summary(lambda theta: scale(theta[1])),
+        _normal_summary(lambda theta: scale(theta[1]), bound),
     )
 
 

@@ -642,7 +642,7 @@ def reference_validate(dist) -> None:
     if asym.max() > SYMMETRY_ATOL:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise NotSymmetricError(
-            f"cov[{i},{j}]={cov[i, j]!r} vs cov[{j},{i}]={cov[j, i]!r} "
+            f"cov[{i},{j}]={float(cov[i, j])!r} vs cov[{j},{i}]={float(cov[j, i])!r} "
             f"(difference {asym[i, j]:.3e})"
         )
     for k in range(1, dist.dim + 1):

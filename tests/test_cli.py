@@ -225,6 +225,22 @@ def test_config_value_gets_its_flags_type_and_choices(capsys, tmp_path):
         assert "argument --example: invalid choice: 3 (choose from 1, 2)" in err
 
 
+def test_config_comment_is_a_line_and_a_hash_in_a_value_is_kept(capsys, tmp_path):
+    out = tmp_path / "run#1.csv"
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        f"# a comment line\n   # an indented one\nexample = 1\nrho = 0:0.2:3\n"
+        f"x3 = 0:1:2\nout = {out}\n"
+    )
+    assert run(capsys, ["scan", "--config", str(cfg)]) == (0, "", "")
+    assert out.exists() and not (tmp_path / "run").exists()
+    # a '#' after a value is part of it, so this mode is unknown
+    cfg.write_text("example = 1\nrho = 0:0.2:3\nx3 = 0:1:2\nmodes = wick # note\n")
+    code, _, err = run(capsys, ["scan", "--config", str(cfg)])
+    assert (code, err) == (2, "error: unknown mode 'wick # note'; choose from "
+                              "('paper', 'corrected', 'wick')\n")
+
+
 def test_parser_defaults_are_the_library_defaults():
     parser = cli._build_parser()
     verify_args = parser.parse_args(["verify"])
@@ -445,6 +461,52 @@ def test_wdic_refuses_bad_sampler_input_before_sampling(capsys, monkeypatch, ext
     code, out, err = run(capsys, argv + extra)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert entered == []
+
+
+BAD_WDIC_INPUT = {
+    "y-1e155-sample": (
+        [1e155, 0.0, 0.0], ["--sample", "1500,300,0.4,42"],
+        "observations overflow the normal model's sum of squares",
+    ),
+    "y-1e155-draws": (
+        [1e155, 0.0, 0.0], ["--draws", str(DATA_DIR / "toy_draws.csv")],
+        "observation 0 has zero density under normal-mean(sd=1) but weight 1.0",
+    ),
+    "y-all-1e200-sample": (
+        [1e200] * 3, ["--sample", "1500,300,0.4,42"],
+        "observations overflow the normal model's sum of squares",
+    ),
+    "y-nan": (
+        [0.1, math.nan, 0.2], ["--sample", "1500,300,0.4,42"],
+        "observations contains non-finite entries",
+    ),
+    "center-1e100": (
+        None, ["--draws", str(DATA_DIR / "toy_draws.csv"), "--weights-center=1e100"],
+        "pwd_mcse is inf: the result is outside the float range",
+    ),
+    "center-1e160": (
+        None, ["--draws", str(DATA_DIR / "toy_draws.csv"), "--weights-center=1e160"],
+        "weights contains non-finite entries",
+    ),
+    "center-nan": (
+        None, ["--draws", str(DATA_DIR / "toy_draws.csv"), "--weights-center=nan"],
+        "centers contains non-finite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WDIC_INPUT))
+def test_wdic_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+    # in process, where a numpy RuntimeWarning is an error: none may escape
+    column, extra, message = BAD_WDIC_INPUT[case]
+    data = DATA_DIR / "toy_data.csv"
+    if column is not None:
+        data = tmp_path / "data.csv"
+        data.write_text("y_1,weight\n" + "".join(f"{v!r},1\n" for v in column))
+    out = tmp_path / "out.json"
+    argv = ["wdic", "--data", str(data), "--out", str(out)] + extra
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_wdic_refuses_a_config_theta_hat_before_sampling(capsys, tmp_path, monkeypatch):

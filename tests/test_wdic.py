@@ -73,7 +73,7 @@ def test_dataset_validation():
         WeightedDataset([[0.0], [1.0]], [1.0])
     data = WeightedDataset([[0.0, 1.0], [1.0, 2.0]], [1.0, 1.0])
     for center in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="centers must be a finite vector"):
+        with pytest.raises(ValueError, match="centers contains non-finite entries"):
             data.with_central_weights([0.5, center])
 
 
