@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, as_float_array
 from .gaussian import (
     ConditionSpec,
     Gaussian,
@@ -73,11 +73,12 @@ class PairConditional:
     def __post_init__(self):
         if self.base.dim != 3:
             raise ValueError(f"base must be trivariate, got dimension {self.base.dim}")
-        x3 = np.array(self.x3, dtype=float)
-        if x3.ndim > 1 or x3.size == 0:
+        shape = np.shape(self.x3)
+        if len(shape) > 1 or 0 in shape:
             raise DimensionMismatchError(
-                f"x3 must be one value or a non-empty (n,) array, got shape {x3.shape}"
+                f"x3 must be one value or a non-empty (n,) array, got shape {shape}"
             )
+        x3 = as_float_array(self.x3, "x3", ndim=len(shape))
         pair = self.base.marginal([0, 1])
         cond = condition(self.base, ConditionSpec((0, 1), (2,), x3.ravel()[:1]))
         if x3.ndim:
@@ -85,7 +86,7 @@ class PairConditional:
             delta = mu_bar - pair.mean[:, None]
         else:
             mu_bar, delta = cond.mean, cond.mean - pair.mean
-        for arr in (x3, mu_bar, delta):
+        for arr in (mu_bar, delta):
             arr.setflags(write=False)
         self.__dict__.update(
             x3=x3 if x3.ndim else float(x3), pair=pair, cond=cond, mu_bar=mu_bar, delta=delta

@@ -44,10 +44,11 @@ class Gaussian:
     ``Gaussian`` that exists is a valid one.  It also caches the lower
     Cholesky factor (:meth:`chol`) and the log-determinant ``log_det`` of the
     covariance; ``precision`` and the inverse Cholesky factor are computed on
-    first use and cached.  It remembers the Gaussians it derives
-    (:meth:`marginal`, :func:`condition`), so each derived covariance is
-    validated and factored once.  ``==`` is identity, as for the other
-    array-holding containers: arrays compared elementwise have no truth value.
+    first use and cached.  The Gaussians it derives (:meth:`marginal`,
+    :func:`condition`) are new ones, built and validated the same way; it keeps
+    only the gain of :func:`conditional_mean` per (kept, given).  ``==`` is
+    identity, as for the other array-holding containers: arrays compared
+    elementwise have no truth value.
     """
 
     mean: np.ndarray
@@ -72,15 +73,6 @@ class Gaussian:
         lower.setflags(write=False)
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(lower)))))
-
-    def _with_mean(self, mean) -> "Gaussian":
-        """Same covariance and caches, new checked ``mean``: the one path that skips validate."""
-        mean = as_float_array(mean, "mean", ndim=1)
-        if mean.shape != self.mean.shape:
-            raise DimensionMismatchError(f"mean shape {mean.shape} is not {self.mean.shape}")
-        new = object.__new__(Gaussian)
-        new.__dict__.update(self.__dict__, mean=mean, _derived={})
-        return new
 
     @property
     def dim(self) -> int:
@@ -134,12 +126,9 @@ class Gaussian:
         return np.exp(log_density, out=out)
 
     def marginal(self, indices) -> "Gaussian":
-        """Marginal on ``indices``; the same object for the same indices."""
+        """Marginal on ``indices``, a new validated Gaussian."""
         idx = list(indices)
-        key = ("marginal", tuple(idx))
-        if key not in self._derived:
-            self._derived[key] = Gaussian(self.mean[idx], self.cov[np.ix_(idx, idx)])
-        return self._derived[key]
+        return Gaussian(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
     def sampler(self):
         """Return ``draw(rng, n) -> (n, dim)`` sampling from this distribution."""
@@ -255,22 +244,17 @@ def conditional_mean(dist: Gaussian, spec: ConditionSpec) -> np.ndarray:
 def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
     """Conditional distribution of the kept coordinates given one value of the fixed ones.
 
-    An empty given-set returns the marginal on the kept coordinates exactly.
-    Per (kept, given), ``dist`` keeps the gain and the first result; later
-    values compute only the mean, by :func:`conditional_mean`.  A failed
-    validation keeps only the gain.
+    A new validated Gaussian; an empty given-set returns the marginal on the
+    kept coordinates exactly.  The gain comes from :func:`conditional_mean`,
+    which ``dist`` keeps per (kept, given).
     """
     mean = conditional_mean(dist, spec)  # checks the indices
     if not spec.given:
         return dist.marginal(spec.kept)
-    key = ("condition", spec.kept, spec.given)
-    if key in dist._derived:
-        return dist._derived[key]._with_mean(mean)
     a, b = list(spec.kept), list(spec.given)
     gain = dist._derived[("gain", spec.kept, spec.given)]
     cov = dist.cov[a][:, a] - gain @ dist.cov[a][:, b].T
-    dist._derived[key] = Gaussian(mean, 0.5 * (cov + cov.T))
-    return dist._derived[key]
+    return Gaussian(mean, 0.5 * (cov + cov.T))
 
 
 def example1_cov(rho: float) -> Gaussian:

@@ -660,7 +660,9 @@ def test_verify_builds_each_case_once(monkeypatch):
     # every check, and the relative-de scan builds one PairConditional row per
     # rho (22 + 29); the counts do not depend on the grid sizes.  Each
     # PairConditional conditions once, and the relative-de KL oracle takes one
-    # row of means per rho, so there is no other condition call
+    # row of means per rho, so there is no other condition call.  Every
+    # PairConditional validates its own pair and conditional (2 x 51) on top
+    # of the 37 bases (6 family, 29 relative-de rows, 2 single points)
     counts = {"validate": 0, "pair": 0, "condition": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
     condition = gaussian.condition
@@ -685,7 +687,22 @@ def test_verify_builds_each_case_once(monkeypatch):
     verify.run_verify(
         VerifyConfig(mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 109, "pair": 51, "condition": 51}
+    assert counts == {"validate": 139, "pair": 51, "condition": 51}
+
+
+def test_verify_pair_cases_hold_only_validated_gaussians(monkeypatch):
+    validated = []
+    validate = gaussian.validate
+
+    def recording_validate(dist):
+        validated.append(dist)
+        validate(dist)
+
+    monkeypatch.setattr(gaussian, "validate", recording_validate)
+    cases = verify._pair_cases(verify._family_bases())
+    held = [g for pcs in cases.values() for _, pc in pcs for g in (pc.pair, pc.cond)]
+    assert len(held) == 40
+    assert all(any(g is seen for seen in validated) for g in held)
 
 
 def test_run_verify_twice_in_one_process_gives_equal_reports():

@@ -505,10 +505,10 @@ def test_pair_row_is_bit_identical_to_per_point_values(example):
 
 def test_pair_row_rejects_non_finite_x3_like_a_point():
     base = cf.example2_cov(0.25)
-    with pytest.raises(ValueError) as point:
+    with pytest.raises(ValueError, match="x3") as point:
         cf.PairConditional(base, np.inf)
     for x3s in ([0.0, 1.0, np.nan], [np.inf, 0.0]):
-        with pytest.raises(ValueError) as row:
+        with pytest.raises(ValueError, match="x3") as row:
             cf.PairConditional(base, np.array(x3s))
         assert str(row.value) == str(point.value)
 
