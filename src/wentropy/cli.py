@@ -207,6 +207,9 @@ def _cmd_wdic(args) -> int:
     model = builtin_model(args.model)
     if (args.draws is None) == (args.sample is None):
         raise ValueError("provide exactly one of --draws FILE or --sample steps,burnin,step,seed")
+    # on either path: data whose sums leave the float range is refused as such,
+    # not scored as a zero density
+    model.summarize(data.y)
     acceptance = None
     if args.draws is not None:
         draws = PosteriorDraws.from_csv(args.draws)

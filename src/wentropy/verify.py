@@ -184,7 +184,7 @@ def _check_weightednormal(checks, bases):
         checks.append(_exact(formula, point, wick, quad))
 
 
-def _check_theta(checks, pairs):
+def _check_printed_theta(checks, pairs):
     for example, cases in pairs.items():
         printed = cf.example1_theta_paper if example == 1 else cf.example2_theta_paper
         rows = [(printed(p["rho"], p["x3"]), cf.theta(pc), p) for p, pc in cases]
@@ -366,7 +366,7 @@ def run_verify(cfg: VerifyConfig | None = None) -> dict:
     bases = _family_bases()
     pairs = _pair_cases(bases)
     _check_weightednormal(checks, bases)
-    _check_theta(checks, pairs)
+    _check_printed_theta(checks, pairs)
     _check_conditional_moments(checks, pairs)
     _check_pair_formulas(checks, pairs)
     _check_relative_de(checks, cfg)

@@ -96,17 +96,18 @@ class WeightedDataset:
 
     def with_central_weights(self, centers) -> "WeightedDataset":
         """Replace the weights by the squared-deviation product around ``centers``."""
-        centers = np.atleast_1d(np.asarray(centers, dtype=float))
-        if centers.shape != (self.y.shape[1],):
+        weight = CentralWeight(centers)
+        if weight.dim != self.y.shape[1]:
             raise DimensionMismatchError(
-                f"{centers.size} centers for {self.y.shape[1]}-dimensional data"
+                f"{weight.dim} centers for {self.y.shape[1]}-dimensional data"
             )
-        return WeightedDataset(self.y, CentralWeight(centers)(self.y))
+        return WeightedDataset(self.y, weight(self.y))
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parametric log density g(y | theta) with box bounds on theta.
+    """Parametric log density g(y | theta) with box bounds on theta: one
+    ``(lo, hi)`` per parameter, so ``n_params`` is ``len(bounds)``.
 
     ``summarize``, when given, maps the observations y to a function of theta
     (a sequence of p floats) that returns sum_i log g(y_i | theta): the
@@ -114,37 +115,38 @@ class ModelSpec:
     """
 
     name: str
-    n_params: int
     log_density: Callable
     bounds: tuple
     summarize: Callable | None = None
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        if len(bounds) != self.n_params:
-            raise DimensionMismatchError(
-                f"{len(bounds)} bounds for {self.n_params} parameters"
-            )
         for lo, hi in bounds:
             if not lo < hi:
                 raise ValueError(f"bound ({lo}, {hi}) must satisfy lo < hi")
         object.__setattr__(self, "bounds", bounds)
 
-    def within_bounds(self, theta: np.ndarray) -> bool:
-        return all(
-            lo <= t <= hi for t, (lo, hi) in zip(np.atleast_1d(theta), self.bounds)
-        )
+    @property
+    def n_params(self) -> int:
+        return len(self.bounds)
 
-    def check_theta(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.n_params,):
+    def check_draws(self, arr) -> np.ndarray:
+        """``arr`` as a ``(k, p)`` float array whose every row lies inside the
+        bounds, NaN counting as outside; else ``DimensionMismatchError`` for the
+        shape or ``ValueError`` naming the first row outside."""
+        arr = np.asarray(arr, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != self.n_params:
             raise DimensionMismatchError(
-                f"theta has shape {theta.shape}, model {self.name} has "
+                f"draws have shape {arr.shape}, model {self.name} has "
                 f"{self.n_params} parameters"
             )
-        if not self.within_bounds(theta):
-            raise ValueError(f"theta {theta} outside bounds of model {self.name}")
-        return theta
+        lo, hi = np.array(self.bounds).reshape(-1, 2).T
+        outside = ~np.all((arr >= lo) & (arr <= hi), axis=1)
+        if np.any(outside):
+            raise ValueError(
+                f"draw {int(np.argmax(outside))} lies outside the bounds of model {self.name}"
+            )
+        return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,21 +224,6 @@ def _read_csv(path) -> tuple[list, list]:
     return rows, header
 
 
-def _validate_draws_for(model: ModelSpec, draws: PosteriorDraws) -> np.ndarray:
-    arr = draws.draws
-    if arr.shape[1] != model.n_params:
-        raise DimensionMismatchError(
-            f"draws have {arr.shape[1]} columns, model {model.name} has "
-            f"{model.n_params} parameters"
-        )
-    lo = np.array([b[0] for b in model.bounds])
-    hi = np.array([b[1] for b in model.bounds])
-    if np.any(arr < lo) or np.any(arr > hi):
-        bad = int(np.argmax(np.any((arr < lo) | (arr > hi), axis=1)))
-        raise ValueError(f"draw {bad} lies outside the bounds of model {model.name}")
-    return arr
-
-
 def _weighted_logliks(
     model: ModelSpec, thetas: np.ndarray, data: WeightedDataset
 ) -> np.ndarray:
@@ -294,8 +281,9 @@ def _weighted_logliks(
 def weighted_loglik(model: ModelSpec, theta, data: WeightedDataset) -> float:
     """Sum of weight_i * log g(y_i | theta); the unweighted log-likelihood when
     every weight is 1, and linear in the weight vector."""
-    theta = model.check_theta(theta)
-    return float(_weighted_logliks(model, theta[None, :], data)[0])
+    # a one-row block: a theta of any shape but (p,) gives the block the wrong shape
+    block = model.check_draws(np.atleast_1d(theta)[None])
+    return float(_weighted_logliks(model, block, data)[0])
 
 
 def weighted_deviance(model: ModelSpec, theta, data: WeightedDataset) -> float:
@@ -309,7 +297,7 @@ def _penalty(
     """``(pwd, pwd_mcse, ess)`` from one blocked deviance pass: the effective
     number of parameters, the batch-means Monte Carlo standard error of that
     mean, and the effective sample size of the deviance-difference series."""
-    arr = _validate_draws_for(model, draws)
+    arr = model.check_draws(draws.draws)
     diffs = -2.0 * _weighted_logliks(model, arr, data) - dev_at_hat
     pwd = float(np.mean(np.sort(diffs)))
     # batch means in draw order: b = floor(sqrt(n)) batches of m = n // b draws
@@ -342,7 +330,7 @@ def posterior_point_estimate(
     highest log posterior (falling back to the unweighted log-likelihood when
     the draws carry no posterior values).  A ``mode`` tie goes to the largest
     parameter values, compared column by column, then to the first such draw."""
-    arr = _validate_draws_for(model, draws)
+    arr = model.check_draws(draws.draws)
     if rule == "mean":
         return np.mean(np.sort(arr, axis=0), axis=0)
     if rule == "mode":
@@ -414,8 +402,9 @@ def metropolis_sample(
     """Random-walk Metropolis draws from the (unweighted) posterior.
 
     Deterministic for a fixed seed; the chain starts at the midpoint of the
-    model bounds.  Each step draws p scalar ``standard_normal()`` values (the
-    stream of one ``standard_normal(p)``), then ``random()`` only when the
+    model bounds, so each bound and its midpoint must be finite.  Each step
+    draws p scalar ``standard_normal()`` values (the stream of one
+    ``standard_normal(p)``), then ``random()`` only when the
     proposal lies inside the model bounds; proposals outside are rejected.
     When the model supplies ``summarize``, its function of theta scores the
     likelihood and ``log_prior`` sees each scored proposal as a list of p
@@ -424,9 +413,12 @@ def metropolis_sample(
     post-burn-in acceptance rate is reported on the result and must exceed
     0.1%.
     """
+    bounds = model.bounds
+    for lo, hi in bounds:  # refused before any step, not as zero acceptance
+        if not math.isfinite(0.5 * (lo + hi)):
+            raise ValueError(f"the sampler's start, midpoint of bound ({lo}, {hi}), is not finite")
     rng = np.random.default_rng(cfg.seed)
     normal, uniform = rng.standard_normal, rng.random
-    bounds = model.bounds
     step_size, burn_in, y = cfg.step_size, cfg.burn_in, data.y
     loglik = None if model.summarize is None else model.summarize(y)
 
@@ -514,7 +506,7 @@ def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
         return const - (y[:, 0] - theta[0]) ** 2 / (2.0 * sd * sd)
 
     return ModelSpec(
-        f"normal-mean(sd={sd:g})", 1, log_density, ((-bound, bound),),
+        f"normal-mean(sd={sd:g})", log_density, ((-bound, bound),),
         _normal_summary(lambda theta: (sd * sd, const), bound),
     )
 
@@ -537,7 +529,7 @@ def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
         return norm - (y[:, 0] - mu) ** 2 / (2.0 * var)
 
     return ModelSpec(
-        "normal", 2, log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound)),
+        "normal", log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound)),
         _normal_summary(lambda theta: scale(theta[1]), bound),
     )
 

@@ -222,7 +222,7 @@ def reference_metropolis(model, log_prior, data, cfg):
         proposal = theta + cfg.step_size * rng.standard_normal(model.n_params)
         accept = False
         # out-of-bounds proposals have zero prior mass: reject outright
-        if model.within_bounds(proposal):
+        if all(lo <= t <= hi for t, (lo, hi) in zip(proposal, model.bounds)):
             candidate = log_post(proposal)
             if math.log(rng.random()) < candidate - current:
                 theta, current = proposal, candidate

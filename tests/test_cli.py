@@ -470,7 +470,7 @@ BAD_WDIC_INPUT = {
     ),
     "y-1e155-draws": (
         [1e155, 0.0, 0.0], ["--draws", str(DATA_DIR / "toy_draws.csv")],
-        "observation 0 has zero density under normal-mean(sd=1) but weight 1.0",
+        "observations overflow the normal model's sum of squares",
     ),
     "y-all-1e200-sample": (
         [1e200] * 3, ["--sample", "1500,300,0.4,42"],
@@ -492,6 +492,17 @@ BAD_WDIC_INPUT = {
         None, ["--draws", str(DATA_DIR / "toy_draws.csv"), "--weights-center=nan"],
         "centers contains non-finite entries",
     ),
+    "draws-and-sample": (
+        None, ["--draws", str(DATA_DIR / "toy_draws.csv"), "--sample", "1500,300,0.4,42"],
+        "provide exactly one of --draws FILE or --sample steps,burnin,step,seed",
+    ),
+    "neither-draws-nor-sample": (
+        None, [], "provide exactly one of --draws FILE or --sample steps,burnin,step,seed",
+    ),
+    "sample-three-parts": (
+        None, ["--sample", "1500,300,0.4"],
+        "--sample must be steps,burnin,step,seed, got '1500,300,0.4'",
+    ),
 }
 
 
@@ -507,6 +518,33 @@ def test_wdic_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     argv = ["wdic", "--data", str(data), "--out", str(out)] + extra
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+USAGE_ERRORS = {
+    "config-line-without-equals": (
+        ["scan", "--config", "{cfg}"], "{cfg}:2: expected 'key = value', got 'rho 0:0.2:3\\n'",
+    ),
+    "range-not-lo-hi-steps": (
+        ["scan", "--example", "1", "--rho=0.1:0.2", "--x3=0:1:2"],
+        "--rho must be lo:hi:steps, got '0.1:0.2'",
+    ),
+    "range-lo-not-below-hi": (
+        ["scan", "--example", "1", "--rho=0.1:0.2:2", "--x3=1:1:3"],
+        "--x3 needs lo < hi, got '1:1:3'",
+    ),
+    "missing-required-option": (
+        ["scan", "--example", "1", "--x3=0:1:2"], "missing required option --rho",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_exits_2_with_one_error_line(capsys, tmp_path, case):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("example = 1\nrho 0:0.2:3\nx3 = 0:1:2\n")
+    argv, message = USAGE_ERRORS[case]
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    assert run(capsys, argv) == (2, "", f"error: {message.format(cfg=cfg)}\n")
 
 
 def test_wdic_refuses_a_config_theta_hat_before_sampling(capsys, tmp_path, monkeypatch):

@@ -131,7 +131,8 @@ def test_adopt_hands_over_the_buffers_without_a_copy():
 
 
 @pytest.mark.parametrize("model", [normal_mean_model(1.0), normal_model()], ids=lambda m: m.name)
-@pytest.mark.parametrize("column", [[1e155, 0.0, 0.0], [1e200] * 3, [1e308] * 3])
+# [1e154] * 2: the sum of squares is 0, but n (|ybar| + bound)^2 at the mean's bound is not finite
+@pytest.mark.parametrize("column", [[1e155, 0.0, 0.0], [1e200] * 3, [1e308] * 3, [1e154] * 2])
 def test_normal_summary_refuses_data_whose_sums_overflow(model, column):
     with pytest.raises(ValueError, match="overflow the normal model's sum of squares"):
         model.summarize(np.array(column)[:, None])
@@ -158,5 +159,5 @@ def test_error_texts_print_plain_floats():
 
     data = WeightedDataset([[0.0], [5.0]], [1.0, 1.0])
     with pytest.raises(OutOfSupportError) as support:
-        weighted_loglik(ModelSpec("window", 1, window, ((-2.0, 2.0),)), [0.0], data)
+        weighted_loglik(ModelSpec("window", window, ((-2.0, 2.0),)), [0.0], data)
     assert str(support.value) == "observation 1 has zero density under window but weight 1.0"

@@ -14,6 +14,7 @@ from helpers import (
     traced_peak,
 )
 from wentropy.errors import (
+    DimensionMismatchError,
     EmptyDrawsError,
     OutOfSupportError,
     ZeroAcceptanceError,
@@ -139,7 +140,7 @@ def test_out_of_support_error():
         inside = (y[:, 0] >= 0.0) & (y[:, 0] <= 1.0)
         return np.where(inside, 0.0, -np.inf)
 
-    uniform01 = ModelSpec("uniform01", 1, logd, ((-1.0, 1.0),))
+    uniform01 = ModelSpec("uniform01", logd, ((-1.0, 1.0),))
     bad = WeightedDataset([[0.5], [2.0]], [1.0, 1.0])
     with pytest.raises(OutOfSupportError):
         weighted_loglik(uniform01, [0.0], bad)
@@ -244,7 +245,7 @@ def test_penalty_out_of_support_in_later_block():
     def logd(y, theta):
         return np.where(np.abs(y[:, 0] - theta[0]) <= 1.0, 0.0, -np.inf)
 
-    window = ModelSpec("window", 1, logd, ((-2.0, 2.0),))
+    window = ModelSpec("window", logd, ((-2.0, 2.0),))
     data = WeightedDataset(np.linspace(-0.5, 0.5, 200)[:, None], np.ones(200))
     arr = np.zeros((300, 1))
     arr[250, 0] = 0.9  # observations below -0.1 fall outside; 4th block of 81 draws
@@ -261,7 +262,7 @@ def test_nonfinite_log_density_is_an_input_error(value):
     def logd(y, theta):
         return np.where(y[:, 0] > theta[0] + 1.5, value, -0.5 * (y[:, 0] - theta[0]) ** 2)
 
-    model = ModelSpec("bad-tail", 1, logd, ((-2.0, 2.0),))
+    model = ModelSpec("bad-tail", logd, ((-2.0, 2.0),))
     y = np.linspace(-1.0, 1.0, 200)[:, None]
     arr = np.zeros((150, 1))
     arr[140, 0] = -0.7  # in the second block; observations 180.. lie in the bad tail
@@ -278,7 +279,7 @@ def test_nonfinite_log_density_inside_a_run_names_its_first_draw(value):
     def logd(y, theta):
         return np.where(y[:, 0] > theta[0] + 1.5, value, -0.5 * (y[:, 0] - theta[0]) ** 2)
 
-    model = ModelSpec("bad-tail", 1, logd, ((-2.0, 2.0),))
+    model = ModelSpec("bad-tail", logd, ((-2.0, 2.0),))
     y = np.linspace(-1.0, 1.0, 200)[:, None]
     arr = np.zeros((300, 1))
     arr[140:146, 0] = -0.7  # one run of six bad draws
@@ -298,7 +299,7 @@ def test_penalty_scores_runs_as_every_draw_bit_for_bit():
     cases = [
         (normal_model(), np.column_stack([rng.normal(0.4, 0.1, 40), rng.normal(0.2, 0.1, 40)])),
         (MODEL, rng.normal(0.4, 0.1, (40, 1))),
-        (ModelSpec("signed", 1, signed, ((-2.0, 2.0),)), np.array([[0.0], [-0.0], [0.3]] * 14)),
+        (ModelSpec("signed", signed, ((-2.0, 2.0),)), np.array([[0.0], [-0.0], [0.3]] * 14)),
     ]
     for model, distinct in cases:
         # long runs, repeats that are not consecutive, and a reordering of both
@@ -463,7 +464,7 @@ def _tight_three_parameter_model():
         return -0.5 * (y[:, 0] - a - b * c) ** 2 - 0.5 * c * c
 
     # bounds tight against the step size: many proposals fall outside them
-    return ModelSpec("tight-3", 3, log_density, ((-0.2, 0.2), (-0.5, 0.5), (0.0, 1.0)))
+    return ModelSpec("tight-3", log_density, ((-0.2, 0.2), (-0.5, 0.5), (0.0, 1.0)))
 
 
 @pytest.mark.parametrize("case", ["normal-mean", "normal-central-weights", "tight-3"])
@@ -488,7 +489,7 @@ def test_metropolis_matches_reference_loop(case):
         seen_prior.append(theta)
         return prior(theta)
 
-    recording = ModelSpec(model.name, model.n_params, recording_density, model.bounds)
+    recording = ModelSpec(model.name, recording_density, model.bounds)
     assert recording.summarize is None  # the per-row path, pinned to the reference loop
     got = metropolis_sample(recording, recording_prior, data, cfg)
     draws, log_posts, rate = reference_metropolis(model, prior, data, cfg)
@@ -670,3 +671,155 @@ def test_builtin_model_registry():
     assert builtin_model("normal").n_params == 2
     with pytest.raises(ValueError):
         builtin_model("no-such-model")
+
+
+def test_model_spec_takes_its_parameter_count_from_its_bounds():
+    assert "n_params" not in [field.name for field in dataclasses.fields(ModelSpec)]
+    model = ModelSpec("two", None, ((0, 1), (-1, 2)))
+    assert model.n_params == 2 and model.bounds == ((0.0, 1.0), (-1.0, 2.0))
+
+
+REFUSED_PARAMETERS = {
+    "theta-wrong-length": (
+        lambda data: weighted_loglik(MODEL, [0.1, 0.2], data), DimensionMismatchError,
+        "draws have shape (1, 2), model normal-mean(sd=1) has 1 parameters",
+    ),
+    "theta-2d": (
+        lambda data: weighted_loglik(MODEL, [[0.1]], data), DimensionMismatchError,
+        "draws have shape (1, 1, 1), model normal-mean(sd=1) has 1 parameters",
+    ),
+    "theta-nan": (
+        lambda data: weighted_loglik(MODEL, [math.nan], data), ValueError,
+        "draw 0 lies outside the bounds of model normal-mean(sd=1)",
+    ),
+    "theta-outside": (
+        lambda data: weighted_deviance(MODEL, [50.5], data), ValueError,
+        "draw 0 lies outside the bounds of model normal-mean(sd=1)",
+    ),
+    "draws-wrong-columns": (
+        lambda data: wdic(MODEL, PosteriorDraws(np.zeros((100, 2)), "x"), data),
+        DimensionMismatchError,
+        "draws have shape (100, 2), model normal-mean(sd=1) has 1 parameters",
+    ),
+    "draw-outside": (
+        lambda data: wdic(MODEL, PosteriorDraws(np.c_[[0.0] * 37 + [-51.0] + [0.0] * 62], "x"), data),
+        ValueError, "draw 37 lies outside the bounds of model normal-mean(sd=1)",
+    ),
+    "draw-nan": (
+        lambda data: MODEL.check_draws([[0.0], [0.1], [math.nan]]), ValueError,
+        "draw 2 lies outside the bounds of model normal-mean(sd=1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_PARAMETERS))
+def test_check_draws_refuses_a_theta_or_draws_off_the_parameter_space(case):
+    call, error, message = REFUSED_PARAMETERS[case]
+    with pytest.raises(error) as refused:
+        call(WeightedDataset([[0.0], [1.0]], [1.0, 1.0]))
+    assert str(refused.value) == message
+
+
+def test_check_draws_takes_rows_on_the_bounds_as_they_are():
+    model = normal_model()
+    arr = np.array([[-50.0, 5.0], [50.0, -5.0], [0.0, 0.0]])
+    assert model.check_draws(arr) is arr
+
+
+@pytest.mark.parametrize(
+    "bound", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (1e308, 1.7e308)],
+    ids=["upper-inf", "lower-inf", "both-inf", "midpoint-overflow"],
+)
+def test_sampler_refuses_a_non_finite_start_before_any_step(bound):
+    calls = []
+
+    def log_density(y, theta):
+        calls.append(theta)
+        return -0.5 * (y[:, 0] - theta[0]) ** 2
+
+    model = ModelSpec("open", log_density, (bound,))
+    cfg = SamplerConfig(steps=600, burn_in=100, step_size=0.4, seed=1)
+    with pytest.raises(ValueError) as refused:
+        metropolis_sample(model, calls.append, WeightedDataset([[0.0]], [1.0]), cfg)
+    assert str(refused.value) == f"the sampler's start, midpoint of bound {bound}, is not finite"
+    assert calls == []
+
+
+def test_draws_are_scored_under_infinite_bounds():
+    rng = np.random.default_rng(21)
+    data = make_data(rng)
+    draws, _, _ = conjugate_draws(rng, data, size=400)
+    open_model = dataclasses.replace(MODEL, bounds=((-math.inf, math.inf),))
+    assert wdic(open_model, draws, data) == wdic(MODEL, draws, data)
+
+
+def _short_density(y, theta):
+    return np.zeros(3)
+
+
+# (CSV text or None, call on the CSV's path, error type, message with {path} for that path)
+REFUSED_INPUT = {
+    "bound-lo-not-below-hi": (
+        None, lambda path: ModelSpec("flat", None, ((1.0, 1.0),)), ValueError,
+        "bound (1.0, 1.0) must satisfy lo < hi",
+    ),
+    "log-posts-length": (
+        None, lambda path: PosteriorDraws(np.zeros((100, 1)), "x", np.zeros(99)),
+        DimensionMismatchError, "one log posterior per draw required",
+    ),
+    "draws-header": (
+        "theta_2\n0.1\n", PosteriorDraws.from_csv, ValueError,
+        "{path}: expected columns theta_1..theta_p; got ['theta_2']",
+    ),
+    "empty-csv": (
+        "", PosteriorDraws.from_csv, ValueError, "{path}: empty file",
+    ),
+    "field-count": (
+        "y_1,weight\n0.1,1\n0.2\n", WeightedDataset.from_csv, ValueError,
+        "{path}: row 3 has 1 fields, header has 2",
+    ),
+    "no-data-rows": (
+        "y_1,weight\n\n", WeightedDataset.from_csv, ValueError, "{path}: no data rows",
+    ),
+    "centers-count": (
+        None, lambda path: WeightedDataset([[0.0, 1.0]], [1.0]).with_central_weights([0.5]),
+        DimensionMismatchError, "1 centers for 2-dimensional data",
+    ),
+    "log-density-shape": (
+        None, lambda path: weighted_loglik(
+            ModelSpec("short", _short_density, ((-1.0, 1.0),)), [0.0],
+            WeightedDataset([[0.0], [1.0]], [1.0, 1.0]),
+        ),
+        DimensionMismatchError, "log_density returned shape (3,) for 1 draws and 2 observations",
+    ),
+    "theta-hat-rule": (
+        None, lambda path: posterior_point_estimate(
+            MODEL, PosteriorDraws(np.zeros((100, 1)), "x"), WeightedDataset([[0.0]], [1.0]),
+            "median",
+        ),
+        ValueError, "rule must be 'mean' or 'mode', got 'median'",
+    ),
+    "steps-not-above-burn-in": (
+        None, lambda path: SamplerConfig(steps=300, burn_in=300, step_size=0.4, seed=1),
+        ValueError, "need steps > burn_in >= 0, got steps=300, burn_in=300",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_INPUT))
+def test_bad_input_raises_its_named_error(tmp_path, case):
+    text, call, error, message = REFUSED_INPUT[case]
+    path = tmp_path / "in.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(error) as refused:
+        call(path)
+    assert type(refused.value) is error
+    assert str(refused.value) == message.format(path=path)
+
+
+def test_blank_csv_rows_are_skipped(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("y_1,weight\n\n0.25,1\n , \n,\n0.5,2\n\n")
+    data = WeightedDataset.from_csv(path)
+    assert data.y.tolist() == [[0.25], [0.5]] and data.weights.tolist() == [1.0, 2.0]
