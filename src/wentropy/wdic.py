@@ -121,6 +121,8 @@ class ModelSpec:
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        if not bounds:
+            raise ValueError("a model needs at least one parameter")
         for lo, hi in bounds:
             if not lo < hi:
                 raise ValueError(f"bound ({lo}, {hi}) must satisfy lo < hi")
@@ -259,6 +261,10 @@ def _weighted_logliks(
                 f"log_density returned shape {logs.shape} for {k} draws and "
                 f"{n} observations"
             ) from None
+        # every log density finite and alive (NaN fails both): no masks needed
+        if logs.min() > LOG_TINY and logs.max() < np.inf:
+            out[start : start + k] = np.sum(weights * logs, axis=1)
+            continue
         live = (logs > LOG_TINY) & (logs < np.inf)
         bad = ~live & positive
         if np.any(bad):
@@ -420,14 +426,16 @@ def metropolis_sample(
     rng = np.random.default_rng(cfg.seed)
     normal, uniform = rng.standard_normal, rng.random
     step_size, burn_in, y = cfg.step_size, cfg.burn_in, data.y
-    loglik = None if model.summarize is None else model.summarize(y)
+    if model.summarize is not None:
+        loglik = model.summarize(y)
 
-    def log_post(th: list) -> float:
-        if loglik is not None:
+        def log_post(th: list) -> float:
             return loglik(th) + float(log_prior(th))
-        arr = np.array(th)
-        lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
-        return lik + float(log_prior(arr))
+    else:
+        def log_post(th: list) -> float:
+            arr = np.array(th)
+            lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
+            return lik + float(log_prior(arr))
 
     # the state is Python floats: t + step_size * z is the same IEEE operation
     # numpy applies per element, without its dispatch cost on (p,) arrays
@@ -435,9 +443,9 @@ def metropolis_sample(
     current = log_post(theta)
     kept, kept_lp = array("d"), array("d")
     accepted_after_burn = 0
+    log, minus_inf = math.log, -math.inf
     for step in range(cfg.steps):
         proposal = [t + step_size * normal() for t in theta]
-        accept = False
         # out-of-bounds proposals have zero prior mass: reject outright
         for t, (lo, hi) in zip(proposal, bounds):
             if not lo <= t <= hi:
@@ -446,13 +454,13 @@ def metropolis_sample(
             candidate = log_post(proposal)
             u = uniform()
             # random() can return 0.0, whose log is -inf: accept
-            if (math.log(u) if u > 0.0 else -math.inf) < candidate - current:
+            if (log(u) if u > 0.0 else minus_inf) < candidate - current:
                 theta, current = proposal, candidate
-                accept = True
+                if step >= burn_in:
+                    accepted_after_burn += 1
         if step >= burn_in:
             kept.extend(theta)
             kept_lp.append(current)
-            accepted_after_burn += accept
     rate = accepted_after_burn / (cfg.steps - cfg.burn_in)
     if rate < 0.001:
         raise ZeroAcceptanceError(
@@ -514,23 +522,23 @@ def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
 def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
     """Normal with unknown mean and unknown log standard deviation."""
 
-    def scale(log_sd: float) -> tuple[float, float]:
-        # math, not numpy, for both shapes of theta: np.exp differs from
-        # math.exp in the last bit on some arguments, and a draw must score
-        # the same alone (as the sampler scores it) and inside a block
-        var = math.exp(2.0 * log_sd)
+    def scale(theta) -> tuple[float, float]:
+        var = math.exp(2.0 * theta[1])
         return var, -0.5 * math.log(2.0 * math.pi * var)
 
     def log_density(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
         mu, log_sd = theta
-        var, norm = np.array([scale(s) for s in np.ravel(log_sd)]).T.reshape(
-            (2,) + np.shape(log_sd)
-        )
-        return norm - (y[:, 0] - mu) ** 2 / (2.0 * var)
+        # math, not numpy, for both shapes of theta: np.exp differs from
+        # math.exp in the last bit on some arguments, and a draw must score
+        # the same alone and inside a block as the sampler's scale scores it
+        shape = np.shape(log_sd)
+        var = np.array([*map(math.exp, np.ravel(2.0 * log_sd).tolist())]).reshape(shape)
+        norm = -0.5 * np.array([*map(math.log, np.ravel(2.0 * math.pi * var).tolist())])
+        return norm.reshape(shape) - (y[:, 0] - mu) ** 2 / (2.0 * var)
 
     return ModelSpec(
         "normal", log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound)),
-        _normal_summary(lambda theta: scale(theta[1]), bound),
+        _normal_summary(scale, bound),
     )
 
 
@@ -566,14 +574,13 @@ def default_log_prior(model: ModelSpec, scale: float = 10.0):
         # a list, as the sampler passes, is taken as the p floats it holds
         if not isinstance(theta, list):
             theta = np.asarray(theta, dtype=float).ravel().tolist()
-        terms = [const - t * t / denom for t in theta]
         # the same value as np.sum over the terms: it adds fewer than 8 left
         # to right from 0.0, and 8 or more in its own unrolled order
-        if len(terms) >= 8:
-            return float(np.sum(terms))
+        if len(theta) >= 8:
+            return float(np.sum([const - t * t / denom for t in theta]))
         total = 0.0
-        for term in terms:
-            total += term
+        for t in theta:
+            total += const - t * t / denom
         return total
 
     return log_prior
