@@ -30,7 +30,6 @@ from .discrete import (
     relative_we_identity_check,
 )
 from .gaussian import (
-    ConditionSpec,
     Gaussian,
     condition,
     conditional_mean,

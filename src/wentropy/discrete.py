@@ -197,7 +197,7 @@ def mutual_wde_decomposition_check(joint: DiscreteJoint, weight: CentralWeight) 
     return CheckPair(lhs, rhs)
 
 
-def relative_de_identity_check(joint: DiscreteJoint, split: int | None = None) -> RelativeIdentityResult:
+def relative_de_identity_check(joint: DiscreteJoint, split: int) -> RelativeIdentityResult:
     """Divergence of a conditional from its marginal, per conditioning value.
 
     Coordinates split into a leading block (first ``split`` axes) and a
@@ -214,7 +214,7 @@ def relative_we_identity_check(
     joint: DiscreteJoint,
     weight_x: CentralWeight | None,
     weight_y: CentralWeight | None,
-    split: int | None = None,
+    split: int,
 ) -> RelativeIdentityResult:
     """Weighted analogue of :func:`relative_de_identity_check` (a weight of
     ``None`` is the unit weight on its block).
@@ -226,7 +226,6 @@ def relative_we_identity_check(
     """
     p = joint.probs
     n = p.ndim
-    split = n - 1 if split is None else split
     if not 0 < split < n:
         raise ValueError(f"split must be in 1..{n - 1}, got {split}")
     x_axes = tuple(range(split))

@@ -147,33 +147,6 @@ class Gaussian:
         return draw
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionSpec:
-    """Keep coordinates ``kept``, fix coordinates ``given`` to ``value`` (0-based):
-    one (len(given),) value, or a (len(given), n) block for :func:`conditional_mean`."""
-
-    kept: tuple
-    given: tuple
-    value: np.ndarray
-
-    def __post_init__(self):
-        kept = tuple(int(i) for i in self.kept)
-        given = tuple(int(i) for i in self.given)
-        ndim = 2 if np.ndim(self.value) == 2 else 1  # one value or a block
-        value = as_float_array(np.atleast_1d(self.value), "value", ndim=ndim)
-        if set(kept) & set(given):
-            raise ValueError(f"kept {kept} and given {given} overlap")
-        if len(set(kept)) != len(kept) or len(set(given)) != len(given):
-            raise ValueError("kept/given indices must be distinct")
-        if len(value) != len(given):
-            raise DimensionMismatchError(
-                f"value length {len(value)} does not match given set size {len(given)}"
-            )
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "given", given)
-        object.__setattr__(self, "value", value)
-
-
 def coordinates(points, dim: int) -> tuple:
     """``points`` as a tuple of ``dim`` coordinate arrays.  A tuple is taken as
     coordinate arrays already; anything else is read as points, shape (m, dim)
@@ -214,17 +187,27 @@ def validate(dist: Gaussian) -> None:
     )
 
 
-def conditional_mean(dist: Gaussian, spec: ConditionSpec) -> np.ndarray:
-    """Mean of the kept coordinates given the fixed ones, mean_a + gain (value - mean_b).
+def conditional_mean(dist: Gaussian, kept, given, value) -> np.ndarray:
+    """Mean of the coordinates ``kept`` with the coordinates ``given`` (0-based)
+    fixed to ``value``: mean_a + gain (value - mean_b).
 
     A (len(given),) value gives a (len(kept),) mean, a (len(given), n) block a
     (len(kept), n) one whose column k is the mean at ``value[:, k]``, bit for
-    bit when one coordinate is given.  The gain cov_ab cov_bb^{-1} is solved
-    on first use per (kept, given) and kept by ``dist``.
+    bit when one coordinate is given.  The split is checked (disjoint, distinct
+    indices in range, an invertible given block) and its gain cov_ab cov_bb^{-1}
+    solved on first use per (kept, given), and kept by ``dist``; the value's
+    shape, finiteness and length are checked on every call.
     """
-    a, b = list(spec.kept), list(spec.given)
-    key = ("gain", spec.kept, spec.given)
+    kept, given = tuple(map(int, kept)), tuple(map(int, given))
+    ndim = 2 if np.ndim(value) == 2 else 1  # one value or a block
+    value = as_float_array(np.atleast_1d(value), "value", ndim=ndim)
+    a, b = list(kept), list(given)
+    key = ("gain", kept, given)
     if key not in dist._derived:
+        if set(kept) & set(given):
+            raise ValueError(f"kept {kept} and given {given} overlap")
+        if len(set(kept)) != len(kept) or len(set(given)) != len(given):
+            raise ValueError("kept/given indices must be distinct")
         for i in a + b:
             if not 0 <= i < dist.dim:
                 raise ValueError(f"index {i} out of range for dimension {dist.dim}")
@@ -232,27 +215,33 @@ def conditional_mean(dist: Gaussian, spec: ConditionSpec) -> np.ndarray:
             lower = np.linalg.cholesky(dist.cov[b][:, b])
         except np.linalg.LinAlgError as exc:
             raise SingularGivenBlockError(
-                f"covariance block of given coordinates {tuple(b)} is not invertible"
+                f"covariance block of given coordinates {given} is not invertible"
             ) from exc
         # two triangular solves
         cov_ab = dist.cov[a][:, b]
         dist._derived[key] = np.linalg.solve(lower.T, np.linalg.solve(lower, cov_ab.T)).T
-    gain, column = dist._derived[key], (-1,) + (1,) * (spec.value.ndim - 1)
-    return dist.mean[a].reshape(column) + gain @ (spec.value - dist.mean[b].reshape(column))
+    if len(value) != len(given):
+        raise DimensionMismatchError(
+            f"value length {len(value)} does not match given set size {len(given)}"
+        )
+    gain, column = dist._derived[key], (-1,) + (1,) * (ndim - 1)
+    return dist.mean[a].reshape(column) + gain @ (value - dist.mean[b].reshape(column))
 
 
-def condition(dist: Gaussian, spec: ConditionSpec) -> Gaussian:
-    """Conditional distribution of the kept coordinates given one value of the fixed ones.
+def condition(dist: Gaussian, kept, given, value) -> Gaussian:
+    """Conditional distribution of the coordinates ``kept`` given one value of
+    the coordinates ``given``.
 
     A new validated Gaussian; an empty given-set returns the marginal on the
     kept coordinates exactly.  The gain comes from :func:`conditional_mean`,
-    which ``dist`` keeps per (kept, given).
+    which checks the split and the value, and ``dist`` keeps it per (kept, given).
     """
-    mean = conditional_mean(dist, spec)  # checks the indices
-    if not spec.given:
-        return dist.marginal(spec.kept)
-    a, b = list(spec.kept), list(spec.given)
-    gain = dist._derived[("gain", spec.kept, spec.given)]
+    mean = conditional_mean(dist, kept, given, value)
+    kept, given = tuple(map(int, kept)), tuple(map(int, given))
+    if not given:
+        return dist.marginal(kept)
+    a, b = list(kept), list(given)
+    gain = dist._derived[("gain", kept, given)]
     cov = dist.cov[a][:, a] - gain @ dist.cov[a][:, b].T
     return Gaussian(mean, 0.5 * (cov + cov.T))
 

@@ -29,7 +29,7 @@ from .discrete import (
     relative_de_identity_check,
     relative_we_identity_check,
 )
-from .gaussian import ConditionSpec, conditional_mean, gaussian_kl
+from .gaussian import gaussian_kl
 from .moments import central_moment
 from .quadrature import CentralWeight, McConfig, relative_wde_monte_carlo, wde_gauss_hermite
 
@@ -120,10 +120,10 @@ def _worst_transcription(formula, rows, mode="paper-vs-wick", limit=None):
     return _transcription(formula, point, paper, wick, mode, limit)
 
 
-def _random_spd(rng: np.random.Generator, n: int = 3) -> np.ndarray:
-    a = rng.normal(size=(n, n))
+def _random_spd(rng: np.random.Generator) -> np.ndarray:
+    a = rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(a)
-    eigs = rng.uniform(0.3, 3.0, size=n)
+    eigs = rng.uniform(0.3, 3.0, size=3)
     return (q * eigs) @ q.T
 
 
@@ -261,15 +261,13 @@ def _check_pair_formulas(checks, pairs):
 
 def _check_relative_de(checks, cfg):
     # first family, one x3 row per rho: printed form against the generic
-    # paper-mode formula, corrected mode against the KL oracle, which takes
-    # the row's conditional covariance but its own block of means, not mu_bar
+    # paper-mode formula, corrected mode against the KL oracle on the row's
+    # conditional covariance and block of conditional means
     printed_rows, kl_rows = [], []
     x3s = np.linspace(-3.0, 3.0, 31)
     for rho in np.linspace(-0.7, 0.7, 29):
-        base = cf.example1_cov(rho)
-        row = cf.PairConditional(base, x3s)
-        means = conditional_mean(base, ConditionSpec((0, 1), (2,), x3s[None]))
-        kls = gaussian_kl(row.cond, row.pair, means)
+        row = cf.PairConditional(cf.example1_cov(rho), x3s)
+        kls = gaussian_kl(row.cond, row.pair, row.mu_bar)
         printeds = cf.example1_relative_de_paper(rho, x3s)
         generics = cf.relative_de_pair(row, "paper")
         correcteds = cf.relative_de_pair(row, "corrected")

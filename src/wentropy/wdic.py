@@ -48,7 +48,8 @@ from .errors import (
 from .quadrature import CentralWeight
 
 MIN_DRAWS = 100
-LOG_TINY = -745.0  # log of the smallest positive double; anything below is "zero density"
+MEAN_BOUND = 50.0  # the built-in models' bound on |mu|
+LOG_SD_BOUND = 5.0  # the normal model's bound on |log sd|
 # draws x observations per log_density call: large enough to amortize the
 # per-call overhead, small enough to leave peak memory where it was
 _BLOCK_POINTS = 2**14
@@ -188,10 +189,6 @@ class PosteriorDraws:
         self.__post_init__(copy=False)
         return self
 
-    @property
-    def size(self) -> int:
-        return self.draws.shape[0]
-
     @classmethod
     def from_csv(cls, path) -> "PosteriorDraws":
         rows, header = _read_csv(path)
@@ -232,11 +229,10 @@ def _weighted_logliks(
     """Sum of weight_i * log g(y_i | theta) for every row of ``thetas`` (k, p),
     evaluated in blocks of at most ``_BLOCK_POINTS`` draw-observation pairs.
 
-    Each run of consecutive equal rows is scored once, at its first row.  An
-    observation whose log density is at most ``LOG_TINY`` contributes 0 when
-    its weight is 0 and raises ``OutOfSupportError`` otherwise; a NaN or +inf
-    log density under a positive weight raises ``ValueError``, naming the
-    first such draw.
+    Each run of consecutive equal rows is scored once, at its first row.  Only
+    a log density of -inf is zero density: it contributes 0 when its weight is
+    0 and raises ``OutOfSupportError`` otherwise; a NaN or +inf log density
+    under a positive weight raises ``ValueError``, naming the first such draw.
     """
     n = data.n
     weights = data.weights
@@ -261,15 +257,15 @@ def _weighted_logliks(
                 f"log_density returned shape {logs.shape} for {k} draws and "
                 f"{n} observations"
             ) from None
-        # every log density finite and alive (NaN fails both): no masks needed
-        if logs.min() > LOG_TINY and logs.max() < np.inf:
+        # every log density finite (NaN fails both): no masks needed
+        if logs.min() > -np.inf and logs.max() < np.inf:
             out[start : start + k] = np.sum(weights * logs, axis=1)
             continue
-        live = (logs > LOG_TINY) & (logs < np.inf)
+        live = np.isfinite(logs)
         bad = ~live & positive
         if np.any(bad):
             draw, idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            if logs[draw, idx] <= LOG_TINY:
+            if logs[draw, idx] == -np.inf:
                 raise OutOfSupportError(
                     f"observation {idx} has zero density under {model.name} but "
                     f"weight {float(weights[idx])!r}"
@@ -302,9 +298,10 @@ def _penalty(
 ) -> tuple[float, float, float]:
     """``(pwd, pwd_mcse, ess)`` from one blocked deviance pass: the effective
     number of parameters, the batch-means Monte Carlo standard error of that
-    mean, and the effective sample size of the deviance-difference series."""
-    arr = model.check_draws(draws.draws)
-    diffs = -2.0 * _weighted_logliks(model, arr, data) - dev_at_hat
+    mean, and the effective sample size of the deviance-difference series.
+    The draws are scored as they are: :func:`posterior_point_estimate` has
+    checked them in the same :func:`wdic` call."""
+    diffs = -2.0 * _weighted_logliks(model, draws.draws, data) - dev_at_hat
     pwd = float(np.mean(np.sort(diffs)))
     # batch means in draw order: b = floor(sqrt(n)) batches of m = n // b draws
     n = diffs.size
@@ -479,9 +476,9 @@ def metropolis_sample(
 # ---------------------------------------------------------------------------
 
 
-def _normal_summary(scale: Callable, bound: float) -> Callable:
+def _normal_summary(scale: Callable) -> Callable:
     """``summarize`` for a normal model of the first data column, whose ``scale(theta)``
-    gives (variance, log normalizer) and theta[0] in [-bound, bound] the mean:
+    gives (variance, log normalizer) and theta[0] in [-MEAN_BOUND, MEAN_BOUND] the mean:
     sum_i log N(y_i | mu, var) = n norm - (SS + n (ybar - mu)^2) / (2 var).
     Data whose sums or squares leave the float range are refused before any step."""
 
@@ -491,7 +488,7 @@ def _normal_summary(scale: Callable, bound: float) -> Callable:
         try:  # fsum and float ** raise OverflowError; + and * give inf
             ybar = math.fsum(col) / n
             ss = math.fsum((v - ybar) ** 2 for v in col)
-            if not math.isfinite(ss + n * (abs(ybar) + bound) ** 2):  # the largest numerator
+            if not math.isfinite(ss + n * (abs(ybar) + MEAN_BOUND) ** 2):  # the largest numerator
                 raise OverflowError
         except OverflowError:
             raise ValueError("observations overflow the normal model's sum of squares") from None
@@ -505,8 +502,8 @@ def _normal_summary(scale: Callable, bound: float) -> Callable:
     return summarize
 
 
-def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
-    """Normal with unknown mean and known standard deviation."""
+def normal_mean_model(sd: float = 1.0) -> ModelSpec:
+    """Normal with unknown mean in [-MEAN_BOUND, MEAN_BOUND] and known standard deviation."""
     sd = float(sd)
     const = -0.5 * math.log(2.0 * math.pi * sd * sd)
 
@@ -514,13 +511,14 @@ def normal_mean_model(sd: float = 1.0, bound: float = 50.0) -> ModelSpec:
         return const - (y[:, 0] - theta[0]) ** 2 / (2.0 * sd * sd)
 
     return ModelSpec(
-        f"normal-mean(sd={sd:g})", log_density, ((-bound, bound),),
-        _normal_summary(lambda theta: (sd * sd, const), bound),
+        f"normal-mean(sd={sd:g})", log_density, ((-MEAN_BOUND, MEAN_BOUND),),
+        _normal_summary(lambda theta: (sd * sd, const)),
     )
 
 
-def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
-    """Normal with unknown mean and unknown log standard deviation."""
+def normal_model() -> ModelSpec:
+    """Normal with unknown mean in [-MEAN_BOUND, MEAN_BOUND] and unknown log
+    standard deviation in [-LOG_SD_BOUND, LOG_SD_BOUND]."""
 
     def scale(theta) -> tuple[float, float]:
         var = math.exp(2.0 * theta[1])
@@ -537,8 +535,8 @@ def normal_model(bound: float = 50.0, log_sd_bound: float = 5.0) -> ModelSpec:
         return norm.reshape(shape) - (y[:, 0] - mu) ** 2 / (2.0 * var)
 
     return ModelSpec(
-        "normal", log_density, ((-bound, bound), (-log_sd_bound, log_sd_bound)),
-        _normal_summary(scale, bound),
+        "normal", log_density, ((-MEAN_BOUND, MEAN_BOUND), (-LOG_SD_BOUND, LOG_SD_BOUND)),
+        _normal_summary(scale),
     )
 
 

@@ -167,12 +167,12 @@ def binomial_shifted_moment(cov, deltas, exponents) -> float:
 def per_draw_logliks(model, thetas, data) -> np.ndarray:
     """Reference weighted log-likelihood of each draw, one ``log_density`` call
     per draw with a ``(p,)`` theta: the loop the blocked evaluator replaced,
-    with the same dead-density rule (a log density at most -745 counts as zero
+    with the same dead-density rule (only a log density of -inf is zero
     density; such rows must have weight 0 and then contribute 0)."""
     out = []
     for theta in np.asarray(thetas, dtype=float):
         logs = np.asarray(model.log_density(data.y, theta), dtype=float)
-        dead = logs <= -745.0
+        dead = logs == -np.inf
         assert not np.any(dead & (data.weights > 0))
         with np.errstate(invalid="ignore"):
             out.append(float(np.sum(np.where(dead, 0.0, data.weights * logs))))

@@ -329,7 +329,7 @@ def test_c11_wdic_reduction_penalty_and_recovery():
     )
     # one free parameter: the penalty sits near 1 within Monte Carlo error
     devs = np.array([dev(t[0]) - dev_hat for t in draws.draws])
-    se = float(np.std(devs, ddof=1) / math.sqrt(draws.size))
+    se = float(np.std(devs, ddof=1) / math.sqrt(draws.draws.shape[0]))
     penalty_ok = abs(result.pwd - 1.0) <= 3 * se
 
     # model recovery: data from the sd-2 model; tail-emphasizing weights make

@@ -406,6 +406,18 @@ def test_wdic_sampler_deterministic(capsys, tmp_path):
     assert 0.0 < payload["acceptance_rate"] < 1.0
 
 
+def test_wdic_scores_a_far_outlier_instead_of_refusing_it(capsys, tmp_path):
+    # y = 60 under normal-mean(sd=1) near mu = 2 has log density about -1700:
+    # far below log(smallest double), still a density, as the sampler takes it
+    data = tmp_path / "outlier.csv"
+    data.write_text("y_1,weight\n" + "0,1\n" * 30 + "60,1\n")
+    code, out, err = run(capsys, ["wdic", "--data", str(data), "--sample", "2000,500,0.5,3"])
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert all(math.isfinite(got[key]) for key in ("wdic", "pwd", "dev_at_hat", "pwd_mcse", "ess"))
+    assert 0.5 < got["pwd"] < 1.5  # one parameter
+
+
 @pytest.mark.parametrize(
     "extra, golden_name",
     [
@@ -713,9 +725,9 @@ def test_verify_builds_each_case_once(monkeypatch):
         counts["pair"] += 1
         post_init(pc)
 
-    def counting_condition(dist, spec):
+    def counting_condition(dist, kept, given, value):
         counts["condition"] += 1
-        return condition(dist, spec)
+        return condition(dist, kept, given, value)
 
     monkeypatch.setattr(gaussian, "validate", counting_validate)
     monkeypatch.setattr(cf.PairConditional, "__post_init__", counting_post_init)

@@ -224,15 +224,6 @@ def test_theta_example2_against_quadrature_oracle():
         assert printed - cf.theta(pc) == pytest.approx(2 * rho**4, abs=1e-12)
 
 
-def test_theta_supports_off_center_weights():
-    pc = cf.PairConditional.from_example1(0.4, 1.0)
-    centers = np.array([0.3, -0.2])
-    oracle = grid_moment(
-        pc.cond.mean, pc.cond.cov, (2, 2), points=256, centers=centers
-    )
-    assert cf.theta(pc, centers) == pytest.approx(oracle, rel=1e-7)
-
-
 def test_lambda_bar_upsilon_zero_shift_reduction():
     # x3 at the third-coordinate mean kills the shift: both reduce to the
     # same centered moment
@@ -472,7 +463,7 @@ def test_shared_row_base_is_bit_identical_to_a_fresh_base_per_point(example):
 def _pair_quantities(pc):
     """Every pair quantity of ``pc``, by name, in both formula modes."""
     out = {"mu_bar": pc.mu_bar.T, "delta": pc.delta.T, "theta": cf.theta(pc),
-           "theta_centers": cf.theta(pc, (0.3, -1.2)), "gibbs_gap": cf.gibbs_gap(pc)}
+           "gibbs_gap": cf.gibbs_gap(pc)}
     for mode in ("paper", "corrected"):
         out[f"relative_de_pair[{mode}]"] = cf.relative_de_pair(pc, mode)
     for mode in cf.FORMULA_MODES:

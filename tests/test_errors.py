@@ -12,7 +12,7 @@ from wentropy.errors import (
     OutOfSupportError,
     as_float_array,
 )
-from wentropy.gaussian import ConditionSpec, Gaussian
+from wentropy.gaussian import Gaussian
 from wentropy.quadrature import CentralWeight
 from wentropy.wdic import (
     ModelSpec,
@@ -54,15 +54,13 @@ def test_as_float_array_refuses_by_name(value, ndim, message):
 
 
 def _stored_pairs():
-    """(container, caller's array, stored array) for every array the six containers store."""
+    """(container, caller's array, stored array) for every array the five containers store."""
     mean, cov = np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
-    value = np.array([0.25])
     centers = np.array([0.5, 1.5])
     probs, s0, s1 = np.full((2, 3), 1.0 / 6.0), np.arange(2.0), np.arange(3.0)
     y, weights = np.array([[0.1], [0.7], [-0.3]]), np.array([1.0, 0.5, 2.0])
     draws, log_posts = np.ones((100, 1)), np.zeros(100)
     gaussian = Gaussian(mean, cov)
-    spec = ConditionSpec((0,), (1,), value)
     weight = CentralWeight(centers)
     joint = DiscreteJoint(probs, (s0, s1))
     data = WeightedDataset(y, weights)
@@ -70,7 +68,6 @@ def _stored_pairs():
     return [
         ("Gaussian.mean", mean, gaussian.mean),
         ("Gaussian.cov", cov, gaussian.cov),
-        ("ConditionSpec.value", value, spec.value),
         ("CentralWeight.centers", centers, weight.centers),
         ("DiscreteJoint.probs", probs, joint.probs),
         ("DiscreteJoint.support[0]", s0, joint.support[0]),
@@ -120,7 +117,7 @@ def test_posterior_draws_refuses_3d_draws_and_keeps_its_other_refusals():
     with pytest.raises(ValueError, match="log_posts must not be NaN"):
         PosteriorDraws(np.zeros((100, 1)), "x", np.full(100, math.nan))
     # a log posterior may be -inf: the draw has zero posterior mass
-    assert PosteriorDraws(np.zeros((100, 1)), "x", np.full(100, -math.inf)).size == 100
+    assert PosteriorDraws(np.zeros((100, 1)), "x", np.full(100, -math.inf)).draws.shape[0] == 100
 
 
 def test_adopt_hands_over_the_buffers_without_a_copy():

@@ -23,7 +23,6 @@ from wentropy.errors import (
 from wentropy.gaussian import (
     MAX_DIM,
     SPD_EIG_RATIO,
-    ConditionSpec,
     Gaussian,
     condition,
     conditional_mean,
@@ -258,7 +257,6 @@ def test_array_containers_compare_by_identity():
     def build():
         return [
             Gaussian([0.0, 0.0], np.eye(2)),
-            ConditionSpec((0, 1), (2,), [0.5]),
             PairConditional(example1_cov(0.5), 1.0),
             DiscreteJoint(np.full((2, 2), 0.25), ([0.0, 1.0], [0.0, 1.0])),
             CentralWeight([0.0, 0.0]),
@@ -275,7 +273,7 @@ def test_array_containers_compare_by_identity():
 
 def test_condition_example1_matches_printed_form():
     rho, x3 = 0.5, 2.0
-    out = condition(example1_cov(rho), ConditionSpec((0, 1), (2,), [x3]))
+    out = condition(example1_cov(rho), (0, 1), (2,), [x3])
     assert out.mean == pytest.approx([rho**2 * x3, 0.0], abs=1e-14)
     expected = np.array([[1 - rho**4, rho], [rho, 1.0]])
     assert np.allclose(out.cov, expected, atol=1e-14)
@@ -283,7 +281,7 @@ def test_condition_example1_matches_printed_form():
 
 def test_condition_example2_matches_printed_form():
     rho, x3 = 0.25, -1.5
-    out = condition(example2_cov(rho), ConditionSpec((0, 1), (2,), [x3]))
+    out = condition(example2_cov(rho), (0, 1), (2,), [x3])
     assert out.mean == pytest.approx([(1 - rho) * x3, (1 - rho) * x3], abs=1e-14)
     expected = np.array(
         [[rho * (2 - rho), -(rho**2)], [-(rho**2), rho * (2 - rho)]]
@@ -293,7 +291,7 @@ def test_condition_example2_matches_printed_form():
 
 def test_condition_rho_zero_equals_marginal():
     dist = example1_cov(0.0)
-    out = condition(dist, ConditionSpec((0, 1), (2,), [1.7]))
+    out = condition(dist, (0, 1), (2,), [1.7])
     marg = dist.marginal([0, 1])
     assert np.allclose(out.mean, marg.mean, atol=1e-15)
     assert np.allclose(out.cov, marg.cov, atol=1e-15)
@@ -302,7 +300,7 @@ def test_condition_rho_zero_equals_marginal():
 def test_condition_empty_given_is_exact_slice():
     rng = np.random.default_rng(3)
     dist = Gaussian(rng.normal(size=4), rand_spd(rng, 4))
-    out = condition(dist, ConditionSpec((1, 3), (), []))
+    out = condition(dist, (1, 3), (), [])
     assert np.array_equal(out.mean, dist.mean[[1, 3]])
     assert np.array_equal(out.cov, dist.cov[np.ix_([1, 3], [1, 3])])
 
@@ -315,28 +313,26 @@ def test_conditional_mean_on_a_fresh_base_matches_condition():
         for _ in range(10):
             mean, cov = rng.normal(size=4), rand_spd(rng, 4)
             block = rng.normal(size=(len(given), 6))
-            got = conditional_mean(Gaussian(mean, cov), ConditionSpec(kept, given, block))
+            got = conditional_mean(Gaussian(mean, cov), kept, given, block)
             assert got.shape == (len(kept), 6)
             for k in range(6):
-                spec = ConditionSpec(kept, given, block[:, k])
-                one = conditional_mean(Gaussian(mean, cov), spec)
-                assert one.tobytes() == condition(Gaussian(mean, cov), spec).mean.tobytes()
+                one = conditional_mean(Gaussian(mean, cov), kept, given, block[:, k])
+                cond = condition(Gaussian(mean, cov), kept, given, block[:, k])
+                assert one.tobytes() == cond.mean.tobytes()
                 if len(given) == 1:
                     assert got[:, k].tobytes() == one.tobytes()
                 else:
                     assert got[:, k] == pytest.approx(one, rel=1e-14, abs=1e-14)
     for given in ((3,), (-1,)):
         with pytest.raises(ValueError, match=f"index {given[0]} out of range"):
-            conditional_mean(example1_cov(0.5), ConditionSpec((0,), given, [0.0]))
-    with pytest.raises(ValueError, match="1-dimensional"):
-        ConditionSpec((0,), (1,), np.zeros((1, 2, 2)))
+            conditional_mean(example1_cov(0.5), (0,), given, [0.0])
 
 
 def test_condition_schur_determinant_identity():
     rng = np.random.default_rng(11)
     for _ in range(50):
         dist = Gaussian(rng.normal(size=3), rand_spd(rng, 3))
-        out = condition(dist, ConditionSpec((0, 1), (2,), [rng.normal()]))
+        out = condition(dist, (0, 1), (2,), [rng.normal()])
         lhs = np.linalg.det(dist.cov)
         rhs = dist.cov[2, 2] * np.linalg.det(out.cov)
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -359,7 +355,6 @@ def test_one_rho_row_validates_each_derived_covariance_once(monkeypatch):
 
 def test_failed_condition_keeps_nothing(monkeypatch):
     base = example1_cov(0.5)
-    spec = ConditionSpec((0, 1), (2,), [1.0])
 
     def refuse(dist):
         raise NotPositiveDefiniteError("refused")
@@ -367,24 +362,52 @@ def test_failed_condition_keeps_nothing(monkeypatch):
     monkeypatch.setattr(gaussian, "validate", refuse)
     for _ in range(2):
         with pytest.raises(NotPositiveDefiniteError):
-            condition(base, spec)
+            condition(base, (0, 1), (2,), [1.0])
     monkeypatch.undo()
-    assert condition(base, spec).mean == pytest.approx([0.25, 0.0], abs=1e-15)
+    assert condition(base, (0, 1), (2,), [1.0]).mean == pytest.approx([0.25, 0.0], abs=1e-15)
 
 
 def test_cached_conditional_still_checks_its_mean():
     # gain 9.9: a finite value can push the conditional mean past the float range
     dist = Gaussian(np.zeros(2), [[100.0, 9.9], [9.9, 1.0]])
-    condition(dist, ConditionSpec((0,), (1,), [1.0]))
+    condition(dist, (0,), (1,), [1.0])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        condition(dist, ConditionSpec((0,), (1,), [1e308]))
+        condition(dist, (0,), (1,), [1e308])
 
 
-def test_condition_spec_validation():
-    with pytest.raises(ValueError):
-        ConditionSpec((0, 1), (1,), [0.0])
-    with pytest.raises(DimensionMismatchError):
-        ConditionSpec((0,), (1, 2), [0.0])
+BAD_SPLITS = [
+    ((0, 1), (1,), [0.0], ValueError, r"^kept \(0, 1\) and given \(1,\) overlap$"),
+    ((0, 0), (2,), [0.0], ValueError, r"^kept/given indices must be distinct$"),
+    ((0,), (2, 2), [0.0, 0.0], ValueError, r"^kept/given indices must be distinct$"),
+    ((0,), (3,), [0.0], ValueError, r"^index 3 out of range for dimension 3$"),
+    ((0,), (1, 2), [0.0], DimensionMismatchError,
+     r"^value length 1 does not match given set size 2$"),
+    ((0,), (1,), np.zeros((1, 2, 2)), ValueError,
+     r"^value must be 1-dimensional, got shape \(1, 2, 2\)$"),
+    ((0,), (1,), [np.nan], ValueError, r"^value contains non-finite entries$"),
+    ((0,), (1,), [[0.0, np.inf]], ValueError, r"^value contains non-finite entries$"),
+]
+
+
+@pytest.mark.parametrize("function", [conditional_mean, condition], ids=lambda f: f.__name__)
+def test_condition_refuses_a_bad_split_or_value(function):
+    for kept, given, value, error, message in BAD_SPLITS:
+        with pytest.raises(error, match=message):
+            function(example1_cov(0.5), kept, given, value)
+
+
+def test_a_cached_gain_does_not_pass_a_bad_split():
+    base = example1_cov(0.5)
+    condition(base, (0, 1), (2,), [1.0])  # caches the gain of ((0, 1), (2,))
+    assert list(base._derived) == [("gain", (0, 1), (2,))]
+    for kept, given, value, error, message in BAD_SPLITS:
+        with pytest.raises(error, match=message):
+            conditional_mean(base, kept, given, value)
+    # a known split still checks its value on every call
+    with pytest.raises(DimensionMismatchError, match="value length 2 does not match"):
+        conditional_mean(base, (0, 1), (2,), [1.0, 2.0])
+    with pytest.raises(ValueError, match="value contains non-finite entries"):
+        condition(base, (0, 1), (2,), [np.nan])
 
 
 def test_example1_cov_values_and_domain():
@@ -527,10 +550,10 @@ def test_gaussian_kl_block_on_the_relative_de_points():
     for rho in np.linspace(-0.7, 0.7, 29):
         base = example1_cov(rho)
         pair = base.marginal([0, 1])
-        cond = condition(base, ConditionSpec((0, 1), (2,), x3s[:1]))
-        block = gaussian_kl(cond, pair, conditional_mean(base, ConditionSpec((0, 1), (2,), x3s[None])))
+        cond = condition(base, (0, 1), (2,), x3s[:1])
+        block = gaussian_kl(cond, pair, conditional_mean(base, (0, 1), (2,), x3s[None]))
         for k, x3 in enumerate(x3s):
-            one = gaussian_kl(condition(base, ConditionSpec((0, 1), (2,), [x3])), pair)
+            one = gaussian_kl(condition(base, (0, 1), (2,), [x3]), pair)
             assert block[k] == pytest.approx(one, rel=1e-15, abs=0.0)
 
 
@@ -558,12 +581,12 @@ def test_gaussian_kl_matches_quadrature():
 def test_gaussian_kl_conditional_vs_marginal():
     # independent third coordinate: conditioning changes nothing
     dist = example1_cov(0.0)
-    cond = condition(dist, ConditionSpec((0, 1), (2,), [1.0]))
+    cond = condition(dist, (0, 1), (2,), [1.0])
     assert gaussian_kl(cond, dist.marginal([0, 1])) == pytest.approx(0.0, abs=1e-15)
     # coupled case: the divergence equals the transcribed closed form minus 1
     rho, x3 = 0.4, 1.0
     dist = example1_cov(rho)
-    cond = condition(dist, ConditionSpec((0, 1), (2,), [x3]))
+    cond = condition(dist, (0, 1), (2,), [x3])
     printed = (
         0.5 * math.log((1 - rho**2) / (1 - rho**2 - rho**4))
         + rho**4 / (2 * (1 - rho**2)) * (x3**2 - 1)

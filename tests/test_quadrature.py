@@ -20,7 +20,6 @@ from wentropy import verify
 from wentropy.errors import SupportMismatchError
 from wentropy.moments import central_moment, shifted_moment
 from wentropy.gaussian import (
-    ConditionSpec,
     Gaussian,
     condition,
     example1_cov,
@@ -304,7 +303,7 @@ def test_gibbs_condition_value_cases():
     pair = dist.marginal([0, 1])
     weight = CentralWeight([0.0, 0.0])
     for x3, sign in ((0.5, -1.0), (2.0, 1.0)):
-        cond = condition(dist, ConditionSpec((0, 1), (2,), [x3]))
+        cond = condition(dist, (0, 1), (2,), [x3])
         grid = GridSpec.for_gaussians([cond, pair], 256)
         value = gibbs_condition_value(cond.pdf, pair.pdf, weight, grid)
         expected = 0.5**4 * (x3**2 - 1)
@@ -342,7 +341,7 @@ def test_monte_carlo_same_density():
 
 def test_monte_carlo_matches_quadrature():
     dist = example1_cov(0.4)
-    cond = condition(dist, ConditionSpec((0, 1), (2,), [1.0]))
+    cond = condition(dist, (0, 1), (2,), [1.0])
     pair = dist.marginal([0, 1])
     weight = CentralWeight([0.0, 0.0])
     grid = GridSpec.for_gaussians([cond, pair], 256)
@@ -355,7 +354,7 @@ def test_monte_carlo_matches_quadrature():
 
 def test_monte_carlo_stderr_scaling_and_determinism():
     dist = example1_cov(0.4)
-    cond = condition(dist, ConditionSpec((0, 1), (2,), [1.0]))
+    cond = condition(dist, (0, 1), (2,), [1.0])
     pair = dist.marginal([0, 1])
     weight = CentralWeight([0.0, 0.0])
     args = (cond.sampler(), cond.pdf, pair.pdf, weight)

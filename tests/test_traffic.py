@@ -31,7 +31,6 @@ NEVER_CALLED = {
     "quadrature._log0": GRID_GATE,
     "quadrature.relative_wde_quadrature": GRID_GATE,
     "gaussian.gaussian_de": "the paper's differential entropy formula, in both modes",
-    "wdic.PosteriorDraws.size": "the draw count, which the tests read",
 }
 
 

@@ -148,6 +148,25 @@ def test_out_of_support_error():
     assert weighted_loglik(uniform01, [0.0], ignored) == 0.0
 
 
+def test_only_minus_inf_is_zero_density():
+    # -1000 lies below the log of the smallest positive double, but it is a
+    # finite log density: under positive weight it is scored, not refused
+    def logd(y, theta):
+        deep = np.where(y[:, 0] > 1.0, -1000.0 - theta[0] ** 2, -0.5 * theta[0] ** 2)
+        return np.where(y[:, 0] < -1.0, -np.inf, deep)
+
+    model = ModelSpec("deep-tail", logd, ((-2.0, 2.0),))
+    data = WeightedDataset([[2.0], [0.0], [-2.0]], [1.5, 1.0, 0.0])
+    assert weighted_loglik(model, [0.5], data) == 1.5 * -1000.25 + 1.0 * -0.125
+    # -inf at weight 0 still contributes 0, on the masked path and per draw
+    thetas = np.linspace(-2.0, 2.0, 9)[:, None]
+    assert np.array_equal(_weighted_logliks(model, thetas, data), per_draw_logliks(model, thetas, data))
+    finite = WeightedDataset([[2.0], [0.0]], [1.5, 1.0])  # the all-finite fast path
+    assert np.array_equal(_weighted_logliks(model, thetas, finite), per_draw_logliks(model, thetas, finite))
+    with pytest.raises(OutOfSupportError, match="observation 2 has zero density"):
+        weighted_loglik(model, [0.5], WeightedDataset([[2.0], [0.0], [-2.0]], [1.5, 1.0, 0.5]))
+
+
 def test_penalty_identical_draws_is_zero():
     rng = np.random.default_rng(3)
     data = make_data(rng)
@@ -171,7 +190,7 @@ def test_penalty_conjugate_effective_parameters_near_one():
     theta_hat = posterior_point_estimate(MODEL, draws, data, "mean")
     pwd = penalty_pwd(MODEL, draws, theta_hat, data)
     devs = np.array([weighted_deviance(MODEL, th, data) for th in draws.draws])
-    se = float(np.std(devs, ddof=1) / math.sqrt(draws.size))
+    se = float(np.std(devs, ddof=1) / math.sqrt(draws.draws.shape[0]))
     assert abs(pwd - 1.0) <= 3 * se
 
 
@@ -211,15 +230,15 @@ def test_wdic_penalty_mcse_and_ess():
     rng = np.random.default_rng(13)
     data = make_data(rng, n=50)
     draws, _, _ = conjugate_draws(rng, data, size=4000)
-    iid = wdic(MODEL, draws, data)
-    assert 0.5 * draws.size <= iid.ess <= 1.5 * draws.size
+    iid, n = wdic(MODEL, draws, data), draws.draws.shape[0]
+    assert 0.5 * n <= iid.ess <= 1.5 * n
     diffs = per_draw_logliks(MODEL, draws.draws, data) * -2.0 - iid.dev_at_hat
-    naive_se = float(np.std(diffs, ddof=1)) / math.sqrt(draws.size)
-    assert iid.pwd_mcse == pytest.approx(naive_se * math.sqrt(draws.size / iid.ess))
+    naive_se = float(np.std(diffs, ddof=1)) / math.sqrt(n)
+    assert iid.pwd_mcse == pytest.approx(naive_se * math.sqrt(n / iid.ess))
     # a random walk with tiny steps: neighbouring draws are nearly identical
     cfg = SamplerConfig(steps=600, burn_in=100, step_size=1e-6, seed=5)
     walk = metropolis_sample(MODEL, default_log_prior(MODEL), data, cfg)
-    assert wdic(MODEL, walk, data).ess < walk.size / 10
+    assert wdic(MODEL, walk, data).ess < walk.draws.shape[0] / 10
 
 
 def _with_holes(model: ModelSpec) -> ModelSpec:
@@ -467,7 +486,7 @@ def test_metropolis_recovers_conjugate_posterior():
     post_var = 1.0 / (n + 1.0 / prior_var)
     post_mean = post_var * data.y[:, 0].sum()
     assert abs(float(np.mean(draws.draws[:, 0])) - post_mean) <= 4 * math.sqrt(
-        post_var / draws.size
+        post_var / draws.draws.shape[0]
     ) * 10  # allow for autocorrelation of the walk
     assert 0.1 < draws.acceptance_rate < 0.9
 
