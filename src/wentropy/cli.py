@@ -126,16 +126,15 @@ def _cmd_scan(args) -> int:
     printed_we = (
         cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
     )
-    # (mode, column, fill(rho, row) -> the values at every x3); a column without a mode
-    # is always written.  Each column is one call on the whole x3 row, the
-    # printed formulas included: their x3 terms are + - * / only, so the row
-    # holds the per-point floats bit for bit.
+    # (mode, column, fill(rhos, grid) -> the (rho, x3) values); a column without a mode
+    # is always written.  A printed formula takes one call per rho on the x3 row (x3
+    # enters by + - * / only), the others the grid: both give the per-point floats.
     table = [
-        ("paper", "D_paper", lambda rho, row: printed_de(rho, x3s)),
-        ("corrected", "D_corrected", lambda rho, row: cf.relative_de_pair(row, "corrected")),
-        ("wick", "Dw_wick", lambda rho, row: cf.relative_we_pair(row, "wick")),
-        ("paper", "Dw_printed", lambda rho, row: printed_we(rho, x3s)),
-        (None, "gibbs_gap", lambda rho, row: cf.gibbs_gap(row)),
+        ("paper", "D_paper", lambda rhos, grid: [printed_de(rho, x3s) for rho in rhos]),
+        ("corrected", "D_corrected", lambda rhos, grid: cf.relative_de_pair(grid, "corrected")),
+        ("wick", "Dw_wick", lambda rhos, grid: cf.relative_we_pair(grid, "wick")),
+        ("paper", "Dw_printed", lambda rhos, grid: [printed_we(rho, x3s) for rho in rhos]),
+        (None, "gibbs_gap", lambda rhos, grid: cf.gibbs_gap(grid)),
     ]
     table = [(column, fill) for mode, column, fill in table if mode is None or mode in modes]
 
@@ -145,23 +144,29 @@ def _cmd_scan(args) -> int:
         f"x3={x3s[0]:g}:{x3s[-1]:g}:{x3s.size} modes={','.join(modes)}",
         ",".join(["rho", "x3"] + [column for column, _ in table]),
     ]
+    # a refused rho raises only after the rows before it are checked, in rho order
+    rhos, bases, error = rhos.tolist(), [], None
+    try:
+        for rho in rhos:
+            bases.append(make_base(rho))
+    except WentropyError as exc:
+        rhos, error = rhos[: len(bases)], exc
+    if bases:
+        grid = cf.PairConditional(tuple(bases), x3s)
+        with np.errstate(all="ignore"):  # overflow is reported below, by point
+            values = np.stack([fill(rhos, grid) for _, fill in table], axis=-1)
+        finite = np.isfinite(values)  # (rho, x3, column)
+        if not finite.all():  # the first bad value by rho, then x3, then column
+            b, k, c = np.unravel_index(int(np.argmin(finite)), values.shape)
+            point = f"rho={rhos[b]!r}, x3={float(x3s[k])!r}"
+            raise ValueError(f"{table[c][0]} is {float(values[b, k, c])} at {point}")
+    if error is not None:
+        raise error
     x3_text = [_fmt(x3) for x3 in x3s.tolist()]
     values_fmt = ",".join(["{:.17g}"] * len(table))  # _fmt of each value
-    for rho in rhos.tolist():
-        row = cf.PairConditional(make_base(rho), x3s)
-        with np.errstate(all="ignore"):  # overflow is reported below, by point
-            grid = np.stack([fill(rho, row) for _, fill in table], axis=1)  # (x3, column)
-        finite = np.isfinite(grid)
-        if not finite.all():  # the first bad value by x3, then by column
-            k, c = divmod(int(np.argmin(finite)), len(table))
-            raise ValueError(
-                f"{table[c][0]} is {float(grid[k, c])} at rho={rho!r}, x3={float(x3s[k])!r}"
-            )
+    for rho, row in zip(rhos, values.tolist()):
         head = _fmt(rho) + ","
-        lines += [
-            head + x3 + "," + values_fmt.format(*point)
-            for x3, point in zip(x3_text, grid.tolist())
-        ]
+        lines += [head + x3 + "," + values_fmt.format(*point) for x3, point in zip(x3_text, row)]
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -5,13 +5,13 @@ agree with the quadrature oracles, and every wick-mode entropy is an instance
 of one kernel, :func:`_weighted_cross_entropy`, whose moments all come from one
 Wick recursion.  A :class:`PairConditional` fills that moment table once and
 every pair quantity reads it; the pair entropies have one assembly each, and
-the mode switch happens only in LambdaBar and Upsilon.  At an (n,) array of x3
-values the table is one batched table and every pair quantity returns an (n,)
-array.  Closed forms take conditional means only from ``mu_bar`` and ``delta``.
-``"paper"`` evaluates the transcribed factored formulas verbatim, including
-their known defects, through the kernel's assembly step; the verify command
-measures each one against wick mode and reports a CONFIRMED/DISCREPANT verdict
-instead of trusting it.
+the mode switch happens only in LambdaBar and Upsilon.  Over an (n,) x3 array,
+B bases or both, the table is one batched table and every pair quantity an
+(n,), (B,) or (B, n) array.  Closed forms take conditional means only from
+``mu_bar`` and ``delta``.  ``"paper"`` evaluates the transcribed factored
+formulas verbatim, including their known defects, through the kernel's assembly
+step; the verify command measures each one against wick mode and reports a
+CONFIRMED/DISCREPANT verdict instead of trusting it.
 
 The product weight is centered at the marginal means.  Coordinate indices are
 0-based.
@@ -20,6 +20,7 @@ The product weight is centered at the marginal means.  Coordinate indices are
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +48,9 @@ def check_formula_mode(mode: str) -> str:
     return mode
 
 
+_Stack = namedtuple("_Stack", "mean cov precision log_det")  # of B Gaussians, batch axes last
+
+
 @dataclass(frozen=True, eq=False)
 class PairConditional:
     """A trivariate Gaussian together with its leading pair, conditioned on the
@@ -61,40 +65,54 @@ class PairConditional:
     table of the conditional pair about the marginal means is filled on first
     use; for an array every pair quantity returns an (n,) array equal to the
     per-point values bit for bit.
-    """
 
-    base: Gaussian
+    ``base`` may also be a tuple of B bases, each with its own ``pair`` and ``cond``
+    (tuples then); a B axis follows the (2,) axis of ``mu_bar`` and ``delta`` and
+    leads every pair quantity, bit for bit.  The quantities read ``_pair`` and
+    ``_cond``: the Gaussian, or a :class:`_Stack` whose ``[i, j]`` is (B, 1)."""
+
+    base: Gaussian | tuple
     x3: float | np.ndarray
-    pair: Gaussian = field(init=False)
-    cond: Gaussian = field(init=False)
+    pair: Gaussian | tuple = field(init=False)
+    cond: Gaussian | tuple = field(init=False)
     mu_bar: np.ndarray = field(init=False)
     delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.base.dim != 3:
-            raise ValueError(f"base must be trivariate, got dimension {self.base.dim}")
+        bases = self.base if isinstance(self.base, tuple) else (self.base,)
         shape = np.shape(self.x3)
         if len(shape) > 1 or 0 in shape:
             raise DimensionMismatchError(
                 f"x3 must be one value or a non-empty (n,) array, got shape {shape}"
             )
         x3 = as_float_array(self.x3, "x3", ndim=len(shape))
-        pair = self.base.marginal([0, 1])
-        cond = condition(self.base, (0, 1), (2,), x3.ravel()[:1])
-        if x3.ndim:
-            mu_bar = conditional_mean(self.base, (0, 1), (2,), x3[None])
-            delta = mu_bar - pair.mean[:, None]
-        else:
-            mu_bar, delta = cond.mean, cond.mean - pair.mean
+        for dim in {base.dim for base in bases} - {3}:
+            raise ValueError(f"base must be trivariate, got dimension {dim}")
+        pair = tuple(base.marginal([0, 1]) for base in bases)
+        cond = tuple(condition(base, (0, 1), (2,), x3.ravel()[:1]) for base in bases)
+        mu_bar = np.stack([conditional_mean(b, (0, 1), (2,), x3[None]) for b in bases], 1)
+        mu = np.stack([p.mean for p in pair], 1)
+        delta = mu_bar - mu.reshape(mu.shape + (1,) * x3.ndim)
+        if not isinstance(self.base, tuple):
+            (pair,), (cond,), mu_bar, delta = pair, cond, mu_bar[:, 0], delta[:, 0]
         for arr in (mu_bar, delta):
             arr.setflags(write=False)
         self.__dict__.update(
             x3=x3 if x3.ndim else float(x3), pair=pair, cond=cond, mu_bar=mu_bar, delta=delta
         )
 
+    def _stack(self, gaussians) -> "Gaussian | _Stack":
+        if not isinstance(gaussians, tuple):
+            return gaussians
+        arrays = [np.stack([getattr(g, f) for g in gaussians], -1) for f in _Stack._fields]
+        return _Stack(*(a.reshape(a.shape + (1,) * np.ndim(self.x3)) for a in arrays))
+
+    _pair = cached_property(lambda self: self._stack(self.pair))
+    _cond = cached_property(lambda self: self._stack(self.cond))
+
     @cached_property
     def _moments(self) -> dict:
-        return _phi_moments(self.cond.cov, self.delta)
+        return _phi_moments(self._cond.cov, self.delta)
 
     @classmethod
     def from_example1(cls, rho: float, x3: float) -> "PairConditional":
@@ -105,10 +123,10 @@ class PairConditional:
         return cls(example2_cov(rho), x3)
 
 
-def _cross_entropy(g: Gaussian, bulk: float, inner) -> float:
+def _cross_entropy(g: "Gaussian | _Stack", bulk: float, inner) -> float:
     """0.5 (d log 2 pi + log|S_g|) bulk + 0.5 sum_ij inv(S_g)_ij inner(i, j)."""
-    d = g.dim
     inv = g.precision
+    d = len(inv)
     quad = sum(inv[i, j] * inner(i, j) for i in range(d) for j in range(d))
     return 0.5 * (d * math.log(2.0 * math.pi) + g.log_det) * bulk + 0.5 * quad
 
@@ -198,12 +216,12 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
     subtracts it and matches :func:`wentropy.gaussian.gaussian_kl` exactly.
     """
     check_entropy_mode(mode)
-    mu, mu_bar, s, inv = pc.pair.mean, pc.mu_bar, pc.cond.cov, pc.pair.precision
+    mu, mu_bar, s, inv = pc._pair.mean, pc.mu_bar, pc._cond.cov, pc._pair.precision
     brace = lambda i, j: (
         s[i, j] + mu_bar[i] * mu_bar[j] - mu_bar[i] * mu[j] - mu[i] * mu_bar[j] + mu[i] * mu[j]
     )
     trace = sum(inv[i, j] * brace(i, j) for i in range(2) for j in range(2))
-    value = 0.5 * (pc.pair.log_det - pc.cond.log_det) + 0.5 * trace
+    value = 0.5 * (pc._pair.log_det - pc._cond.log_det) + 0.5 * trace
     if mode == "corrected":
         value -= 1.0
     return value
@@ -221,7 +239,7 @@ def theta(pc: PairConditional) -> float:
 
 def _e_sq_sq_pair(s: np.ndarray, i: int, j: int) -> float:
     """E[Y_1^2 Y_2^2 Y_i Y_j] for centered bivariate Y with covariance s."""
-    return float(
+    return (
         s[0, 0] * (s[1, 1] * s[i, j] + 2.0 * s[1, i] * s[1, j])
         + 2.0 * s[0, 1] * (s[0, 1] * s[i, j] + s[0, i] * s[1, j] + s[0, j] * s[1, i])
         + s[0, i] * (2.0 * s[0, 1] * s[1, j] + s[1, 1] * s[0, j])
@@ -231,12 +249,12 @@ def _e_sq_sq_pair(s: np.ndarray, i: int, j: int) -> float:
 
 def _e_sq_pair(s: np.ndarray, k: int, i: int, j: int) -> float:
     """E[Y_k^2 Y_i Y_j]."""
-    return float(s[k, k] * s[i, j] + 2.0 * s[k, i] * s[k, j])
+    return s[k, k] * s[i, j] + 2.0 * s[k, i] * s[k, j]
 
 
 def _e_quad(s: np.ndarray, i: int, j: int) -> float:
     """E[Y_1 Y_2 Y_i Y_j]."""
-    return float(s[0, 1] * s[i, j] + s[0, i] * s[1, j] + s[0, j] * s[1, i])
+    return s[0, 1] * s[i, j] + s[0, i] * s[1, j] + s[0, j] * s[1, i]
 
 
 def lambda_bar(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float:
@@ -252,13 +270,13 @@ def lambda_bar(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float
     check_formula_mode(mode)
     if mode == "wick":
         return _phi_inner(pc._moments, -pc.delta, i, j)
-    s = pc.cond.cov
+    s = pc._cond.cov
     d = pc.delta
     return (
         _e_sq_sq_pair(s, i, j)
         + d[0] ** 2 * _e_sq_pair(s, 0, i, j)
         + d[1] ** 2 * _e_sq_pair(s, 1, i, j)
-        + d[0] ** 2 * d[1] ** 2 * float(s[i, j])
+        + d[0] ** 2 * d[1] ** 2 * s[i, j]
         + 4.0 * d[0] * d[1] * _e_quad(s, i, j)
     )
 
@@ -273,7 +291,7 @@ def upsilon(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float:
     check_formula_mode(mode)
     if mode == "wick":
         return pc._moments[(min(i, j), max(i, j))]
-    s = pc.cond.cov
+    s = pc._cond.cov
     d = pc.delta
     return (
         _e_sq_sq_pair(s, i, j)
@@ -305,7 +323,7 @@ def cond_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     only :func:`lambda_bar` depends on ``mode``; in wick mode this is the
     kernel's H(cond, cond) about the marginal means."""
     check_formula_mode(mode)
-    return _cross_entropy(pc.cond, pc._moments[()], lambda i, j: lambda_bar(pc, i, j, mode))
+    return _cross_entropy(pc._cond, pc._moments[()], lambda i, j: lambda_bar(pc, i, j, mode))
 
 
 def cross_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
@@ -315,7 +333,7 @@ def cross_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     One assembly for both modes: only :func:`upsilon` depends on ``mode``; in
     wick mode this is the kernel's H(cond, pair) about the marginal means."""
     check_formula_mode(mode)
-    return _cross_entropy(pc.pair, pc._moments[()], lambda i, j: upsilon(pc, i, j, mode))
+    return _cross_entropy(pc._pair, pc._moments[()], lambda i, j: upsilon(pc, i, j, mode))
 
 
 def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
@@ -328,7 +346,7 @@ def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     check_formula_mode(mode)
     if mode == "wick":
         return cross_wde_pair(pc, mode) - cond_wde_pair(pc, mode)
-    inv1, inv_bar = pc.pair.precision, pc.cond.precision
+    inv1, inv_bar = pc._pair.precision, pc._cond.precision
     th = theta(pc)
     ups = sum(
         inv1[i, j] * upsilon(pc, i, j, mode) for i in range(2) for j in range(2)
@@ -336,14 +354,14 @@ def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     lam = sum(
         inv_bar[i, j] * lambda_bar(pc, i, j, mode) for i in range(2) for j in range(2)
     )
-    return 0.5 * (pc.pair.log_det - pc.cond.log_det) * th + 0.5 * ups - 0.5 * lam
+    return 0.5 * (pc._pair.log_det - pc._cond.log_det) * th + 0.5 * ups - 0.5 * lam
 
 
 def gibbs_gap(pc: PairConditional) -> float:
     """Theta(x3) minus the unconditional product moment about the marginal
     means: the sign that decides whether the weighted Gibbs condition holds at
     this x3."""
-    return theta(pc) - central_moment(pc.pair.cov, (2, 2))
+    return theta(pc) - central_moment(pc._pair.cov, (2, 2))
 
 
 # ---------------------------------------------------------------------------

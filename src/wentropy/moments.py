@@ -38,8 +38,8 @@ def count_matchings(order: int) -> int:
 
 def _check_spec(cov: np.ndarray, exponent_rows) -> tuple[np.ndarray, list[list[int]]]:
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise DimensionMismatchError(f"cov must be square, got shape {cov.shape}")
+    if cov.ndim < 2 or cov.shape[0] != cov.shape[1]:
+        raise DimensionMismatchError(f"cov must be (d, d, *batch), got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise ValueError("cov must be finite")
     rows = [[as_int(e, "exponent") for e in exponents] for exponents in exponent_rows]
@@ -101,11 +101,14 @@ def central_moment(cov, exponents) -> float:
     """E[prod_i Y_i^{r_i}] for centered jointly Gaussian Y with covariance ``cov``.
 
     Odd total order returns exactly 0 without evaluation; even order runs the
-    Wick recursion with zero mean.
+    Wick recursion with zero mean.  A (d, d, *batch) ``cov`` gives an even
+    order's values over the batch, bit for bit per covariance.
     """
     cov, (r,) = _check_spec(cov, [exponents])
     if sum(r) % 2 != 0:
         return 0.0
+    if cov.ndim > 2:  # a batch of covariances: the shifted moment at zero shifts
+        return shifted_moments(cov, np.zeros(len(r)), [r])[0]
     return _wick_moment(cov.tolist(), [0.0] * len(r), tuple(r), {})
 
 
@@ -115,20 +118,24 @@ def shifted_moments(cov, deltas, exponent_rows) -> list:
 
     ``deltas`` of shape (d, n) is a batch of n shifts: each row's value is then
     an (n,) array whose column k equals the call with ``deltas[:, k]``, bit for
-    bit.  As for floats, overflow gives inf or nan without a warning."""
+    bit.  A (d, d, *batch) ``cov`` takes (d,) deltas or deltas of as many batch
+    axes, which broadcast, bit for bit too.  Overflow gives inf or nan, silently."""
     cov, rows = _check_spec(cov, exponent_rows)
     if not rows:
         return []
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape[:1] != cov.shape[:1] or deltas.ndim > 2:
+    if deltas.shape[:1] != cov.shape[:1] or deltas.ndim not in (1, max(cov.ndim - 1, 2)):
         raise DimensionMismatchError(
             f"deltas shape {deltas.shape} does not match dimension {cov.shape[0]}"
         )
     if not np.all(np.isfinite(deltas)):
         raise ValueError("deltas must be finite")
     batch = deltas.shape[1:]
-    m = [_batch_mean(row) for row in deltas] if batch else deltas.tolist()
-    s, memo = cov.tolist(), {}
+    if cov.ndim > 2:  # a batch's covariance entries broadcast to it: every term has its shape
+        batch = np.broadcast_shapes(cov.shape[2:], batch)
+    m = [_batch_mean(row) for row in deltas] if deltas.ndim > 1 else deltas.tolist()
+    s = cov.tolist() if cov.ndim == 2 else [[np.broadcast_to(e, batch) for e in c] for c in cov]
+    memo = {}
     with np.errstate(over="ignore", invalid="ignore"):
         values = [_wick_moment(s, m, tuple(r), memo) for r in rows]
     return [np.broadcast_to(v, batch) for v in values] if batch else values

@@ -260,18 +260,18 @@ def _check_pair_formulas(checks, pairs):
 
 
 def _check_relative_de(checks, cfg):
-    # first family, one x3 row per rho: printed form against the generic
-    # paper-mode formula, corrected mode against the KL oracle on the row's
+    # first family, one (rho, x3) grid: printed form against the generic
+    # paper-mode formula, corrected mode against the KL oracle on each rho's
     # conditional covariance and block of conditional means
     printed_rows, kl_rows = [], []
-    x3s = np.linspace(-3.0, 3.0, 31)
-    for rho in np.linspace(-0.7, 0.7, 29):
-        row = cf.PairConditional(cf.example1_cov(rho), x3s)
-        kls = gaussian_kl(row.cond, row.pair, row.mu_bar)
+    rhos, x3s = np.linspace(-0.7, 0.7, 29), np.linspace(-3.0, 3.0, 31)
+    grid = cf.PairConditional(tuple(map(cf.example1_cov, rhos)), x3s)
+    generics, correcteds = (cf.relative_de_pair(grid, mode) for mode in ("paper", "corrected"))
+    for b, rho in enumerate(rhos):
+        kls = gaussian_kl(grid.cond[b], grid.pair[b], grid.mu_bar[:, b])
         printeds = cf.example1_relative_de_paper(rho, x3s)
-        generics = cf.relative_de_pair(row, "paper")
-        correcteds = cf.relative_de_pair(row, "corrected")
-        for x3, printed, generic, corrected, kl in zip(x3s, printeds, generics, correcteds, kls):
+        rows = zip(x3s, printeds, generics[b], correcteds[b], kls)
+        for x3, printed, generic, corrected, kl in rows:
             point = {"example": 1, "rho": float(rho), "x3": float(x3)}
             printed_rows.append((printed, generic, point))
             kl_rows.append((abs(corrected - kl), corrected, kl, point))

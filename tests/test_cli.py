@@ -117,7 +117,8 @@ def test_scan_rejects_non_finite_values_and_writes_nothing(capsys, tmp_path, mod
          "example2_lambda_bar_paper": 12}),
 ], ids=["example1", "example2"])
 def test_scan_works_once_per_rho_row(capsys, monkeypatch, example, printed):
-    # one moment table and one call of each printed formula per row, not per x3
+    # one moment table and one central moment per scan, on the grid
+    # PairConditional, and one call of each printed formula per row, not per x3
     calls = {"shifted_moments": 0, "central_moment": 0, **dict.fromkeys(printed, 0)}
     for name in calls:
 
@@ -129,7 +130,7 @@ def test_scan_works_once_per_rho_row(capsys, monkeypatch, example, printed):
     argv = ["scan", "--example", str(example), "--rho=0.1:0.4:4", "--x3=-2:2:9"]
     code, out, _ = run(capsys, argv)
     assert code == 0 and len(parse_csv(out)[2]) == 4 * 9
-    assert calls == {"shifted_moments": 4, "central_moment": 4, **printed}
+    assert calls == {"shifted_moments": 1, "central_moment": 1, **printed}
 
 
 def test_scan_names_the_first_non_finite_value_by_x3_then_column(capsys, tmp_path, monkeypatch):
@@ -137,7 +138,7 @@ def test_scan_names_the_first_non_finite_value_by_x3_then_column(capsys, tmp_pat
     def poisoned(fill, k, bad):
         def values(*args):
             out = np.array(fill(*args), dtype=float)
-            out[k] = bad
+            out[..., k] = bad  # at x3 index k on every rho row
             return out
         return values
 
@@ -149,6 +150,20 @@ def test_scan_names_the_first_non_finite_value_by_x3_then_column(capsys, tmp_pat
     )
     assert code == 2 and stdout == "" and not out.exists()
     assert err == "error: gibbs_gap is nan at rho=0.1, x3=0.5\n"
+
+
+def test_scan_reports_the_first_error_in_rho_order(capsys):
+    # rho = 0.9 is outside the first family, but the rho = 0.1 row overflows
+    # first, so that is what is reported, as when each row was built in turn
+    argv = ["scan", "--example", "1", "--rho=0.1:0.9:3", "--x3=0:1e200:3"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: D_paper is inf at rho=0.1, x3=5e+199\n"
+    code, out, err = run(capsys, ["scan", "--example", "1", "--rho=0.1:0.9:3", "--x3=0:1:3"])
+    assert code == 2 and out == ""
+    assert err == "error: rho=0.9 violates 1 - rho^2 - rho^4 > 0\n"
+    code, out, err = run(capsys, ["scan", "--example", "2", "--rho=0.5:0.6:2", "--x3=0:1:3"])
+    assert code == 2 and err == "error: rho outside (0, 0.5): 0.5\n"
 
 
 def test_scan_modes_subset(capsys):
@@ -707,12 +722,12 @@ def test_monte_carlo_check_allows_four_standard_errors(monkeypatch, k, verdict):
 
 def test_verify_builds_each_case_once(monkeypatch):
     # one base per (example, rho) and one PairConditional per pair case feed
-    # every check, and the relative-de scan builds one PairConditional row per
-    # rho (22 + 29); the counts do not depend on the grid sizes.  Each
-    # PairConditional conditions once, and the relative-de KL oracle takes one
-    # row of means per rho, so there is no other condition call.  Every
-    # PairConditional validates its own pair and conditional (2 x 51) on top
-    # of the 37 bases (6 family, 29 relative-de rows, 2 single points)
+    # every check, and the relative-de scan builds one grid PairConditional
+    # over its 29 rho bases (22 + 1); the counts do not depend on the x3 grid.
+    # Each base conditions once (22 + 29), and the relative-de KL oracle takes
+    # one row of means per rho, so there is no other condition call.  Every
+    # base validates its own pair and conditional (2 x 51) on top of the 37
+    # bases (6 family, 29 relative-de rows, 2 single points)
     counts = {"validate": 0, "pair": 0, "condition": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
     condition = gaussian.condition
@@ -737,7 +752,7 @@ def test_verify_builds_each_case_once(monkeypatch):
     verify.run_verify(
         VerifyConfig(mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 139, "pair": 51, "condition": 51}
+    assert counts == {"validate": 139, "pair": 23, "condition": 51}
 
 
 def test_verify_pair_cases_hold_only_validated_gaussians(monkeypatch):
@@ -891,6 +906,17 @@ def test_scan_matches_golden_bytes(capsys, tmp_path):
         argv = ["scan", "--example", str(example), rho, "--x3=-3:3:7", "--out", str(out)]
         assert main(argv) == 0
         golden = DATA_DIR / f"scan_golden_{example}.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
+
+def test_scan_grid_matches_golden_bytes(tmp_path):
+    # odd grids recorded once: the first family's holds rho = 0 and both hold x3 = 0
+    grids = {1: "--rho=-0.7:0.7:15", 2: "--rho=0.05:0.45:9"}
+    for example, rho in grids.items():
+        out = tmp_path / f"scan_grid_{example}.csv"
+        argv = ["scan", "--example", str(example), rho, "--x3=-3:3:13", "--out", str(out)]
+        assert main(argv) == 0
+        golden = DATA_DIR / f"scan_grid_golden_{example}.csv"
         assert out.read_bytes() == golden.read_bytes()
 
 

@@ -176,7 +176,11 @@ def test_printed_evaluators_on_an_x3_row_are_the_per_point_floats(name):
             points = np.array([printed(float(rho), x3) for x3 in x3s.tolist()])
             assert row.shape == x3s.shape
             assert np.array_equal(row, points, equal_nan=True), (rho, x3s)
-            assert np.array_equal(np.signbit(row), np.signbit(points)), (rho, x3s)
+            # signed zeros and infinities; not the sign of a NaN, which Python's own
+            # float arithmetic does not fix: on CPython 3.11 the same call gives +nan
+            # before its bytecode is specialized for floats and -nan after
+            signed = ~np.isnan(points)
+            assert np.array_equal(np.signbit(row[signed]), np.signbit(points[signed])), rho
 
 
 def test_relative_de_pair_example2_printed_value():
@@ -492,6 +496,45 @@ def test_pair_row_is_bit_identical_to_per_point_values(example):
                 assert np.shape(rows[name]) == (x3s.size,) + np.shape(value), name
                 got = np.asarray(rows[name][k]).tobytes()
                 assert got == np.asarray(value, dtype=float).tobytes(), (name, rho, x3)
+
+
+GRIDS = {
+    # the figure grids (the first family's holds rho = 0, where every delta is 0),
+    # then edge rows: x3 = -0.0 and 0.0, and x3 = +-5e199, where the moments overflow
+    "figure-1": (1, np.linspace(-0.7, 0.7, 29), np.linspace(-3.0, 3.0, 31)),
+    "figure-2": (2, np.linspace(0.01, 0.49, 29), np.linspace(-3.0, 3.0, 31)),
+    "edges-1": (1, [-0.7, 0.0, 0.4], [-5e199, -3.0, -0.0, 0.0, 1.5, 5e199]),
+    "edges-2": (2, [0.01, 0.3], [-5e199, -3.0, -0.0, 0.0, 1.5, 5e199]),
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_pair_grid_is_bit_identical_to_per_point_values(grid_name):
+    # equal bytes: equal values, the same signbit and the same NaN positions.
+    # At the first family's rho = 0 a row skips the all-zero delta as a zero
+    # float, while the grid skips it per element.
+    example, rhos, x3s = GRIDS[grid_name]
+    fresh = cf.PairConditional.from_example1 if example == 1 else cf.PairConditional.from_example2
+    make_base = cf.example1_cov if example == 1 else cf.example2_cov
+    with np.errstate(all="ignore"):
+        for x3 in (np.asarray(x3s), 1.5):  # an x3 row, and one x3 for every base
+            grid = cf.PairConditional(tuple(make_base(rho) for rho in rhos), x3)
+            values = _pair_quantities(grid)
+            if example == 1:  # the rho = 0 row's deltas are all 0
+                assert not grid.delta[:, list(rhos).index(0.0)].any()
+            for b, rho in enumerate(rhos):
+                assert grid.pair[b].cov.tobytes() == make_base(rho).marginal([0, 1]).cov.tobytes()
+                for k, point_x3 in enumerate(np.atleast_1d(x3)):
+                    at = (b, k) if np.ndim(x3) else (b,)
+                    point = fresh(rho, point_x3)
+                    for name, value in _pair_quantities(point).items():
+                        if name in ("mu_bar", "delta"):
+                            got = getattr(grid, name)[(slice(None),) + at]
+                        else:
+                            assert np.shape(values[name]) == np.shape(grid.delta)[1:], name
+                            got = values[name][at]
+                        want = np.asarray(value, dtype=float).ravel()
+                        assert np.asarray(got).tobytes() == want.tobytes(), (name, rho, point_x3)
 
 
 def test_pair_row_rejects_non_finite_x3_like_a_point():

@@ -151,6 +151,45 @@ def test_shifted_moments_batch_equals_per_column_calls_bit_for_bit():
             assert values.tobytes() == np.array(single).tobytes(), r
 
 
+def test_a_batch_of_covariances_equals_per_covariance_calls_bit_for_bit():
+    # a (3, 3, 4, 1) cov against (3, 4, 5) shifts whose first and last
+    # coordinates are zero everywhere: E[Y_1 Y_2 Y_3] then starts from a
+    # zero-shift term of the cov's (4, 1) shape before a (4, 5) one, which is
+    # why a batch's covariance entries are broadcast to the whole batch
+    rng = np.random.default_rng(31)
+    covs = [rand_spd(rng, 3) for _ in range(4)]
+    cov = np.stack(covs, axis=-1)[..., None]
+    deltas = np.zeros((3, 4, 5))
+    deltas[1] = rng.normal(size=(4, 5))
+    deltas[1, 2, 3] = -0.0
+    rows = [(1, 1, 1), (0, 0, 0), (2, 1, 0), (2, 2, 2), (3, 1, 2), (0, 4, 1)]
+    for shifts in (deltas, deltas[:, 0, 0], rng.normal(size=(3, 4, 5))):
+        batched = shifted_moments(cov, shifts, rows)
+        for b, k in itertools.product(range(4), range(5)):
+            column = shifts[:, b, k] if shifts.ndim == 3 else shifts
+            single = shifted_moments(covs[b], column, rows)
+            for r, values, value in zip(rows, batched, single):
+                assert values.shape == ((4, 5) if shifts.ndim == 3 else (4, 1))
+                got = np.broadcast_to(values, (4, 5))[b, k]
+                assert got.tobytes() == np.float64(value).tobytes(), (r, b, k)
+    for r in [(2, 2, 0), (2, 2, 2), (4, 2, 0), (1, 1, 2)]:
+        values = central_moment(cov, r)
+        assert values.shape == (4, 1)
+        single = [central_moment(c, r) for c in covs]
+        assert values.ravel().tobytes() == np.array(single).tobytes(), r
+    assert central_moment(cov, (1, 2, 2)) == 0.0
+
+
+def test_a_batch_of_covariances_takes_shifts_of_as_many_batch_axes_or_none():
+    cov = np.stack([np.eye(2)] * 3, axis=-1)  # (2, 2, 3)
+    assert shifted_moments(cov, np.ones((2, 3)), [(2, 2)])[0].shape == (3,)
+    for shape in ((2, 3, 1), (3, 2), (2,) * 2 + (3,) * 2):
+        with pytest.raises(DimensionMismatchError, match="does not match dimension 2"):
+            shifted_moments(cov, np.zeros(shape), [(2, 2)])
+    with pytest.raises(DimensionMismatchError, match=r"cov must be \(d, d, \*batch\)"):
+        central_moment(np.ones((2, 3, 3)), (2, 2))
+
+
 def test_a_batch_coordinate_zero_in_every_column_is_skipped_like_a_zero_float(monkeypatch):
     # the first family's pair table: the second shift coordinate is 0 at every x3,
     # so a row visits the scalar call's 44 recursion nodes, not 48
