@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import closedform as cf
-from .errors import WentropyError
+from .errors import DimensionMismatchError, WentropyError
 from .gaussian import example1_cov, example2_cov
 from .moments import central_moment, count_matchings, shifted_moment
 from .verify import VerifyConfig, run_verify
@@ -189,6 +189,8 @@ def _cmd_moment(args) -> int:
     if not isinstance(payload, dict) or "cov" not in payload:
         raise ValueError(f"{args.cov}: JSON object must contain a 'cov' matrix")
     cov = np.asarray(payload["cov"], dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:  # one matrix, not a batch
+        raise DimensionMismatchError(f"cov must be square, got shape {cov.shape}")
     exponents = [int(v) for v in args.r.split(",")]
     if args.shift is None:
         value = central_moment(cov, exponents)

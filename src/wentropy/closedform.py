@@ -66,10 +66,9 @@ class PairConditional:
     use; for an array every pair quantity returns an (n,) array equal to the
     per-point values bit for bit.
 
-    ``base`` may also be a tuple of B bases, each with its own ``pair`` and ``cond``
-    (tuples then); a B axis follows the (2,) axis of ``mu_bar`` and ``delta`` and
-    leads every pair quantity, bit for bit.  The quantities read ``_pair`` and
-    ``_cond``: the Gaussian, or a :class:`_Stack` whose ``[i, j]`` is (B, 1)."""
+    ``base`` may also be a tuple of B bases, each with its own ``pair`` and ``cond``;
+    a B axis then follows the (2,) axis of ``mu_bar`` and ``delta`` and leads every
+    pair quantity, bit for bit.  Pair quantities read ``_pair`` and ``_cond``."""
 
     base: Gaussian | tuple
     x3: float | np.ndarray
@@ -80,14 +79,15 @@ class PairConditional:
 
     def __post_init__(self):
         bases = self.base if isinstance(self.base, tuple) else (self.base,)
+        for base in bases:
+            if base.dim != 3:
+                raise ValueError(f"base must be trivariate, got dimension {base.dim}")
         shape = np.shape(self.x3)
         if len(shape) > 1 or 0 in shape:
             raise DimensionMismatchError(
                 f"x3 must be one value or a non-empty (n,) array, got shape {shape}"
             )
         x3 = as_float_array(self.x3, "x3", ndim=len(shape))
-        for dim in {base.dim for base in bases} - {3}:
-            raise ValueError(f"base must be trivariate, got dimension {dim}")
         pair = tuple(base.marginal([0, 1]) for base in bases)
         cond = tuple(condition(base, (0, 1), (2,), x3.ravel()[:1]) for base in bases)
         mu_bar = np.stack([conditional_mean(b, (0, 1), (2,), x3[None]) for b in bases], 1)

@@ -101,8 +101,7 @@ def central_moment(cov, exponents) -> float:
     """E[prod_i Y_i^{r_i}] for centered jointly Gaussian Y with covariance ``cov``.
 
     Odd total order returns exactly 0 without evaluation; even order runs the
-    Wick recursion with zero mean.  A (d, d, *batch) ``cov`` gives an even
-    order's values over the batch, bit for bit per covariance.
+    Wick recursion with zero mean; a (d, d, *batch) ``cov`` gives them over its batch.
     """
     cov, (r,) = _check_spec(cov, [exponents])
     if sum(r) % 2 != 0:

@@ -269,8 +269,7 @@ def _check_relative_de(checks, cfg):
     generics, correcteds = (cf.relative_de_pair(grid, mode) for mode in ("paper", "corrected"))
     for b, rho in enumerate(rhos):
         kls = gaussian_kl(grid.cond[b], grid.pair[b], grid.mu_bar[:, b])
-        printeds = cf.example1_relative_de_paper(rho, x3s)
-        rows = zip(x3s, printeds, generics[b], correcteds[b], kls)
+        rows = zip(x3s, cf.example1_relative_de_paper(rho, x3s), generics[b], correcteds[b], kls)
         for x3, printed, generic, corrected, kl in rows:
             point = {"example": 1, "rho": float(rho), "x3": float(x3)}
             printed_rows.append((printed, generic, point))

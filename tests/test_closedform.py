@@ -176,11 +176,7 @@ def test_printed_evaluators_on_an_x3_row_are_the_per_point_floats(name):
             points = np.array([printed(float(rho), x3) for x3 in x3s.tolist()])
             assert row.shape == x3s.shape
             assert np.array_equal(row, points, equal_nan=True), (rho, x3s)
-            # signed zeros and infinities; not the sign of a NaN, which Python's own
-            # float arithmetic does not fix: on CPython 3.11 the same call gives +nan
-            # before its bytecode is specialized for floats and -nan after
-            signed = ~np.isnan(points)
-            assert np.array_equal(np.signbit(row[signed]), np.signbit(points[signed])), rho
+            assert np.array_equal(np.signbit(row), np.signbit(points)), (rho, x3s)
 
 
 def test_relative_de_pair_example2_printed_value():
@@ -545,6 +541,17 @@ def test_pair_row_rejects_non_finite_x3_like_a_point():
         with pytest.raises(ValueError, match="x3") as row:
             cf.PairConditional(base, np.array(x3s))
         assert str(row.value) == str(point.value)
+
+
+@pytest.mark.parametrize("x3", [0.5, np.nan, np.zeros((2, 3))])
+def test_pair_conditional_checks_the_bases_first_and_names_the_first_bad_one(x3):
+    # before x3, in order: one base, or the first base of a batch that is not trivariate
+    ok = cf.example1_cov(0.5)
+    flat, wide = Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.zeros(4), np.eye(4))
+    for base, dim in ((flat, 2), ((ok, wide, flat), 4), ((flat, wide), 2)):
+        with pytest.raises(ValueError) as refused:
+            cf.PairConditional(base, x3)
+        assert str(refused.value) == f"base must be trivariate, got dimension {dim}"
 
 
 @pytest.mark.parametrize("x3", [np.zeros((2, 3)), np.zeros((1, 1)), np.array([]), []])
