@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closedform as cf
 from .errors import DimensionMismatchError, WentropyError
-from .gaussian import example1_cov, example2_cov
+from .gaussian import check_example1_rho, check_example2_rho, example1_cov, example2_cov
 from .moments import central_moment, count_matchings, shifted_moment
 from .verify import VerifyConfig, run_verify
 from .wdic import (
@@ -120,6 +120,7 @@ def _cmd_scan(args) -> int:
             raise ValueError(f"unknown mode {m!r}; choose from {ALL_MODES}")
 
     make_base = example1_cov if example == 1 else example2_cov
+    check_rho = check_example1_rho if example == 1 else check_example2_rho
     printed_de = (
         cf.example1_relative_de_paper if example == 1 else cf.example2_relative_de_paper
     )
@@ -145,14 +146,15 @@ def _cmd_scan(args) -> int:
         ",".join(["rho", "x3"] + [column for column, _ in table]),
     ]
     # a refused rho raises only after the rows before it are checked, in rho order
-    rhos, bases, error = rhos.tolist(), [], None
-    try:
-        for rho in rhos:
-            bases.append(make_base(rho))
-    except WentropyError as exc:
-        rhos, error = rhos[: len(bases)], exc
-    if bases:
-        grid = cf.PairConditional(tuple(bases), x3s)
+    rhos, error = rhos.tolist(), None
+    for b, rho in enumerate(rhos):
+        try:
+            check_rho(rho)
+        except WentropyError as exc:
+            rhos, error = rhos[:b], exc
+            break
+    if rhos:  # the valid prefix, one batched base
+        grid = cf.PairConditional(make_base(np.array(rhos)), x3s)
         with np.errstate(all="ignore"):  # overflow is reported below, by point
             values = np.stack([fill(rhos, grid) for _, fill in table], axis=-1)
         finite = np.isfinite(values)  # (rho, x3, column)

@@ -6,8 +6,8 @@ of one kernel, :func:`_weighted_cross_entropy`, whose moments all come from one
 Wick recursion.  A :class:`PairConditional` fills that moment table once and
 every pair quantity reads it; the pair entropies have one assembly each, and
 the mode switch happens only in LambdaBar and Upsilon.  Over an (n,) x3 array,
-B bases or both, the table is one batched table and every pair quantity an
-(n,), (B,) or (B, n) array.  Closed forms take conditional means only from
+a batched base or both, the table is one batched table and every pair quantity
+an (n,), (*batch) or (*batch, n) array.  Closed forms take conditional means only from
 ``mu_bar`` and ``delta``.  ``"paper"`` evaluates the transcribed factored
 formulas verbatim, including their known defects, through the kernel's assembly
 step; the verify command measures each one against wick mode and reports a
@@ -20,7 +20,6 @@ The product weight is centered at the marginal means.  Coordinate indices are
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +29,7 @@ from .errors import DimensionMismatchError, DomainError, as_float_array
 from .gaussian import (
     Gaussian,
     check_entropy_mode,
+    check_example1_rho,
     check_example2_rho,
     condition,
     conditional_mean,
@@ -48,71 +48,54 @@ def check_formula_mode(mode: str) -> str:
     return mode
 
 
-_Stack = namedtuple("_Stack", "mean cov precision log_det")  # of B Gaussians, batch axes last
-
-
 @dataclass(frozen=True, eq=False)
 class PairConditional:
-    """A trivariate Gaussian together with its leading pair, conditioned on the
-    third coordinate at ``x3``: one value, or an (n,) array of values.
+    """A trivariate Gaussian, or a batch of them, together with its leading
+    pair, conditioned on the third coordinate at ``x3``: one value, or an (n,)
+    array of values.
 
     Derived fields: ``pair`` is the marginal of coordinates (0, 1), ``mu_bar``
     the conditional mean of (0, 1) given coordinate 2 equal to ``x3``, and
-    ``delta`` the shift between conditional and marginal means, both (2,) for
-    one value and (2, n), one column per value, for an array.  ``cond`` is the
-    conditional at ``x3`` for one value and at the first value for an array:
-    its covariance, precision and log-det do not depend on x3.  The wick moment
-    table of the conditional pair about the marginal means is filled on first
-    use; for an array every pair quantity returns an (n,) array equal to the
-    per-point values bit for bit.
+    ``delta`` the shift between conditional and marginal means, (2, *batch), or
+    (2, *batch, n) for an array.  ``cond`` is the conditional at the first x3:
+    its covariance, precision and log-det do not depend on x3.  ``pair`` and
+    ``cond`` hold the base's batch and, for an array, an axis of length 1, so
+    their entries broadcast against the x3 row.  The wick moment table of the
+    conditional pair about the marginal means is filled on first use; every
+    pair quantity is a (*batch, *x3 shape) array equal to the per-point values
+    bit for bit."""
 
-    ``base`` may also be a tuple of B bases, each with its own ``pair`` and ``cond``;
-    a B axis then follows the (2,) axis of ``mu_bar`` and ``delta`` and leads every
-    pair quantity, bit for bit.  Pair quantities read ``_pair`` and ``_cond``."""
-
-    base: Gaussian | tuple
+    base: Gaussian
     x3: float | np.ndarray
-    pair: Gaussian | tuple = field(init=False)
-    cond: Gaussian | tuple = field(init=False)
+    pair: Gaussian = field(init=False)
+    cond: Gaussian = field(init=False)
     mu_bar: np.ndarray = field(init=False)
     delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        bases = self.base if isinstance(self.base, tuple) else (self.base,)
-        for base in bases:
-            if base.dim != 3:
-                raise ValueError(f"base must be trivariate, got dimension {base.dim}")
+        base = self.base
+        if base.dim != 3:
+            raise ValueError(f"base must be trivariate, got dimension {base.dim}")
         shape = np.shape(self.x3)
         if len(shape) > 1 or 0 in shape:
             raise DimensionMismatchError(
                 f"x3 must be one value or a non-empty (n,) array, got shape {shape}"
             )
         x3 = as_float_array(self.x3, "x3", ndim=len(shape))
-        pair = tuple(base.marginal([0, 1]) for base in bases)
-        cond = tuple(condition(base, (0, 1), (2,), x3.ravel()[:1]) for base in bases)
-        mu_bar = np.stack([conditional_mean(b, (0, 1), (2,), x3[None]) for b in bases], 1)
-        mu = np.stack([p.mean for p in pair], 1)
-        delta = mu_bar - mu.reshape(mu.shape + (1,) * x3.ndim)
-        if not isinstance(self.base, tuple):
-            (pair,), (cond,), mu_bar, delta = pair, cond, mu_bar[:, 0], delta[:, 0]
+        row = (...,) + (None,) * x3.ndim  # an axis of length 1 for an x3 row
+        pair = Gaussian(base.mean[:2][row], base.cov[:2, :2][row])
+        cond = condition(base, (0, 1), (2,), x3[None, ...][..., :1])
+        mu_bar = conditional_mean(base, (0, 1), (2,), x3[None, ...])
+        delta = mu_bar - pair.mean
         for arr in (mu_bar, delta):
             arr.setflags(write=False)
         self.__dict__.update(
             x3=x3 if x3.ndim else float(x3), pair=pair, cond=cond, mu_bar=mu_bar, delta=delta
         )
 
-    def _stack(self, gaussians) -> "Gaussian | _Stack":
-        if not isinstance(gaussians, tuple):
-            return gaussians
-        arrays = [np.stack([getattr(g, f) for g in gaussians], -1) for f in _Stack._fields]
-        return _Stack(*(a.reshape(a.shape + (1,) * np.ndim(self.x3)) for a in arrays))
-
-    _pair = cached_property(lambda self: self._stack(self.pair))
-    _cond = cached_property(lambda self: self._stack(self.cond))
-
     @cached_property
     def _moments(self) -> dict:
-        return _phi_moments(self._cond.cov, self.delta)
+        return _phi_moments(self.cond.cov, self.delta)
 
     @classmethod
     def from_example1(cls, rho: float, x3: float) -> "PairConditional":
@@ -123,7 +106,7 @@ class PairConditional:
         return cls(example2_cov(rho), x3)
 
 
-def _cross_entropy(g: "Gaussian | _Stack", bulk: float, inner) -> float:
+def _cross_entropy(g: Gaussian, bulk: float, inner) -> float:
     """0.5 (d log 2 pi + log|S_g|) bulk + 0.5 sum_ij inv(S_g)_ij inner(i, j)."""
     inv = g.precision
     d = len(inv)
@@ -216,12 +199,12 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
     subtracts it and matches :func:`wentropy.gaussian.gaussian_kl` exactly.
     """
     check_entropy_mode(mode)
-    mu, mu_bar, s, inv = pc._pair.mean, pc.mu_bar, pc._cond.cov, pc._pair.precision
+    mu, mu_bar, s, inv = pc.pair.mean, pc.mu_bar, pc.cond.cov, pc.pair.precision
     brace = lambda i, j: (
         s[i, j] + mu_bar[i] * mu_bar[j] - mu_bar[i] * mu[j] - mu[i] * mu_bar[j] + mu[i] * mu[j]
     )
     trace = sum(inv[i, j] * brace(i, j) for i in range(2) for j in range(2))
-    value = 0.5 * (pc._pair.log_det - pc._cond.log_det) + 0.5 * trace
+    value = 0.5 * (pc.pair.log_det - pc.cond.log_det) + 0.5 * trace
     if mode == "corrected":
         value -= 1.0
     return value
@@ -270,7 +253,7 @@ def lambda_bar(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float
     check_formula_mode(mode)
     if mode == "wick":
         return _phi_inner(pc._moments, -pc.delta, i, j)
-    s = pc._cond.cov
+    s = pc.cond.cov
     d = pc.delta
     return (
         _e_sq_sq_pair(s, i, j)
@@ -291,7 +274,7 @@ def upsilon(pc: PairConditional, i: int, j: int, mode: str = "wick") -> float:
     check_formula_mode(mode)
     if mode == "wick":
         return pc._moments[(min(i, j), max(i, j))]
-    s = pc._cond.cov
+    s = pc.cond.cov
     d = pc.delta
     return (
         _e_sq_sq_pair(s, i, j)
@@ -323,7 +306,7 @@ def cond_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     only :func:`lambda_bar` depends on ``mode``; in wick mode this is the
     kernel's H(cond, cond) about the marginal means."""
     check_formula_mode(mode)
-    return _cross_entropy(pc._cond, pc._moments[()], lambda i, j: lambda_bar(pc, i, j, mode))
+    return _cross_entropy(pc.cond, pc._moments[()], lambda i, j: lambda_bar(pc, i, j, mode))
 
 
 def cross_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
@@ -333,7 +316,7 @@ def cross_wde_pair(pc: PairConditional, mode: str = "wick") -> float:
     One assembly for both modes: only :func:`upsilon` depends on ``mode``; in
     wick mode this is the kernel's H(cond, pair) about the marginal means."""
     check_formula_mode(mode)
-    return _cross_entropy(pc._pair, pc._moments[()], lambda i, j: upsilon(pc, i, j, mode))
+    return _cross_entropy(pc.pair, pc._moments[()], lambda i, j: upsilon(pc, i, j, mode))
 
 
 def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
@@ -346,7 +329,7 @@ def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     check_formula_mode(mode)
     if mode == "wick":
         return cross_wde_pair(pc, mode) - cond_wde_pair(pc, mode)
-    inv1, inv_bar = pc._pair.precision, pc._cond.precision
+    inv1, inv_bar = pc.pair.precision, pc.cond.precision
     th = theta(pc)
     ups = sum(
         inv1[i, j] * upsilon(pc, i, j, mode) for i in range(2) for j in range(2)
@@ -354,14 +337,14 @@ def relative_we_pair(pc: PairConditional, mode: str = "wick") -> float:
     lam = sum(
         inv_bar[i, j] * lambda_bar(pc, i, j, mode) for i in range(2) for j in range(2)
     )
-    return 0.5 * (pc._pair.log_det - pc._cond.log_det) * th + 0.5 * ups - 0.5 * lam
+    return 0.5 * (pc.pair.log_det - pc.cond.log_det) * th + 0.5 * ups - 0.5 * lam
 
 
 def gibbs_gap(pc: PairConditional) -> float:
     """Theta(x3) minus the unconditional product moment about the marginal
     means: the sign that decides whether the weighted Gibbs condition holds at
     this x3."""
-    return theta(pc) - central_moment(pc._pair.cov, (2, 2))
+    return theta(pc) - central_moment(pc.pair.cov, (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +353,11 @@ def gibbs_gap(pc: PairConditional) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_example1_rho(rho: float) -> float:
-    r = float(rho)
-    if 1.0 - r * r - r**4 <= 0.0:
-        raise DomainError(f"rho={r!r} violates 1 - rho^2 - rho^4 > 0")
-    return r
-
-
 def example1_relative_de_paper(rho: float, x3: float | np.ndarray) -> float | np.ndarray:
     """Printed closed form of the pair divergence for the first family
     (carries the transcribed +1 constant).  Takes one x3 or an (n,) x3 row;
     a row gives the (n,) per-point values, bit for bit."""
-    r = _check_example1_rho(rho)
+    r = check_example1_rho(rho, DomainError)
     r2, r4 = r * r, r**4
     return (
         0.5 * math.log((1.0 - r2) / (1.0 - r2 - r4))
@@ -400,7 +376,7 @@ def example2_relative_de_paper(rho: float, x3: float | np.ndarray) -> float | np
 
 def example1_theta_paper(rho: float, x3: float) -> float:
     """Printed conditional product moment for the first family (exact)."""
-    r = _check_example1_rho(rho)
+    r = check_example1_rho(rho, DomainError)
     return 1.0 + 2.0 * r * r + r**4 * (x3 * x3 - 1.0)
 
 
@@ -438,7 +414,7 @@ def _example1_alpha(r: float, i: int, j: int) -> float:
 
 def example1_lambda_bar_paper(rho: float, x3: float, i: int, j: int) -> float:
     """Printed conditional-moment expansion for the first family (0-based i, j)."""
-    r = _check_example1_rho(rho)
+    r = check_example1_rho(rho, DomainError)
     s = _example1_sigma_bar(r)
     return _example1_alpha(r, i, j) + r**4 * x3 * x3 * (
         (1.0 - r**4) * s[i, j] + 2.0 * s[0, i] * s[0, j]
@@ -447,7 +423,7 @@ def example1_lambda_bar_paper(rho: float, x3: float, i: int, j: int) -> float:
 
 def example1_upsilon_paper(rho: float, x3: float, i: int, j: int) -> float:
     """Printed shifted-moment expansion for the first family (0-based i, j)."""
-    r = _check_example1_rho(rho)
+    r = check_example1_rho(rho, DomainError)
     s = _example1_sigma_bar(r)
     d = np.array([r * r * x3, 0.0])
     beta = d[i] * d[j]
@@ -468,7 +444,7 @@ def example1_relative_we_paper(rho: float, x3: float | np.ndarray) -> float | np
     is reported against wick mode rather than asserted.  Takes one x3 or an
     (n,) x3 row, as :func:`example1_relative_de_paper`.
     """
-    r = _check_example1_rho(rho)
+    r = check_example1_rho(rho, DomainError)
     r2, r4, r6, r8 = r * r, r**4, r**6, r**8
     x2 = x3 * x3
     term1 = 0.5 * math.log((1.0 - r2) / (1.0 - r2 - r4)) * (

@@ -18,6 +18,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularGivenBlockError,
+    WentropyError,
     as_float_array,
 )
 
@@ -37,59 +38,84 @@ def check_entropy_mode(mode: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Gaussian:
-    """Mean vector and covariance matrix of a multivariate normal.
+    """Mean vector and covariance matrix of a multivariate normal, or of a batch:
+    mean (d, *batch) and cov (d, d, *batch), so an entry ``cov[i, j]`` is a batch array.
 
-    Construction is the only validation: it checks shapes and finiteness,
-    then runs :func:`validate` (symmetry and positive definiteness), so every
-    ``Gaussian`` that exists is a valid one.  It also caches the lower
-    Cholesky factor (:meth:`chol`) and the log-determinant ``log_det`` of the
-    covariance; ``precision`` and the inverse Cholesky factor are computed on
-    first use and cached.  The Gaussians it derives (:meth:`marginal`,
-    :func:`condition`) are new ones, built and validated the same way; it keeps
-    only the gain of :func:`conditional_mean` per (kept, given).  ``==`` is
-    identity, as for the other array-holding containers: arrays compared
-    elementwise have no truth value.
+    Construction is the only validation: it checks shapes and finiteness, then
+    runs :func:`validate` (symmetry and positive definiteness), so every
+    ``Gaussian`` that exists is a valid one.  A batch is checked, factored and
+    inverted by stacked linalg calls, which give each member its bits alone; a
+    refused batch raises the error of its first member refused alone, in C
+    order, with that member's index.  It caches the lower Cholesky factor
+    (:meth:`chol`) and ``log_det`` (a float, or a batch array); ``precision``
+    and the inverse factor are cached on first use.  The Gaussians it derives
+    (:meth:`marginal`, :func:`condition`) are new ones, built the same way; it
+    keeps only the gain of :func:`conditional_mean` per (kept, given).
+    :meth:`log_pdf`, :meth:`pdf` and :meth:`sampler` refuse a batch.  ``==`` is
+    identity: arrays compared elementwise have no truth value.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     _lower: np.ndarray = field(init=False, repr=False)
-    log_det: float = field(init=False, repr=False)
+    log_det: float | np.ndarray = field(init=False, repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        mean = as_float_array(self.mean, "mean", ndim=1)
-        cov = as_float_array(self.cov, "cov", ndim=2)
-        if cov.shape != (mean.size, mean.size):
-            raise DimensionMismatchError(
-                f"cov shape {cov.shape} does not match mean length {mean.size}"
-            )
-        if mean.size == 0 or mean.size > MAX_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {mean.size}")
+        try:
+            self._build()
+        except (ValueError, WentropyError) as refused:
+            try:
+                mean, cov = np.asarray(self.mean, dtype=float), np.asarray(self.cov, dtype=float)
+            except ValueError:  # ragged input, refused as a whole
+                raise refused from None
+            if mean.ndim > 1 and cov.shape == mean.shape[:1] + mean.shape:  # a refused batch
+                for index in np.ndindex(mean.shape[1:]):  # its first refused member names the error
+                    try:
+                        Gaussian(mean[(slice(None),) + index], cov[(slice(None),) * 2 + index])
+                    except (ValueError, WentropyError) as exc:
+                        raise type(exc)(f"{exc} (batch member {index})") from None
+            raise
+
+    def _build(self) -> None:
+        batch = np.shape(self.mean)[1:]
+        mean = as_float_array(self.mean, "mean", ndim=1 + len(batch))
+        cov = as_float_array(self.cov, "cov", ndim=2 + len(batch))
+        if cov.shape != mean.shape[:1] * 2 + batch:
+            of = f"shape {mean.shape}" if batch else f"length {mean.size}"
+            raise DimensionMismatchError(f"cov shape {cov.shape} does not match mean {of}")
+        if not 0 < len(mean) <= MAX_DIM:
+            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {len(mean)}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         validate(self)
-        lower = np.linalg.cholesky(cov)
-        lower.setflags(write=False)
+        lower = _unstacked(np.linalg.cholesky(_stacked(cov)))
+        log_det = 2.0 * np.sum(np.log(np.diagonal(lower)), axis=-1)
+        if batch:
+            log_det.setflags(write=False)
         object.__setattr__(self, "_lower", lower)
-        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(lower)))))
+        object.__setattr__(self, "log_det", log_det if batch else float(log_det))
+
+    def _single(self, method: str) -> None:
+        if self.batch:
+            raise ValueError(f"{method} takes one distribution, got a batch of shape {self.batch}")
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return len(self.mean)
+
+    @property
+    def batch(self) -> tuple:  # () for one distribution
+        return self.mean.shape[1:]
 
     @cached_property
     def precision(self) -> np.ndarray:
         """Inverse of the covariance."""
-        inv = np.linalg.inv(self.cov)
-        inv.setflags(write=False)
-        return inv
+        return _unstacked(np.linalg.inv(_stacked(self.cov)))
 
     @cached_property
     def _inv_lower(self) -> np.ndarray:
-        inv = np.linalg.inv(self._lower)
-        inv.setflags(write=False)
-        return inv
+        return _unstacked(np.linalg.inv(_stacked(self._lower)))
 
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the covariance."""
@@ -107,6 +133,7 @@ class Gaussian:
         ``quad += dim log 2 pi + log_det``, then ``quad *= -0.5``, the same
         operations in the same order as ``-0.5 * (constant + quad)``.
         """
+        self._single("log_pdf")
         centred = [x - m for x, m in zip(coordinates(points, self.dim), self.mean)]
         quad = 0.0
         for k, row in enumerate(self._inv_lower):
@@ -121,6 +148,7 @@ class Gaussian:
     def pdf(self, points) -> np.ndarray:
         """Density at ``points``: :meth:`log_pdf`'s new array, exponentiated in
         place (coordinate scalars give a scalar)."""
+        self._single("pdf")
         log_density = self.log_pdf(points)
         out = log_density if isinstance(log_density, np.ndarray) else None
         return np.exp(log_density, out=out)
@@ -132,6 +160,7 @@ class Gaussian:
 
     def sampler(self):
         """Return ``draw(rng, n) -> (n, dim)`` sampling from this distribution."""
+        self._single("sampler")
         # a C-ordered copy of L^T: the product with the F-ordered view lower.T
         # takes a slower path, several times slower for a 2 x 2 factor
         lower_t = np.ascontiguousarray(self._lower.T)
@@ -158,14 +187,35 @@ def coordinates(points, dim: int) -> tuple:
     return points
 
 
+def _stacked(a: np.ndarray) -> np.ndarray:
+    """A (p, q, *batch) array as a (*batch, p, q) view: numpy's stacked linalg layout."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _unstacked(a: np.ndarray) -> np.ndarray:
+    """A (*batch, p, q) array as a read-only (p, q, *batch) view."""
+    a = np.moveaxis(a, (-2, -1), (0, 1))
+    a.setflags(write=False)
+    return a
+
+
 def validate(dist: Gaussian) -> None:
     """Check symmetry and positive definiteness, raising a named error otherwise.
 
-    The check :class:`Gaussian` runs on construction.  One ``eigvalsh`` passes a
-    valid matrix; only a refused one computes its leading minors, so a minor
-    that is not positive is named before the eigenvalue ratio.
+    The check :class:`Gaussian` runs on construction, on a whole batch at once:
+    one stacked ``eigvalsh`` passes valid matrices.  Only the first refused
+    matrix, in C order, is looked at alone: its largest asymmetry is named,
+    else its first leading minor that is not positive, else the eigenvalue ratio.
     """
-    cov = dist.cov
+    cov = _stacked(dist.cov)
+    asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    eigs = np.linalg.eigvalsh(cov)
+    low, high = eigs[..., 0], eigs[..., -1]  # the ratio alone passes 0
+    refused = (asym > SYMMETRY_ATOL) | ~((low > 0.0) & (low >= SPD_EIG_RATIO * high))
+    if not refused.any():
+        return
+    index = np.unravel_index(int(np.argmax(refused)), refused.shape)
+    cov, eigs = cov[index], eigs[index]
     asym = np.abs(cov - cov.T)
     if asym.max() > SYMMETRY_ATOL:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
@@ -173,9 +223,6 @@ def validate(dist: Gaussian) -> None:
             f"cov[{i},{j}]={float(cov[i, j])!r} vs cov[{j},{i}]={float(cov[j, i])!r} "
             f"(difference {asym[i, j]:.3e})"
         )
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] > 0.0 and eigs[0] >= SPD_EIG_RATIO * eigs[-1]:  # the ratio alone passes 0
-        return
     for k in range(1, dist.dim + 1):
         minor = float(np.linalg.det(cov[:k, :k]))
         if minor <= 0.0:
@@ -191,12 +238,13 @@ def conditional_mean(dist: Gaussian, kept, given, value) -> np.ndarray:
     """Mean of the coordinates ``kept`` with the coordinates ``given`` (0-based)
     fixed to ``value``: mean_a + gain (value - mean_b).
 
-    A (len(given),) value gives a (len(kept),) mean, a (len(given), n) block a
-    (len(kept), n) one whose column k is the mean at ``value[:, k]``, bit for
-    bit when one coordinate is given.  The split is checked (disjoint, distinct
-    indices in range, an invertible given block) and its gain cov_ab cov_bb^{-1}
-    solved on first use per (kept, given), and kept by ``dist``; the value's
-    shape, finiteness and length are checked on every call.
+    A (len(given),) value gives a (len(kept), *batch) mean, a (len(given), n)
+    block a (len(kept), *batch, n) one whose last index k is the mean at
+    ``value[:, k]``, bit for bit when one coordinate is given.  The split is
+    checked (disjoint, distinct indices in range, an invertible given block)
+    and its gain cov_ab cov_bb^{-1} solved for the whole batch on first use per
+    (kept, given), and kept by ``dist``; the value's shape, finiteness and
+    length are checked on every call.
     """
     kept, given = tuple(map(int, kept)), tuple(map(int, given))
     ndim = 2 if np.ndim(value) == 2 else 1  # one value or a block
@@ -211,51 +259,74 @@ def conditional_mean(dist: Gaussian, kept, given, value) -> np.ndarray:
         for i in a + b:
             if not 0 <= i < dist.dim:
                 raise ValueError(f"index {i} out of range for dimension {dist.dim}")
+        cov = _stacked(dist.cov)
         try:
-            lower = np.linalg.cholesky(dist.cov[b][:, b])
+            lower = np.linalg.cholesky(cov[..., b, :][..., b])
         except np.linalg.LinAlgError as exc:
             raise SingularGivenBlockError(
                 f"covariance block of given coordinates {given} is not invertible"
             ) from exc
-        # two triangular solves
-        cov_ab = dist.cov[a][:, b]
-        dist._derived[key] = np.linalg.solve(lower.T, np.linalg.solve(lower, cov_ab.T)).T
+        # two triangular solves per member; the gain is kept as (*batch, kept, given)
+        cov_ba = np.swapaxes(cov[..., a, :][..., b], -1, -2)
+        gain = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, cov_ba))
+        dist._derived[key] = np.swapaxes(gain, -1, -2)
     if len(value) != len(given):
         raise DimensionMismatchError(
             f"value length {len(value)} does not match given set size {len(given)}"
         )
-    gain, column = dist._derived[key], (-1,) + (1,) * (ndim - 1)
-    return dist.mean[a].reshape(column) + gain @ (value - dist.mean[b].reshape(column))
+    # one value is one column; each member's block is a new C-ordered array, as alone
+    block = value.reshape(value.shape[:1] + (value.shape[1:] or (1,)))
+    shift = dist._derived[key] @ (block - np.moveaxis(dist.mean[b], 0, -1)[..., None])
+    mean = dist.mean[a][..., None] + np.moveaxis(shift, -2, 0)  # the columns follow the batch
+    return mean if ndim == 2 else mean[..., 0]
 
 
 def condition(dist: Gaussian, kept, given, value) -> Gaussian:
     """Conditional distribution of the coordinates ``kept`` given one value of
-    the coordinates ``given``.
+    the coordinates ``given``, or a (len(given), n) block of them.
 
-    A new validated Gaussian; an empty given-set returns the marginal on the
-    kept coordinates exactly.  The gain comes from :func:`conditional_mean`,
-    which checks the split and the value, and ``dist`` keeps it per (kept, given).
+    A new validated Gaussian of ``dist``'s batch, then an n axis for a block;
+    an empty given-set returns the marginal on the kept coordinates exactly.
+    The gain comes from :func:`conditional_mean`, which checks the split and
+    the value, and ``dist`` keeps it per (kept, given).
     """
     mean = conditional_mean(dist, kept, given, value)
     kept, given = tuple(map(int, kept)), tuple(map(int, given))
     if not given:
         return dist.marginal(kept)
     a, b = list(kept), list(given)
-    gain = dist._derived[("gain", kept, given)]
-    cov = dist.cov[a][:, a] - gain @ dist.cov[a][:, b].T
-    return Gaussian(mean, 0.5 * (cov + cov.T))
+    gain, cov = dist._derived[("gain", kept, given)], _stacked(dist.cov)
+    cov = cov[..., a, :][..., a] - gain @ np.swapaxes(cov[..., a, :][..., b], -1, -2)
+    cov = np.moveaxis(0.5 * (cov + np.swapaxes(cov, -1, -2)), (-2, -1), (0, 1))
+    columns = (None,) * (mean.ndim - cov.ndim + 1)  # the same covariance at each value
+    return Gaussian(mean, np.broadcast_to(cov[(...,) + columns], cov.shape[:2] + mean.shape[1:]))
 
 
-def example1_cov(rho: float) -> Gaussian:
-    """First bundled trivariate family: unit variances, couplings (rho, rho^2, 0).
+def _family(rho, check, couplings) -> Gaussian:
+    """Unit variances and ``couplings(r)`` = (c01, c02, c12) at ``rho``, one value
+    or an array of them (a batch), each value passed through ``check`` in C order."""
+    r = np.reshape([check(v) for v in np.ravel(rho).tolist()], np.shape(rho))
+    (c01, c02, c12), one = couplings(r), np.ones_like(r)
+    cov = np.array([[one, c01, c02], [c01, one, c12], [c02, c12, one]])
+    return Gaussian(np.zeros((3,) + r.shape), cov)
 
-    Positive definite iff 1 - rho^2 - rho^4 > 0.
-    """
+
+def check_example1_rho(rho: float, error=NotPositiveDefiniteError) -> float:
+    """``rho`` as a float, or ``error`` outside the first family's domain 1 - rho^2 - rho^4 > 0
+    (the printed formulas raise :class:`DomainError`, the covariance the default)."""
     r = float(rho)
     if 1.0 - r * r - r**4 <= 0.0:
-        raise NotPositiveDefiniteError(f"rho={r!r} violates 1 - rho^2 - rho^4 > 0")
-    cov = np.array([[1.0, r, r * r], [r, 1.0, 0.0], [r * r, 0.0, 1.0]])
-    return Gaussian(np.zeros(3), cov)
+        raise error(f"rho={r!r} violates 1 - rho^2 - rho^4 > 0")
+    return r
+
+
+def example1_cov(rho) -> Gaussian:
+    """First bundled trivariate family: unit variances, couplings (rho, rho^2, 0).
+
+    Positive definite iff 1 - rho^2 - rho^4 > 0.  An array of rhos gives a
+    batched Gaussian; the first rho outside the domain, in C order, is refused.
+    """
+    return _family(rho, check_example1_rho, lambda r: (r, r * r, np.zeros_like(r)))
 
 
 def check_example2_rho(rho: float) -> float:
@@ -267,21 +338,14 @@ def check_example2_rho(rho: float) -> float:
     return r
 
 
-def example2_cov(rho: float) -> Gaussian:
+def example2_cov(rho) -> Gaussian:
     """Second bundled trivariate family: unit variances, couplings (1-2rho, 1-rho, 1-rho).
 
     Requires 0 < rho < 1/2.  The quadratic form decomposes as
     (1-rho)(c1+c2+c3)^2 + rho(c1-c2)^2 + rho c3^2, hence positive definite.
+    An array of rhos gives a batched Gaussian, as for :func:`example1_cov`.
     """
-    r = check_example2_rho(rho)
-    cov = np.array(
-        [
-            [1.0, 1.0 - 2.0 * r, 1.0 - r],
-            [1.0 - 2.0 * r, 1.0, 1.0 - r],
-            [1.0 - r, 1.0 - r, 1.0],
-        ]
-    )
-    return Gaussian(np.zeros(3), cov)
+    return _family(rho, check_example2_rho, lambda r: (1.0 - 2.0 * r, 1.0 - r, 1.0 - r))
 
 
 def gaussian_de(dist: Gaussian, mode: str = "corrected") -> float:
@@ -294,7 +358,7 @@ def gaussian_de(dist: Gaussian, mode: str = "corrected") -> float:
     value = 0.5 * (dist.dim * np.log(2.0 * np.pi) + dist.log_det)
     if mode == "corrected":
         value += 0.5 * dist.dim
-    return float(value)
+    return value if dist.batch else float(value)
 
 
 def gaussian_kl(f: Gaussian, g: Gaussian, means=None) -> float | np.ndarray:
@@ -304,22 +368,28 @@ def gaussian_kl(f: Gaussian, g: Gaussian, means=None) -> float | np.ndarray:
     Gaussians f_k of f's covariance and mean ``means[:, k]``, as an (n,) array:
     the trace and log-det terms are computed once, the Mahalanobis term once
     per column.  Each entry is within a few ulps of the one-mean call; the
-    block's products need not round as the one-mean path's do.
+    block's products need not round as the one-mean path's do.  Batched f and
+    g of one batch give a batch array and take a (f.dim, *batch, n) block.
     """
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimensions differ: {f.dim} vs {g.dim}")
-    # tr(Sg^-1 Sf) = |Lg^-1 Lf|_F^2 and the Mahalanobis term is |Lg^-1 (mg - mf)|^2
-    a = g._inv_lower @ f._lower
-    trace = float(np.sum(a * a))
-    if means is None:
-        z = g._inv_lower @ (g.mean - f.mean)
-        quad = float(z @ z)
-    else:
-        means = as_float_array(means, "means", ndim=2)
+    if f.batch != g.batch:
+        raise DimensionMismatchError(f"batches differ: {f.batch} vs {g.batch}")
+    block = means is not None
+    if block:
+        means = as_float_array(means, "means", ndim=2 + len(f.batch))
         if means.shape[0] != f.dim:
-            raise DimensionMismatchError(
-                f"means block has {means.shape[0]} rows, expected {f.dim}"
-            )
-        cols = (g._inv_lower @ (g.mean[:, None] - means)).T
-        quad = (cols[:, None, :] @ cols[:, :, None]).ravel()  # one dot per column
-    return 0.5 * (trace + quad - f.dim + (g.log_det - f.log_det))
+            raise DimensionMismatchError(f"means block has {means.shape[0]} rows, expected {f.dim}")
+        if means.shape[1:-1] != f.batch:
+            raise DimensionMismatchError(f"means batch {means.shape[1:-1]} is not {f.batch}")
+    # per member, tr(Sg^-1 Sf) = |Lg^-1 Lf|_F^2 and the Mahalanobis term is |Lg^-1 (mg - mf)|^2
+    inv_lower = _stacked(g._inv_lower)
+    a = inv_lower @ _stacked(f._lower)
+    trace = np.sum(a * a, axis=(-2, -1))[..., None]
+    # (*batch, dim, n), one column per mean: each member's block a new C-ordered array
+    means = np.moveaxis(means if block else f.mean[..., None], 0, -2)
+    shift = np.moveaxis(g.mean, 0, -1)[..., None] - means
+    cols = np.swapaxes(inv_lower @ shift, -1, -2)
+    quad = (cols[..., None, :] @ cols[..., :, None])[..., 0, 0]  # one dot per column
+    kl = 0.5 * (trace + quad - f.dim + np.expand_dims(g.log_det - f.log_det, -1))
+    return kl if block else kl[..., 0] if f.batch else float(kl[0])

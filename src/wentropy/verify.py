@@ -135,24 +135,29 @@ def _family_bases() -> dict:
 
 
 def _pair_cases(bases: dict) -> dict:
-    """Per example, the ``(point, PairConditional)`` cases over ``PAIR_X3S``."""
-    cases = {1: [], 2: []}
-    for (example, rho), base in bases.items():
-        if example == 1 and rho == 0.0:
-            continue  # conditional equals marginal; covered by the trivial tests
-        for x3 in PAIR_X3S:
-            point = {"example": example, "rho": rho, "x3": x3}
-            cases[example].append((point, cf.PairConditional(base, x3)))
+    """Per example, ``(points, grid)``: one grid PairConditional of its pair-case
+    rhos, one batched base, over ``PAIR_X3S``, and the points in the C order of
+    its (rho, x3) arrays, which :func:`_flat` lists."""
+    cases = {}
+    for example, make in ((1, cf.example1_cov), (2, cf.example2_cov)):
+        # the first family's rho = 0: conditional equals marginal; covered by the trivial tests
+        rhos = [rho for ex, rho in bases if ex == example and (ex, rho) != (1, 0.0)]
+        points = [{"example": example, "rho": rho, "x3": x3} for rho in rhos for x3 in PAIR_X3S]
+        cases[example] = (points, cf.PairConditional(make(np.array(rhos)), np.array(PAIR_X3S)))
     return cases
+
+
+def _flat(values) -> list:
+    return np.ravel(values).tolist()
 
 
 def _check_xi(checks, cfg):
     rng = np.random.default_rng(cfg.seed)
+    covs = [_random_spd(rng) for _ in range(100)]
+    wicks = central_moment(np.stack(covs, -1), (2, 2, 2)).tolist()
     candidates = []
-    for _ in range(100):
-        cov = _random_spd(rng)
+    for cov, wick in zip(covs, wicks):
         paper = cf.xi(cov)
-        wick = central_moment(cov, (2, 2, 2))
         candidates.append((abs(paper - wick) / abs(wick), paper, wick))
     rel, paper, wick = _worst(candidates)
     point = {"matrices": 100, "worst_rel_dev": rel}
@@ -185,9 +190,9 @@ def _check_weightednormal(checks, bases):
 
 
 def _check_printed_theta(checks, pairs):
-    for example, cases in pairs.items():
+    for example, (points, grid) in pairs.items():
         printed = cf.example1_theta_paper if example == 1 else cf.example2_theta_paper
-        rows = [(printed(p["rho"], p["x3"]), cf.theta(pc), p) for p, pc in cases]
+        rows = [(printed(p["rho"], p["x3"]), w, p) for p, w in zip(points, _flat(cf.theta(grid)))]
         checks.append(_worst_transcription(f"Theta-example{example}", rows))
 
 
@@ -198,47 +203,51 @@ def _check_conditional_moments(checks, pairs):
     }
     # generic paper mode first, then the printed per-example polynomials
     for suffix in ("", "-printed"):
-        for example, cases in pairs.items():
+        for example, (points, grid) in pairs.items():
             lam_printed, ups_printed = printed[example]
             for (i, j) in ((0, 0), (0, 1), (1, 1)):
-                lams, upss = [], []
-                for p, pc in cases:
-                    if suffix:
-                        lam_p = lam_printed(p["rho"], p["x3"], i, j)
-                        ups_p = ups_printed(p["rho"], p["x3"], i, j)
-                    else:
-                        lam_p = cf.lambda_bar(pc, i, j, "paper")
-                        ups_p = cf.upsilon(pc, i, j, "paper")
-                    lams.append((lam_p, cf.lambda_bar(pc, i, j, "wick"), p))
-                    upss.append((ups_p, cf.upsilon(pc, i, j, "wick"), p))
+                if suffix:
+                    lam_p = [lam_printed(p["rho"], p["x3"], i, j) for p in points]
+                    ups_p = [ups_printed(p["rho"], p["x3"], i, j) for p in points]
+                else:
+                    lam_p = _flat(cf.lambda_bar(grid, i, j, "paper"))
+                    ups_p = _flat(cf.upsilon(grid, i, j, "paper"))
+                lams = zip(lam_p, _flat(cf.lambda_bar(grid, i, j, "wick")), points)
+                upss = zip(ups_p, _flat(cf.upsilon(grid, i, j, "wick")), points)
                 name = f"{i + 1}{j + 1}-example{example}{suffix}"
                 checks.append(_worst_transcription(f"LambdaBar_{name}", lams))
                 checks.append(_worst_transcription(f"Upsilon_{name}", upss))
 
 
-def _pair_quadratures(pc: cf.PairConditional):
+def _pair_quadratures(cond, pair):
     """The conditional's weighted entropy, its weighted cross entropy with the
     pair marginal and their difference, the weighted divergence, by the exact rule."""
-    weight = CentralWeight(pc.pair.mean)
-    cond_q = wde_gauss_hermite(pc.cond, weight)
-    cross_q = wde_gauss_hermite(pc.cond, weight, pc.pair)
+    weight = CentralWeight(pair.mean)
+    cond_q = wde_gauss_hermite(cond, weight)
+    cross_q = wde_gauss_hermite(cond, weight, pair)
     return cond_q, cross_q, cross_q - cond_q
 
 
-def _check_pair_formulas(checks, pairs):
-    for example, cases in pairs.items():
+def _check_pair_formulas(checks, bases, pairs):
+    for example, (points, grid) in pairs.items():
         printed_dw = (
             cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
         )
-        for point, pc in cases:
-            cond_q, cross_q, rel_q = _pair_quadratures(pc)
-            cond_w = cf.cond_wde_pair(pc, "wick")
-            cross_w = cf.cross_wde_pair(pc, "wick")
-            rel_w = cf.relative_we_pair(pc, "wick")
-            rel_p = cf.relative_we_pair(pc, "paper")
-            # each divergence against cross minus conditional of its own mode
-            rhs_p = cf.cross_wde_pair(pc, "paper") - cf.cond_wde_pair(pc, "paper")
-            rhs_w = cross_w - cond_w
+        cond, cross = cf.cond_wde_pair(grid, "wick"), cf.cross_wde_pair(grid, "wick")
+        # each divergence against cross minus conditional of its own mode
+        paper = cf.cross_wde_pair(grid, "paper") - cf.cond_wde_pair(grid, "paper")
+        columns = (
+            cond, cross, cf.relative_we_pair(grid, "wick"), cf.relative_we_pair(grid, "paper"),
+            paper, cross - cond, cf.gibbs_gap(grid),
+        )
+        # the exact rule on each point's own conditional and its base's pair marginal
+        rhos = dict.fromkeys(p["rho"] for p in points)  # each once, in order
+        marginals = {rho: bases[(example, rho)].marginal([0, 1]) for rho in rhos}
+        rows = zip(points, *map(_flat, columns))
+        for point, cond_w, cross_w, rel_w, rel_p, rhs_p, rhs_w, gap in rows:
+            rho, x3 = point["rho"], point["x3"]
+            own = cf.condition(bases[(example, rho)], (0, 1), (2,), [x3])
+            cond_q, cross_q, rel_q = _pair_quadratures(own, marginals[rho])
             for formula, wick, quad in (
                 ("cond-wde-pair", cond_w, cond_q),
                 ("cross-wde-pair", cross_w, cross_q),
@@ -250,13 +259,9 @@ def _check_pair_formulas(checks, pairs):
                     _oracle("relative-we-mode-consistency", mode, point, lhs, rhs, MODE_TOL)
                 )
             checks.append(_transcription("relative-we-pair", point, rel_p, rel_w))
-            checks.append(
-                _transcription(
-                    f"relative-we-example{example}-printed", point,
-                    printed_dw(point["rho"], point["x3"]), rel_w,
-                )
-            )
-            checks.append(_gibbs(point, cf.gibbs_gap(pc), rel_w, rel_q))
+            formula = f"relative-we-example{example}-printed"
+            checks.append(_transcription(formula, point, printed_dw(rho, x3), rel_w))
+            checks.append(_gibbs(point, gap, rel_w, rel_q))
 
 
 def _check_relative_de(checks, cfg):
@@ -265,11 +270,12 @@ def _check_relative_de(checks, cfg):
     # conditional covariance and block of conditional means
     printed_rows, kl_rows = [], []
     rhos, x3s = np.linspace(-0.7, 0.7, 29), np.linspace(-3.0, 3.0, 31)
-    grid = cf.PairConditional(tuple(map(cf.example1_cov, rhos)), x3s)
+    grid = cf.PairConditional(cf.example1_cov(rhos), x3s)
     generics, correcteds = (cf.relative_de_pair(grid, mode) for mode in ("paper", "corrected"))
+    # per rho, one (2, 31) block of means: grid.cond and grid.pair have a batch of (29, 1)
+    kls = gaussian_kl(grid.cond, grid.pair, grid.mu_bar[:, :, None])[:, 0]
     for b, rho in enumerate(rhos):
-        kls = gaussian_kl(grid.cond[b], grid.pair[b], grid.mu_bar[:, b])
-        rows = zip(x3s, cf.example1_relative_de_paper(rho, x3s), generics[b], correcteds[b], kls)
+        rows = zip(x3s, cf.example1_relative_de_paper(rho, x3s), generics[b], correcteds[b], kls[b])
         for x3, printed, generic, corrected, kl in rows:
             point = {"example": 1, "rho": float(rho), "x3": float(x3)}
             printed_rows.append((printed, generic, point))
@@ -345,7 +351,7 @@ def _check_discrete(checks, cfg):
 def _check_monte_carlo(checks, cfg):
     pc = cf.PairConditional.from_example1(0.4, 1.0)
     weight = CentralWeight(pc.pair.mean)
-    quad = _pair_quadratures(pc)[2]
+    quad = _pair_quadratures(pc.cond, pc.pair)[2]
     est, stderr = relative_wde_monte_carlo(
         pc.cond.sampler(), pc.cond.pdf, pc.pair.pdf, weight,
         McConfig(cfg.mc_samples, cfg.seed + 3),
@@ -365,7 +371,7 @@ def run_verify(cfg: VerifyConfig | None = None) -> dict:
     _check_weightednormal(checks, bases)
     _check_printed_theta(checks, pairs)
     _check_conditional_moments(checks, pairs)
-    _check_pair_formulas(checks, pairs)
+    _check_pair_formulas(checks, bases, pairs)
     _check_relative_de(checks, cfg)
     _check_discrete(checks, cfg)
     _check_monte_carlo(checks, cfg)

@@ -142,6 +142,21 @@ def test_scan_works_once_per_rho_row(capsys, monkeypatch, example, printed):
     assert calls == {"shifted_moments": 1, "central_moment": 1, **printed}
 
 
+@pytest.mark.parametrize("example, rho", [(1, "-0.7:0.7:29"), (1, "-0.5:0.5:3"), (2, "0.01:0.49:29")])
+def test_scan_validates_three_batches_whatever_the_rho_count(capsys, monkeypatch, example, rho):
+    # the batched base, its pair and its conditional: one stacked validation each
+    batches, validate = [], gaussian.validate
+
+    def counted(dist):
+        batches.append(dist.batch)
+        validate(dist)
+
+    monkeypatch.setattr(gaussian, "validate", counted)
+    code, _, _ = run(capsys, ["scan", "--example", str(example), f"--rho={rho}", "--x3=-3:3:31"])
+    n = int(rho.split(":")[2])
+    assert code == 0 and batches == [(n,), (n, 1), (n, 1)]
+
+
 def test_scan_names_the_first_non_finite_value_by_x3_then_column(capsys, tmp_path, monkeypatch):
     # point 1 is bad in the last column, point 2 in an earlier one: point 1 is named
     def poisoned(fill, k, bad):
@@ -721,8 +736,8 @@ def test_monte_carlo_check_allows_four_standard_errors(monkeypatch, k, verdict):
     # rule's weighted divergence (cross entropy minus conditional entropy)
     rels, pair_quadratures = [], verify._pair_quadratures
 
-    def recording_pair_quadratures(pc):
-        values = pair_quadratures(pc)
+    def recording_pair_quadratures(cond, pair):
+        values = pair_quadratures(cond, pair)
         rels.append(values[2])
         return values
 
@@ -742,13 +757,14 @@ def test_monte_carlo_check_allows_four_standard_errors(monkeypatch, k, verdict):
 
 
 def test_verify_builds_each_case_once(monkeypatch):
-    # one base per (example, rho) and one PairConditional per pair case feed
-    # every check, and the relative-de scan builds one grid PairConditional
-    # over its 29 rho bases (22 + 1); the counts do not depend on the x3 grid.
-    # Each base conditions once (22 + 29), and the relative-de KL oracle takes
-    # one row of means per rho, so there is no other condition call.  Every
-    # base validates its own pair and conditional (2 x 51) on top of the 37
-    # bases (6 family, 29 relative-de rows, 2 single points)
+    # PairConditionals: one grid per family for the 20 pair cases, one for the
+    # relative-de scan and two single points (5); the counts do not depend on
+    # the x3 grid.  Each conditions its base once (5), and the exact rule takes
+    # each pair case's own conditional (20); the relative-de KL oracle reads
+    # the grid's batched pair and conditional, so there is no other condition
+    # call.  Validations: 6 family bases, 5 PairConditionals of a base, a pair
+    # and a conditional each (15; a batch is one), and the exact rule's 20
+    # conditionals and 5 pair marginals, one per pair-case rho
     counts = {"validate": 0, "pair": 0, "condition": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
     condition = gaussian.condition
@@ -773,7 +789,7 @@ def test_verify_builds_each_case_once(monkeypatch):
     verify.run_verify(
         VerifyConfig(mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 139, "pair": 23, "condition": 51}
+    assert counts == {"validate": 46, "pair": 5, "condition": 25}
 
 
 def test_verify_pair_cases_hold_only_validated_gaussians(monkeypatch):
@@ -786,8 +802,8 @@ def test_verify_pair_cases_hold_only_validated_gaussians(monkeypatch):
 
     monkeypatch.setattr(gaussian, "validate", recording_validate)
     cases = verify._pair_cases(verify._family_bases())
-    held = [g for pcs in cases.values() for _, pc in pcs for g in (pc.pair, pc.cond)]
-    assert len(held) == 40
+    held = [g for _, grid in cases.values() for g in (grid.base, grid.pair, grid.cond)]
+    assert [g.batch for g in held] == [(2,), (2, 1), (2, 1), (3,), (3, 1), (3, 1)]
     assert all(any(g is seen for seen in validated) for g in held)
 
 

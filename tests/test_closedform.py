@@ -514,12 +514,20 @@ def test_pair_grid_is_bit_identical_to_per_point_values(grid_name):
     make_base = cf.example1_cov if example == 1 else cf.example2_cov
     with np.errstate(all="ignore"):
         for x3 in (np.asarray(x3s), 1.5):  # an x3 row, and one x3 for every base
-            grid = cf.PairConditional(tuple(make_base(rho) for rho in rhos), x3)
+            grid = cf.PairConditional(make_base(np.array(rhos)), x3)
             values = _pair_quantities(grid)
             if example == 1:  # the rho = 0 row's deltas are all 0
                 assert not grid.delta[:, list(rhos).index(0.0)].any()
             for b, rho in enumerate(rhos):
-                assert grid.pair[b].cov.tobytes() == make_base(rho).marginal([0, 1]).cov.tobytes()
+                # each member's pair and cond fields: the base's marginal, and the
+                # conditional at the first x3, each built alone
+                alone = {"pair": make_base(rho).marginal([0, 1]),
+                         "cond": fresh(rho, np.atleast_1d(x3)[0]).cond}
+                for name, want in alone.items():
+                    for field in ("mean", "cov", "precision", "log_det"):
+                        got = np.asarray(getattr(getattr(grid, name), field))
+                        got = got[(...,) + (b,) + (0,) * np.ndim(x3)]
+                        assert got.tobytes() == np.asarray(getattr(want, field)).tobytes()
                 for k, point_x3 in enumerate(np.atleast_1d(x3)):
                     at = (b, k) if np.ndim(x3) else (b,)
                     point = fresh(rho, point_x3)
@@ -545,10 +553,10 @@ def test_pair_row_rejects_non_finite_x3_like_a_point():
 
 @pytest.mark.parametrize("x3", [0.5, np.nan, np.zeros((2, 3))])
 def test_pair_conditional_checks_the_bases_first_and_names_the_first_bad_one(x3):
-    # before x3, in order: one base, or the first base of a batch that is not trivariate
-    ok = cf.example1_cov(0.5)
+    # before x3: one base, or a batch of bases, that is not trivariate
     flat, wide = Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.zeros(4), np.eye(4))
-    for base, dim in ((flat, 2), ((ok, wide, flat), 4), ((flat, wide), 2)):
+    wide_batch = Gaussian(np.zeros((4, 3)), np.broadcast_to(np.eye(4)[..., None], (4, 4, 3)))
+    for base, dim in ((flat, 2), (wide, 4), (wide_batch, 4)):
         with pytest.raises(ValueError) as refused:
             cf.PairConditional(base, x3)
         assert str(refused.value) == f"base must be trivariate, got dimension {dim}"

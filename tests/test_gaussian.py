@@ -353,6 +353,141 @@ def test_one_rho_row_validates_each_derived_covariance_once(monkeypatch):
     assert base.marginal([0, 1]) is not base.marginal([0, 1])  # each one a new Gaussian
 
 
+def _batch(rng, dim, shape):
+    """Random means and covariances of a batch: member arrays, and the batch layout."""
+    means = rng.normal(size=shape + (dim,))
+    covs = np.stack([rand_spd(rng, dim) for _ in range(math.prod(shape))]).reshape(shape + (dim, dim))
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    return means, covs, np.moveaxis(means, -1, 0), np.moveaxis(covs, (-2, -1), (0, 1))
+
+
+def _same_bytes(got, want):
+    assert np.ascontiguousarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_a_batch_holds_each_members_bits(dim):
+    # every cached field, the marginal and the conditional given one coordinate
+    # (every product of inner dimension 1) against the member built alone, bit
+    # for bit.  A longer inner dimension may round differently in a stacked
+    # BLAS product (its kernels depend on alignment), so those are within ulps
+    rng = np.random.default_rng(dim)
+    means, covs, mean, cov = _batch(rng, dim, (2, 3))
+    batch = Gaussian(mean, cov)
+    kept, given, wide = tuple(range(dim - 1)), (dim - 1,), tuple(range(1, dim))
+    block, columns = rng.normal(size=(1, 4)), rng.normal(size=(dim, 2, 3, 5))
+    peers = np.roll(mean, 1, axis=-1), np.roll(cov, 1, axis=-1)
+    exact = batch.marginal(kept), condition(batch, kept, given, [0.7])
+    close = (  # batch axes first
+        np.moveaxis(condition(batch, (0,), wide, np.ones(dim - 1)).mean, 0, -1),
+        gaussian_kl(batch, Gaussian(*peers)), gaussian_kl(batch, Gaussian(*peers), columns),
+    )
+    assert batch.batch == (2, 3) and np.shape(batch.log_det) == (2, 3)
+    for index in np.ndindex(2, 3):
+        alone, at = Gaussian(means[index], covs[index]), (...,) + index
+        for field in ("mean", "cov", "log_det", "precision", "_inv_lower"):
+            _same_bytes(np.asarray(getattr(batch, field))[at], getattr(alone, field))
+        _same_bytes(batch.chol()[at], alone.chol())
+        for got, want in zip(exact, (alone.marginal(kept), condition(alone, kept, given, [0.7]))):
+            for field in ("mean", "cov", "log_det", "precision"):
+                _same_bytes(np.asarray(getattr(got, field))[at], getattr(want, field))
+            _same_bytes(got.chol()[at], want.chol())
+        _same_bytes(conditional_mean(batch, kept, given, block)[at + (slice(None),)],
+                    conditional_mean(alone, kept, given, block))
+        peer = Gaussian(peers[0][at], peers[1][at])
+        want = (
+            condition(alone, (0,), wide, np.ones(dim - 1)).mean,
+            gaussian_kl(alone, peer), gaussian_kl(alone, peer, columns[(slice(None),) + index]),
+        )
+        assert condition(alone, (0,), wide, np.ones(dim - 1)).cov.tobytes() == (
+            np.ascontiguousarray(condition(batch, (0,), wide, np.ones(dim - 1)).cov[at]).tobytes()
+        )
+        for got, value in zip(close, want):
+            np.testing.assert_allclose(got[index], value, rtol=1e-14, atol=1e-15)
+
+
+def test_a_block_of_values_conditions_each_member_at_each_value():
+    rng = np.random.default_rng(8)
+    means, covs, mean, cov = _batch(rng, 3, (4,))
+    batch, values = Gaussian(mean, cov), np.array([[-1.0, 0.0, 2.5]])
+    cond = condition(batch, (0, 1), (2,), values)
+    assert cond.batch == (4, 3)
+    for b, k in np.ndindex(4, 3):
+        alone = condition(Gaussian(means[b], covs[b]), (0, 1), (2,), values[:, k])
+        _same_bytes(cond.mean[:, b, k], alone.mean)
+        _same_bytes(cond.cov[:, :, b, k], alone.cov)
+
+
+def _refusal(mean, cov):
+    with pytest.raises((ValueError, WentropyError)) as refused:
+        Gaussian(mean, cov)
+    return type(refused.value), str(refused.value)
+
+
+ASYMMETRIC = np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])
+BAD_MEMBERS = {
+    "non-finite mean": (np.array([0.0, np.nan, 0.0]), np.eye(3)),
+    "non-finite cov": (np.zeros(3), np.diag([1.0, np.inf, 1.0])),
+    "not symmetric": (np.zeros(3), ASYMMETRIC),
+    "minor not positive": (np.zeros(3), np.diag([1.0, -1.0, 1.0])),
+    "eigenvalue ratio": (np.zeros(3), np.diag([1.0, 1e-12, 1.0])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MEMBERS))
+def test_a_refused_batch_names_its_first_refused_member(kind):
+    # the error the member raises alone, with its batch index; a later member
+    # refused for another reason does not take its place, in C order
+    bad_mean, bad_cov = BAD_MEMBERS[kind]
+    error, message = _refusal(bad_mean, bad_cov)
+    for other in sorted(set(BAD_MEMBERS) - {kind}):
+        mean, cov = np.zeros((3, 2, 4)), np.repeat(np.eye(3)[..., None, None], 2, -2).repeat(4, -1)
+        mean[:, 1, 2], cov[:, :, 1, 2] = bad_mean, bad_cov
+        mean[:, 1, 3], cov[:, :, 1, 3] = BAD_MEMBERS[other]
+        assert _refusal(mean, cov) == (error, f"{message} (batch member (1, 2))"), other
+
+
+def test_a_batch_keeps_the_unbatched_shape_refusals():
+    with pytest.raises(DimensionMismatchError, match=r"^cov shape \(3, 3\) does not match mean length 2$"):
+        Gaussian(np.zeros(2), np.eye(3))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^cov shape \(3, 3, 4\) does not match mean shape \(3, 5\)$"):
+        Gaussian(np.zeros((3, 5)), np.zeros((3, 3, 4)))
+    with pytest.raises(ValueError, match=r"^cov must be 3-dimensional, got shape \(3, 3\)$"):
+        Gaussian(np.zeros((3, 5)), np.eye(3))
+
+
+def test_single_distribution_methods_refuse_a_batch():
+    batch = example2_cov(np.array([0.1, 0.2]))
+    for method, call in (
+        ("log_pdf", lambda: batch.log_pdf(np.zeros(3))),
+        ("pdf", lambda: batch.pdf(np.zeros(3))),
+        ("sampler", batch.sampler),
+    ):
+        with pytest.raises(ValueError, match=rf"^{method} takes one distribution, got a batch "
+                                             r"of shape \(2,\)$"):
+            call()
+    with pytest.raises(DimensionMismatchError, match=r"^batches differ: \(2,\) vs \(\)$"):
+        gaussian_kl(batch, example2_cov(0.1))
+    with pytest.raises(DimensionMismatchError, match=r"^means batch \(3,\) is not \(2,\)$"):
+        gaussian_kl(batch, batch, np.zeros((3, 3, 4)))
+
+
+@pytest.mark.parametrize("make, rhos, bad, message", [
+    (example1_cov, [-0.7, 0.0, 0.5], 0.9, "rho=0.9 violates 1 - rho^2 - rho^4 > 0"),
+    (example2_cov, [0.01, 0.25, 0.49], 0.5, "rho outside (0, 0.5): 0.5"),
+])
+def test_a_family_of_rhos_is_one_batch_of_its_members(make, rhos, bad, message):
+    batch = make(np.array(rhos))
+    assert batch.batch == (3,)
+    for b, rho in enumerate(rhos):
+        _same_bytes(batch.cov[:, :, b], make(rho).cov)
+        _same_bytes(batch.mean[:, b], make(rho).mean)
+    with pytest.raises(WentropyError) as refused:  # the first bad rho, as a single rho
+        make(np.array([rhos[0], bad, 2.0]))
+    assert str(refused.value) == message
+
+
 def test_failed_condition_keeps_nothing(monkeypatch):
     base = example1_cov(0.5)
 
