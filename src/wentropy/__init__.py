@@ -32,7 +32,6 @@ from .discrete import (
 from .gaussian import (
     Gaussian,
     condition,
-    conditional_mean,
     example1_cov,
     example2_cov,
     gaussian_de,

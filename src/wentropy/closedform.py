@@ -8,7 +8,7 @@ every pair quantity reads it; the pair entropies have one assembly each, and
 the mode switch happens only in LambdaBar and Upsilon.  Over an (n,) x3 array,
 a batched base or both, the table is one batched table and every pair quantity
 an (n,), (*batch) or (*batch, n) array.  Closed forms take conditional means only from
-``mu_bar`` and ``delta``.  ``"paper"`` evaluates the transcribed factored
+``cond`` and ``delta``.  ``"paper"`` evaluates the transcribed factored
 formulas verbatim, including their known defects, through the kernel's assembly
 step; the verify command measures each one against wick mode and reports a
 CONFIRMED/DISCREPANT verdict instead of trusting it.
@@ -32,7 +32,6 @@ from .gaussian import (
     check_example1_rho,
     check_example2_rho,
     condition,
-    conditional_mean,
     example1_cov,
     example2_cov,
 )
@@ -54,22 +53,21 @@ class PairConditional:
     pair, conditioned on the third coordinate at ``x3``: one value, or an (n,)
     array of values.
 
-    Derived fields: ``pair`` is the marginal of coordinates (0, 1), ``mu_bar``
-    the conditional mean of (0, 1) given coordinate 2 equal to ``x3``, and
+    Derived fields: ``pair`` is the marginal of coordinates (0, 1), ``cond``
+    the conditional of (0, 1) given coordinate 2 equal to ``x3``, and
     ``delta`` the shift between conditional and marginal means, (2, *batch), or
-    (2, *batch, n) for an array.  ``cond`` is the conditional at the first x3:
-    its covariance, precision and log-det do not depend on x3.  ``pair`` and
-    ``cond`` hold the base's batch and, for an array, an axis of length 1, so
-    their entries broadcast against the x3 row.  The wick moment table of the
-    conditional pair about the marginal means is filled on first use; every
-    pair quantity is a (*batch, *x3 shape) array equal to the per-point values
-    bit for bit."""
+    (2, *batch, n) for an array.  For an array, ``cond`` has a mean per x3,
+    (2, *batch, n), and one covariance (2, 2, *batch, 1) with its precision and
+    log-det, which do not depend on x3; ``pair`` has an axis of length 1 there
+    too, so their entries broadcast against the x3 row.  The wick
+    moment table of the conditional pair about the marginal means is filled on
+    first use; every pair quantity is a (*batch, *x3 shape) array equal to the
+    per-point values bit for bit."""
 
     base: Gaussian
     x3: float | np.ndarray
     pair: Gaussian = field(init=False)
     cond: Gaussian = field(init=False)
-    mu_bar: np.ndarray = field(init=False)
     delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -84,14 +82,10 @@ class PairConditional:
         x3 = as_float_array(self.x3, "x3", ndim=len(shape))
         row = (...,) + (None,) * x3.ndim  # an axis of length 1 for an x3 row
         pair = Gaussian(base.mean[:2][row], base.cov[:2, :2][row])
-        cond = condition(base, (0, 1), (2,), x3[None, ...][..., :1])
-        mu_bar = conditional_mean(base, (0, 1), (2,), x3[None, ...])
-        delta = mu_bar - pair.mean
-        for arr in (mu_bar, delta):
-            arr.setflags(write=False)
-        self.__dict__.update(
-            x3=x3 if x3.ndim else float(x3), pair=pair, cond=cond, mu_bar=mu_bar, delta=delta
-        )
+        cond = condition(base, (0, 1), (2,), x3[None, ...])
+        delta = cond.mean - pair.mean
+        delta.setflags(write=False)
+        self.__dict__.update(x3=x3 if x3.ndim else float(x3), pair=pair, cond=cond, delta=delta)
 
     @cached_property
     def _moments(self) -> dict:
@@ -199,7 +193,7 @@ def relative_de_pair(pc: PairConditional, mode: str = "corrected") -> float:
     subtracts it and matches :func:`wentropy.gaussian.gaussian_kl` exactly.
     """
     check_entropy_mode(mode)
-    mu, mu_bar, s, inv = pc.pair.mean, pc.mu_bar, pc.cond.cov, pc.pair.precision
+    mu, mu_bar, s, inv = pc.pair.mean, pc.cond.mean, pc.cond.cov, pc.pair.precision
     brace = lambda i, j: (
         s[i, j] + mu_bar[i] * mu_bar[j] - mu_bar[i] * mu[j] - mu[i] * mu_bar[j] + mu[i] * mu[j]
     )

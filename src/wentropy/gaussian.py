@@ -1,8 +1,10 @@
 """Multivariate Gaussian container: validation, conditioning, entropy and KL closed forms.
 
-Entropy values are in nats.  Every formula with a known constant discrepancy
-takes an explicit mode: ``"paper"`` evaluates the transcribed closed form
-verbatim, ``"corrected"`` the analytically exact one.
+A batch's means may share one covariance: one :func:`condition` call on a block
+of values, and one :func:`gaussian_kl` call against the marginal, then cover a
+whole grid.  Entropy values are in nats.  Every formula with a known constant
+discrepancy takes an explicit mode: ``"paper"`` evaluates the transcribed
+closed form verbatim, ``"corrected"`` the analytically exact one.
 """
 
 from __future__ import annotations
@@ -40,19 +42,21 @@ def check_entropy_mode(mode: str) -> str:
 class Gaussian:
     """Mean vector and covariance matrix of a multivariate normal, or of a batch:
     mean (d, *batch) and cov (d, d, *batch), so an entry ``cov[i, j]`` is a batch array.
+    A covariance axis of length 1 is shared by every mean along that batch axis.
 
     Construction is the only validation: it checks shapes and finiteness, then
     runs :func:`validate` (symmetry and positive definiteness), so every
     ``Gaussian`` that exists is a valid one.  A batch is checked, factored and
-    inverted by stacked linalg calls, which give each member its bits alone; a
-    refused batch raises the error of its first member refused alone, in C
-    order, with that member's index.  It caches the lower Cholesky factor
-    (:meth:`chol`) and ``log_det`` (a float, or a batch array); ``precision``
+    inverted by stacked linalg calls on the covariance's own batch, which give
+    each member its bits alone; a refused batch raises the error of its first
+    member refused alone, in the C order of the mean's batch, with that
+    member's index.  It caches the lower Cholesky factor (:meth:`chol`) and
+    ``log_det`` (a float, or an array of the covariance's batch); ``precision``
     and the inverse factor are cached on first use.  The Gaussians it derives
     (:meth:`marginal`, :func:`condition`) are new ones, built the same way; it
-    keeps only the gain of :func:`conditional_mean` per (kept, given).
-    :meth:`log_pdf`, :meth:`pdf` and :meth:`sampler` refuse a batch.  ``==`` is
-    identity: arrays compared elementwise have no truth value.
+    keeps only the gain of :func:`condition` per (kept, given).  :meth:`log_pdf`,
+    :meth:`pdf` and :meth:`sampler` refuse a batch.  ``==`` is identity: arrays
+    compared elementwise have no truth value.
     """
 
     mean: np.ndarray
@@ -69,7 +73,8 @@ class Gaussian:
                 mean, cov = np.asarray(self.mean, dtype=float), np.asarray(self.cov, dtype=float)
             except ValueError:  # ragged input, refused as a whole
                 raise refused from None
-            if mean.ndim > 1 and cov.shape == mean.shape[:1] + mean.shape:  # a refused batch
+            if mean.ndim > 1 and _fits(mean.shape, cov.shape):  # a refused batch
+                cov = np.broadcast_to(cov, mean.shape[:1] + mean.shape)
                 for index in np.ndindex(mean.shape[1:]):  # its first refused member names the error
                     try:
                         Gaussian(mean[(slice(None),) + index], cov[(slice(None),) * 2 + index])
@@ -81,7 +86,7 @@ class Gaussian:
         batch = np.shape(self.mean)[1:]
         mean = as_float_array(self.mean, "mean", ndim=1 + len(batch))
         cov = as_float_array(self.cov, "cov", ndim=2 + len(batch))
-        if cov.shape != mean.shape[:1] * 2 + batch:
+        if not _fits(mean.shape, cov.shape):
             of = f"shape {mean.shape}" if batch else f"length {mean.size}"
             raise DimensionMismatchError(f"cov shape {cov.shape} does not match mean {of}")
         if not 0 < len(mean) <= MAX_DIM:
@@ -187,6 +192,12 @@ def coordinates(points, dim: int) -> tuple:
     return points
 
 
+def _fits(mean: tuple, cov: tuple) -> bool:
+    """Whether a cov shape (d, d, *batch) fits a mean shape (d, *batch); an axis 1 is shared."""
+    shared = all(c in (1, m) for c, m in zip(cov[2:], mean[1:]))
+    return shared and cov[:2] == mean[:1] * 2 and len(cov) == len(mean) + 1
+
+
 def _stacked(a: np.ndarray) -> np.ndarray:
     """A (p, q, *batch) array as a (*batch, p, q) view: numpy's stacked linalg layout."""
     return np.moveaxis(a, (0, 1), (-2, -1))
@@ -234,23 +245,23 @@ def validate(dist: Gaussian) -> None:
     )
 
 
-def conditional_mean(dist: Gaussian, kept, given, value) -> np.ndarray:
-    """Mean of the coordinates ``kept`` with the coordinates ``given`` (0-based)
-    fixed to ``value``: mean_a + gain (value - mean_b).
-
-    A (len(given),) value gives a (len(kept), *batch) mean, a (len(given), n)
-    block a (len(kept), *batch, n) one whose last index k is the mean at
-    ``value[:, k]``, bit for bit when one coordinate is given.  The split is
-    checked (disjoint, distinct indices in range, an invertible given block)
-    and its gain cov_ab cov_bb^{-1} solved for the whole batch on first use per
-    (kept, given), and kept by ``dist``; the value's shape, finiteness and
-    length are checked on every call.
+def condition(dist: Gaussian, kept, given, value) -> Gaussian:
+    """Conditional distribution of the coordinates ``kept`` (0-based) with the
+    coordinates ``given`` fixed to ``value``: mean mean_a + gain (value - mean_b),
+    covariance cov_aa - gain cov_ba, gain cov_ab cov_bb^{-1}, a new validated
+    Gaussian of ``dist``'s batch.  A (len(given), n) block of values gives a
+    mean (len(kept), *batch, n) whose last index k is the mean at ``value[:, k]``,
+    bit for bit when one coordinate is given, and one shared covariance
+    (len(kept), len(kept), *batch, 1).  An empty given-set returns the marginal
+    on the kept coordinates exactly.  The split is checked (disjoint, distinct
+    indices in range, an invertible given block) and its gain solved for the
+    whole batch on first use per (kept, given), and kept by ``dist``; the
+    value's shape, finiteness and length are checked on every call.
     """
     kept, given = tuple(map(int, kept)), tuple(map(int, given))
-    ndim = 2 if np.ndim(value) == 2 else 1  # one value or a block
-    value = as_float_array(np.atleast_1d(value), "value", ndim=ndim)
+    value = as_float_array(np.atleast_1d(value), "value", ndim=2 if np.ndim(value) == 2 else 1)
     a, b = list(kept), list(given)
-    key = ("gain", kept, given)
+    key, cov = ("gain", kept, given), _stacked(dist.cov)
     if key not in dist._derived:
         if set(kept) & set(given):
             raise ValueError(f"kept {kept} and given {given} overlap")
@@ -259,7 +270,6 @@ def conditional_mean(dist: Gaussian, kept, given, value) -> np.ndarray:
         for i in a + b:
             if not 0 <= i < dist.dim:
                 raise ValueError(f"index {i} out of range for dimension {dist.dim}")
-        cov = _stacked(dist.cov)
         try:
             lower = np.linalg.cholesky(cov[..., b, :][..., b])
         except np.linalg.LinAlgError as exc:
@@ -274,32 +284,15 @@ def conditional_mean(dist: Gaussian, kept, given, value) -> np.ndarray:
         raise DimensionMismatchError(
             f"value length {len(value)} does not match given set size {len(given)}"
         )
-    # one value is one column; each member's block is a new C-ordered array, as alone
-    block = value.reshape(value.shape[:1] + (value.shape[1:] or (1,)))
-    shift = dist._derived[key] @ (block - np.moveaxis(dist.mean[b], 0, -1)[..., None])
-    mean = dist.mean[a][..., None] + np.moveaxis(shift, -2, 0)  # the columns follow the batch
-    return mean if ndim == 2 else mean[..., 0]
-
-
-def condition(dist: Gaussian, kept, given, value) -> Gaussian:
-    """Conditional distribution of the coordinates ``kept`` given one value of
-    the coordinates ``given``, or a (len(given), n) block of them.
-
-    A new validated Gaussian of ``dist``'s batch, then an n axis for a block;
-    an empty given-set returns the marginal on the kept coordinates exactly.
-    The gain comes from :func:`conditional_mean`, which checks the split and
-    the value, and ``dist`` keeps it per (kept, given).
-    """
-    mean = conditional_mean(dist, kept, given, value)
-    kept, given = tuple(map(int, kept)), tuple(map(int, given))
     if not given:
         return dist.marginal(kept)
-    a, b = list(kept), list(given)
-    gain, cov = dist._derived[("gain", kept, given)], _stacked(dist.cov)
+    # one value is one column; each member's block is a new C-ordered array, as alone
+    gain, block = dist._derived[key], value.reshape(value.shape[:1] + (value.shape[1:] or (1,)))
+    shift = gain @ (block - np.moveaxis(dist.mean[b], 0, -1)[..., None])
+    mean = dist.mean[a][..., None] + np.moveaxis(shift, -2, 0)  # the columns follow the batch
     cov = cov[..., a, :][..., a] - gain @ np.swapaxes(cov[..., a, :][..., b], -1, -2)
     cov = np.moveaxis(0.5 * (cov + np.swapaxes(cov, -1, -2)), (-2, -1), (0, 1))
-    columns = (None,) * (mean.ndim - cov.ndim + 1)  # the same covariance at each value
-    return Gaussian(mean, np.broadcast_to(cov[(...,) + columns], cov.shape[:2] + mean.shape[1:]))
+    return Gaussian(mean, cov[..., None]) if value.ndim == 2 else Gaussian(mean[..., 0], cov)
 
 
 def _family(rho, check, couplings) -> Gaussian:
@@ -361,35 +354,23 @@ def gaussian_de(dist: Gaussian, mode: str = "corrected") -> float:
     return value if dist.batch else float(value)
 
 
-def gaussian_kl(f: Gaussian, g: Gaussian, means=None) -> float | np.ndarray:
+def gaussian_kl(f: Gaussian, g: Gaussian) -> float | np.ndarray:
     """Kullback-Leibler divergence KL(f || g) between Gaussians, in nats.
 
-    With ``means``, a finite (f.dim, n) block, it is KL(f_k || g) for the n
-    Gaussians f_k of f's covariance and mean ``means[:, k]``, as an (n,) array:
-    the trace and log-det terms are computed once, the Mahalanobis term once
-    per column.  Each entry is within a few ulps of the one-mean call; the
-    block's products need not round as the one-mean path's do.  Batched f and
-    g of one batch give a batch array and take a (f.dim, *batch, n) block.
+    Batched f and g broadcast axis by axis, each pair of axes of one length or
+    one of them 1, and give a batch array; the trace and log-det terms are
+    computed on the covariances' batch, the Mahalanobis term per mean.
     """
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimensions differ: {f.dim} vs {g.dim}")
-    if f.batch != g.batch:
+    pairs = list(zip(f.batch, g.batch))
+    if len(f.batch) != len(g.batch) or not all(p == q or 1 in (p, q) for p, q in pairs):
         raise DimensionMismatchError(f"batches differ: {f.batch} vs {g.batch}")
-    block = means is not None
-    if block:
-        means = as_float_array(means, "means", ndim=2 + len(f.batch))
-        if means.shape[0] != f.dim:
-            raise DimensionMismatchError(f"means block has {means.shape[0]} rows, expected {f.dim}")
-        if means.shape[1:-1] != f.batch:
-            raise DimensionMismatchError(f"means batch {means.shape[1:-1]} is not {f.batch}")
     # per member, tr(Sg^-1 Sf) = |Lg^-1 Lf|_F^2 and the Mahalanobis term is |Lg^-1 (mg - mf)|^2
     inv_lower = _stacked(g._inv_lower)
     a = inv_lower @ _stacked(f._lower)
-    trace = np.sum(a * a, axis=(-2, -1))[..., None]
-    # (*batch, dim, n), one column per mean: each member's block a new C-ordered array
-    means = np.moveaxis(means if block else f.mean[..., None], 0, -2)
-    shift = np.moveaxis(g.mean, 0, -1)[..., None] - means
-    cols = np.swapaxes(inv_lower @ shift, -1, -2)
-    quad = (cols[..., None, :] @ cols[..., :, None])[..., 0, 0]  # one dot per column
-    kl = 0.5 * (trace + quad - f.dim + np.expand_dims(g.log_det - f.log_det, -1))
-    return kl if block else kl[..., 0] if f.batch else float(kl[0])
+    trace = np.sum(a * a, axis=(-2, -1))
+    z = inv_lower @ np.moveaxis(g.mean - f.mean, 0, -1)[..., None]  # (*batch, dim, 1)
+    quad = (np.swapaxes(z, -1, -2) @ z)[..., 0, 0]
+    kl = 0.5 * (trace + quad - f.dim + (g.log_det - f.log_det))
+    return kl if f.batch else float(kl)

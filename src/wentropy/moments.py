@@ -100,15 +100,11 @@ def _batch_mean(means: np.ndarray):
 def central_moment(cov, exponents) -> float:
     """E[prod_i Y_i^{r_i}] for centered jointly Gaussian Y with covariance ``cov``.
 
-    Odd total order returns exactly 0 without evaluation; even order runs the
-    Wick recursion with zero mean; a (d, d, *batch) ``cov`` gives them over its batch.
+    Odd total order returns exactly 0 without evaluation; even order is the
+    shifted moment at zero shifts; a (d, d, *batch) ``cov`` gives them over its batch.
     """
     cov, (r,) = _check_spec(cov, [exponents])
-    if sum(r) % 2 != 0:
-        return 0.0
-    if cov.ndim > 2:  # a batch of covariances: the shifted moment at zero shifts
-        return shifted_moments(cov, np.zeros(len(r)), [r])[0]
-    return _wick_moment(cov.tolist(), [0.0] * len(r), tuple(r), {})
+    return 0.0 if sum(r) % 2 else shifted_moments(cov, np.zeros(len(r)), [r])[0]
 
 
 def shifted_moments(cov, deltas, exponent_rows) -> list:

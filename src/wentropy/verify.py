@@ -266,14 +266,14 @@ def _check_pair_formulas(checks, bases, pairs):
 
 def _check_relative_de(checks, cfg):
     # first family, one (rho, x3) grid: printed form against the generic
-    # paper-mode formula, corrected mode against the KL oracle on each rho's
-    # conditional covariance and block of conditional means
+    # paper-mode formula, corrected mode against the KL oracle of each point's
+    # conditional from its pair marginal
     printed_rows, kl_rows = [], []
     rhos, x3s = np.linspace(-0.7, 0.7, 29), np.linspace(-3.0, 3.0, 31)
     grid = cf.PairConditional(cf.example1_cov(rhos), x3s)
     generics, correcteds = (cf.relative_de_pair(grid, mode) for mode in ("paper", "corrected"))
-    # per rho, one (2, 31) block of means: grid.cond and grid.pair have a batch of (29, 1)
-    kls = gaussian_kl(grid.cond, grid.pair, grid.mu_bar[:, :, None])[:, 0]
+    # grid.cond: (29, 31) means on (29, 1) covariances, grid.pair (29, 1): they broadcast
+    kls = gaussian_kl(grid.cond, grid.pair)
     for b, rho in enumerate(rhos):
         rows = zip(x3s, cf.example1_relative_de_paper(rho, x3s), generics[b], correcteds[b], kls[b])
         for x3, printed, generic, corrected, kl in rows:

@@ -144,17 +144,18 @@ def test_scan_works_once_per_rho_row(capsys, monkeypatch, example, printed):
 
 @pytest.mark.parametrize("example, rho", [(1, "-0.7:0.7:29"), (1, "-0.5:0.5:3"), (2, "0.01:0.49:29")])
 def test_scan_validates_three_batches_whatever_the_rho_count(capsys, monkeypatch, example, rho):
-    # the batched base, its pair and its conditional: one stacked validation each
+    # the batched base, its pair and its conditional: one stacked validation
+    # each, of the covariances' batch; the conditional has a mean per x3
     batches, validate = [], gaussian.validate
 
     def counted(dist):
-        batches.append(dist.batch)
+        batches.append((dist.batch, dist.cov.shape[2:]))
         validate(dist)
 
     monkeypatch.setattr(gaussian, "validate", counted)
     code, _, _ = run(capsys, ["scan", "--example", str(example), f"--rho={rho}", "--x3=-3:3:31"])
     n = int(rho.split(":")[2])
-    assert code == 0 and batches == [(n,), (n, 1), (n, 1)]
+    assert code == 0 and batches == [((n,), (n,)), ((n, 1), (n, 1)), ((n, 31), (n, 1))]
 
 
 def test_scan_names_the_first_non_finite_value_by_x3_then_column(capsys, tmp_path, monkeypatch):
@@ -356,6 +357,15 @@ def test_moment_rejects_non_finite_value(capsys, tmp_path, shift, value):
     code, out, err = run(capsys, ["moment", "--cov", str(cov), "--r", "6,6", f"--shift={shift}"])
     assert code == 2 and out == ""
     assert err == f"error: value is {value}: the moment is outside the float range\n"
+
+
+def test_moment_rejects_a_central_moment_outside_the_float_range(capsys, tmp_path):
+    # E[Y1^6 Y2^6] grows as the sixth power of the variances: inf, then exit 2
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"cov": [[1e60, 0.0], [0.0, 1e60]]}))
+    code, out, err = run(capsys, ["moment", "--cov", str(cov), "--r", "6,6"])
+    assert (code, out) == (2, "")
+    assert err == "error: value is inf: the moment is outside the float range\n"
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
@@ -803,7 +813,10 @@ def test_verify_pair_cases_hold_only_validated_gaussians(monkeypatch):
     monkeypatch.setattr(gaussian, "validate", recording_validate)
     cases = verify._pair_cases(verify._family_bases())
     held = [g for _, grid in cases.values() for g in (grid.base, grid.pair, grid.cond)]
-    assert [g.batch for g in held] == [(2,), (2, 1), (2, 1), (3,), (3, 1), (3, 1)]
+    assert [(g.batch, g.cov.shape[2:]) for g in held] == [
+        ((2,), (2,)), ((2, 1), (2, 1)), ((2, 4), (2, 1)),
+        ((3,), (3,)), ((3, 1), (3, 1)), ((3, 4), (3, 1)),
+    ]
     assert all(any(g is seen for seen in validated) for g in held)
 
 

@@ -25,7 +25,6 @@ from wentropy.gaussian import (
     SPD_EIG_RATIO,
     Gaussian,
     condition,
-    conditional_mean,
     example1_cov,
     example2_cov,
     gaussian_de,
@@ -305,27 +304,27 @@ def test_condition_empty_given_is_exact_slice():
     assert np.array_equal(out.cov, dist.cov[np.ix_([1, 3], [1, 3])])
 
 
-def test_conditional_mean_on_a_fresh_base_matches_condition():
-    # one value and a block, each on its own fresh base: no condition call first
+def test_a_block_of_values_on_a_fresh_base_matches_each_value():
+    # a block and each of its values, each on its own fresh base: one shared
+    # covariance, the bits of every value's own, and a mean per value
     rng = np.random.default_rng(12)
     for given in ((2,), (0, 3)):
         kept = tuple(i for i in range(4) if i not in given)
         for _ in range(10):
             mean, cov = rng.normal(size=4), rand_spd(rng, 4)
             block = rng.normal(size=(len(given), 6))
-            got = conditional_mean(Gaussian(mean, cov), kept, given, block)
-            assert got.shape == (len(kept), 6)
+            got = condition(Gaussian(mean, cov), kept, given, block)
+            assert got.mean.shape == (len(kept), 6) and got.cov.shape == (len(kept),) * 2 + (1,)
             for k in range(6):
-                one = conditional_mean(Gaussian(mean, cov), kept, given, block[:, k])
-                cond = condition(Gaussian(mean, cov), kept, given, block[:, k])
-                assert one.tobytes() == cond.mean.tobytes()
+                one = condition(Gaussian(mean, cov), kept, given, block[:, k])
+                _same_bytes(got.cov[..., 0], one.cov)
                 if len(given) == 1:
-                    assert got[:, k].tobytes() == one.tobytes()
+                    assert got.mean[:, k].tobytes() == one.mean.tobytes()
                 else:
-                    assert got[:, k] == pytest.approx(one, rel=1e-14, abs=1e-14)
+                    assert got.mean[:, k] == pytest.approx(one.mean, rel=1e-14, abs=1e-14)
     for given in ((3,), (-1,)):
         with pytest.raises(ValueError, match=f"index {given[0]} out of range"):
-            conditional_mean(example1_cov(0.5), (0,), given, [0.0])
+            condition(example1_cov(0.5), (0,), given, [0.0])
 
 
 def test_condition_schur_determinant_identity():
@@ -378,9 +377,10 @@ def test_a_batch_holds_each_members_bits(dim):
     block, columns = rng.normal(size=(1, 4)), rng.normal(size=(dim, 2, 3, 5))
     peers = np.roll(mean, 1, axis=-1), np.roll(cov, 1, axis=-1)
     exact = batch.marginal(kept), condition(batch, kept, given, [0.7])
+    shared = Gaussian(columns, cov[..., None]), Gaussian(peers[0][..., None], peers[1][..., None])
     close = (  # batch axes first
         np.moveaxis(condition(batch, (0,), wide, np.ones(dim - 1)).mean, 0, -1),
-        gaussian_kl(batch, Gaussian(*peers)), gaussian_kl(batch, Gaussian(*peers), columns),
+        gaussian_kl(batch, Gaussian(*peers)), gaussian_kl(*shared),
     )
     assert batch.batch == (2, 3) and np.shape(batch.log_det) == (2, 3)
     for index in np.ndindex(2, 3):
@@ -392,12 +392,15 @@ def test_a_batch_holds_each_members_bits(dim):
             for field in ("mean", "cov", "log_det", "precision"):
                 _same_bytes(np.asarray(getattr(got, field))[at], getattr(want, field))
             _same_bytes(got.chol()[at], want.chol())
-        _same_bytes(conditional_mean(batch, kept, given, block)[at + (slice(None),)],
-                    conditional_mean(alone, kept, given, block))
+        for field in ("mean", "cov"):
+            _same_bytes(getattr(condition(batch, kept, given, block), field)[at + (slice(None),)],
+                        getattr(condition(alone, kept, given, block), field))
         peer = Gaussian(peers[0][at], peers[1][at])
         want = (
             condition(alone, (0,), wide, np.ones(dim - 1)).mean,
-            gaussian_kl(alone, peer), gaussian_kl(alone, peer, columns[(slice(None),) + index]),
+            gaussian_kl(alone, peer),
+            gaussian_kl(Gaussian(columns[(slice(None),) + index], alone.cov[..., None]),
+                        Gaussian(peer.mean[:, None], peer.cov[..., None])),
         )
         assert condition(alone, (0,), wide, np.ones(dim - 1)).cov.tobytes() == (
             np.ascontiguousarray(condition(batch, (0,), wide, np.ones(dim - 1)).cov[at]).tobytes()
@@ -411,11 +414,29 @@ def test_a_block_of_values_conditions_each_member_at_each_value():
     means, covs, mean, cov = _batch(rng, 3, (4,))
     batch, values = Gaussian(mean, cov), np.array([[-1.0, 0.0, 2.5]])
     cond = condition(batch, (0, 1), (2,), values)
-    assert cond.batch == (4, 3)
+    assert cond.batch == (4, 3) and cond.cov.shape == (2, 2, 4, 1)  # one covariance per member
     for b, k in np.ndindex(4, 3):
         alone = condition(Gaussian(means[b], covs[b]), (0, 1), (2,), values[:, k])
         _same_bytes(cond.mean[:, b, k], alone.mean)
-        _same_bytes(cond.cov[:, :, b, k], alone.cov)
+        _same_bytes(cond.cov[:, :, b, 0], alone.cov)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_a_shared_covariance_gives_each_member_its_bits_alone(dim):
+    # a (2, 1) batch of covariances under a (2, 4) batch of means: validated,
+    # factored and inverted once per covariance, each member as if built alone
+    rng = np.random.default_rng(40 + dim)
+    means, covs, _, cov = _batch(rng, dim, (2, 1))
+    mean = rng.normal(size=(dim, 2, 4))
+    shared = Gaussian(mean, cov)
+    assert shared.batch == (2, 4) and shared.cov.shape == (dim, dim, 2, 1)
+    assert np.shape(shared.log_det) == (2, 1) and shared.precision.shape == (dim, dim, 2, 1)
+    for b, k in np.ndindex(2, 4):
+        alone = Gaussian(mean[:, b, k], covs[b, 0])
+        _same_bytes(shared.mean[:, b, k], alone.mean)
+        for field in ("cov", "log_det", "precision"):
+            _same_bytes(np.asarray(getattr(shared, field))[..., b, 0], getattr(alone, field))
+        _same_bytes(shared.chol()[..., b, 0], alone.chol())
 
 
 def _refusal(mean, cov):
@@ -447,12 +468,31 @@ def test_a_refused_batch_names_its_first_refused_member(kind):
         assert _refusal(mean, cov) == (error, f"{message} (batch member (1, 2))"), other
 
 
+@pytest.mark.parametrize("kind", sorted(BAD_MEMBERS))
+def test_a_refused_shared_covariance_names_its_first_member(kind):
+    # a bad covariance (1, 0) shared by the means (1, 0..3) is named as member
+    # (1, 0), the first of them in C order; a bad mean as its own member
+    bad_mean, bad_cov = BAD_MEMBERS[kind]
+    error, message = _refusal(bad_mean, bad_cov)
+    mean, cov = np.zeros((3, 2, 4)), np.repeat(np.eye(3)[..., None, None], 2, -2)
+    cov[:, :, 1, 0] = bad_cov
+    mean[:, 1, 2] = bad_mean
+    member = (1, 2) if kind == "non-finite mean" else (1, 0)
+    assert _refusal(mean, cov) == (error, f"{message} (batch member {member})")
+
+
 def test_a_batch_keeps_the_unbatched_shape_refusals():
     with pytest.raises(DimensionMismatchError, match=r"^cov shape \(3, 3\) does not match mean length 2$"):
         Gaussian(np.zeros(2), np.eye(3))
     with pytest.raises(DimensionMismatchError,
                        match=r"^cov shape \(3, 3, 4\) does not match mean shape \(3, 5\)$"):
         Gaussian(np.zeros((3, 5)), np.zeros((3, 3, 4)))
+    # a shared covariance axis has length 1, never another length nor a longer one
+    eye = np.eye(3)[..., None, None]
+    for mean_shape, cov_shape in (((3, 2, 4), (3, 3, 2, 3)), ((3, 1, 4), (3, 3, 2, 4))):
+        with pytest.raises(DimensionMismatchError) as refused:
+            Gaussian(np.zeros(mean_shape), np.broadcast_to(eye, cov_shape))
+        assert str(refused.value) == f"cov shape {cov_shape} does not match mean shape {mean_shape}"
     with pytest.raises(ValueError, match=r"^cov must be 3-dimensional, got shape \(3, 3\)$"):
         Gaussian(np.zeros((3, 5)), np.eye(3))
 
@@ -469,8 +509,8 @@ def test_single_distribution_methods_refuse_a_batch():
             call()
     with pytest.raises(DimensionMismatchError, match=r"^batches differ: \(2,\) vs \(\)$"):
         gaussian_kl(batch, example2_cov(0.1))
-    with pytest.raises(DimensionMismatchError, match=r"^means batch \(3,\) is not \(2,\)$"):
-        gaussian_kl(batch, batch, np.zeros((3, 3, 4)))
+    with pytest.raises(DimensionMismatchError, match=r"^batches differ: \(2,\) vs \(3,\)$"):
+        gaussian_kl(batch, example2_cov(np.array([0.1, 0.2, 0.3])))
 
 
 @pytest.mark.parametrize("make, rhos, bad, message", [
@@ -524,11 +564,10 @@ BAD_SPLITS = [
 ]
 
 
-@pytest.mark.parametrize("function", [conditional_mean, condition], ids=lambda f: f.__name__)
-def test_condition_refuses_a_bad_split_or_value(function):
+def test_condition_refuses_a_bad_split_or_value():
     for kept, given, value, error, message in BAD_SPLITS:
         with pytest.raises(error, match=message):
-            function(example1_cov(0.5), kept, given, value)
+            condition(example1_cov(0.5), kept, given, value)
 
 
 def test_a_cached_gain_does_not_pass_a_bad_split():
@@ -537,10 +576,10 @@ def test_a_cached_gain_does_not_pass_a_bad_split():
     assert list(base._derived) == [("gain", (0, 1), (2,))]
     for kept, given, value, error, message in BAD_SPLITS:
         with pytest.raises(error, match=message):
-            conditional_mean(base, kept, given, value)
+            condition(base, kept, given, value)
     # a known split still checks its value on every call
     with pytest.raises(DimensionMismatchError, match="value length 2 does not match"):
-        conditional_mean(base, (0, 1), (2,), [1.0, 2.0])
+        condition(base, (0, 1), (2,), [1.0, 2.0])
     with pytest.raises(ValueError, match="value contains non-finite entries"):
         condition(base, (0, 1), (2,), [np.nan])
 
@@ -669,8 +708,9 @@ def test_gaussian_kl_block_of_means_matches_the_one_mean_calls(dim):
     for _ in range(10):
         f = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
         g = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
-        means = rng.normal(size=(dim, 9))
-        block = gaussian_kl(f, g, means)
+        means = rng.normal(size=(dim, 9))  # nine means on f's covariance, against g
+        shared = Gaussian(means, f.cov[..., None])
+        block = gaussian_kl(shared, Gaussian(g.mean[:, None], g.cov[..., None]))
         assert block.shape == (9,)
         for k in range(9):
             one = gaussian_kl(Gaussian(means[:, k], f.cov), g)
@@ -680,29 +720,17 @@ def test_gaussian_kl_block_of_means_matches_the_one_mean_calls(dim):
 
 
 def test_gaussian_kl_block_on_the_relative_de_points():
-    # verify's 29 x 31 (rho, x3) scan: one block per rho against 899 one-mean calls
-    x3s = np.linspace(-3.0, 3.0, 31)
-    for rho in np.linspace(-0.7, 0.7, 29):
+    # verify's 29 x 31 (rho, x3) scan, one call as verify makes it, against 899 one-mean calls
+    rhos, x3s = np.linspace(-0.7, 0.7, 29), np.linspace(-3.0, 3.0, 31)
+    grid = PairConditional(example1_cov(rhos), x3s)
+    block = gaussian_kl(grid.cond, grid.pair)
+    assert block.shape == (29, 31)
+    for b, rho in enumerate(rhos):
         base = example1_cov(rho)
         pair = base.marginal([0, 1])
-        cond = condition(base, (0, 1), (2,), x3s[:1])
-        block = gaussian_kl(cond, pair, conditional_mean(base, (0, 1), (2,), x3s[None]))
         for k, x3 in enumerate(x3s):
             one = gaussian_kl(condition(base, (0, 1), (2,), [x3]), pair)
-            assert block[k] == pytest.approx(one, rel=1e-15, abs=0.0)
-
-
-def test_gaussian_kl_refuses_a_bad_block_of_means():
-    f, g = example1_cov(0.3), example2_cov(0.25)
-    with pytest.raises(DimensionMismatchError, match="means block has 2 rows, expected 3"):
-        gaussian_kl(f, g, np.zeros((2, 4)))
-    for bad in (np.nan, np.inf):
-        means = np.zeros((3, 4))
-        means[1, 2] = bad
-        with pytest.raises(ValueError, match="means contains non-finite entries"):
-            gaussian_kl(f, g, means)
-    with pytest.raises(ValueError, match="means must be 2-dimensional"):
-        gaussian_kl(f, g, np.zeros(3))
+            assert block[b, k] == pytest.approx(one, rel=1e-15, abs=0.0)
 
 
 def test_gaussian_kl_matches_quadrature():
