@@ -104,7 +104,7 @@ def central_moment(cov, exponents) -> float:
     shifted moment at zero shifts; a (d, d, *batch) ``cov`` gives them over its batch.
     """
     cov, (r,) = _check_spec(cov, [exponents])
-    return 0.0 if sum(r) % 2 else shifted_moments(cov, np.zeros(len(r)), [r])[0]
+    return 0.0 if sum(r) % 2 else _fill(cov, np.zeros(len(r)), [r])[0]
 
 
 def shifted_moments(cov, deltas, exponent_rows) -> list:
@@ -125,6 +125,11 @@ def shifted_moments(cov, deltas, exponent_rows) -> list:
         )
     if not np.all(np.isfinite(deltas)):
         raise ValueError("deltas must be finite")
+    return _fill(cov, deltas, rows)
+
+
+def _fill(cov: np.ndarray, deltas: np.ndarray, rows: list) -> list:
+    """:func:`shifted_moments` of checked input, with at least one row."""
     batch = deltas.shape[1:]
     if cov.ndim > 2:  # a batch's covariance entries broadcast to it: every term has its shape
         batch = np.broadcast_shapes(cov.shape[2:], batch)

@@ -42,20 +42,23 @@ MC_BLOCK_ROWS = BLOCK_POINTS // 4
 
 @dataclass(frozen=True, eq=False)
 class CentralWeight:
-    """Product weight phi(x) = prod_i (x_i - a_i)^2 around the centers a."""
+    """Product weight phi(x) = prod_i (x_i - a_i)^2 around the centers a, or a
+    batch of them: centers (d, *batch), as a ``Gaussian``'s mean."""
 
     centers: np.ndarray
 
     def __post_init__(self):
-        centers = as_float_array(np.atleast_1d(self.centers), "centers", ndim=1)
-        object.__setattr__(self, "centers", centers)
+        centers = np.atleast_1d(self.centers)
+        object.__setattr__(self, "centers", as_float_array(centers, "centers", ndim=centers.ndim))
 
     @property
     def dim(self) -> int:
-        return self.centers.size
+        return len(self.centers)
 
     def __call__(self, points) -> np.ndarray:
         """phi at ``points``, read as :func:`gaussian.coordinates` reads them."""
+        if self.centers.ndim > 1:
+            raise ValueError(f"a batch of centers {self.centers.shape} is not evaluated at points")
         coords = coordinates(points, self.dim)
         return math.prod((x - a) ** 2 for x, a in zip(coords, self.centers))
 

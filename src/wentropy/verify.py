@@ -21,6 +21,7 @@ import numpy as np
 
 from . import closedform as cf
 from .discrete import (
+    DiscreteJoint,
     chain_rule_de_check,
     chain_rule_wde_check,
     mutual_de_decomposition_check,
@@ -307,45 +308,51 @@ def _check_relative_de(checks, cfg):
     )
 
 
-def _discrete_deviations(joint, centers, split) -> tuple:
-    """The six identity deviations of one pmf, in :func:`_check_discrete`'s order."""
-    weight = CentralWeight(centers)
-    chain = chain_rule_de_check(joint)
-    chain_w = chain_rule_wde_check(joint, weight)
-    mutual = mutual_de_decomposition_check(joint)
-    mutual_w = mutual_wde_decomposition_check(joint, weight)
-    rel = relative_de_identity_check(joint, split)
-    rel_w = relative_we_identity_check(
-        joint, CentralWeight(centers[:split]), CentralWeight(centers[split:]), split
-    )
-    return (
-        abs(chain.lhs - chain.rhs),
-        abs(chain_w.lhs - chain_w.rhs),
-        max(abs(mutual.lhs - mutual.rhs), abs(mutual.lhs - mutual.rhs_expectation)),
-        abs(mutual_w.lhs - mutual_w.rhs),
-        max(float(np.max(np.abs(rel.lhs - rel.rhs))), abs(rel.mutual - rel.expected)),
-        max(float(np.max(np.abs(rel_w.lhs - rel_w.rhs))), abs(rel_w.mutual - rel_w.expected)),
-    )
-
-
 def _check_discrete(checks, cfg):
+    """The six identities as one batch per coordinate count n (the relative ones per
+    (n, split)), each pmf padded with zero cells, labelled on, to its batch's shape."""
     rng = np.random.default_rng(cfg.seed + 2)
-    names = (
-        "chain-rule-de", "chain-rule-wde", "mutual-de-decomposition",
-        "mutual-wde-decomposition", "relative-de-identity", "relative-we-identity",
-    )
-    worst = [0.0] * len(names)
+    groups = {}  # n -> [(probs, centers, split)], in draw order
     for _ in range(cfg.discrete_cases):
         n = int(rng.integers(2, 5))
         dims = tuple(int(rng.integers(2, 5)) for _ in range(n))
-        joint = random_joint(rng, dims)
+        probs = random_joint(rng, dims).probs
         centers = rng.uniform(-1.0, 1.0, size=n)
-        split = int(rng.integers(1, n))
-        worst = list(map(max, worst, _discrete_deviations(joint, centers, split)))
-    for name, dev in zip(names, worst):
-        checks.append(
-            _record(name, "discrete-identity", {"cases": cfg.discrete_cases}, dev, IDENTITY_TOL)
-        )
+        groups.setdefault(n, []).append((probs, centers, int(rng.integers(1, n))))
+    devs = {}  # name -> the largest |lhs - rhs| of each checker call
+    for group in groups.values():
+        shape = np.max([probs.shape for probs, _, _ in group], axis=0)
+        padded = np.zeros((*shape, len(group)))
+        for b, (probs, _, _) in enumerate(group):
+            padded[(*map(slice, probs.shape), b)] = probs
+        joint = DiscreteJoint(padded, [np.arange(k, dtype=float) for k in shape], 1)
+        centers = np.stack([c for _, c, _ in group], axis=-1)
+        splits = np.array([s for _, _, s in group])
+        weight = CentralWeight(centers)
+        chain, chain_w = chain_rule_de_check(joint), chain_rule_wde_check(joint, weight)
+        mutual = mutual_de_decomposition_check(joint)
+        mutual_w = mutual_wde_decomposition_check(joint, weight)
+        found = [
+            ("chain-rule-de", chain.lhs - chain.rhs),
+            ("chain-rule-wde", chain_w.lhs - chain_w.rhs),
+            ("mutual-de-decomposition", mutual.lhs - mutual.rhs),
+            ("mutual-de-decomposition", mutual.lhs - mutual.rhs_expectation),
+            ("mutual-wde-decomposition", mutual_w.lhs - mutual_w.rhs),
+        ]
+        for split in dict.fromkeys(splits.tolist()):
+            part = splits == split
+            sub = DiscreteJoint(padded[..., part], joint.support, 1)
+            wx, wy = CentralWeight(centers[:split, part]), CentralWeight(centers[split:, part])
+            for name, res in (
+                ("relative-de-identity", relative_de_identity_check(sub, split)),
+                ("relative-we-identity", relative_we_identity_check(sub, wx, wy, split)),
+            ):
+                found += [(name, res.lhs - res.rhs), (name, res.mutual - res.expected)]
+        for name, dev in found:
+            devs.setdefault(name, []).append(np.max(np.abs(dev)))
+    for name, dev in devs.items():
+        point = {"cases": cfg.discrete_cases}
+        checks.append(_record(name, "discrete-identity", point, float(np.max(dev)), IDENTITY_TOL))
 
 
 def _check_monte_carlo(checks, cfg):

@@ -326,6 +326,11 @@ def _outer(vectors) -> np.ndarray:
     return reduce(np.multiply.outer, vectors)
 
 
+def pmf_marginal(joint: DiscreteJoint, k: int) -> np.ndarray:
+    """The marginal of one pmf's k-th coordinate."""
+    return joint.probs.sum(axis=tuple(j for j in range(joint.ndim) if j != k))
+
+
 def _squared_devs(
     joint: DiscreteJoint, weight: CentralWeight | None, axes=None
 ) -> list[np.ndarray]:
@@ -388,7 +393,7 @@ def reference_mutual_de_decomposition_check(joint: DiscreteJoint) -> MutualDecom
     """
     p = joint.probs
     n = p.ndim
-    marginals = [joint.marginal([k]) for k in range(n)]
+    marginals = [pmf_marginal(joint, k) for k in range(n)]
     product = _outer(marginals)
     mask = p > 0
     lhs = float((_xlogy(p, p)[mask] - _xlogy(p, product)[mask]).sum())
@@ -422,7 +427,7 @@ def reference_mutual_wde_decomposition_check(
     n = p.ndim
     sq = _squared_devs(joint, weight)
     full_weight = _outer(sq)
-    marginals = [joint.marginal([k]) for k in range(n)]
+    marginals = [pmf_marginal(joint, k) for k in range(n)]
     product = _outer(marginals)
     mask = p > 0
     lhs = float(

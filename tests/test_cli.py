@@ -977,3 +977,14 @@ def test_verify_matches_golden_bytes(capsys, tmp_path):
     argv = ["verify", "--mc-samples", "1000", "--discrete-cases", "2", "--out", str(out)]
     assert run(capsys, argv)[0] == 0
     assert out.read_bytes() == (DATA_DIR / "verify_golden_small.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [VerifyConfig().seed, 1])
+def test_default_verify_keeps_the_recorded_checks_and_verdicts(seed):
+    # the default basket pads most of its 50 discrete pmfs into their batch's
+    # shape, which the small golden's two pmfs, each alone in its batch, never do
+    signature = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify_signature.json"
+    report = verify.run_verify(VerifyConfig(seed=seed))
+    checks = [[c["formula"], c["mode"], c["verdict"]] for c in report["checks"]]
+    assert checks == json.loads(signature.read_text())["checks"]
+    assert report["n_failed"] == 0

@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import (
+    pmf_marginal,
     reference_chain_rule_wde_check,
     reference_mutual_de_decomposition_check,
     reference_mutual_wde_decomposition_check,
@@ -20,6 +24,7 @@ from wentropy.discrete import (
 from wentropy.quadrature import CentralWeight
 
 TOL = 1e-10
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def product_joint(rng, dims):
@@ -47,7 +52,7 @@ def test_chain_rule_de_product_pmf():
     rng = np.random.default_rng(1)
     joint = product_joint(rng, (3, 4, 2))
     lhs, rhs = chain_rule_de_check(joint)
-    independent_sum = sum(entropy(joint.marginal([k])) for k in range(3))
+    independent_sum = sum(entropy(pmf_marginal(joint, k)) for k in range(3))
     assert lhs == pytest.approx(rhs, abs=1e-12)
     assert rhs == pytest.approx(independent_sum, abs=1e-12)
 
@@ -295,3 +300,92 @@ def test_checkers_match_the_loop_reference():
             for a, b in zip(arrays(new), arrays(ref), strict=True):
                 assert a.shape == b.shape
                 assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+
+def checker_results(joint, centers, split):
+    """Every checker on ``joint``, weighted around ``centers`` ((n,) or (n, *batch)),
+    the relative ones at ``split``."""
+    weight = CentralWeight(centers)
+    wx, wy = CentralWeight(centers[:split]), CentralWeight(centers[split:])
+    return [
+        chain_rule_de_check(joint),
+        chain_rule_wde_check(joint, weight),
+        mutual_de_decomposition_check(joint),
+        mutual_wde_decomposition_check(joint, weight),
+        relative_de_identity_check(joint, split),
+        relative_we_identity_check(joint, wx, wy, split),
+    ]
+
+
+def one_atom(shape):
+    probs = np.zeros(shape)
+    probs[(1,) * len(shape)] = 1.0
+    return DiscreteJoint(probs, tuple(np.arange(k, dtype=float) for k in shape))
+
+
+def recorded_outputs():
+    """Every output of every checker, as float.hex strings, on seeded pmfs with
+    n = 2..4 at every split: random, zeroed and one-atom pmfs, one at a time."""
+    rng = np.random.default_rng(37)
+    outputs = []
+    for case in range(9):
+        n = 2 + case % 3
+        dims = tuple(int(rng.integers(2, 5)) for _ in range(n))
+        joint = (random_joint, zeroed_joint, lambda _, d: one_atom(d))[case // 3](rng, dims)
+        centers = rng.uniform(-1.0, 1.0, size=n)
+        for split in range(1, n):
+            for result in checker_results(joint, centers, split):
+                outputs.append([float(v).hex() for a in arrays(result) for v in a.ravel()])
+    return outputs
+
+
+def test_one_pmf_keeps_the_bits_recorded_before_batches():
+    # recorded from the per-pmf checkers before they took batches: one pmf, the
+    # batch of shape (), must still get exactly those bits
+    recorded = json.loads((DATA_DIR / "discrete_checker_bits.json").read_text())
+    assert recorded_outputs() == recorded
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_batch_member_equals_the_pmf_checked_alone(n):
+    # members of the batch's own shape get their bits alone; smaller members,
+    # padded with zero cells, differ only by the order of their sums: at most
+    # 1e-14 * max(1, |alone|), fixed before the test was first run
+    rng = np.random.default_rng(40 + n)
+    shape = tuple(int(rng.integers(2, 5)) for _ in range(n))
+    members = [random_joint(rng, shape), zeroed_joint(rng, shape), one_atom(shape)]
+    members += [random_joint(rng, [int(rng.integers(1, k + 1)) for k in shape]) for _ in range(3)]
+    members += [zeroed_joint(rng, [max(2, k - 1) for k in shape]), one_atom((2,) * n)]
+    padded = np.zeros(shape + (len(members),))
+    for b, member in enumerate(members):
+        padded[(*map(slice, member.probs.shape), b)] = member.probs
+    batch = DiscreteJoint(padded, [np.arange(k, dtype=float) for k in shape], 1)
+    centers = rng.uniform(-1.0, 1.0, size=(n, len(members)))
+    for split in range(1, n):
+        together = checker_results(batch, centers, split)
+        for b, member in enumerate(members):
+            alone = checker_results(member, centers[:, b], split)
+            for got, want in zip(together, alone, strict=True):
+                assert type(got) is type(want)
+                for a, r in zip(arrays(got), arrays(want), strict=True):
+                    a = a[..., b][tuple(map(slice, r.shape))]
+                    if member.probs.shape == shape:
+                        assert np.array_equal(a, r)
+                    else:
+                        assert np.all(np.abs(a - r) <= 1e-14 * np.maximum(1.0, np.abs(r)))
+
+
+def test_a_refused_batch_names_its_first_refused_member():
+    labels = (np.arange(2.0),)
+    even = [0.5, 0.5]
+    with pytest.raises(ValueError, match=r"^probabilities sum to 1\.25, not 1 \(batch member \(1,\)\)$"):
+        DiscreteJoint(np.array([even, [0.75, 0.5], [1.5, -0.5]]).T, labels, 1)
+    with pytest.raises(ValueError, match=r"^probabilities must be nonnegative \(batch member \(2,\)\)$"):
+        DiscreteJoint(np.array([even, even, [1.5, -0.5]]).T, labels, 1)
+    # two batch axes: the first refused member in C order
+    probs = np.full((2, 2, 3), 0.5)
+    probs[:, 1, 0], probs[:, 0, 2] = 0.25, 0.75
+    with pytest.raises(ValueError, match=r"sum to 1\.5, not 1 \(batch member \(0, 2\)\)$"):
+        DiscreteJoint(probs, labels, 2)
+    # a declared batch axis is the one a single pmf refuses as an axis too many
+    assert DiscreteJoint(np.full((2, 2), 0.5), labels, 1).probs.shape == (2, 2)

@@ -351,3 +351,12 @@ def test_matches_quadrature_up_to_order_four():
             quad = moment_quadrature(dist, spec, points=64)
             exact = central_moment(cov, spec)
             assert exact == pytest.approx(quad, rel=1e-5, abs=1e-9)
+
+
+def test_central_moment_checks_its_input_once(monkeypatch):
+    calls = []
+    check = moments._check_spec
+    monkeypatch.setattr(moments, "_check_spec", lambda *a: calls.append(1) or check(*a))
+    cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+    assert central_moment(cov, (2, 2)) == shifted_moment(cov, [0.0, 0.0], (2, 2))
+    assert len(calls) == 2  # one for each call

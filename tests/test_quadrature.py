@@ -511,3 +511,11 @@ def test_family_bases_midpoint_integrals_match_the_exact_rule():
         weight = CentralWeight(dist.mean)
         midpoint = wde_quadrature(dist.pdf, weight, GridSpec.for_gaussians([dist], 96))
         assert abs(midpoint - wde_gauss_hermite(dist, weight)) < 1e-4, (example, rho)
+
+
+def test_central_weight_holds_a_batch_of_centers_but_is_evaluated_for_one():
+    weight = CentralWeight(np.zeros((2, 3)))
+    assert weight.dim == 2 and weight.centers.shape == (2, 3)
+    assert CentralWeight(0.5).centers.shape == (1,)
+    with pytest.raises(ValueError, match=r"a batch of centers \(2, 3\) is not evaluated at points"):
+        weight(np.zeros((4, 2)))
