@@ -53,17 +53,16 @@ class Gaussian:
     member's index.  It caches the lower Cholesky factor (:meth:`chol`) and
     ``log_det`` (a float, or an array of the covariance's batch); ``precision``
     and the inverse factor are cached on first use.  The Gaussians it derives
-    (:meth:`marginal`, :func:`condition`) are new ones, built the same way; it
-    keeps only the gain of :func:`condition` per (kept, given).  :meth:`log_pdf`,
-    :meth:`pdf` and :meth:`sampler` refuse a batch.  ``==`` is identity: arrays
-    compared elementwise have no truth value.
+    (:meth:`marginal`, :func:`condition`) are new ones, built the same way, and
+    none is kept: :func:`condition` checks its split and solves its gain on every
+    call.  :meth:`log_pdf`, :meth:`pdf` and :meth:`sampler` refuse a batch.
+    ``==`` is identity: arrays compared elementwise have no truth value.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     _lower: np.ndarray = field(init=False, repr=False)
     log_det: float | np.ndarray = field(init=False, repr=False)
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -253,44 +252,43 @@ def condition(dist: Gaussian, kept, given, value) -> Gaussian:
     mean (len(kept), *batch, n) whose last index k is the mean at ``value[:, k]``,
     bit for bit when one coordinate is given, and one shared covariance
     (len(kept), len(kept), *batch, 1).  An empty given-set returns the marginal
-    on the kept coordinates exactly.  The split is checked (disjoint, distinct
-    indices in range, an invertible given block) and its gain solved for the
-    whole batch on first use per (kept, given), and kept by ``dist``; the
-    value's shape, finiteness and length are checked on every call.
+    on the kept coordinates exactly.  Every call checks the value's shape and
+    finiteness, then the split (disjoint, distinct indices in range, an
+    invertible given block), then the value's length, and solves the gain for
+    the whole batch: nothing is kept between calls.
     """
     kept, given = tuple(map(int, kept)), tuple(map(int, given))
     value = as_float_array(np.atleast_1d(value), "value", ndim=2 if np.ndim(value) == 2 else 1)
     a, b = list(kept), list(given)
-    key, cov = ("gain", kept, given), _stacked(dist.cov)
-    if key not in dist._derived:
-        if set(kept) & set(given):
-            raise ValueError(f"kept {kept} and given {given} overlap")
-        if len(set(kept)) != len(kept) or len(set(given)) != len(given):
-            raise ValueError("kept/given indices must be distinct")
-        for i in a + b:
-            if not 0 <= i < dist.dim:
-                raise ValueError(f"index {i} out of range for dimension {dist.dim}")
-        try:
-            lower = np.linalg.cholesky(cov[..., b, :][..., b])
-        except np.linalg.LinAlgError as exc:
-            raise SingularGivenBlockError(
-                f"covariance block of given coordinates {given} is not invertible"
-            ) from exc
-        # two triangular solves per member; the gain is kept as (*batch, kept, given)
-        cov_ba = np.swapaxes(cov[..., a, :][..., b], -1, -2)
-        gain = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, cov_ba))
-        dist._derived[key] = np.swapaxes(gain, -1, -2)
+    if set(kept) & set(given):
+        raise ValueError(f"kept {kept} and given {given} overlap")
+    if len(set(kept)) != len(kept) or len(set(given)) != len(given):
+        raise ValueError("kept/given indices must be distinct")
+    for i in a + b:
+        if not 0 <= i < dist.dim:
+            raise ValueError(f"index {i} out of range for dimension {dist.dim}")
+    cov = _stacked(dist.cov)
+    try:
+        lower = np.linalg.cholesky(cov[..., b, :][..., b])
+    except np.linalg.LinAlgError as exc:
+        raise SingularGivenBlockError(
+            f"covariance block of given coordinates {given} is not invertible"
+        ) from exc
     if len(value) != len(given):
         raise DimensionMismatchError(
             f"value length {len(value)} does not match given set size {len(given)}"
         )
     if not given:
         return dist.marginal(kept)
+    # two triangular solves per member give the gain as (*batch, kept, given)
+    cov_ba = np.swapaxes(cov[..., a, :][..., b], -1, -2)
+    gain = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, cov_ba))
+    gain = np.swapaxes(gain, -1, -2)
     # one value is one column; each member's block is a new C-ordered array, as alone
-    gain, block = dist._derived[key], value.reshape(value.shape[:1] + (value.shape[1:] or (1,)))
+    block = value.reshape(value.shape[:1] + (value.shape[1:] or (1,)))
     shift = gain @ (block - np.moveaxis(dist.mean[b], 0, -1)[..., None])
     mean = dist.mean[a][..., None] + np.moveaxis(shift, -2, 0)  # the columns follow the batch
-    cov = cov[..., a, :][..., a] - gain @ np.swapaxes(cov[..., a, :][..., b], -1, -2)
+    cov = cov[..., a, :][..., a] - gain @ cov_ba
     cov = np.moveaxis(0.5 * (cov + np.swapaxes(cov, -1, -2)), (-2, -1), (0, 1))
     return Gaussian(mean, cov[..., None]) if value.ndim == 2 else Gaussian(mean[..., 0], cov)
 

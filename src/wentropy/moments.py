@@ -101,10 +101,13 @@ def central_moment(cov, exponents) -> float:
     """E[prod_i Y_i^{r_i}] for centered jointly Gaussian Y with covariance ``cov``.
 
     Odd total order returns exactly 0 without evaluation; even order is the
-    shifted moment at zero shifts; a (d, d, *batch) ``cov`` gives them over its batch.
+    shifted moment at zero shifts; a (d, d, *batch) ``cov`` gives them over its
+    batch, an odd order a (*batch) array of zeros.
     """
     cov, (r,) = _check_spec(cov, [exponents])
-    return 0.0 if sum(r) % 2 else _fill(cov, np.zeros(len(r)), [r])[0]
+    if sum(r) % 2:
+        return np.zeros(cov.shape[2:]) if cov.ndim > 2 else 0.0
+    return _fill(cov, np.zeros(len(r)), [r])[0]
 
 
 def shifted_moments(cov, deltas, exponent_rows) -> list:

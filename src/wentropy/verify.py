@@ -107,18 +107,20 @@ def _gibbs(point, gap, rel_w, rel_q):
     )
 
 
-def _worst(candidates):
-    """The first ``(dev, ...)`` candidate whose dev is within rounding of the
-    largest: dev >= max - max(WORST_RTOL * max, WORST_FLOOR)."""
-    top = max(c[0] for c in candidates)
+def _worst(devs) -> int:
+    """Index of the first deviation within rounding of the largest, dev >= max -
+    max(WORST_RTOL * max, WORST_FLOOR), or of the first NaN: a NaN is never passed over."""
+    devs = np.asarray(devs, dtype=float)
+    top = float(devs.max())  # NaN if any deviation is NaN
     cut = top - max(WORST_RTOL * top, WORST_FLOOR)
-    return next(c for c in candidates if c[0] >= cut)
+    return int(np.argmax(np.isnan(devs) | (devs == top) | (devs >= cut)))
 
 
-def _worst_transcription(formula, rows, mode="paper-vs-wick", limit=None):
-    """The transcription record of the worst ``(paper, wick, point)`` row."""
-    _, paper, wick, point = _worst([(abs(p - w), p, w, pt) for p, w, pt in rows])
-    return _transcription(formula, point, paper, wick, mode, limit)
+def _worst_transcription(formula, points, papers, wicks, mode="paper-vs-wick", limit=None):
+    """The transcription record at the worst of ``points``, ``papers`` and ``wicks`` alike."""
+    papers, wicks = _flat(papers), _flat(wicks)
+    i = _worst(np.abs(np.subtract(papers, wicks)))
+    return _transcription(formula, points[i], papers[i], wicks[i], mode, limit)
 
 
 def _random_spd(rng: np.random.Generator) -> np.ndarray:
@@ -155,13 +157,12 @@ def _flat(values) -> list:
 def _check_xi(checks, cfg):
     rng = np.random.default_rng(cfg.seed)
     covs = [_random_spd(rng) for _ in range(100)]
-    wicks = central_moment(np.stack(covs, -1), (2, 2, 2)).tolist()
-    candidates = []
-    for cov, wick in zip(covs, wicks):
-        paper = cf.xi(cov)
-        candidates.append((abs(paper - wick) / abs(wick), paper, wick))
-    rel, paper, wick = _worst(candidates)
-    point = {"matrices": 100, "worst_rel_dev": rel}
+    wicks = central_moment(np.stack(covs, -1), (2, 2, 2))
+    papers = np.array([cf.xi(cov) for cov in covs])
+    rels = np.abs(papers - wicks) / np.abs(wicks)
+    i = _worst(rels)
+    paper, wick = float(papers[i]), float(wicks[i])
+    point = {"matrices": 100, "worst_rel_dev": float(rels[i])}
     checks.append(_transcription("Xi-identity", point, paper, wick, limit=XI_RTOL * abs(wick)))
 
 
@@ -193,8 +194,9 @@ def _check_weightednormal(checks, bases):
 def _check_printed_theta(checks, pairs):
     for example, (points, grid) in pairs.items():
         printed = cf.example1_theta_paper if example == 1 else cf.example2_theta_paper
-        rows = [(printed(p["rho"], p["x3"]), w, p) for p, w in zip(points, _flat(cf.theta(grid)))]
-        checks.append(_worst_transcription(f"Theta-example{example}", rows))
+        papers = [printed(p["rho"], p["x3"]) for p in points]
+        formula = f"Theta-example{example}"
+        checks.append(_worst_transcription(formula, points, papers, cf.theta(grid)))
 
 
 def _check_conditional_moments(checks, pairs):
@@ -211,13 +213,12 @@ def _check_conditional_moments(checks, pairs):
                     lam_p = [lam_printed(p["rho"], p["x3"], i, j) for p in points]
                     ups_p = [ups_printed(p["rho"], p["x3"], i, j) for p in points]
                 else:
-                    lam_p = _flat(cf.lambda_bar(grid, i, j, "paper"))
-                    ups_p = _flat(cf.upsilon(grid, i, j, "paper"))
-                lams = zip(lam_p, _flat(cf.lambda_bar(grid, i, j, "wick")), points)
-                upss = zip(ups_p, _flat(cf.upsilon(grid, i, j, "wick")), points)
+                    lam_p = cf.lambda_bar(grid, i, j, "paper")
+                    ups_p = cf.upsilon(grid, i, j, "paper")
+                lam_w, ups_w = cf.lambda_bar(grid, i, j, "wick"), cf.upsilon(grid, i, j, "wick")
                 name = f"{i + 1}{j + 1}-example{example}{suffix}"
-                checks.append(_worst_transcription(f"LambdaBar_{name}", lams))
-                checks.append(_worst_transcription(f"Upsilon_{name}", upss))
+                checks.append(_worst_transcription(f"LambdaBar_{name}", points, lam_p, lam_w))
+                checks.append(_worst_transcription(f"Upsilon_{name}", points, ups_p, ups_w))
 
 
 def _pair_quadratures(cond, pair):
@@ -268,26 +269,22 @@ def _check_pair_formulas(checks, bases, pairs):
 def _check_relative_de(checks, cfg):
     # first family, one (rho, x3) grid: printed form against the generic
     # paper-mode formula, corrected mode against the KL oracle of each point's
-    # conditional from its pair marginal
-    printed_rows, kl_rows = [], []
+    # conditional from its pair marginal, all read at one flat (rho, x3) index
     rhos, x3s = np.linspace(-0.7, 0.7, 29), np.linspace(-3.0, 3.0, 31)
     grid = cf.PairConditional(cf.example1_cov(rhos), x3s)
-    generics, correcteds = (cf.relative_de_pair(grid, mode) for mode in ("paper", "corrected"))
+    printed = np.ravel([cf.example1_relative_de_paper(rho, x3s) for rho in rhos])
+    generic, corrected = (cf.relative_de_pair(grid, m).ravel() for m in ("paper", "corrected"))
     # grid.cond: (29, 31) means on (29, 1) covariances, grid.pair (29, 1): they broadcast
-    kls = gaussian_kl(grid.cond, grid.pair)
-    for b, rho in enumerate(rhos):
-        rows = zip(x3s, cf.example1_relative_de_paper(rho, x3s), generics[b], correcteds[b], kls[b])
-        for x3, printed, generic, corrected, kl in rows:
-            point = {"example": 1, "rho": float(rho), "x3": float(x3)}
-            printed_rows.append((printed, generic, point))
-            kl_rows.append((abs(corrected - kl), corrected, kl, point))
-    checks.append(
-        _worst_transcription(
-            "relative-de-example1-printed", printed_rows, "paper-vs-paper-mode", RELATIVE_DE_TOL
-        )
-    )
-    _, corrected, kl, point = _worst(kl_rows)
-    checks.append(_oracle("relative-de-corrected-vs-kl", "oracle", point, corrected, kl, KL_TOL))
+    kl = gaussian_kl(grid.cond, grid.pair).ravel()
+
+    def at(i):
+        return {"example": 1, "rho": float(rhos[i // len(x3s)]), "x3": float(x3s[i % len(x3s)])}
+
+    formula, mode = "relative-de-example1-printed", "paper-vs-paper-mode"
+    i = _worst(np.abs(printed - generic))
+    checks.append(_transcription(formula, at(i), printed[i], generic[i], mode, RELATIVE_DE_TOL))
+    formula, i = "relative-de-corrected-vs-kl", _worst(np.abs(corrected - kl))
+    checks.append(_oracle(formula, "oracle", at(i), corrected[i], kl[i], KL_TOL))
     # second family: its printed closed form equals the corrected value, and
     # sits exactly 1 below the generic paper-mode representation
     pc = cf.PairConditional.from_example2(0.25, 1.0)

@@ -708,11 +708,33 @@ def test_verify_worst_point_ignores_rounding_level_perturbations():
     for dev in (0.4718592, 3.0e-15, 0.0):
         for _ in range(20):
             noise = rng.uniform(-4e-16, 4e-16, size=8)
-            candidates = [(dev * (1 + e) + abs(e), k) for k, e in enumerate(noise)]
-            assert _worst(candidates) == candidates[0]
-    candidates = [(1.0, 0), (1.0 + 2e-9, 1), (1.0 + 2e-9 * (1 + 1e-15), 2)]
-    assert _worst(candidates) == candidates[1]
-    assert _worst([(1e-13, "a"), (2e-12, "b")]) == (2e-12, "b")
+            devs = [dev * (1 + e) + abs(e) for e in noise]
+            assert _worst(devs) == 0
+    assert _worst([1.0, 1.0 + 2e-9, 1.0 + 2e-9 * (1 + 1e-15)]) == 1
+    assert _worst([1e-13, 2e-12]) == 1
+
+
+def test_verify_worst_point_is_the_first_nan():
+    # max() passes over a NaN that is not first: a NaN deviation must be reported
+    assert _worst([0.1, math.nan, 0.2]) == 1
+    assert _worst([math.nan, 1.0]) == 0
+    assert _worst([0.1, math.inf, 0.2, math.inf]) == 1
+
+
+def test_a_nan_kl_fails_the_relative_de_oracle_and_names_its_point(monkeypatch):
+    def nan_at_one_point(f, g):
+        kl = gaussian.gaussian_kl(f, g).copy()
+        kl[3, 7] = math.nan
+        return kl
+
+    monkeypatch.setattr(verify, "gaussian_kl", nan_at_one_point)
+    checks = []
+    verify._check_relative_de(checks, VerifyConfig())
+    (record,) = [c for c in checks if c["formula"] == "relative-de-corrected-vs-kl"]
+    rhos, x3s = np.linspace(-0.7, 0.7, 29), np.linspace(-3.0, 3.0, 31)
+    assert record["point"] == {"example": 1, "rho": rhos[3], "x3": x3s[7]}
+    assert math.isnan(record["quadrature_value"]) and math.isnan(record["abs_dev"])
+    assert record["verdict"] == "FAIL"
 
 
 def test_gibbs_implication_fails_only_below_the_floor_at_a_nonnegative_gap():
@@ -988,3 +1010,13 @@ def test_default_verify_keeps_the_recorded_checks_and_verdicts(seed):
     checks = [[c["formula"], c["mode"], c["verdict"]] for c in report["checks"]]
     assert checks == json.loads(signature.read_text())["checks"]
     assert report["n_failed"] == 0
+
+
+@pytest.mark.parametrize("seed, golden", [(None, "default"), (1, "seed1")])
+def test_default_verify_matches_golden_bytes(seed, golden):
+    # the whole default report, every abs_dev bit included, in a new interpreter
+    # as the console script runs it
+    script = "import sys\nfrom wentropy.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    args = ["verify"] + ([] if seed is None else ["--seed", str(seed)])
+    done = run_fresh(script, *args)
+    assert done.stdout == (DATA_DIR / f"verify_golden_{golden}.json").read_bytes()

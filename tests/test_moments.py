@@ -177,7 +177,20 @@ def test_a_batch_of_covariances_equals_per_covariance_calls_bit_for_bit():
         assert values.shape == (4, 1)
         single = [central_moment(c, r) for c in covs]
         assert values.ravel().tobytes() == np.array(single).tobytes(), r
-    assert central_moment(cov, (1, 2, 2)) == 0.0
+    assert np.array_equal(central_moment(cov, (1, 2, 2)), np.zeros((4, 1)))
+
+
+def test_an_odd_order_on_a_batch_of_covariances_is_a_batch_of_zeros(monkeypatch):
+    stack = np.stack([np.eye(2)] * 3, axis=-1)  # (2, 2, 3)
+    for r in [(1, 2), (0, 1), (3, 2)]:
+        shifted = shifted_moments(stack, np.zeros(2), [r])[0]
+        assert central_moment(stack, r).tobytes() == shifted.tobytes() == np.zeros(3).tobytes()
+    assert central_moment(stack, (2, 2)).tolist() == [1.0, 1.0, 1.0]
+    one = central_moment(np.eye(2), (1, 2))
+    assert type(one) is float and one == 0.0
+    # an odd order is still answered without evaluation
+    monkeypatch.setattr(moments, "_fill", None)
+    assert central_moment(stack[..., None], (1, 0)).shape == (3, 1)
 
 
 def test_a_batch_of_covariances_takes_shifts_of_as_many_batch_axes_or_none():

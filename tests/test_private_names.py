@@ -11,8 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wentropy"
 
 
 def private_reads(source: str, filename: str, namespace: dict) -> list:
-    """Every underscore attribute of an imported module that ``source`` reads,
-    and every ``_derived`` it reads unless it is gaussian.py, as
+    """Every underscore attribute of an imported module that ``source`` reads, as
     ``file:line: expression``.  ``namespace`` holds the module's globals, which
     tell an imported module from an imported function or class."""
     tree = ast.parse(source)
@@ -29,8 +28,7 @@ def private_reads(source: str, filename: str, namespace: dict) -> list:
         if node.attr.startswith("__") and node.attr.endswith("__"):
             continue
         name = node.value.id if isinstance(node.value, ast.Name) else None
-        of_module = name in imported and isinstance(namespace.get(name), types.ModuleType)
-        if of_module or (node.attr == "_derived" and filename != "gaussian.py"):
+        if name in imported and isinstance(namespace.get(name), types.ModuleType):
             found.append(f"{filename}:{node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -49,12 +47,8 @@ def test_private_reads_finds_what_it_guards_against():
         "from . import closedform as cf\n"
         "from .gaussian import condition\n"
         "row = cf._PairRow\n"
-        "gain = base._derived\n"
         "fine = (cf.PairConditional, cf.__name__, condition._private, pc._moments)\n"
     )
     namespace = {"cf": closedform, "condition": closedform.condition}
-    assert private_reads(source, "cli.py", namespace) == [
-        "cli.py:3: cf._PairRow",
-        "cli.py:4: base._derived",
-    ]
+    assert private_reads(source, "cli.py", namespace) == ["cli.py:3: cf._PairRow"]
     assert private_reads(source, "gaussian.py", namespace) == ["gaussian.py:3: cf._PairRow"]
