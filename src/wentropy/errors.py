@@ -51,10 +51,13 @@ class ZeroAcceptanceError(WentropyError):
     """The random-walk sampler accepted (almost) no proposals after burn-in."""
 
 
-def as_int(value, name: str) -> int:
-    """``value`` as an int; a non-integral one raises ``ValueError`` naming ``name``."""
+def as_int(value, name: str, nonnegative: bool = False) -> int:
+    """``value`` as an int; a non-integral one, or a negative one if ``nonnegative``, raises
+    ``ValueError`` naming ``name``."""
     if int(value) != value:  # int() alone would truncate 1.5 to 1
         raise ValueError(f"{name} {value} is not an integer")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be non-negative, got {int(value)}")
     return int(value)
 
 

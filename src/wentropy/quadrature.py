@@ -1,6 +1,6 @@
 """Gauss-Hermite, Monte Carlo and midpoint oracles for weighted entropy functionals.
 
-For Gaussian densities, ``wde_gauss_hermite`` gives -E_f[phi log ref] exactly, up to rounding.
+For one Gaussian or a batch, ``wde_gauss_hermite`` gives -E_f[phi log ref] exactly, up to rounding.
 
 The Monte Carlo estimator draws and scores its samples in blocks of
 ``MC_BLOCK_ROWS`` rows, so it holds one value per sample and one block's arrays.
@@ -191,7 +191,7 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", as_int(self.samples, "samples"))
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", nonnegative=True))
         if self.samples < 1000:
             raise ValueError(f"need at least 1000 samples, got {self.samples}")
 
@@ -237,13 +237,26 @@ def _hermite_rule(n: int) -> tuple:
     return nodes, weights
 
 
-def wde_gauss_hermite(dist: Gaussian, weight, ref: Gaussian | None = None) -> float:
+def wde_gauss_hermite(dist: Gaussian, weight, ref: Gaussian | None = None) -> float | np.ndarray:
     """-E_f[phi log ref] for a Gaussian f = ``dist``, a Gaussian ``ref`` (default f: the
     weighted entropy of f) and phi None or a :class:`CentralWeight`, by the tensor Gauss-Hermite
     rule in x = mu + L z with dim + 2 nodes per axis.  log ref is quadratic in z, so phi log ref
-    has degree at most 2 dim + 2 in each z_k, and the rule is exact up to rounding."""
+    has degree at most 2 dim + 2 in each z_k, and the rule is exact up to rounding.  ``dist``,
+    ``ref`` and the centers may be batches that broadcast together: the node axes follow the
+    batch axes, so each member's nodes are summed as one contiguous run, to its bits alone."""
     nodes, weights = _hermite_rule(dist.dim + 2)
     z, mass = np.ix_(*[nodes] * dist.dim), math.prod(np.ix_(*[weights] * dist.dim))
-    pts = tuple(m + sum(c * zk for c, zk in zip(row, z)) for m, row in zip(dist.mean, dist.chol()))
-    log_ref = (dist if ref is None else ref).log_pdf(pts)
-    return -float(np.sum(mass * _weight_values(weight, pts, mass.shape) * log_ref))
+    ref = dist if ref is None else ref
+    tail = (...,) + (None,) * dist.dim  # the node axes, after a parameter's batch axes
+    mean, lower = dist.mean[tail], dist.chol()[tail]
+    pts = tuple(m + sum(c * zk for c, zk in zip(row, z)) for m, row in zip(mean, lower))
+    # log ref by Gaussian.log_pdf's operations in its order, on ref's batch
+    centred, quad = [x - m for x, m in zip(coordinates(pts, ref.dim), ref.mean[tail])], 0.0
+    for k, row in enumerate(ref._inv_lower[tail]):
+        quad = np.square(sum(row[j] * centred[j] for j in range(k + 1))) + quad
+    log_ref = -0.5 * (quad + (ref.dim * np.log(2.0 * np.pi) + np.asarray(ref.log_det)[tail]))
+    if weight is not None:  # phi as CentralWeight computes it, at the batch's own centers
+        coords = coordinates(pts, weight.dim)
+        mass = mass * math.prod((x - a) ** 2 for x, a in zip(coords, weight.centers[tail]))
+    value = -np.sum(mass * log_ref, axis=tuple(range(-dist.dim, 0)))
+    return value if value.ndim else float(value)

@@ -123,11 +123,11 @@ def _worst_transcription(formula, points, papers, wicks, mode="paper-vs-wick", l
     return _transcription(formula, points[i], papers[i], wicks[i], mode, limit)
 
 
-def _random_spd(rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(3, 3))
-    q, _ = np.linalg.qr(a)
-    eigs = rng.uniform(0.3, 3.0, size=3)
-    return (q * eigs) @ q.T
+def _random_spd(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` SPD matrices q diag(eigs) q^T, (count, 3, 3), by one stacked QR and product."""
+    draws = [(rng.normal(size=(3, 3)), rng.uniform(0.3, 3.0, size=3)) for _ in range(count)]
+    q, _ = np.linalg.qr(np.stack([a for a, _ in draws]))
+    return (q * np.stack([eigs for _, eigs in draws])[:, None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def _family_bases() -> dict:
@@ -155,9 +155,8 @@ def _flat(values) -> list:
 
 
 def _check_xi(checks, cfg):
-    rng = np.random.default_rng(cfg.seed)
-    covs = [_random_spd(rng) for _ in range(100)]
-    wicks = central_moment(np.stack(covs, -1), (2, 2, 2))
+    covs = _random_spd(np.random.default_rng(cfg.seed), 100)
+    wicks = central_moment(np.moveaxis(covs, 0, -1), (2, 2, 2))
     papers = np.array([cf.xi(cov) for cov in covs])
     rels = np.abs(papers - wicks) / np.abs(wicks)
     i = _worst(rels)
@@ -168,7 +167,7 @@ def _check_xi(checks, cfg):
 
 def _check_lambda_table(checks, cfg):
     rng = np.random.default_rng(cfg.seed + 1)
-    cases = [("Sigma=I", np.eye(3)), ("Sigma=random-spd", _random_spd(rng))]
+    cases = [("Sigma=I", np.eye(3)), ("Sigma=random-spd", _random_spd(rng, 1)[0])]
     for label, cov in cases:
         for i, j in np.ndindex(3, 3):
             paper, wick = cf.lambda_paper(cov, i, j), cf.lambda_wick(cov, i, j)
@@ -222,15 +221,14 @@ def _check_conditional_moments(checks, pairs):
 
 
 def _pair_quadratures(cond, pair):
-    """The conditional's weighted entropy, its weighted cross entropy with the
-    pair marginal and their difference, the weighted divergence, by the exact rule."""
+    """The conditional's weighted entropy, its weighted cross entropy with the pair
+    marginal and their difference, the weighted divergence, by the exact rule: per member."""
     weight = CentralWeight(pair.mean)
-    cond_q = wde_gauss_hermite(cond, weight)
-    cross_q = wde_gauss_hermite(cond, weight, pair)
+    cond_q, cross_q = wde_gauss_hermite(cond, weight), wde_gauss_hermite(cond, weight, pair)
     return cond_q, cross_q, cross_q - cond_q
 
 
-def _check_pair_formulas(checks, bases, pairs):
+def _check_pair_formulas(checks, pairs):
     for example, (points, grid) in pairs.items():
         printed_dw = (
             cf.example1_relative_we_paper if example == 1 else cf.example2_relative_we_paper
@@ -238,18 +236,14 @@ def _check_pair_formulas(checks, bases, pairs):
         cond, cross = cf.cond_wde_pair(grid, "wick"), cf.cross_wde_pair(grid, "wick")
         # each divergence against cross minus conditional of its own mode
         paper = cf.cross_wde_pair(grid, "paper") - cf.cond_wde_pair(grid, "paper")
+        # and the exact rule on the grid's conditionals and pair marginals, one batch
         columns = (
             cond, cross, cf.relative_we_pair(grid, "wick"), cf.relative_we_pair(grid, "paper"),
-            paper, cross - cond, cf.gibbs_gap(grid),
+            paper, cross - cond, cf.gibbs_gap(grid), *_pair_quadratures(grid.cond, grid.pair),
         )
-        # the exact rule on each point's own conditional and its base's pair marginal
-        rhos = dict.fromkeys(p["rho"] for p in points)  # each once, in order
-        marginals = {rho: bases[(example, rho)].marginal([0, 1]) for rho in rhos}
         rows = zip(points, *map(_flat, columns))
-        for point, cond_w, cross_w, rel_w, rel_p, rhs_p, rhs_w, gap in rows:
+        for point, cond_w, cross_w, rel_w, rel_p, rhs_p, rhs_w, gap, cond_q, cross_q, rel_q in rows:
             rho, x3 = point["rho"], point["x3"]
-            own = cf.condition(bases[(example, rho)], (0, 1), (2,), [x3])
-            cond_q, cross_q, rel_q = _pair_quadratures(own, marginals[rho])
             for formula, wick, quad in (
                 ("cond-wde-pair", cond_w, cond_q),
                 ("cross-wde-pair", cross_w, cross_q),
@@ -375,7 +369,7 @@ def run_verify(cfg: VerifyConfig | None = None) -> dict:
     _check_weightednormal(checks, bases)
     _check_printed_theta(checks, pairs)
     _check_conditional_moments(checks, pairs)
-    _check_pair_formulas(checks, bases, pairs)
+    _check_pair_formulas(checks, pairs)
     _check_relative_de(checks, cfg)
     _check_discrete(checks, cfg)
     _check_monte_carlo(checks, cfg)

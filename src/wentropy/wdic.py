@@ -382,7 +382,7 @@ class SamplerConfig:
         object.__setattr__(self, "steps", as_int(self.steps, "steps"))
         object.__setattr__(self, "burn_in", as_int(self.burn_in, "burn_in"))
         object.__setattr__(self, "step_size", float(self.step_size))
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", nonnegative=True))
         if not (self.steps > self.burn_in >= 0):
             raise ValueError(
                 f"need steps > burn_in >= 0, got steps={self.steps}, burn_in={self.burn_in}"

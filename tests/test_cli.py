@@ -791,12 +791,10 @@ def test_monte_carlo_check_allows_four_standard_errors(monkeypatch, k, verdict):
 def test_verify_builds_each_case_once(monkeypatch):
     # PairConditionals: one grid per family for the 20 pair cases, one for the
     # relative-de scan and two single points (5); the counts do not depend on
-    # the x3 grid.  Each conditions its base once (5), and the exact rule takes
-    # each pair case's own conditional (20); the relative-de KL oracle reads
-    # the grid's batched pair and conditional, so there is no other condition
-    # call.  Validations: 6 family bases, 5 PairConditionals of a base, a pair
-    # and a conditional each (15; a batch is one), and the exact rule's 20
-    # conditionals and 5 pair marginals, one per pair-case rho
+    # the x3 grid.  Each conditions its base once (5).  The exact rule and the
+    # relative-de KL oracle read the grids' batched pairs and conditionals, so
+    # there is no other condition call.  Validations: 6 family bases, and 5
+    # PairConditionals of a base, a pair and a conditional each (15; a batch is one)
     counts = {"validate": 0, "pair": 0, "condition": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
     condition = gaussian.condition
@@ -821,7 +819,7 @@ def test_verify_builds_each_case_once(monkeypatch):
     verify.run_verify(
         VerifyConfig(mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 46, "pair": 5, "condition": 25}
+    assert counts == {"validate": 21, "pair": 5, "condition": 5}
 
 
 def test_verify_pair_cases_hold_only_validated_gaussians(monkeypatch):
@@ -927,6 +925,28 @@ def test_verify_rejects_fewer_than_one_discrete_case(
     field = next(f for f in dataclasses.fields(VerifyConfig) if f.name == name)
     with pytest.raises(ValueError, match=message):
         VerifyConfig(**{name: type(field.default)(value)})
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["verify", "--seed=-1"], -1),
+        (["wdic", "--data", str(DATA_DIR / "toy_data.csv"), "--sample", "3000,100,0.1,-4"], -4),
+    ],
+    ids=["verify", "wdic"],
+)
+def test_a_negative_seed_is_refused_before_anything_is_drawn(
+    capsys, tmp_path, monkeypatch, argv, seed
+):
+    entered = []
+    monkeypatch.setattr(cli, "metropolis_sample", lambda *args: entered.append(args))
+    for name in [n for n in vars(verify) if n.startswith("_check_")]:
+        monkeypatch.setattr(verify, name, lambda checks, cfg, name=name: entered.append(name))
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, argv + ["--out", str(out)])
+    assert (code, stdout, err) == (2, "", f"error: seed must be non-negative, got {seed}\n")
+    assert not out.exists()
+    assert entered == []
 
 
 def test_verify_refuses_the_removed_grid_settings(capsys, tmp_path, monkeypatch):

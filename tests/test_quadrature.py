@@ -505,6 +505,41 @@ def test_wde_gauss_hermite_matches_the_wick_kernel():
             assert rule == pytest.approx(wick, rel=1e-12), dim
 
 
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_wde_gauss_hermite_gives_each_batch_member_its_bits_alone(dim):
+    rng = np.random.default_rng(70 + dim)
+    batch = (3, 2)
+
+    def covs():  # one covariance per row, shared along the second batch axis
+        return np.stack([rand_spd(rng, dim) for _ in range(3)], -1)[..., None]
+
+    def at(a, lead, index):  # a's member at ``index``; an axis of length 1 is shared
+        shared = tuple(i if n > 1 else 0 for i, n in zip(index, a.shape[lead:]))
+        return a[(slice(None),) * lead + shared]
+
+    def member(g, index):
+        return None if g is None else Gaussian(at(g.mean, 1, index), at(g.cov, 2, index))
+
+    dist = Gaussian(rng.normal(size=(dim, *batch)), covs())
+    ref = Gaussian(rng.normal(size=(dim, 3, 1)), covs())
+    one = CentralWeight(rng.normal(size=dim))
+    centers = CentralWeight(rng.normal(size=(dim, *batch)))
+    cases = {
+        "shared-cov": (dist, one, None),
+        "batched-ref": (dist, one, ref),
+        "batched-centers": (dist, centers, ref),
+        "unit-weight": (dist, None, ref),
+    }
+    for name, (f, weight, g) in cases.items():
+        batched = wde_gauss_hermite(f, weight, g)
+        assert batched.shape == batch, name
+        for index in np.ndindex(batch):
+            w = weight if weight is not centers else CentralWeight(at(centers.centers, 1, index))
+            alone = wde_gauss_hermite(member(f, index), w, member(g, index))
+            assert type(alone) is float
+            assert batched[index] == alone, (name, index)
+
+
 def test_family_bases_midpoint_integrals_match_the_exact_rule():
     # the 96^3 midpoint integrals verify checked wick against before the rule
     for (example, rho), dist in verify._family_bases().items():

@@ -32,6 +32,7 @@ NEVER_CALLED = {
     "quadrature._log0": GRID_GATE,
     "quadrature.relative_wde_quadrature": GRID_GATE,
     "gaussian.gaussian_de": "the paper's differential entropy formula, in both modes",
+    "gaussian.Gaussian.marginal": "what condition returns for an empty given set",
 }
 
 
