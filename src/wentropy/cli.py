@@ -223,16 +223,17 @@ def _cmd_wdic(args) -> int:
     if args.draws is not None:
         draws = PosteriorDraws.from_csv(args.draws)
     else:
-        parts = args.sample.split(",")
-        if len(parts) != 4:
+        fields = dict(zip(("steps", "burn_in", "step_size", "seed"), args.sample.split(",")))
+        if args.sample.count(",") != 3:
             raise ValueError(f"--sample must be steps,burnin,step,seed, got {args.sample!r}")
-        sampler_cfg = SamplerConfig(
-            steps=int(parts[0]), burn_in=int(parts[1]),
-            step_size=float(parts[2]), seed=int(parts[3]),
-        )
-        draws = metropolis_sample(
-            model, default_log_prior(model, args.prior_scale), data, sampler_cfg
-        )
+        for name, text in fields.items():
+            try:
+                fields[name] = float(text) if name == "step_size" else int(text)
+            except ValueError:
+                kind = "a number" if name == "step_size" else "an integer"
+                raise ValueError(f"--sample {name} must be {kind}, got {text!r}") from None
+        cfg = SamplerConfig(**fields)
+        draws = metropolis_sample(model, default_log_prior(model, args.prior_scale), data, cfg)
         acceptance = draws.acceptance_rate
     result = wdic(model, draws, data, theta_hat_rule=args.theta_hat)
     payload = {

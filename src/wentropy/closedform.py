@@ -138,28 +138,28 @@ def _weighted_cross_entropy(f: Gaussian, g: Gaussian, centers: np.ndarray) -> fl
     return _cross_entropy(g, table[()], lambda i, j: _phi_inner(table, c, i, j))
 
 
-def xi(cov) -> float:
+def xi(cov) -> float | np.ndarray:
     """Transcribed factored form of the sixth-order product moment E[prod Y_k^2].
 
     This factorization is a confirmed identity: it equals
-    ``central_moment(cov, (2, 2, 2))`` to rounding error.
+    ``central_moment(cov, (2, 2, 2))`` to rounding error, also on a (3, 3, *batch) stack.
     """
     s = np.asarray(cov, dtype=float)
-    return float(
+    return (
         s[0, 0] * (s[1, 1] * s[2, 2] + 2.0 * s[1, 2] ** 2)
         + 2.0 * s[0, 1] * (s[0, 1] * s[2, 2] + 2.0 * s[0, 2] * s[1, 2])
         + 2.0 * s[0, 2] * (2.0 * s[0, 1] * s[1, 2] + s[0, 2] * s[1, 1])
     )
 
 
-def lambda_paper(cov, i: int, j: int) -> float:
+def lambda_paper(cov, i: int, j: int) -> float | np.ndarray:
     """Transcribed factored form of E[Y_1^2 Y_2^2 Y_3^2 Y_i Y_j] (0-based i, j).
 
     The factorization drops pairings and provably disagrees with the full
-    eighth-order sum for some (i, j); see :func:`lambda_wick`.
+    eighth-order sum for some (i, j); see :func:`lambda_wick`.  It takes a stack, as :func:`xi`.
     """
     s = np.asarray(cov, dtype=float)
-    return float(
+    return (
         (s[0, 0] * s[1, 1] + 2.0 * s[0, 1] ** 2)
         * (s[2, 2] * s[i, j] + 2.0 * s[2, i] * s[2, j])
     )

@@ -55,8 +55,9 @@ class Gaussian:
     and the inverse factor are cached on first use.  The Gaussians it derives
     (:meth:`marginal`, :func:`condition`) are new ones, built the same way, and
     none is kept: :func:`condition` checks its split and solves its gain on every
-    call.  :meth:`log_pdf`, :meth:`pdf` and :meth:`sampler` refuse a batch.
-    ``==`` is identity: arrays compared elementwise have no truth value.
+    call.  :meth:`log_pdf` and :meth:`pdf` read a batch's axes as the trailing axes
+    of the coordinates, aligned from the right, and give each member the bits of its
+    own call; only :meth:`sampler` refuses a batch.  ``==`` is identity.
     """
 
     mean: np.ndarray
@@ -100,10 +101,6 @@ class Gaussian:
         object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "log_det", log_det if batch else float(log_det))
 
-    def _single(self, method: str) -> None:
-        if self.batch:
-            raise ValueError(f"{method} takes one distribution, got a batch of shape {self.batch}")
-
     @property
     def dim(self) -> int:
         return len(self.mean)
@@ -137,7 +134,6 @@ class Gaussian:
         ``quad += dim log 2 pi + log_det``, then ``quad *= -0.5``, the same
         operations in the same order as ``-0.5 * (constant + quad)``.
         """
-        self._single("log_pdf")
         centred = [x - m for x, m in zip(coordinates(points, self.dim), self.mean)]
         quad = 0.0
         for k, row in enumerate(self._inv_lower):
@@ -152,7 +148,6 @@ class Gaussian:
     def pdf(self, points) -> np.ndarray:
         """Density at ``points``: :meth:`log_pdf`'s new array, exponentiated in
         place (coordinate scalars give a scalar)."""
-        self._single("pdf")
         log_density = self.log_pdf(points)
         out = log_density if isinstance(log_density, np.ndarray) else None
         return np.exp(log_density, out=out)
@@ -164,7 +159,8 @@ class Gaussian:
 
     def sampler(self):
         """Return ``draw(rng, n) -> (n, dim)`` sampling from this distribution."""
-        self._single("sampler")
+        if self.batch:
+            raise ValueError(f"sampler takes one distribution, got a batch of shape {self.batch}")
         # a C-ordered copy of L^T: the product with the F-ordered view lower.T
         # takes a slower path, several times slower for a 2 x 2 factor
         lower_t = np.ascontiguousarray(self._lower.T)

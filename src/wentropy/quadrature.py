@@ -1,6 +1,7 @@
 """Gauss-Hermite, Monte Carlo and midpoint oracles for weighted entropy functionals.
 
-For one Gaussian or a batch, ``wde_gauss_hermite`` gives -E_f[phi log ref] exactly, up to rounding.
+``wde_gauss_hermite`` gives -E_f[phi log ref] exactly, up to rounding, for one Gaussian or a
+batch: it calls ``ref.log_pdf`` and the weight at its nodes, with the batch axes last.
 
 The Monte Carlo estimator draws and scores its samples in blocks of
 ``MC_BLOCK_ROWS`` rows, so it holds one value per sample and one block's arrays.
@@ -43,7 +44,8 @@ MC_BLOCK_ROWS = BLOCK_POINTS // 4
 @dataclass(frozen=True, eq=False)
 class CentralWeight:
     """Product weight phi(x) = prod_i (x_i - a_i)^2 around the centers a, or a
-    batch of them: centers (d, *batch), as a ``Gaussian``'s mean."""
+    batch of them: centers (d, *batch), as a ``Gaussian``'s mean; their batch axes
+    are the trailing axes of the coordinates, as in ``Gaussian.log_pdf``."""
 
     centers: np.ndarray
 
@@ -57,8 +59,6 @@ class CentralWeight:
 
     def __call__(self, points) -> np.ndarray:
         """phi at ``points``, read as :func:`gaussian.coordinates` reads them."""
-        if self.centers.ndim > 1:
-            raise ValueError(f"a batch of centers {self.centers.shape} is not evaluated at points")
         coords = coordinates(points, self.dim)
         return math.prod((x - a) ** 2 for x, a in zip(coords, self.centers))
 
@@ -242,21 +242,19 @@ def wde_gauss_hermite(dist: Gaussian, weight, ref: Gaussian | None = None) -> fl
     weighted entropy of f) and phi None or a :class:`CentralWeight`, by the tensor Gauss-Hermite
     rule in x = mu + L z with dim + 2 nodes per axis.  log ref is quadratic in z, so phi log ref
     has degree at most 2 dim + 2 in each z_k, and the rule is exact up to rounding.  ``dist``,
-    ``ref`` and the centers may be batches that broadcast together: the node axes follow the
-    batch axes, so each member's nodes are summed as one contiguous run, to its bits alone."""
-    nodes, weights = _hermite_rule(dist.dim + 2)
-    z, mass = np.ix_(*[nodes] * dist.dim), math.prod(np.ix_(*[weights] * dist.dim))
+    ``ref`` and the centers may be batches that broadcast together from the right, after the
+    node axes; the node axes are moved last and made contiguous before the sum, so each
+    member's nodes are summed as one run, to its bits alone."""
     ref = dist if ref is None else ref
-    tail = (...,) + (None,) * dist.dim  # the node axes, after a parameter's batch axes
-    mean, lower = dist.mean[tail], dist.chol()[tail]
-    pts = tuple(m + sum(c * zk for c, zk in zip(row, z)) for m, row in zip(mean, lower))
-    # log ref by Gaussian.log_pdf's operations in its order, on ref's batch
-    centred, quad = [x - m for x, m in zip(coordinates(pts, ref.dim), ref.mean[tail])], 0.0
-    for k, row in enumerate(ref._inv_lower[tail]):
-        quad = np.square(sum(row[j] * centred[j] for j in range(k + 1))) + quad
-    log_ref = -0.5 * (quad + (ref.dim * np.log(2.0 * np.pi) + np.asarray(ref.log_det)[tail]))
-    if weight is not None:  # phi as CentralWeight computes it, at the batch's own centers
-        coords = coordinates(pts, weight.dim)
-        mass = mass * math.prod((x - a) ** 2 for x, a in zip(coords, weight.centers[tail]))
-    value = -np.sum(mass * log_ref, axis=tuple(range(-dist.dim, 0)))
+    ranks = (dist.mean.ndim, ref.mean.ndim, 1 if weight is None else weight.centers.ndim)
+    pad = (...,) + (None,) * (max(ranks) - 1)  # an axis of length 1 per batch axis
+    nodes, weights = _hermite_rule(dist.dim + 2)
+    z = [zk[pad] for zk in np.ix_(*[nodes] * dist.dim)]
+    mass = math.prod(np.ix_(*[weights] * dist.dim))[pad]
+    pts = tuple(m + sum(c * zk for c, zk in zip(row, z)) for m, row in zip(dist.mean, dist.chol()))
+    if weight is not None:
+        mass = mass * weight(pts)
+    axes = tuple(range(-dist.dim, 0))
+    terms = np.moveaxis(mass * ref.log_pdf(pts), range(dist.dim), axes)
+    value = -np.sum(np.ascontiguousarray(terms), axis=axes)
     return value if value.ndim else float(value)

@@ -131,10 +131,9 @@ def _random_spd(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _family_bases() -> dict:
-    """One base Gaussian per verified (example, rho)."""
-    bases = {(1, rho): cf.example1_cov(rho) for rho in EXAMPLE1_RHOS}
-    bases.update({(2, rho): cf.example2_cov(rho) for rho in EXAMPLE2_RHOS})
-    return bases
+    """Per example, its verified rhos and one batched base Gaussian of them."""
+    families = ((1, EXAMPLE1_RHOS, cf.example1_cov), (2, EXAMPLE2_RHOS, cf.example2_cov))
+    return {example: (rhos, make(np.array(rhos))) for example, rhos, make in families}
 
 
 def _pair_cases(bases: dict) -> dict:
@@ -144,7 +143,7 @@ def _pair_cases(bases: dict) -> dict:
     cases = {}
     for example, make in ((1, cf.example1_cov), (2, cf.example2_cov)):
         # the first family's rho = 0: conditional equals marginal; covered by the trivial tests
-        rhos = [rho for ex, rho in bases if ex == example and (ex, rho) != (1, 0.0)]
+        rhos = [rho for rho in bases[example][0] if (example, rho) != (1, 0.0)]
         points = [{"example": example, "rho": rho, "x3": x3} for rho in rhos for x3 in PAIR_X3S]
         cases[example] = (points, cf.PairConditional(make(np.array(rhos)), np.array(PAIR_X3S)))
     return cases
@@ -155,9 +154,8 @@ def _flat(values) -> list:
 
 
 def _check_xi(checks, cfg):
-    covs = _random_spd(np.random.default_rng(cfg.seed), 100)
-    wicks = central_moment(np.moveaxis(covs, 0, -1), (2, 2, 2))
-    papers = np.array([cf.xi(cov) for cov in covs])
+    covs = np.moveaxis(_random_spd(np.random.default_rng(cfg.seed), 100), 0, -1)
+    wicks, papers = central_moment(covs, (2, 2, 2)), cf.xi(covs)
     rels = np.abs(papers - wicks) / np.abs(wicks)
     i = _worst(rels)
     paper, wick = float(papers[i]), float(wicks[i])
@@ -182,12 +180,13 @@ def _exact(formula, point, wick, quad):
 
 def _check_weightednormal(checks, bases):
     formula = "weighted-entropy-trivariate"
-    for (example, rho), dist in bases.items():
-        point = {"example": example, "rho": rho}
-        paper, wick = (cf.wde_trivariate(dist, m) for m in ("paper", "wick"))
-        quad = wde_gauss_hermite(dist, CentralWeight(dist.mean))
-        checks.append(_transcription(formula, point, paper, wick))
-        checks.append(_exact(formula, point, wick, quad))
+    for example, (rhos, dist) in bases.items():
+        papers, wicks = (_flat(cf.wde_trivariate(dist, m)) for m in ("paper", "wick"))
+        quads = _flat(wde_gauss_hermite(dist, CentralWeight(dist.mean)))
+        for rho, paper, wick, quad in zip(rhos, papers, wicks, quads):
+            point = {"example": example, "rho": rho}
+            checks.append(_transcription(formula, point, paper, wick))
+            checks.append(_exact(formula, point, wick, quad))
 
 
 def _check_printed_theta(checks, pairs):

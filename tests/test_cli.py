@@ -509,6 +509,8 @@ def test_wdic_sampler_golden(capsys, extra, golden_name):
         (["--sample", "2000,500,nan,1"], "step_size must be positive and finite, got nan"),
         (["--sample", "2000,500,inf,1"], "step_size must be positive and finite, got inf"),
         (["--sample", "2000,1950,0.4,1"], "need at least 100 draws, got 50"),
+        (["--sample", "3000,100,0.1,1.5"], "--sample seed must be an integer, got '1.5'"),
+        (["--sample", "3000.5,100,0.1,1"], "--sample steps must be an integer, got '3000.5'"),
         (["--prior-scale", "0"], "prior scale must be positive and finite, got 0.0"),
         (["--prior-scale=-1"], "prior scale must be positive and finite, got -1.0"),
         (["--prior-scale", "nan"], "prior scale must be positive and finite, got nan"),
@@ -521,7 +523,8 @@ def test_wdic_sampler_golden(capsys, extra, golden_name):
          "prior scale 1e-160 overflows the log prior at the model bound 50.0"),
     ],
     ids=[
-        "step-nan", "step-inf", "50-draws", "scale-0", "scale--1", "scale-nan", "scale-inf",
+        "step-nan", "step-inf", "50-draws", "seed-1.5", "steps-3000.5",
+        "scale-0", "scale--1", "scale-nan", "scale-inf",
         "scale-1e-200", "scale-1e200", "scale-1e-154", "scale-1e-160",
     ],
 )
@@ -793,8 +796,9 @@ def test_verify_builds_each_case_once(monkeypatch):
     # relative-de scan and two single points (5); the counts do not depend on
     # the x3 grid.  Each conditions its base once (5).  The exact rule and the
     # relative-de KL oracle read the grids' batched pairs and conditionals, so
-    # there is no other condition call.  Validations: 6 family bases, and 5
-    # PairConditionals of a base, a pair and a conditional each (15; a batch is one)
+    # there is no other condition call.  Validations: 2 family bases, one batch
+    # of rhos each, and 5 PairConditionals of a base, a pair and a conditional
+    # each (15; a batch is one)
     counts = {"validate": 0, "pair": 0, "condition": 0}
     validate, post_init = gaussian.validate, cf.PairConditional.__post_init__
     condition = gaussian.condition
@@ -819,7 +823,7 @@ def test_verify_builds_each_case_once(monkeypatch):
     verify.run_verify(
         VerifyConfig(mc_samples=1000, discrete_cases=1)
     )
-    assert counts == {"validate": 21, "pair": 5, "condition": 5}
+    assert counts == {"validate": 17, "pair": 5, "condition": 5}
 
 
 def test_verify_pair_cases_hold_only_validated_gaussians(monkeypatch):

@@ -499,14 +499,9 @@ def test_a_batch_keeps_the_unbatched_shape_refusals():
 
 def test_single_distribution_methods_refuse_a_batch():
     batch = example2_cov(np.array([0.1, 0.2]))
-    for method, call in (
-        ("log_pdf", lambda: batch.log_pdf(np.zeros(3))),
-        ("pdf", lambda: batch.pdf(np.zeros(3))),
-        ("sampler", batch.sampler),
-    ):
-        with pytest.raises(ValueError, match=rf"^{method} takes one distribution, got a batch "
-                                             r"of shape \(2,\)$"):
-            call()
+    with pytest.raises(ValueError, match=r"^sampler takes one distribution, got a batch "
+                                         r"of shape \(2,\)$"):
+        batch.sampler()
     with pytest.raises(DimensionMismatchError, match=r"^batches differ: \(2,\) vs \(\)$"):
         gaussian_kl(batch, example2_cov(0.1))
     with pytest.raises(DimensionMismatchError, match=r"^batches differ: \(2,\) vs \(3,\)$"):

@@ -524,11 +524,15 @@ def test_wde_gauss_hermite_gives_each_batch_member_its_bits_alone(dim):
     ref = Gaussian(rng.normal(size=(dim, 3, 1)), covs())
     one = CentralWeight(rng.normal(size=dim))
     centers = CentralWeight(rng.normal(size=(dim, *batch)))
+    # one dist against a batch of refs: batches of different rank align from the right
+    lone = Gaussian(rng.normal(size=dim), rand_spd(rng, dim))
+    refs = Gaussian(rng.normal(size=(dim, *batch)), covs())
     cases = {
         "shared-cov": (dist, one, None),
         "batched-ref": (dist, one, ref),
         "batched-centers": (dist, centers, ref),
         "unit-weight": (dist, None, ref),
+        "one-dist": (lone, one, refs),
     }
     for name, (f, weight, g) in cases.items():
         batched = wde_gauss_hermite(f, weight, g)
@@ -540,17 +544,44 @@ def test_wde_gauss_hermite_gives_each_batch_member_its_bits_alone(dim):
             assert batched[index] == alone, (name, index)
 
 
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_batched_densities_and_weights_give_each_member_its_bits_alone(dim):
+    # the batch axes are the trailing axes of the coordinates, aligned from the right
+    rng = np.random.default_rng(90 + dim)
+    mesh = tuple(x[..., None, None] for x in np.ix_(*(rng.normal(size=4 + k) for k in range(dim))))
+    points = rng.normal(size=(5, dim))
+    full = np.stack([rand_spd(rng, dim) for _ in range(6)], -1).reshape(dim, dim, 3, 2)
+    bare = tuple(x[..., 0, 0] for x in mesh)  # every member's own open mesh
+    layouts = {  # mean, cov, coordinates or points, and a member's own at its index
+        "open-mesh": (rng.normal(size=(dim, 3, 2)), full, mesh, lambda index: bare),
+        "shared-cov": (rng.normal(size=(dim, 3, 2)), full[..., :1], mesh, lambda index: bare),
+        "one-point-each": (rng.normal(size=(dim, 5)), full.reshape(dim, dim, 6)[..., :5], points,
+                           lambda index: points[index]),
+    }
+    for name, (mean, cov, pts, own) in layouts.items():
+        dist, weight = Gaussian(mean, cov), CentralWeight(mean)
+        batched = (dist.log_pdf(pts), dist.pdf(pts), weight(pts))
+        for index in np.ndindex(mean.shape[1:]):
+            shared = tuple(i if n > 1 else 0 for i, n in zip(index, cov.shape[2:]))
+            member = Gaussian(mean[(slice(None), *index)], cov[(slice(None), slice(None), *shared)])
+            x = own(index)
+            alone = (member.log_pdf(x), member.pdf(x), CentralWeight(member.mean)(x))
+            for method, values, value in zip(("log_pdf", "pdf", "weight"), batched, alone):
+                got = values[(..., *index)]
+                assert np.array_equal(got, np.reshape(value, np.shape(got))), (name, method, index)
+
+
 def test_family_bases_midpoint_integrals_match_the_exact_rule():
     # the 96^3 midpoint integrals verify checked wick against before the rule
-    for (example, rho), dist in verify._family_bases().items():
-        weight = CentralWeight(dist.mean)
-        midpoint = wde_quadrature(dist.pdf, weight, GridSpec.for_gaussians([dist], 96))
-        assert abs(midpoint - wde_gauss_hermite(dist, weight)) < 1e-4, (example, rho)
+    for example, (rhos, _) in verify._family_bases().items():
+        for rho in rhos:
+            dist = (example1_cov if example == 1 else example2_cov)(rho)
+            weight = CentralWeight(dist.mean)
+            midpoint = wde_quadrature(dist.pdf, weight, GridSpec.for_gaussians([dist], 96))
+            assert abs(midpoint - wde_gauss_hermite(dist, weight)) < 1e-4, (example, rho)
 
 
 def test_central_weight_holds_a_batch_of_centers_but_is_evaluated_for_one():
     weight = CentralWeight(np.zeros((2, 3)))
     assert weight.dim == 2 and weight.centers.shape == (2, 3)
     assert CentralWeight(0.5).centers.shape == (1,)
-    with pytest.raises(ValueError, match=r"a batch of centers \(2, 3\) is not evaluated at points"):
-        weight(np.zeros((4, 2)))
