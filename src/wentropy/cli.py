@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -96,11 +97,25 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _parse_numbers(flag: str, texts: list, kinds, names=None) -> list:
+    """Each text parsed by its kind, int or float; a text that does not parse is
+    refused by the flag, its field (from ``names``, else ``entry k``) and the text."""
+    values = []
+    for k, (text, kind) in enumerate(zip(texts, kinds), start=1):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            name = names[k - 1] if names else f"entry {k}"
+            raise ValueError(f"--{flag} {name} must be {what}, got {text!r}") from None
+    return values
+
+
 def _parse_range(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--{name} must be lo:hi:steps, got {text!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, steps = _parse_numbers(name, parts, (float, float, int), ("lo", "hi", "steps"))
     if steps < 2:
         raise ValueError(f"--{name} needs steps >= 2, got {steps}")
     if not lo < hi:
@@ -186,6 +201,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_moment(args) -> int:
+    exponents = _parse_numbers("r", args.r.split(","), repeat(int))
+    if args.shift is not None:
+        deltas = _parse_numbers("shift", args.shift.split(","), repeat(float))
     with open(args.cov) as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "cov" not in payload:
@@ -193,11 +211,9 @@ def _cmd_moment(args) -> int:
     cov = np.asarray(payload["cov"], dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:  # one matrix, not a batch
         raise DimensionMismatchError(f"cov must be square, got shape {cov.shape}")
-    exponents = [int(v) for v in args.r.split(",")]
     if args.shift is None:
         value = central_moment(cov, exponents)
     else:
-        deltas = [float(v) for v in args.shift.split(",")]
         value = shifted_moment(cov, deltas, exponents)
     if not math.isfinite(value):
         raise ValueError(f"value is {value}: the moment is outside the float range")
@@ -210,12 +226,22 @@ def _cmd_moment(args) -> int:
 
 @np.errstate(all="ignore")  # overflow is reported below, by key
 def _cmd_wdic(args) -> int:
-    data = WeightedDataset.from_csv(args.data)
-    if args.weights_center is not None:
-        data = data.with_central_weights([float(v) for v in args.weights_center.split(",")])
-    model = builtin_model(args.model)
     if (args.draws is None) == (args.sample is None):
         raise ValueError("provide exactly one of --draws FILE or --sample steps,burnin,step,seed")
+    # every flag is parsed before the data is read
+    model = builtin_model(args.model)
+    if args.weights_center is not None:
+        centers = _parse_numbers("weights-center", args.weights_center.split(","), repeat(float))
+    if args.sample is not None:
+        if args.sample.count(",") != 3:
+            raise ValueError(f"--sample must be steps,burnin,step,seed, got {args.sample!r}")
+        fields = ("steps", "burn_in", "step_size", "seed")  # SamplerConfig's, in order
+        values = _parse_numbers("sample", args.sample.split(","), (int, int, float, int), fields)
+        cfg = SamplerConfig(*values)
+        log_prior = default_log_prior(model, args.prior_scale)
+    data = WeightedDataset.from_csv(args.data)
+    if args.weights_center is not None:
+        data = data.with_central_weights(centers)
     # on either path: data whose sums leave the float range is refused as such,
     # not scored as a zero density
     model.summarize(data.y)
@@ -223,17 +249,7 @@ def _cmd_wdic(args) -> int:
     if args.draws is not None:
         draws = PosteriorDraws.from_csv(args.draws)
     else:
-        fields = dict(zip(("steps", "burn_in", "step_size", "seed"), args.sample.split(",")))
-        if args.sample.count(",") != 3:
-            raise ValueError(f"--sample must be steps,burnin,step,seed, got {args.sample!r}")
-        for name, text in fields.items():
-            try:
-                fields[name] = float(text) if name == "step_size" else int(text)
-            except ValueError:
-                kind = "a number" if name == "step_size" else "an integer"
-                raise ValueError(f"--sample {name} must be {kind}, got {text!r}") from None
-        cfg = SamplerConfig(**fields)
-        draws = metropolis_sample(model, default_log_prior(model, args.prior_scale), data, cfg)
+        draws = metropolis_sample(model, log_prior, data, cfg)
         acceptance = draws.acceptance_rate
     result = wdic(model, draws, data, theta_hat_rule=args.theta_hat)
     payload = {

@@ -407,14 +407,15 @@ def metropolis_sample(
     Deterministic for a fixed seed; the chain starts at the midpoint of the
     model bounds, so each bound and its midpoint must be finite.  Each step
     draws p scalar ``standard_normal()`` values (the stream of one
-    ``standard_normal(p)``), then ``random()`` only when the
-    proposal lies inside the model bounds; proposals outside are rejected.
-    When the model supplies ``summarize``, its function of theta scores the
-    likelihood and ``log_prior`` sees each scored proposal as a list of p
-    Python floats, which it must not modify; otherwise ``log_prior`` and
-    ``log_density`` see the same fresh ``(p,)`` float64 array.  The
-    post-burn-in acceptance rate is reported on the result and must exceed
-    0.1%.
+    ``standard_normal(p)``), then ``random()`` only when the proposal lies
+    inside the model bounds; proposals outside are rejected.  Up to two
+    parameters the state is two Python floats, from three a list of p, on
+    that same stream.  When the model supplies ``summarize``, its function of
+    theta scores the likelihood and ``log_prior`` sees each scored proposal
+    as a list of p Python floats, which it must not modify; otherwise
+    ``log_prior`` and ``log_density`` see the same fresh ``(p,)`` float64
+    array.  The post-burn-in acceptance rate is reported on the result and
+    must exceed 0.1%.
     """
     bounds = model.bounds
     for lo, hi in bounds:  # refused before any step, not as zero acceptance
@@ -434,30 +435,48 @@ def metropolis_sample(
             lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
             return lik + float(log_prior(arr))
 
-    # the state is Python floats: t + step_size * z is the same IEEE operation
-    # numpy applies per element, without its dispatch cost on (p,) arrays
+    # t + step_size * z on Python floats is the IEEE operation numpy applies per element
     theta = [0.5 * (lo + hi) for lo, hi in bounds]
     current = log_post(theta)
     kept, kept_lp = array("d"), array("d")
     accepted_after_burn = 0
     log, minus_inf = math.log, -math.inf
-    for step in range(cfg.steps):
-        proposal = [t + step_size * normal() for t in theta]
-        # out-of-bounds proposals have zero prior mass: reject outright
-        for t, (lo, hi) in zip(proposal, bounds):
-            if not lo <= t <= hi:
-                break
-        else:
-            candidate = log_post(proposal)
-            u = uniform()
-            # random() can return 0.0, whose log is -inf: accept
-            if (log(u) if u > 0.0 else minus_inf) < candidate - current:
-                theta, current = proposal, candidate
-                if step >= burn_in:
-                    accepted_after_burn += 1
-        if step >= burn_in:
-            kept.extend(theta)
-            kept_lp.append(current)
+    if len(bounds) <= 2:  # one parameter: t1 stays 0.0 in (0.0, 0.0), float() draws nothing
+        two = len(bounds) == 2
+        (lo0, hi0), (lo1, hi1) = bounds if two else (*bounds, (0.0, 0.0))
+        normal1 = normal if two else float
+        t0, t1 = theta if two else (*theta, 0.0)
+        for step in range(cfg.steps):
+            p0, p1 = t0 + step_size * normal(), t1 + step_size * normal1()
+            # out-of-bounds proposals have zero prior mass: reject outright
+            if lo0 <= p0 <= hi0 and lo1 <= p1 <= hi1:
+                proposal = [p0, p1] if two else [p0]
+                candidate = log_post(proposal)
+                u = uniform()
+                # random() can return 0.0, whose log is -inf: accept
+                if (log(u) if u > 0.0 else minus_inf) < candidate - current:
+                    theta, current, t0, t1 = proposal, candidate, p0, p1
+                    if step >= burn_in:
+                        accepted_after_burn += 1
+            if step >= burn_in:
+                kept.extend(theta)
+                kept_lp.append(current)
+    else:
+        for step in range(cfg.steps):
+            proposal = [t + step_size * normal() for t in theta]
+            for t, (lo, hi) in zip(proposal, bounds):
+                if not lo <= t <= hi:
+                    break
+            else:
+                candidate = log_post(proposal)
+                u = uniform()
+                if (log(u) if u > 0.0 else minus_inf) < candidate - current:
+                    theta, current = proposal, candidate
+                    if step >= burn_in:
+                        accepted_after_burn += 1
+            if step >= burn_in:
+                kept.extend(theta)
+                kept_lp.append(current)
     rate = accepted_after_burn / (cfg.steps - cfg.burn_in)
     if rate < 0.001:
         raise ZeroAcceptanceError(
@@ -476,9 +495,9 @@ def metropolis_sample(
 # ---------------------------------------------------------------------------
 
 
-def _normal_summary(scale: Callable) -> Callable:
-    """``summarize`` for a normal model of the first data column, whose ``scale(theta)``
-    gives (variance, log normalizer) and theta[0] in [-MEAN_BOUND, MEAN_BOUND] the mean:
+def _normal_summary(known: tuple[float, float] | None = None) -> Callable:
+    """``summarize`` for a normal model of the first data column: theta[0] in
+    [-MEAN_BOUND, MEAN_BOUND] is mu, ``known`` fixes (var, norm), else var = exp(2 theta[1]);
     sum_i log N(y_i | mu, var) = n norm - (SS + n (ybar - mu)^2) / (2 var).
     Data whose sums or squares leave the float range are refused before any step."""
 
@@ -492,11 +511,16 @@ def _normal_summary(scale: Callable) -> Callable:
                 raise OverflowError
         except OverflowError:
             raise ValueError("observations overflow the normal model's sum of squares") from None
+        if known is None:
+            def loglik(theta) -> float:
+                var = math.exp(2.0 * theta[1])
+                norm = -0.5 * math.log(2.0 * math.pi * var)
+                return n * norm - (ss + n * (ybar - theta[0]) ** 2) / (2.0 * var)
+        else:
+            n_norm, two_var = n * known[1], 2.0 * known[0]
 
-        def loglik(theta) -> float:
-            var, norm = scale(theta)
-            return n * norm - (ss + n * (ybar - theta[0]) ** 2) / (2.0 * var)
-
+            def loglik(theta) -> float:
+                return n_norm - (ss + n * (ybar - theta[0]) ** 2) / two_var
         return loglik
 
     return summarize
@@ -512,7 +536,7 @@ def normal_mean_model(sd: float = 1.0) -> ModelSpec:
 
     return ModelSpec(
         f"normal-mean(sd={sd:g})", log_density, ((-MEAN_BOUND, MEAN_BOUND),),
-        _normal_summary(lambda theta: (sd * sd, const)),
+        _normal_summary((sd * sd, const)),
     )
 
 
@@ -520,15 +544,11 @@ def normal_model() -> ModelSpec:
     """Normal with unknown mean in [-MEAN_BOUND, MEAN_BOUND] and unknown log
     standard deviation in [-LOG_SD_BOUND, LOG_SD_BOUND]."""
 
-    def scale(theta) -> tuple[float, float]:
-        var = math.exp(2.0 * theta[1])
-        return var, -0.5 * math.log(2.0 * math.pi * var)
-
     def log_density(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
         mu, log_sd = theta
         # math, not numpy, for both shapes of theta: np.exp differs from
         # math.exp in the last bit on some arguments, and a draw must score
-        # the same alone and inside a block as the sampler's scale scores it
+        # the same alone and inside a block as the sampler's summary scores it
         shape = np.shape(log_sd)
         var = np.array([*map(math.exp, np.ravel(2.0 * log_sd).tolist())]).reshape(shape)
         norm = -0.5 * np.array([*map(math.log, np.ravel(2.0 * math.pi * var).tolist())])
@@ -536,7 +556,7 @@ def normal_model() -> ModelSpec:
 
     return ModelSpec(
         "normal", log_density, ((-MEAN_BOUND, MEAN_BOUND), (-LOG_SD_BOUND, LOG_SD_BOUND)),
-        _normal_summary(scale),
+        _normal_summary(),
     )
 
 

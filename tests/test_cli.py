@@ -539,6 +539,36 @@ def test_wdic_refuses_bad_sampler_input_before_sampling(capsys, monkeypatch, ext
     assert entered == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "--example", "1", "--rho=0:0.5:2.5", "--x3=0:1:3"],
+         "--rho steps must be an integer, got '2.5'"),
+        (["scan", "--example", "1", "--rho=a:0.5:3", "--x3=0:1:3"],
+         "--rho lo must be a number, got 'a'"),
+        (["scan", "--example", "1", "--rho=0:0.5:3", "--x3=0:b:3"],
+         "--x3 hi must be a number, got 'b'"),
+        (["moment", "--cov", "{missing}", "--r", "2,,2"], "--r entry 2 must be an integer, got ''"),
+        (["moment", "--cov", "{missing}", "--r", "2,2", "--shift=1,y"],
+         "--shift entry 2 must be a number, got 'y'"),
+        (["wdic", "--data", "{missing}", "--sample", "1500,300,0.4,42", "--weights-center=a"],
+         "--weights-center entry 1 must be a number, got 'a'"),
+        (["wdic", "--data", "{missing}", "--draws", "{missing}", "--weights-center=0,z"],
+         "--weights-center entry 2 must be a number, got 'z'"),
+        (["wdic", "--data", "{missing}", "--sample", "1500,300,x,42"],
+         "--sample step_size must be a number, got 'x'"),
+    ],
+    ids=[
+        "scan-steps-2.5", "scan-lo-a", "scan-hi-b", "moment-r-empty", "moment-shift-y",
+        "wdic-center-a", "wdic-draws-center-z", "wdic-step-x",
+    ],
+)
+def test_numbers_that_do_not_parse_are_refused_by_flag_and_field(capsys, tmp_path, argv, message):
+    # the files named do not exist, so each refusal comes before anything is read
+    argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 BAD_WDIC_INPUT = {
     "y-1e155-sample": (
         [1e155, 0.0, 0.0], ["--sample", "1500,300,0.4,42"],

@@ -595,8 +595,14 @@ def test_default_log_prior_equals_the_array_expression_bit_for_bit():
                 assert log_prior(theta.tolist()).hex() == old.hex(), (scale, theta)
 
 
+# steps that take most proposals past a bound: log sd past +-5, mean past +-50
+WIDE_STEPS = {"normal": 3.0, "normal-mean": 40.0}
+
+
 @pytest.mark.parametrize(
-    "case", ["normal-mean", "normal-mean-sd2", "normal", "tight-3", "burn-in-0"]
+    "case",
+    ["normal-mean", "normal-mean-sd2", "normal", "tight-3", "burn-in-0"]
+    + [f"{name}-wide{path}" for name in WIDE_STEPS for path in ("", "-per-row")],
 )
 def test_metropolis_matches_the_list_loop_bit_for_bit(case):
     rng = np.random.default_rng(44)
@@ -606,6 +612,11 @@ def test_metropolis_matches_the_list_loop_bit_for_bit(case):
         model, cfg = _tight_three_parameter_model(), SamplerConfig(4000, 500, 0.3, 46)
     elif case == "burn-in-0":
         model, cfg = normal_model(), SamplerConfig(600, 0, 0.5, 47)
+    elif "-wide" in case:  # the scalar loop's out-of-bounds branch, on both paths
+        name, _, path = case.partition("-wide")
+        model, cfg = builtin_model(name), SamplerConfig(4000, 500, WIDE_STEPS[name], 45)
+        if path:
+            model = dataclasses.replace(model, summarize=None)
     else:
         model = builtin_model(case)
     prior = default_log_prior(model, 3.0)
@@ -615,6 +626,8 @@ def test_metropolis_matches_the_list_loop_bit_for_bit(case):
     assert got.log_posts.tobytes() == want.log_posts.tobytes()
     assert got.acceptance_rate == want.acceptance_rate
     assert got.provenance == want.provenance
+    if "-wide" in case:
+        assert got.acceptance_rate < 0.01
 
 
 @pytest.mark.parametrize("p", range(1, 7))
