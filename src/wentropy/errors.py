@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the checks its containers and counts share."""
 
+import math
+
 import numpy as np
 
 
@@ -53,8 +55,9 @@ class ZeroAcceptanceError(WentropyError):
 
 def as_int(value, name: str, nonnegative: bool = False) -> int:
     """``value`` as an int; a non-integral one, or a negative one if ``nonnegative``, raises
-    ``ValueError`` naming ``name``."""
-    if int(value) != value:  # int() alone would truncate 1.5 to 1
+    ``ValueError`` naming ``name``, as does an infinite or NaN one."""
+    # int() fails with errors of its own on NaN and infinities, and alone would truncate 1.5 to 1
+    if value != value or value in (-math.inf, math.inf) or int(value) != value:
         raise ValueError(f"{name} {value} is not an integer")
     if nonnegative and value < 0:
         raise ValueError(f"{name} must be non-negative, got {int(value)}")

@@ -12,14 +12,12 @@ is passed as a ``(k, 1)`` column and the result must broadcast to
 the evaluator scores each run of consecutive equal draws once and copies the
 sum to the whole run; every sum has the same bits as when each draw is scored.
 
-The sampler scores one proposal at a time with its own unweighted sum, in
-which zero density just means rejection: through ``ModelSpec.summarize`` when
-the model supplies it (the built-in normal models work from n, the mean and
-the sum of squares of the data), else by summing ``log_density`` over the
-rows, so ``log_density`` must also accept a single ``(p,)`` theta, whose
-parameters are scalars.  The two agree to rounding, not bit for bit: the kept
-log posteriors differ in their last bits, and an accept decision within about
-1e-13 of the threshold, or a ``mode`` tie, can go the other way.
+The sampler runs the models the command line names, of one or two parameters,
+and scores one proposal at a time with its own unweighted sum, in which zero
+density just means rejection, through ``ModelSpec.summarize`` (the built-in
+normal models work from n, the mean and the sum of squares of the data).  That
+sum agrees with summing ``log_density`` over the rows to rounding, not bit for
+bit.
 
 Reductions over draws happen in sorted order, so ``wdic`` and ``pwd`` are
 exactly invariant under reordering of the draw collection.  The Monte Carlo
@@ -111,8 +109,8 @@ class ModelSpec:
     ``(lo, hi)`` per parameter, so ``n_params`` is ``len(bounds)``.
 
     ``summarize``, when given, maps the observations y to a function of theta
-    (a sequence of p floats) that returns sum_i log g(y_i | theta): the
-    sampler's shortcut past ``log_density``.
+    (a sequence of p floats) that returns sum_i log g(y_i | theta): how the
+    sampler scores a proposal.  The sampler refuses a model without it.
     """
 
     name: str
@@ -402,38 +400,35 @@ def metropolis_sample(
     data: WeightedDataset,
     cfg: SamplerConfig,
 ) -> PosteriorDraws:
-    """Random-walk Metropolis draws from the (unweighted) posterior.
+    """Random-walk Metropolis draws from the (unweighted) posterior of a model
+    the command line can name: one or two parameters and a ``summarize``.
 
-    Deterministic for a fixed seed; the chain starts at the midpoint of the
-    model bounds, so each bound and its midpoint must be finite.  Each step
-    draws p scalar ``standard_normal()`` values (the stream of one
-    ``standard_normal(p)``), then ``random()`` only when the proposal lies
-    inside the model bounds; proposals outside are rejected.  Up to two
-    parameters the state is two Python floats, from three a list of p, on
-    that same stream.  When the model supplies ``summarize``, its function of
-    theta scores the likelihood and ``log_prior`` sees each scored proposal
-    as a list of p Python floats, which it must not modify; otherwise
-    ``log_prior`` and ``log_density`` see the same fresh ``(p,)`` float64
-    array.  The post-burn-in acceptance rate is reported on the result and
-    must exceed 0.1%.
+    Any other model raises ``ValueError`` before any step.  Deterministic for a
+    fixed seed; the chain starts at the midpoint of the model bounds, so each
+    bound and its midpoint must be finite.  Each step draws p scalar
+    ``standard_normal()`` values (the stream of one ``standard_normal(p)``),
+    then ``random()`` only when the proposal lies inside the model bounds;
+    proposals outside are rejected.  The function of theta that ``summarize``
+    returns scores the likelihood, and ``log_prior`` sees each scored proposal
+    as a list of p Python floats, which it must not modify.  The post-burn-in
+    acceptance rate is reported on the result and must exceed 0.1%.
     """
     bounds = model.bounds
-    for lo, hi in bounds:  # refused before any step, not as zero acceptance
+    # refused before any step, not as a failure or zero acceptance mid-chain
+    if len(bounds) > 2:
+        raise ValueError(f"model {model.name} has {len(bounds)} parameters, not one or two")
+    if model.summarize is None:
+        raise ValueError(f"model {model.name} has no summarize, through which the sampler scores")
+    for lo, hi in bounds:
         if not math.isfinite(0.5 * (lo + hi)):
             raise ValueError(f"the sampler's start, midpoint of bound ({lo}, {hi}), is not finite")
     rng = np.random.default_rng(cfg.seed)
     normal, uniform = rng.standard_normal, rng.random
-    step_size, burn_in, y = cfg.step_size, cfg.burn_in, data.y
-    if model.summarize is not None:
-        loglik = model.summarize(y)
+    step_size, burn_in = cfg.step_size, cfg.burn_in
+    loglik = model.summarize(data.y)
 
-        def log_post(th: list) -> float:
-            return loglik(th) + float(log_prior(th))
-    else:
-        def log_post(th: list) -> float:
-            arr = np.array(th)
-            lik = float(np.asarray(model.log_density(y, arr), dtype=float).sum())
-            return lik + float(log_prior(arr))
+    def log_post(th: list) -> float:
+        return loglik(th) + float(log_prior(th))
 
     # t + step_size * z on Python floats is the IEEE operation numpy applies per element
     theta = [0.5 * (lo + hi) for lo, hi in bounds]
@@ -441,42 +436,25 @@ def metropolis_sample(
     kept, kept_lp = array("d"), array("d")
     accepted_after_burn = 0
     log, minus_inf = math.log, -math.inf
-    if len(bounds) <= 2:  # one parameter: t1 stays 0.0 in (0.0, 0.0), float() draws nothing
-        two = len(bounds) == 2
-        (lo0, hi0), (lo1, hi1) = bounds if two else (*bounds, (0.0, 0.0))
-        normal1 = normal if two else float
-        t0, t1 = theta if two else (*theta, 0.0)
-        for step in range(cfg.steps):
-            p0, p1 = t0 + step_size * normal(), t1 + step_size * normal1()
-            # out-of-bounds proposals have zero prior mass: reject outright
-            if lo0 <= p0 <= hi0 and lo1 <= p1 <= hi1:
-                proposal = [p0, p1] if two else [p0]
-                candidate = log_post(proposal)
-                u = uniform()
-                # random() can return 0.0, whose log is -inf: accept
-                if (log(u) if u > 0.0 else minus_inf) < candidate - current:
-                    theta, current, t0, t1 = proposal, candidate, p0, p1
-                    if step >= burn_in:
-                        accepted_after_burn += 1
-            if step >= burn_in:
-                kept.extend(theta)
-                kept_lp.append(current)
-    else:
-        for step in range(cfg.steps):
-            proposal = [t + step_size * normal() for t in theta]
-            for t, (lo, hi) in zip(proposal, bounds):
-                if not lo <= t <= hi:
-                    break
-            else:
-                candidate = log_post(proposal)
-                u = uniform()
-                if (log(u) if u > 0.0 else minus_inf) < candidate - current:
-                    theta, current = proposal, candidate
-                    if step >= burn_in:
-                        accepted_after_burn += 1
-            if step >= burn_in:
-                kept.extend(theta)
-                kept_lp.append(current)
+    two = len(bounds) == 2  # one parameter: t1 stays 0.0 in (0.0, 0.0), float() draws nothing
+    (lo0, hi0), (lo1, hi1) = bounds if two else (*bounds, (0.0, 0.0))
+    normal1 = normal if two else float
+    t0, t1 = theta if two else (*theta, 0.0)
+    for step in range(cfg.steps):
+        p0, p1 = t0 + step_size * normal(), t1 + step_size * normal1()
+        # out-of-bounds proposals have zero prior mass: reject outright
+        if lo0 <= p0 <= hi0 and lo1 <= p1 <= hi1:
+            proposal = [p0, p1] if two else [p0]
+            candidate = log_post(proposal)
+            u = uniform()
+            # random() can return 0.0, whose log is -inf: accept
+            if (log(u) if u > 0.0 else minus_inf) < candidate - current:
+                theta, current, t0, t1 = proposal, candidate, p0, p1
+                if step >= burn_in:
+                    accepted_after_burn += 1
+        if step >= burn_in:
+            kept.extend(theta)
+            kept_lp.append(current)
     rate = accepted_after_burn / (cfg.steps - cfg.burn_in)
     if rate < 0.001:
         raise ZeroAcceptanceError(
@@ -546,9 +524,9 @@ def normal_model() -> ModelSpec:
 
     def log_density(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
         mu, log_sd = theta
-        # math, not numpy, for both shapes of theta: np.exp differs from
-        # math.exp in the last bit on some arguments, and a draw must score
-        # the same alone and inside a block as the sampler's summary scores it
+        # math, not numpy: np.exp differs from math.exp in the last bit on
+        # some arguments, and a block must score each draw with the var and
+        # norm that the sampler's summary computes for it
         shape = np.shape(log_sd)
         var = np.array([*map(math.exp, np.ravel(2.0 * log_sd).tolist())]).reshape(shape)
         norm = -0.5 * np.array([*map(math.log, np.ravel(2.0 * math.pi * var).tolist())])
@@ -575,8 +553,8 @@ def builtin_model(name: str) -> ModelSpec:
 def default_log_prior(model: ModelSpec, scale: float = 10.0):
     """Independent normal prior with the given scale on every parameter.
 
-    The returned function takes theta as an array-like, or as a flat list of
-    p Python floats, which it reads without a conversion."""
+    The returned function takes theta as a sequence of p floats, as the sampler
+    passes it, and adds their terms left to right from 0.0."""
     scale = float(scale)
     if not 0.0 < scale < math.inf:
         raise ValueError(f"prior scale must be positive and finite, got {scale!r}")
@@ -589,13 +567,6 @@ def default_log_prior(model: ModelSpec, scale: float = 10.0):
         raise ValueError(f"prior scale {scale!r} overflows the log prior at the model bound {edge!r}")
 
     def log_prior(theta) -> float:
-        # a list, as the sampler passes, is taken as the p floats it holds
-        if not isinstance(theta, list):
-            theta = np.asarray(theta, dtype=float).ravel().tolist()
-        # the same value as np.sum over the terms: it adds fewer than 8 left
-        # to right from 0.0, and 8 or more in its own unrolled order
-        if len(theta) >= 8:
-            return float(np.sum([const - t * t / denom for t in theta]))
         total = 0.0
         for t in theta:
             total += const - t * t / denom

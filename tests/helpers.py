@@ -202,38 +202,6 @@ def reference_mode(arr, scores) -> np.ndarray:
     return arr[best].copy()
 
 
-def reference_metropolis(model, log_prior, data, cfg):
-    """Reference random-walk Metropolis chain: the array-based loop the
-    float-based sampler replaced, returning ``(draws, log_posts,
-    acceptance_rate)``.  The package sampler must reproduce it bit for bit."""
-    rng = np.random.default_rng(cfg.seed)
-    theta = np.array([0.5 * (lo + hi) for lo, hi in model.bounds])
-
-    def log_post(th: np.ndarray) -> float:
-        return float(
-            np.sum(np.asarray(model.log_density(data.y, th), dtype=float))
-        ) + float(log_prior(th))
-
-    current = log_post(theta)
-    kept = np.empty((cfg.steps - cfg.burn_in, model.n_params))
-    kept_lp = np.empty(cfg.steps - cfg.burn_in)
-    accepted_after_burn = 0
-    for step in range(cfg.steps):
-        proposal = theta + cfg.step_size * rng.standard_normal(model.n_params)
-        accept = False
-        # out-of-bounds proposals have zero prior mass: reject outright
-        if all(lo <= t <= hi for t, (lo, hi) in zip(proposal, model.bounds)):
-            candidate = log_post(proposal)
-            if math.log(rng.random()) < candidate - current:
-                theta, current = proposal, candidate
-                accept = True
-        if step >= cfg.burn_in:
-            kept[step - cfg.burn_in] = theta
-            kept_lp[step - cfg.burn_in] = current
-            accepted_after_burn += accept
-    return kept, kept_lp, accepted_after_burn / (cfg.steps - cfg.burn_in)
-
-
 def reference_list_metropolis(
     model: ModelSpec,
     log_prior: Callable,
@@ -242,9 +210,11 @@ def reference_list_metropolis(
 ) -> PosteriorDraws:
     """Reference sampler kept verbatim: the list-state loop that drew
     ``standard_normal(p)`` per step, gave ``log_prior`` a fresh ``(p,)`` array
-    on both paths and wrote the kept rows into preallocated arrays.  The
-    package sampler must reproduce its draws, log posteriors and acceptance
-    rate bit for bit."""
+    on both paths and wrote the kept rows into preallocated arrays.  For a
+    model with ``summarize`` the package sampler must reproduce its draws, log
+    posteriors and acceptance rate bit for bit; for one without, it sums
+    ``log_density`` over the rows, the oracle the sampler's summary matches to
+    rounding."""
     rng = np.random.default_rng(cfg.seed)
     bounds = model.bounds
     n_params, step_size, y = model.n_params, cfg.step_size, data.y

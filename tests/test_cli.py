@@ -455,6 +455,17 @@ def test_wdic_golden_classical_reduction(capsys):
     assert got["theta_hat"] == golden["theta_hat"]
 
 
+def test_wdic_draws_matches_golden_bytes(capsys):
+    # every key of the --draws output, pwd_mcse and ess too, recorded once
+    code, out, _ = run(
+        capsys,
+        ["wdic", "--data", str(DATA_DIR / "toy_data.csv"),
+         "--draws", str(DATA_DIR / "toy_draws.csv")],
+    )
+    assert code == 0
+    assert out == (DATA_DIR / "toy_draws_golden.json").read_text()
+
+
 def test_wdic_sampler_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["wdic", "--data", str(DATA_DIR / "toy_data.csv"),

@@ -537,7 +537,7 @@ def test_failed_condition_keeps_nothing(monkeypatch):
     assert condition(base, (0, 1), (2,), [1.0]).mean == pytest.approx([0.25, 0.0], abs=1e-15)
 
 
-def test_cached_conditional_still_checks_its_mean():
+def test_condition_refuses_a_mean_that_leaves_the_float_range():
     # gain 9.9: a finite value can push the conditional mean past the float range
     dist = Gaussian(np.zeros(2), [[100.0, 9.9], [9.9, 1.0]])
     condition(dist, (0,), (1,), [1.0])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,9 @@ def test_non_integral_orders_and_exponents_are_refused_not_truncated():
         shifted_moments(np.eye(2), [0.0, 1.0], [(2, 2), (1, np.float64(2.5))])
     with pytest.raises(ValueError, match="order 2.5 is not an integer"):
         count_matchings(2.5)
+    # int() raises OverflowError on an infinity, not this ValueError
+    with pytest.raises(ValueError, match="^exponent inf is not an integer$"):
+        central_moment(np.eye(2), (math.inf, 2))
     # integral floats keep working
     assert central_moment(np.eye(2), (2.0, 2.0)) == central_moment(np.eye(2), (2, 2)) == 1.0
     assert count_matchings(4.0) == 3

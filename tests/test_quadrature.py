@@ -420,8 +420,12 @@ def test_moment_quadrature_fourth_moment():
 
 @pytest.mark.parametrize(
     "samples, seed, message",
-    [(1500.7, 2, "samples 1500.7 is not an integer"), (1500, 2.9, "seed 2.9 is not an integer")],
-    ids=["samples", "seed"],
+    [
+        (1500.7, 2, "samples 1500.7 is not an integer"),
+        (1500, 2.9, "seed 2.9 is not an integer"),
+        (math.nan, 2, "samples nan is not an integer"),
+    ],
+    ids=["samples", "seed", "samples-nan"],
 )
 def test_mc_config_refuses_a_non_integral_count(samples, seed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -581,7 +585,7 @@ def test_family_bases_midpoint_integrals_match_the_exact_rule():
             assert abs(midpoint - wde_gauss_hermite(dist, weight)) < 1e-4, (example, rho)
 
 
-def test_central_weight_holds_a_batch_of_centers_but_is_evaluated_for_one():
+def test_central_weight_holds_a_batch_of_centers():
     weight = CentralWeight(np.zeros((2, 3)))
     assert weight.dim == 2 and weight.centers.shape == (2, 3)
     assert CentralWeight(0.5).centers.shape == (1,)
